@@ -1,202 +1,331 @@
 """Array kernels for the automaton algebra.
 
-Automata are stored in CSR form: indptr (int64, n+1), letters (int32) and
-targets (int32) sorted by (state, letter), an accepting mask (uint8) and a
-single initial state. Missing transitions are an implicit dead sink.
+CSR contract.  An automaton with n states and m transitions is stored as
+indptr (int64, n+1), letters (int32, m) and targets (int32, m), sorted by
+(state, letter) with at most one transition per (state, letter); an
+accepting mask (uint8, n) and a single initial state.  Missing transitions
+go to an implicit dead sink.  Kernels never write into their inputs and
+may return an input array unchanged (``trim`` does when it cuts nothing)
+or a read-only one, so callers must not write into automaton arrays.
 
-Every kernel below is a self-contained loop over plain numpy arrays, so the
-same source compiles under numba and also runs unmodified as ordinary
-Python (set OBD_PURE_PYTHON=1 to force that; it is slow but identical).
+Two paths.  ``trim``, ``min_blocks``, ``bfs_renumber`` and
+``pair_product`` pick an implementation by the input's edge count.  Below
+SMALL_EDGES they run plain Python loops over ``.tolist()`` lists with
+``dict`` interning; from SMALL_EDGES on they run whole-array numpy
+passes: frontier searches one BFS level at a time, and Moore rounds as
+one sort of the rows [block, letter-row id, block of each target] per
+out-degree group.  A numpy call costs microseconds however little it
+does, and a small machine needs many BFS levels and Moore rounds for few
+edges, so there the loops win; on large machines their per-edge
+interpreter cost loses by far.  Timing both paths on every call the
+packaged scripts make put the crossover between 4 096 and 16 384 input
+edges for trim, min_blocks and bfs_renumber, and between 1 024 and 2 048
+for pair_product, whose output is several times its input; the single
+constant sits at the low end of the first range.  The two paths return
+identical arrays.  ``quotient`` has only the numpy path, ``determinize``
+(whose inputs in the benchmark stay under 1 000 edges) only the list
+path, and ``walk`` is a scalar loop that reads one word.
+
+Memory.  Arrays kept per edge are int32; int64 appears only where numpy
+needs it (edge positions for gathers, pair keys).  Every per-edge gather
+and the product's frontier run over slices of at most SLICE_EDGES edges,
+so temporaries stay bounded however wide a BFS level is.  Value-only
+``np.unique`` is avoided: it builds a hash set whose many small
+allocations are left behind in the process heap.  Outputs that can
+outgrow their input (product, subset construction) are collected in
+``array`` buffers rather than lists of Python ints.
 """
 from __future__ import annotations
 
-import os
+from array import array
 
 import numpy as np
 
-try:
-    if os.environ.get("OBD_PURE_PYTHON"):
-        raise ImportError("pure python requested")
-    from numba import njit as _numba_njit
+HAVE_NUMBA = False  # the kernels are numpy and plain Python only
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via OBD_PURE_PYTHON
-    HAVE_NUMBA = False
+SMALL_EDGES = 4096
+SLICE_EDGES = 1 << 14
 
 
-def njit(fn):
-    if HAVE_NUMBA:
-        return _numba_njit(cache=True)(fn)
-    return fn
+def _slices(widths):
+    """(lo, hi) bounds that cut `widths` into runs whose sum is at most
+    SLICE_EDGES; a single wider item is a run of its own."""
+    ends = np.cumsum(widths)
+    lo = 0
+    while lo < widths.size:
+        limit = ends[lo] - widths[lo] + SLICE_EDGES
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+        yield lo, hi
+        lo = hi
 
 
-_MASK63 = 0x7FFFFFFFFFFFFFFF
+def _rows(indptr, states):
+    """Edge positions of the given states' rows, concatenated in order."""
+    starts = indptr[states]
+    counts = indptr[states + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
-@njit
-def _grow_i32(arr, need):
-    if need <= arr.size:
-        return arr
-    cap = arr.size if arr.size > 0 else 16
-    while cap < need:
-        cap *= 2
-    out = np.empty(cap, np.int32)
-    out[: arr.size] = arr
-    return out
+def _csr(counts):
+    indptr = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
-@njit
-def _grow_i64(arr, need):
-    if need <= arr.size:
-        return arr
-    cap = arr.size if arr.size > 0 else 16
-    while cap < need:
-        cap *= 2
-    out = np.empty(cap, np.int64)
-    out[: arr.size] = arr
-    return out
+def _gather(indptr, letters, targets, states, relabel=None):
+    """CSR of the rows of `states`, in that order, targets mapped through
+    `relabel`; built a slice at a time."""
+    counts = indptr[states + 1] - indptr[states]
+    out_indptr = _csr(counts)
+    out_letters = np.empty(int(out_indptr[-1]), np.int32)
+    out_targets = np.empty(int(out_indptr[-1]), np.int32)
+    for lo, hi in _slices(counts):
+        index = _rows(indptr, states[lo:hi])
+        at = slice(out_indptr[lo], out_indptr[hi])
+        out_letters[at] = letters[index]
+        out_targets[at] = targets[index] if relabel is None else relabel[targets[index]]
+    return out_indptr, out_letters, out_targets
 
 
-@njit
-def _grow_u8(arr, need):
-    if need <= arr.size:
-        return arr
-    cap = arr.size if arr.size > 0 else 16
-    while cap < need:
-        cap *= 2
-    out = np.empty(cap, np.uint8)
-    out[: arr.size] = arr
-    return out
+def _successors(indptr, targets, states):
+    """Targets of the rows of `states`, in order, a slice at a time."""
+    counts = indptr[states + 1] - indptr[states]
+    for lo, hi in _slices(counts):
+        yield targets[_rows(indptr, states[lo:hi])]
 
 
-@njit
-def _mix(key):
-    # one xorshift-multiply round; masked so numba int64 and python ints agree
-    k = int(key)
-    h = (k ^ (k >> 31)) & _MASK63
-    h = (h * 0x9E3779B97F4A7C) & _MASK63
-    return h
+def _distinct(values):
+    """Sorted distinct values.  (np.unique would build a hash set here,
+    whose many small allocations stay behind in the process heap.)"""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])] if values.size else values
+
+
+def _reach(indptr, targets, seen):
+    """Close the boolean mask `seen` under successors, a level at a time."""
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        found = []
+        for succ in _successors(indptr, targets, frontier):
+            succ = _distinct(succ[~seen[succ]])
+            seen[succ] = True
+            found.append(succ)
+        frontier = np.concatenate(found)
+    return seen
+
+
+def _reverse(indptr, targets):
+    """Reversed edges as CSR: sources grouped by target, in source order.
+    A counting sort, one slice of edges at a time."""
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    rev_indptr = _csr(np.bincount(targets, minlength=n))
+    sources = np.empty(targets.size, np.int32)
+    fill = rev_indptr[:-1].copy()  # next free slot of each target
+    for lo, hi in _slices(deg):
+        succ = targets[indptr[lo]:indptr[hi]]
+        if succ.size == 0:
+            continue
+        order = np.argsort(succ, kind="stable")
+        succ = succ[order]
+        rank = np.arange(succ.size) - np.searchsorted(succ, succ)
+        sources[fill[succ] + rank] = np.repeat(
+            np.arange(lo, hi, dtype=np.int32), deg[lo:hi])[order]
+        last = np.flatnonzero(np.append(succ[1:] != succ[:-1], True))
+        fill[succ[last]] += rank[last] + 1
+    return rev_indptr, sources
+
+
+def _row_counts(indptr, flags):
+    """Per-row count of the set per-edge flags; rows may be empty."""
+    deg = np.diff(indptr)
+    counts = np.zeros(deg.size, np.int64)
+    rows = deg > 0
+    if flags.size:
+        counts[rows] = np.add.reduceat(flags, indptr[:-1][rows], dtype=np.int64)
+    return counts
+
+
+def _first_occurrence(values):
+    """Dense ids numbered by first occurrence; values may be any ints."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, np.int32)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
+    return rank[inverse.reshape(-1)]
+
+
+def _row_ids(table):
+    """Ids of the distinct rows of a 2-d int32 table (any numbering)."""
+    if table.shape[1] == 0:
+        return np.zeros(table.shape[0], np.int32)
+    rows = np.ascontiguousarray(table).view(
+        np.dtype((np.void, table.dtype.itemsize * table.shape[1]))).reshape(-1)
+    order = np.argsort(rows)
+    rows = rows[order]
+    fresh = np.empty(rows.size, bool)
+    fresh[:1] = True
+    fresh[1:] = rows[1:] != rows[:-1]
+    ids = np.empty(rows.size, np.int32)
+    ids[order] = np.cumsum(fresh) - 1
+    return ids
 
 
 # ---------------------------------------------------------------------------
 # pairwise product  (mode: 0 and, 1 or, 2 xor, 3 andnot)
 # ---------------------------------------------------------------------------
 
-@njit
 def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
-    nb = ab.size
-    need_a = mode == 0 or mode == 3  # left side must stay alive
-    need_b = mode == 0  # right side must stay alive
+    """Reachable part of the product, pairs numbered in BFS order.
 
-    cap = 1024
-    tkeys = np.full(cap, -1, np.int64)
-    tvals = np.empty(cap, np.int32)
+    A side that has fallen into the dead sink is -1 in the pair; modes 0
+    and 3 drop pairs whose left side is dead, mode 0 also the right side.
+    """
+    acc_a, acc_b = np.append(aa, 0) != 0, np.append(ab, 0) != 0  # -1 reads False
 
-    pcap = 256
-    pa = np.empty(pcap, np.int32)
-    pb = np.empty(pcap, np.int32)
-    npairs = 0
+    def accepting(pa, pb):
+        fa, fb = acc_a[pa], acc_b[pb]
+        return (fa & fb, fa | fb, fa != fb, fa & ~fb)[mode].astype(np.uint8)
 
-    ecap = 1024
-    out_letters = np.empty(ecap, np.int32)
-    out_targets = np.empty(ecap, np.int32)
-    nedges = 0
-    indptr = np.empty(pcap + 1, np.int64)
-    indptr[0] = 0
+    product = _product_list if la.size + lb.size < SMALL_EDGES else _product_array
+    return product(ia, la, ta, ib, lb, tb, (int(inita), int(initb)), mode,
+                   accepting)
 
-    # seed with the initial pair
-    key0 = (np.int64(inita) + 1) * (nb + 2) + (initb + 1)
-    slot = _mix(key0) & (cap - 1)
-    tkeys[slot] = key0
-    tvals[slot] = 0
-    pa[0] = inita
-    pb[0] = initb
+
+def _product_list(ia, la, ta, ib, lb, tb, start, mode, accepting):
+    def row_maps(indptr, letters, targets):
+        ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+        # one trailing empty row, so that the dead side -1 indexes it
+        return [dict(zip(lt[ip[s]:ip[s + 1]], tg[ip[s]:ip[s + 1]]))
+                for s in range(len(ip) - 1)] + [{}]
+
+    rows_a, rows_b = row_maps(ia, la, ta), row_maps(ib, lb, tb)
+    width = ib.size + 1  # pair key: (a + 1) * width + (b + 1)
+    index = {(start[0] + 1) * width + start[1] + 1: 0}
+    # the output can be far larger than the input: keep it in machine ints
+    pa, pb = array("q", [start[0]]), array("q", [start[1]])
+    out_letters, out_targets, counts = array("i"), array("i"), array("q")
+    k = 0
+    while k < len(pa):
+        ra, rb = rows_a[pa[k]], rows_b[pb[k]]
+        k += 1
+        before = len(out_letters)
+        for letter in (ra if mode in (0, 3) else sorted(ra.keys() | rb.keys())):
+            a, b = ra.get(letter, -1), rb.get(letter, -1)
+            if mode == 0 and b < 0:
+                continue
+            pid = index.setdefault((a + 1) * width + b + 1, len(pa))
+            if pid == len(pa):
+                pa.append(a)
+                pb.append(b)
+            out_letters.append(letter)
+            out_targets.append(pid)
+        counts.append(len(out_letters) - before)
+    return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
+            np.frombuffer(out_targets, np.int32),
+            accepting(np.frombuffer(pa, np.int64), np.frombuffer(pb, np.int64)))
+
+
+def _extend(buf, values):
+    """Append a contiguous numpy array to an ``array`` of the same item type."""
+    buf.frombytes(values.view(np.uint8))
+
+
+def _lookup(keys, targets, query):
+    """targets[i] where keys[i] == query, else -1 (keys sorted ascending)."""
+    if keys.size == 0:
+        return np.full(query.size, -1, np.int32)
+    at = np.searchsorted(keys, query)
+    np.minimum(at, keys.size - 1, out=at)
+    found = targets[at]
+    found[keys[at] != query] = -1
+    return found
+
+
+def _product_array(ia, la, ta, ib, lb, tb, start, mode, accepting):
+    nb = ib.size - 1
+    width = nb + 2  # pair key: (a + 1) * width + (b + 1)
+    nl = int(max(la.max(initial=-1), lb.max(initial=-1))) + 1
+    deg_a = np.append(np.diff(ia), 0)  # the dead side -1 has no edges
+    deg_b = np.append(np.diff(ib), 0)
+    # (state, letter) keys of every edge, ascending because rows are sorted
+    key_a = np.repeat(np.arange(ia.size - 1, dtype=np.int64), deg_a[:-1]) * nl + la
+    key_b = np.repeat(np.arange(nb, dtype=np.int64), deg_b[:-1]) * nl + lb
+
+    # interned pairs: sorted runs of (keys, ids), each run more than twice
+    # the size of the next, so a lookup searches O(log pairs) runs and a
+    # pair is merged O(log pairs) times
+    runs = [(np.array([(start[0] + 1) * width + start[1] + 1], np.int64),
+             np.zeros(1, np.int32))]
     npairs = 1
-
-    cur = 0
-    while cur < npairs:
-        sa = pa[cur]
-        sb = pb[cur]
-        i0 = ia[sa] if sa >= 0 else 0
-        i1 = ia[sa + 1] if sa >= 0 else 0
-        j0 = ib[sb] if sb >= 0 else 0
-        j1 = ib[sb + 1] if sb >= 0 else 0
-        i = i0
-        j = j0
-        while i < i1 or j < j1:
-            la_i = la[i] if i < i1 else np.int32(2**31 - 1)
-            lb_j = lb[j] if j < j1 else np.int32(2**31 - 1)
-            if la_i < lb_j:
-                letter, na_t, nb_t = la_i, ta[i], np.int32(-1)
-                i += 1
-            elif lb_j < la_i:
-                letter, na_t, nb_t = lb_j, np.int32(-1), tb[j]
-                j += 1
-            else:
-                letter, na_t, nb_t = la_i, ta[i], tb[j]
-                i += 1
-                j += 1
-            if need_a and na_t < 0:
-                continue
-            if need_b and nb_t < 0:
-                continue
-            # intern the successor pair
-            key = (np.int64(na_t) + 1) * (nb + 2) + (nb_t + 1)
-            # grow the table before the load factor hurts
-            if (npairs + 1) * 10 > cap * 7:
-                ncap = cap * 2
-                nk = np.full(ncap, -1, np.int64)
-                nv = np.empty(ncap, np.int32)
-                for s in range(cap):
-                    k = tkeys[s]
-                    if k != -1:
-                        t = _mix(k) & (ncap - 1)
-                        while nk[t] != -1:
-                            t = (t + 1) & (ncap - 1)
-                        nk[t] = k
-                        nv[t] = tvals[s]
-                tkeys, tvals, cap = nk, nv, ncap
-            slot = _mix(key) & (cap - 1)
-            while True:
-                k = tkeys[slot]
-                if k == -1:
-                    tkeys[slot] = key
-                    tvals[slot] = npairs
-                    pa = _grow_i32(pa, npairs + 1)
-                    pb = _grow_i32(pb, npairs + 1)
-                    pa[npairs] = na_t
-                    pb[npairs] = nb_t
-                    pid = npairs
-                    npairs += 1
-                    break
-                if k == key:
-                    pid = tvals[slot]
-                    break
-                slot = (slot + 1) & (cap - 1)
-            out_letters = _grow_i32(out_letters, nedges + 1)
-            out_targets = _grow_i32(out_targets, nedges + 1)
-            out_letters[nedges] = letter
-            out_targets[nedges] = pid
-            nedges += 1
-        indptr = _grow_i64(indptr, cur + 2)
-        indptr[cur + 1] = nedges
-        cur += 1
-
-    acc = np.zeros(npairs, np.uint8)
-    for k in range(npairs):
-        fa = pa[k] >= 0 and aa[pa[k]] != 0
-        fb = pb[k] >= 0 and ab[pb[k]] != 0
-        if mode == 0:
-            ok = fa and fb
-        elif mode == 1:
-            ok = fa or fb
-        elif mode == 2:
-            ok = fa != fb
-        else:
-            ok = fa and not fb
-        if ok:
-            acc[k] = 1
-    return indptr[: npairs + 1].copy(), out_letters[:nedges].copy(), out_targets[:nedges].copy(), acc
+    frontier = np.array([start], np.int64)
+    # outputs grow in place, not as slices joined at the end
+    out_letters, out_targets, counts, acc = array("i"), array("i"), array("q"), array("B")
+    while frontier.size:
+        fa, fb = frontier[:, 0], frontier[:, 1]
+        _extend(acc, accepting(fa, fb))
+        found = []
+        for lo, hi in _slices(deg_a[fa] if mode in (0, 3) else deg_a[fa] + deg_b[fb]):
+            a, b = fa[lo:hi], fb[lo:hi]
+            live = np.flatnonzero(a >= 0)
+            cnt = deg_a[a[live]]
+            index = _rows(ia, a[live])
+            pos = np.repeat(live.astype(np.int32), cnt)
+            letter = la[index]
+            succ_a = ta[index]
+            # (state, letter) keys; a dead side -1 makes them negative,
+            # so they find nothing
+            query = np.repeat(b[live], cnt)
+            query *= nl
+            query += letter
+            succ_b = _lookup(key_b, tb, query)
+            if mode == 0:
+                keep = succ_b >= 0
+                pos, letter, succ_a, succ_b = pos[keep], letter[keep], succ_a[keep], succ_b[keep]
+            elif mode in (1, 2):
+                # letters only the right side reads
+                live = np.flatnonzero(b >= 0)
+                cnt = deg_b[b[live]]
+                index = _rows(ib, b[live])
+                letter_b = lb[index]
+                query = np.repeat(a[live], cnt)
+                query *= nl
+                query += letter_b
+                miss = _lookup(key_a, ta, query) < 0
+                pos = np.concatenate((pos, np.repeat(live.astype(np.int32), cnt)[miss]))
+                letter = np.concatenate((letter, letter_b[miss]))
+                succ_a = np.concatenate((succ_a, np.full(int(miss.sum()), -1, np.int32)))
+                succ_b = np.concatenate((succ_b, tb[index][miss]))
+                order = np.argsort(pos.astype(np.int64) * nl + letter)
+                pos, letter, succ_a, succ_b = pos[order], letter[order], succ_a[order], succ_b[order]
+            keys = succ_a.astype(np.int64)
+            keys += 1
+            keys *= width
+            keys += succ_b
+            keys += 1
+            uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            ids = np.full(uniq.size, -1, np.int32)
+            for run_keys, run_ids in runs:  # a key is in one run at most
+                np.maximum(ids, _lookup(run_keys, run_ids, uniq), out=ids)
+            fresh = np.flatnonzero(ids < 0)
+            born = fresh[np.argsort(first[fresh])]  # number in discovery order
+            ids[born] = npairs + np.arange(born.size, dtype=np.int32)
+            npairs += born.size
+            if fresh.size:
+                runs.append((uniq[fresh], ids[fresh]))  # uniq is sorted
+                while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
+                    (keys_hi, ids_hi), (keys_lo, ids_lo) = runs.pop(), runs.pop()
+                    merged = np.concatenate((keys_lo, keys_hi))
+                    order = np.argsort(merged, kind="stable")
+                    runs.append((merged[order], np.concatenate((ids_lo, ids_hi))[order]))
+            new_keys = uniq[born]
+            found.append(np.stack((new_keys // width - 1, new_keys % width - 1), axis=1))
+            _extend(out_letters, letter)
+            _extend(out_targets, ids[inverse.reshape(-1)])
+            _extend(counts, np.bincount(pos, minlength=hi - lo))
+        frontier = np.concatenate(found)
+    return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
+            np.frombuffer(out_targets, np.int32), np.frombuffer(acc, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -204,279 +333,160 @@ def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
 # from an accepting state
 # ---------------------------------------------------------------------------
 
-@njit
 def trim(indptr, letters, targets, acc, initial):
     n = acc.size
-    m = letters.size
-    fwd = np.zeros(n, np.uint8)
-    stack = np.empty(n, np.int32)
-    top = 0
-    fwd[initial] = 1
-    stack[top] = initial
-    top += 1
-    while top > 0:
-        top -= 1
-        s = stack[top]
-        for e in range(indptr[s], indptr[s + 1]):
-            t = targets[e]
-            if fwd[t] == 0:
-                fwd[t] = 1
-                stack[top] = t
-                top += 1
-    # reverse adjacency by counting sort on targets
-    rcount = np.zeros(n + 1, np.int64)
-    for e in range(m):
-        rcount[targets[e] + 1] += 1
-    for s in range(n):
-        rcount[s + 1] += rcount[s]
-    rsrc = np.empty(m, np.int32)
-    fill = rcount.copy()
-    for s in range(n):
-        for e in range(indptr[s], indptr[s + 1]):
-            t = targets[e]
-            rsrc[fill[t]] = s
-            fill[t] += 1
-    bwd = np.zeros(n, np.uint8)
-    top = 0
-    for s in range(n):
-        if acc[s] != 0:
-            bwd[s] = 1
-            stack[top] = s
-            top += 1
-    while top > 0:
-        top -= 1
-        s = stack[top]
-        for e in range(rcount[s], rcount[s + 1]):
-            t = rsrc[e]
-            if bwd[t] == 0:
-                bwd[t] = 1
-                stack[top] = t
-                top += 1
-    remap = np.full(n, -1, np.int32)
-    nkeep = 0
-    for s in range(n):
-        if fwd[s] != 0 and bwd[s] != 0:
-            remap[s] = nkeep
-            nkeep += 1
-    if nkeep == 0 or remap[initial] < 0:
+    initial = int(initial)
+    if letters.size < SMALL_EDGES:
+        keep = _useful_list(indptr, targets, acc, initial)
+    else:
+        seen = np.zeros(n, bool)
+        seen[initial] = True
+        seen = _reach(indptr, targets, seen)
+        rev_indptr, sources = _reverse(indptr, targets)
+        keep = _reach(rev_indptr, sources, seen & (acc != 0)) & seen
+    if keep.all():
+        return indptr, letters, targets, acc, initial, True
+    if not keep[initial]:
         return (np.zeros(1, np.int64), np.empty(0, np.int32), np.empty(0, np.int32),
-                np.zeros(0, np.uint8), np.int64(0), False)
-    new_indptr = np.empty(nkeep + 1, np.int64)
-    new_indptr[0] = 0
-    nedges = 0
-    for s in range(n):
-        if remap[s] < 0:
-            continue
-        for e in range(indptr[s], indptr[s + 1]):
-            if remap[targets[e]] >= 0:
-                nedges += 1
-        new_indptr[remap[s] + 1] = nedges
-    new_letters = np.empty(nedges, np.int32)
-    new_targets = np.empty(nedges, np.int32)
-    new_acc = np.zeros(nkeep, np.uint8)
-    pos = 0
-    for s in range(n):
-        ns = remap[s]
-        if ns < 0:
-            continue
-        new_acc[ns] = acc[s]
-        for e in range(indptr[s], indptr[s + 1]):
-            nt = remap[targets[e]]
-            if nt >= 0:
-                new_letters[pos] = letters[e]
-                new_targets[pos] = nt
-                pos += 1
-    return new_indptr, new_letters, new_targets, new_acc, np.int64(remap[initial]), True
+                np.zeros(0, np.uint8), 0, False)
+    remap = np.cumsum(keep, dtype=np.int32) - 1
+    edge = np.repeat(keep, np.diff(indptr)) & keep[targets]
+    return (_csr(_row_counts(indptr, edge)[keep]), letters[edge],
+            remap[targets[edge]], acc[keep], int(remap[initial]), True)
+
+
+def _useful_list(indptr, targets, acc, initial):
+    ip, tg = indptr.tolist(), targets.tolist()
+    n = len(ip) - 1
+    seen = [False] * n
+    seen[initial] = True
+    preds = [[] for _ in range(n)]
+    stack = [initial]
+    while stack:
+        s = stack.pop()
+        for t in tg[ip[s]:ip[s + 1]]:
+            preds[t].append(s)
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    # preds only hold reachable sources, so this stays inside `seen`
+    useful = [False] * n
+    stack = [s for s, a in enumerate(acc.tolist()) if a and seen[s]]
+    for s in stack:
+        useful[s] = True
+    while stack:
+        for p in preds[stack.pop()]:
+            if not useful[p]:
+                useful[p] = True
+                stack.append(p)
+    return np.array(useful, bool)
 
 
 # ---------------------------------------------------------------------------
 # Moore minimization: refine a labelled partition to the Nerode congruence.
-# Input must already be trimmed; the implicit sink is its own class.
+# Input must already be trimmed; the implicit sink is its own class.  Each
+# round gives state s the record [block[s], letters of s, block of each
+# target of s]; states stay together while their records agree.  The
+# result is numbered by first occurrence.
 # ---------------------------------------------------------------------------
 
-@njit
 def min_blocks(indptr, letters, targets, labels):
-    n = labels.size
-    # densify the starting labels
-    block = np.empty(n, np.int32)
-    cap = 1024
-    tkeys = np.full(cap, -1, np.int64)
-    tvals = np.empty(cap, np.int32)
-    nblocks = 0
-    for s in range(n):
-        v = int(labels[s])
-        key = 2 * v if v >= 0 else -2 * v - 1  # zigzag: any label, never -1
-        slot = _mix(key) & (cap - 1)
-        while True:
-            k = tkeys[slot]
-            if k == -1:
-                tkeys[slot] = key
-                tvals[slot] = nblocks
-                block[s] = nblocks
-                nblocks += 1
-                break
-            if k == key:
-                block[s] = tvals[slot]
-                break
-            slot = (slot + 1) & (cap - 1)
-        if (nblocks + 1) * 10 > cap * 7:
-            ncap = cap * 2
-            nk = np.full(ncap, -1, np.int64)
-            nv = np.empty(ncap, np.int32)
-            for t in range(cap):
-                k = tkeys[t]
-                if k != -1:
-                    u = _mix(k) & (ncap - 1)
-                    while nk[u] != -1:
-                        u = (u + 1) & (ncap - 1)
-                    nk[u] = k
-                    nv[u] = tvals[t]
-            tkeys, tvals, cap = nk, nv, ncap
+    block = _first_occurrence(labels)
+    if letters.size < SMALL_EDGES:
+        return _moore_list(indptr, letters, targets, block)
+    return _moore_array(indptr, letters, targets, block)
 
-    newblock = np.empty(n, np.int32)
+
+def _moore_list(indptr, letters, targets, block):
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    n = len(ip) - 1
+    row_ids: dict = {}
+    row_of = [row_ids.setdefault(tuple(lt[ip[s]:ip[s + 1]]), len(row_ids))
+              for s in range(n)]
+    succ = [tg[ip[s]:ip[s + 1]] for s in range(n)]
+    block = block.tolist()
+    nblocks = max(block) + 1
     while True:
-        # record for s: [block[s], letter, block[target], ...]; rows are
-        # letter sorted so equal functions give identical records
-        vcap = 4096
-        buf = np.empty(vcap, np.int32)
-        hcap = 2048
-        hkeys = np.full(hcap, -1, np.int64)
-        hoff = np.empty(hcap, np.int64)
-        hlen = np.empty(hcap, np.int64)
-        hval = np.empty(hcap, np.int32)
-        used = 0
-        tail = np.int64(0)
-        nnew = 0
-        for s in range(n):
-            deg = indptr[s + 1] - indptr[s]
-            rlen = 1 + 2 * deg
-            buf = _grow_i32(buf, tail + rlen)
-            buf[tail] = block[s]
-            w = tail + 1
-            for e in range(indptr[s], indptr[s + 1]):
-                buf[w] = letters[e]
-                buf[w + 1] = block[targets[e]]
-                w += 2
-            h = 1469598103934665603 & _MASK63
-            for i in range(tail, tail + rlen):
-                h = ((h ^ (int(buf[i]) & 0xFFFFFFFF)) * 0x100000001B3) & _MASK63
-            if (used + 1) * 10 > hcap * 7:
-                ncap = hcap * 2
-                nk = np.full(ncap, -1, np.int64)
-                no = np.empty(ncap, np.int64)
-                nl = np.empty(ncap, np.int64)
-                nv = np.empty(ncap, np.int32)
-                for t in range(hcap):
-                    k = hkeys[t]
-                    if k != -1:
-                        u = k & (ncap - 1)
-                        while nk[u] != -1:
-                            u = (u + 1) & (ncap - 1)
-                        nk[u] = k
-                        no[u] = hoff[t]
-                        nl[u] = hlen[t]
-                        nv[u] = hval[t]
-                hkeys, hoff, hlen, hval, hcap = nk, no, nl, nv, ncap
-            slot = h & (hcap - 1)
-            while True:
-                k = hkeys[slot]
-                if k == -1:
-                    hkeys[slot] = h
-                    hoff[slot] = tail
-                    hlen[slot] = rlen
-                    hval[slot] = nnew
-                    newblock[s] = nnew
-                    nnew += 1
-                    used += 1
-                    tail += rlen  # commit the staged record
-                    break
-                if k == h and hlen[slot] == rlen:
-                    same = True
-                    o = hoff[slot]
-                    for i in range(rlen):
-                        if buf[o + i] != buf[tail + i]:
-                            same = False
-                            break
-                    if same:
-                        newblock[s] = hval[slot]
-                        break
-                slot = (slot + 1) & (hcap - 1)
-        if nnew == nblocks:
-            return block
-        nblocks = nnew
-        block, newblock = newblock.copy(), block
+        ids: dict = {}
+        new = [ids.setdefault((b, r, *map(block.__getitem__, t)), len(ids))
+               for b, r, t in zip(block, row_of, succ)]
+        if len(ids) == nblocks:
+            return np.array(block, np.int32)
+        block, nblocks = new, len(ids)
+
+
+def _moore_array(indptr, letters, targets, block):
+    deg = np.diff(indptr)
+    groups = []  # per out-degree: states, letter-row ids, target table
+    for d in _distinct(deg).tolist():
+        states = np.flatnonzero(deg == d)
+        _, row, succ = _gather(indptr, letters, targets, states)
+        shape = (states.size, d)
+        groups.append((states, _row_ids(row.reshape(shape)), succ.reshape(shape)))
+    nblocks = int(block.max()) + 1
+    while True:
+        new = np.empty_like(block)
+        base = 0
+        for states, row, succ in groups:
+            table = np.empty((states.size, succ.shape[1] + 2), np.int32)
+            table[:, 0] = block[states]
+            table[:, 1] = row
+            table[:, 2:] = block[succ]
+            ids = _row_ids(table)
+            new[states] = base + ids
+            base += int(ids.max()) + 1
+        if base == nblocks:
+            return _first_occurrence(block)
+        block, nblocks = new, base
 
 
 # ---------------------------------------------------------------------------
 # quotient by a stable partition, then canonical BFS numbering
 # ---------------------------------------------------------------------------
 
-@njit
 def quotient(indptr, letters, targets, acc, block, nblocks, initial):
-    n = acc.size
-    rep = np.full(nblocks, -1, np.int32)
-    for s in range(n):
-        if rep[block[s]] < 0:
-            rep[block[s]] = s
-    new_indptr = np.empty(nblocks + 1, np.int64)
-    new_indptr[0] = 0
-    nedges = 0
-    for b in range(nblocks):
-        s = rep[b]
-        nedges += indptr[s + 1] - indptr[s]
-        new_indptr[b + 1] = nedges
-    new_letters = np.empty(nedges, np.int32)
-    new_targets = np.empty(nedges, np.int32)
-    new_acc = np.zeros(nblocks, np.uint8)
-    pos = 0
-    for b in range(nblocks):
-        s = rep[b]
-        new_acc[b] = acc[s]
-        for e in range(indptr[s], indptr[s + 1]):
-            new_letters[pos] = letters[e]
-            new_targets[pos] = block[targets[e]]
-            pos += 1
-    return new_indptr, new_letters, new_targets, new_acc, np.int64(block[initial]), rep
+    """Keep the first state of each block as its representative."""
+    _, rep = np.unique(block, return_index=True)
+    rep = rep[:nblocks].astype(np.int32)
+    return (*_gather(indptr, letters, targets, rep, block), acc[rep],
+            int(block[initial]), rep)
 
 
-@njit
 def bfs_renumber(indptr, letters, targets, acc, initial):
     """Relabel states in BFS discovery order (rows are letter sorted, so
-    the numbering is canonical for isomorphic automata)."""
-    n = acc.size
-    pos = np.full(n, -1, np.int32)
-    order = np.empty(n, np.int32)
-    pos[initial] = 0
-    order[0] = initial
-    found = 1
-    head = 0
-    while head < found:
-        s = order[head]
-        head += 1
-        for e in range(indptr[s], indptr[s + 1]):
-            t = targets[e]
-            if pos[t] < 0:
-                pos[t] = found
-                order[found] = t
-                found += 1
-    # input is normally trimmed, but tolerate unreachable states: they are
-    # simply dropped from the renumbered automaton
-    new_indptr = np.empty(found + 1, np.int64)
-    new_indptr[0] = 0
-    m = letters.size
-    new_letters = np.empty(m, np.int32)
-    new_targets = np.empty(m, np.int32)
-    new_acc = np.empty(found, np.uint8)
-    w = 0
-    for k in range(found):
-        s = order[k]
-        new_acc[k] = acc[s]
-        for e in range(indptr[s], indptr[s + 1]):
-            new_letters[w] = letters[e]
-            new_targets[w] = pos[targets[e]]
-            w += 1
-        new_indptr[k + 1] = w
-    return new_indptr, new_letters[:w].copy(), new_targets[:w].copy(), new_acc, order[:found].copy()
+    the numbering is canonical for isomorphic automata).  Unreachable
+    states are dropped."""
+    initial = int(initial)
+    if letters.size < SMALL_EDGES:
+        ip, tg = indptr.tolist(), targets.tolist()
+        seen = [False] * acc.size
+        seen[initial] = True
+        order = [initial]
+        for s in order:  # the loop visits states appended while it runs
+            for t in tg[ip[s]:ip[s + 1]]:
+                if not seen[t]:
+                    seen[t] = True
+                    order.append(t)
+        order = np.array(order, np.int32)
+    else:
+        # one level at a time; a level keeps the order in which the
+        # previous level's rows first name its states, as a queue would
+        seen = np.zeros(acc.size, bool)
+        seen[initial] = True
+        levels = [np.array([initial], np.int32)]
+        while levels[-1].size:
+            found = []
+            for succ in _successors(indptr, targets, levels[-1]):
+                succ = succ[~seen[succ]]
+                _, first = np.unique(succ, return_index=True)
+                succ = succ[np.sort(first)]
+                seen[succ] = True
+                found.append(succ)
+            levels.append(np.concatenate(found))
+        order = np.concatenate(levels)
+    pos = np.empty(acc.size, np.int32)
+    pos[order] = np.arange(order.size, dtype=np.int32)
+    return (*_gather(indptr, letters, targets, order, pos), acc[order], order)
 
 
 # ---------------------------------------------------------------------------
@@ -484,167 +494,41 @@ def bfs_renumber(indptr, letters, targets, acc, initial):
 # leading-zero closure that keeps projected languages padding closed)
 # ---------------------------------------------------------------------------
 
-@njit
 def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_close):
-    n = acc.size
-    in_init = np.zeros(n, np.uint8)
-    stack = np.empty(n, np.int32)
-    top = 0
-    for i in range(init_states.size):
-        s = init_states[i]
-        if in_init[s] == 0:
-            in_init[s] = 1
-            stack[top] = s
-            top += 1
-    if zero_close:
-        while top > 0:
-            top -= 1
-            s = stack[top]
-            for e in range(indptr[s], indptr[s + 1]):
-                if letter_map[letters[e]] == 0:
-                    t = targets[e]
-                    if in_init[t] == 0:
-                        in_init[t] = 1
-                        stack[top] = t
-                        top += 1
-    nroot = 0
-    for s in range(n):
-        if in_init[s] != 0:
-            nroot += 1
-    root = np.empty(nroot, np.int32)
-    w = 0
-    for s in range(n):
-        if in_init[s] != 0:
-            root[w] = s
-            w += 1
-
-    # variable-length intern table over sorted member lists
-    bcap = max(1024, nroot * 2)
-    buf = np.empty(bcap, np.int32)
-    offs = np.empty(256, np.int64)
-    offs[0] = 0
-    hcap = 1024
-    hkeys = np.full(hcap, -1, np.int64)
-    hval = np.empty(hcap, np.int32)
-    nsets = 0
-    tail = np.int64(0)
-
-    buf[:nroot] = root
-    h = 1469598103934665603 & _MASK63
-    for i in range(nroot):
-        h = ((h ^ (int(buf[i]) & 0xFFFFFFFF)) * 0x100000001B3) & _MASK63
-    slot = h & (hcap - 1)
-    hkeys[slot] = h
-    hval[slot] = 0
-    offs[1] = nroot
-    tail = nroot
-    nsets = 1
-
-    ecap = 1024
-    out_letters = np.empty(ecap, np.int32)
-    out_targets = np.empty(ecap, np.int32)
-    nedges = 0
-    out_indptr = np.empty(256, np.int64)
-    out_indptr[0] = 0
-
-    gcap = 1024
-    gkeys = np.empty(gcap, np.int64)
-
-    cur = 0
-    while cur < nsets:
-        lo = offs[cur]
-        hi = offs[cur + 1]
-        total = 0
-        for i in range(lo, hi):
-            s = buf[i]
-            total += indptr[s + 1] - indptr[s]
-        gkeys = _grow_i64(gkeys, total)
-        w = 0
-        for i in range(lo, hi):
-            s = buf[i]
-            for e in range(indptr[s], indptr[s + 1]):
-                gkeys[w] = np.int64(letter_map[letters[e]]) * n + targets[e]
-                w += 1
-        keys = np.sort(gkeys[:total])
-        # walk groups of equal letter
-        g = 0
-        while g < total:
-            if g > 0 and keys[g] == keys[g - 1]:
-                g += 1
-                continue
-            letter = keys[g] // n
-            # stage the member list (deduped, sorted) at buf[tail:]
-            rlen = 0
-            gg = g
-            prev = np.int64(-1)
-            while gg < total and keys[gg] // n == letter:
-                if keys[gg] != prev:
-                    buf = _grow_i32(buf, tail + rlen + 1)
-                    buf[tail + rlen] = np.int32(keys[gg] % n)
-                    rlen += 1
-                    prev = keys[gg]
-                gg += 1
-            h = 1469598103934665603 & _MASK63
-            for i in range(tail, tail + rlen):
-                h = ((h ^ (int(buf[i]) & 0xFFFFFFFF)) * 0x100000001B3) & _MASK63
-            if (nsets + 1) * 10 > hcap * 7:
-                ncap = hcap * 2
-                nk = np.full(ncap, -1, np.int64)
-                nv = np.empty(ncap, np.int32)
-                for t in range(hcap):
-                    k = hkeys[t]
-                    if k != -1:
-                        u = k & (ncap - 1)
-                        while nk[u] != -1:
-                            u = (u + 1) & (ncap - 1)
-                        nk[u] = k
-                        nv[u] = hval[t]
-                hkeys, hval, hcap = nk, nv, ncap
-            slot = h & (hcap - 1)
-            while True:
-                k = hkeys[slot]
-                if k == -1:
-                    hkeys[slot] = h
-                    hval[slot] = nsets
-                    offs = _grow_i64(offs, nsets + 2)
-                    offs[nsets + 1] = tail + rlen
-                    tail += rlen
-                    sid = nsets
-                    nsets += 1
-                    break
-                if k == h:
-                    cand = hval[slot]
-                    clo = offs[cand]
-                    if offs[cand + 1] - clo == rlen:
-                        same = True
-                        for i in range(rlen):
-                            if buf[clo + i] != buf[tail + i]:
-                                same = False
-                                break
-                        if same:
-                            sid = cand
-                            break
-                slot = (slot + 1) & (hcap - 1)
-            out_letters = _grow_i32(out_letters, nedges + 1)
-            out_targets = _grow_i32(out_targets, nedges + 1)
-            out_letters[nedges] = np.int32(letter)
-            out_targets[nedges] = sid
-            nedges += 1
-            g = gg
-        out_indptr = _grow_i64(out_indptr, cur + 2)
-        out_indptr[cur + 1] = nedges
-        cur += 1
-
-    out_acc = np.zeros(nsets, np.uint8)
-    for k in range(nsets):
-        for i in range(offs[k], offs[k + 1]):
-            if acc[buf[i]] != 0:
-                out_acc[k] = 1
-                break
-    return out_indptr[: nsets + 1].copy(), out_letters[:nedges].copy(), out_targets[:nedges].copy(), out_acc
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    lmap = letter_map.tolist()
+    root = set(init_states.tolist())
+    stack = list(root) if zero_close else []
+    while stack:
+        s = stack.pop()
+        for e in range(ip[s], ip[s + 1]):
+            if lmap[lt[e]] == 0 and tg[e] not in root:
+                root.add(tg[e])
+                stack.append(tg[e])
+    accepting = acc.tolist()
+    start = tuple(sorted(root))
+    index = {start: 0}
+    sets = [start]
+    out_letters, out_targets, counts = array("i"), array("i"), array("q")
+    out_acc = array("B", [any(accepting[s] for s in start)])
+    for members in sets:
+        succ: dict = {}
+        for s in members:
+            for e in range(ip[s], ip[s + 1]):
+                succ.setdefault(lmap[lt[e]], set()).add(tg[e])
+        for letter in sorted(succ):
+            key = tuple(sorted(succ[letter]))
+            sid = index.setdefault(key, len(sets))
+            if sid == len(sets):
+                sets.append(key)
+                out_acc.append(any(accepting[s] for s in key))
+            out_letters.append(letter)
+            out_targets.append(sid)
+        counts.append(len(succ))
+    return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
+            np.frombuffer(out_targets, np.int32), np.frombuffer(out_acc, np.uint8))
 
 
-@njit
 def walk(indptr, letters, targets, initial, word):
     s = np.int64(initial)
     for i in range(word.size):

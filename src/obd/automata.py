@@ -272,6 +272,10 @@ class Automaton:
 
         The caller is expected to intersect with the canonical-word automaton
         of the wider arity to restore digit bounds on the fresh tracks.
+        A canonical machine stays canonical: distinct state languages stay
+        distinct under the expansion, and each old letter's smallest new
+        code (free digits 0) keeps the old letter order, so BFS discovers
+        the states in the same order as before.
         """
         table = lift_codes(self.arity, self.dmax, positions, arity_new)
         n_free = table.shape[1]
@@ -289,10 +293,13 @@ class Automaton:
         np.cumsum(indptr, out=indptr)
         return Automaton(arity_new, self.dmax, indptr, new_letters.astype(np.int32),
                          new_targets.astype(np.int32), self.accepting,
-                         self.initial, self.outputs)._canonical()
+                         self.initial, self.outputs)
 
     def permute_tracks(self, perm) -> "Automaton":
-        """Reorder tracks: old track i becomes track perm[i]."""
+        """Reorder tracks: old track i becomes track perm[i].
+
+        A bijection on letters keeps a canonical machine trim and minimal,
+        so it needs only BFS renumbering."""
         perm = list(perm)
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of the tracks")
@@ -307,11 +314,13 @@ class Automaton:
         src = np.repeat(np.arange(self.n_states, dtype=np.int64),
                         np.diff(self.indptr))
         new_letters = table[self.letters]
-        order = np.lexsort((new_letters, src))
-        indptr = self.indptr.copy()
-        return Automaton(self.arity, self.dmax, indptr, new_letters[order],
-                         self.targets[order], self.accepting,
-                         self.initial, self.outputs)._canonical()
+        rows = np.lexsort((new_letters, src))
+        indptr, letters, targets, acc, order = K.bfs_renumber(
+            self.indptr, new_letters[rows], self.targets[rows], self.accepting,
+            np.int64(self.initial))
+        outputs = None if self.outputs is None else self.outputs[order]
+        return Automaton(self.arity, self.dmax, indptr, letters, targets, acc,
+                         0, outputs)
 
     def reverse_determinized(self) -> "Automaton":
         """Minimal DFA of the reversed language."""

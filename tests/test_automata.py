@@ -205,6 +205,26 @@ class TestTrackSurgery:
             lifted.validate()
             assert lifted.project(1).equivalent(p), f"trial {trial}"
 
+    def test_lift_and_permute_stay_canonical(self):
+        # neither runs the full canonicalisation; running it must change
+        # nothing, for plain machines and for word automata with outputs
+        rng = random.Random(2024)
+        for trial in range(40):
+            arity, dmax = SHAPES[trial % len(SHAPES)]
+            spec = random_machine(rng, arity, dmax)
+            _, aut = as_pair(spec, arity, dmax)
+            outputs = [rng.randint(-2, 2) for _ in range(spec[0])]
+            word = Automaton.from_transitions(
+                arity, dmax, spec[0], 0, sorted(spec[2]),
+                [(s, l, t) for (s, l), t in spec[3].items()], outputs=outputs)
+            wider = arity + 1 + trial % 2
+            positions = sorted(rng.sample(range(wider), arity))
+            perm = list(range(arity))
+            rng.shuffle(perm)
+            for m in (aut, word, Automaton.empty(arity, dmax)):
+                for out in (m.lift(wider, positions), m.permute_tracks(perm)):
+                    assert out.canonical_bytes() == out._canonical().canonical_bytes()
+
     def test_lift_places_tracks(self):
         eq = Automaton.from_transitions(2, 1, 1, 0, [0],
                                         [(0, (d, d), 0) for d in range(2)])
