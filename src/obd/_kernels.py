@@ -24,7 +24,8 @@ for pair_product, whose output is several times its input; the single
 constant sits at the low end of the first range.  The two paths return
 identical arrays.  ``quotient`` has only the numpy path, ``determinize``
 (whose inputs in the benchmark stay under 1 000 edges) only the list
-path, and ``walk`` is a scalar loop that reads one word.
+path, and ``walk`` reads one word through a dense successor table (a
+Python list; see ``Automaton.successors``) rather than the CSR arrays.
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
 needs it (edge positions for gathers, pair keys).  Every per-edge gather
@@ -529,24 +530,15 @@ def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_clo
             np.frombuffer(out_targets, np.int32), np.frombuffer(out_acc, np.uint8))
 
 
-def walk(indptr, letters, targets, initial, word):
-    s = np.int64(initial)
-    for i in range(word.size):
-        letter = word[i]
-        lo = indptr[s]
-        hi = indptr[s + 1]
-        nxt = np.int64(-1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            l = letters[mid]
-            if l == letter:
-                nxt = targets[mid]
-                break
-            if l < letter:
-                lo = mid + 1
-            else:
-                hi = mid
-        if nxt < 0:
-            return np.int64(-1)
-        s = nxt
-    return s
+def walk(delta, nletters, state, word):
+    """State reached from `state` on the letter codes of `word`.
+
+    delta is a dense successor table, delta[s * nletters + code], in which
+    a missing edge leads to the sink, the last state, whose row points back
+    to itself.  A code outside 0..nletters-1 labels no edge, so a word that
+    holds one also ends in the sink."""
+    if word and (min(word) < 0 or max(word) >= nletters):
+        return len(delta) // nletters - 1
+    for code in word:
+        state = delta[state * nletters + code]
+    return state

@@ -91,8 +91,22 @@ _MODES = {"and": 0, "or": 1, "xor": 2, "andnot": 3}
 
 
 class Automaton:
+    """A deterministic automaton in the CSR form the module docstring gives.
+
+    Every read (walks, membership, ``function_value``, word automata)
+    goes through one dense successor table, ``successors()``: entry
+    ``s * nletters + code`` is the target of state s on letter `code`, and
+    a missing edge leads to the sink, state id ``n_states``, whose row
+    points back to itself.  It holds (n_states + 1) * (dmax + 1)**arity
+    entries, which is small for the machines read here: the packaged
+    scripts and the benchmark read machines of at most 2 tracks.  It is
+    built from the CSR arrays on the first read and cached, which is safe
+    because nothing writes into an automaton's arrays after construction.
+    Compile paths never build it.
+    """
+
     __slots__ = ("arity", "dmax", "indptr", "letters", "targets",
-                 "accepting", "initial", "outputs")
+                 "accepting", "initial", "outputs", "_delta")
 
     def __init__(self, arity, dmax, indptr, letters, targets, accepting,
                  initial=0, outputs=None):
@@ -104,6 +118,7 @@ class Automaton:
         self.accepting = np.asarray(accepting, np.uint8)
         self.initial = int(initial)
         self.outputs = None if outputs is None else np.asarray(outputs, np.int32)
+        self._delta = None
 
     # -- constructors -----------------------------------------------------
 
@@ -364,11 +379,23 @@ class Automaton:
 
     # -- running words -------------------------------------------------------
 
+    def successors(self) -> list[int]:
+        """The dense successor table (class docstring), built on first use."""
+        if self._delta is None:
+            nl = nletters(self.arity, self.dmax)
+            n = self.n_states
+            table = np.full((n + 1) * nl, n, np.int64)
+            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+            table[src * nl + self.letters] = self.targets
+            self._delta = table.tolist()
+        return self._delta
+
     def walk(self, word) -> int:
         """Final state after reading letter codes, or -1 on a dead end."""
-        arr = np.asarray(list(word), np.int32) if not isinstance(word, np.ndarray) else word
-        return int(K.walk(self.indptr, self.letters, self.targets,
-                          np.int64(self.initial), arr.astype(np.int32)))
+        word = word.tolist() if isinstance(word, np.ndarray) else list(word)
+        s = K.walk(self.successors(), nletters(self.arity, self.dmax),
+                   self.initial, word)
+        return -1 if s == self.n_states else s
 
     def accepts_word(self, word) -> bool:
         s = self.walk(word)
@@ -383,7 +410,13 @@ class Automaton:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("tracks must have equal length")
-        word = [letter_code([r[i] for r in rows], self.dmax) for i in range(width)]
+        for row in rows:
+            if width and (min(row) < 0 or max(row) > self.dmax):
+                letter_code(row, self.dmax)  # raises, naming the digit
+        base = self.dmax + 1
+        word = list(rows[0])
+        for row in rows[1:]:
+            word = [code * base + d for code, d in zip(word, row)]
         return self.accepts_word(word)
 
     def accepts_values(self, values, system) -> bool:
@@ -498,37 +531,60 @@ class Automaton:
         return tuple(system.decode(r) if r else 0 for r in rows)
 
     def function_value(self, system, n: int) -> int:
-        """For a 2-track synchronized relation: the unique z with (n, z) accepted."""
+        """For a 2-track synchronized relation: the unique z with (n, z) accepted.
+
+        Both tracks are read over len(encode(n)) + n_states positions, n's
+        track padded with leading zeros.  That is wide enough when both
+        tracks hold canonical representations: if z's were longer than n's
+        by more than n_states - 1 digits, the run over the positions where
+        n's track is still padding would visit some state twice, and
+        pumping that loop would give a second accepted z with more digits,
+        so the relation would not be functional.  A margin fixed by the
+        system is not enough: floor(n phi^4) over msd_fib needs up to 4
+        digits more than n, where the period length plus 2 is 3.
+
+        A forward pass collects the states reachable on the n-track prefix,
+        a backward pass keeps those from which acceptance remains, and a
+        last forward pass picks the one viable z digit at each position.
+        """
         if self.arity != 2:
             raise ValueError("function_value needs a 2-track automaton")
         enc = system.encode(n).digits
-        width = len(enc) + system.period_length + 2
-        padded = (0,) * (width - len(enc)) + enc
+        if max(enc) > self.dmax:
+            letter_code(enc, self.dmax)  # raises, naming the digit
+        sink = self.n_states
         base = self.dmax + 1
-        nst = self.n_states
-        src = np.repeat(np.arange(nst, dtype=np.int64), np.diff(self.indptr))
-        track0 = self.letters // base
-        # backward viability table over positions
-        viable = np.zeros((width + 1, nst), np.uint8)
-        viable[width][self.accepting != 0] = 1
-        for i in range(width - 1, -1, -1):
-            ok = (track0 == padded[i]) & (viable[i + 1][self.targets] != 0)
-            np.maximum.at(viable[i], src[ok], 1)
-        if not viable[0][self.initial]:
+        nl = base * base
+        delta = self.successors()
+        zs = range(base)
+        offsets = [0] * sink + [d * base for d in enc]
+        # the successors of s on n-digit d are delta[s*nl + d*base :][:base]
+        reach = [{self.initial}]
+        for off in offsets:
+            nxt = set()
+            for s in reach[-1]:
+                nxt.update(delta[s * nl + off:s * nl + off + base])
+            nxt.discard(sink)
+            reach.append(nxt)
+        live = {s for s in reach[-1] if self.accepting[s]}
+        alive = [live]
+        for i in range(len(offsets) - 1, -1, -1):
+            off = offsets[i]
+            live = {s for s in reach[i] if not live.isdisjoint(
+                delta[s * nl + off:s * nl + off + base])}
+            alive.append(live)
+        alive.reverse()
+        if self.initial not in alive[0]:
             raise ValueError(f"no output for input {n}")
         state = self.initial
         zdigits = []
-        for i in range(width):
-            dn = padded[i]
-            choices = []
-            for dz in range(base):
-                t = self.walk_step(state, dn * base + dz)
-                if t >= 0 and viable[i + 1][t]:
-                    choices.append((dz, t))
+        for off, live in zip(offsets, alive[1:]):
+            row = state * nl + off
+            choices = [dz for dz in zs if delta[row + dz] in live]
             if len(choices) != 1:
                 raise ValueError(f"relation is not functional at {n}")
-            zdigits.append(choices[0][0])
-            state = choices[0][1]
+            zdigits.append(choices[0])
+            state = delta[row + choices[0]]
         return system.decode(zdigits)
 
     def output_equals(self, value: int) -> "Automaton":
@@ -538,71 +594,6 @@ class Automaton:
         acc = (self.outputs == value).astype(np.uint8)
         return Automaton(self.arity, self.dmax, self.indptr, self.letters,
                          self.targets, acc, self.initial)._canonical()
-
-    def walk_step(self, state: int, code: int) -> int:
-        lo, hi = int(self.indptr[state]), int(self.indptr[state + 1])
-        pos = lo + int(np.searchsorted(self.letters[lo:hi], code))
-        if pos < hi and self.letters[pos] == code:
-            return int(self.targets[pos])
-        return -1
-
-    def output_value(self, system, values) -> int:
-        """For a word automaton: the per-state output after reading the tuple."""
-        if self.outputs is None:
-            raise ValueError("automaton has no outputs")
-        encs = [system.encode(v) for v in values]
-        padded = system.pad_parallel(*encs)
-        word = [letter_code([p.digits[i] for p in padded], self.dmax)
-                for i in range(len(padded[0]))]
-        s = self.walk(word)
-        if s < 0:
-            raise ValueError(f"input {values} falls off the automaton")
-        return int(self.outputs[s])
-
-    # -- combine: language automata -> one word automaton ----------------------
-
-    @staticmethod
-    def combine(parts, values, universe: "Automaton") -> "Automaton":
-        """Word automaton: output values[i] on words of parts[i], first match
-        wins, 0 otherwise; domain is the given universe (canonical words)."""
-        if len(parts) != len(values):
-            raise ValueError("need one value per automaton")
-        for p in parts:
-            universe._check_compatible(p)
-        machines = [universe] + list(parts)
-        start = tuple(m.initial for m in machines)
-        index = {start: 0}
-        order = [start]
-        trans = []
-        qi = 0
-        while qi < len(order):
-            vec = order[qi]
-            u = vec[0]
-            if u >= 0:
-                for e in range(universe.indptr[u], universe.indptr[u + 1]):
-                    code = int(universe.letters[e])
-                    succ = [int(universe.targets[e])]
-                    for m, st in zip(machines[1:], vec[1:]):
-                        succ.append(m.walk_step(st, code) if st >= 0 else -1)
-                    key = tuple(succ)
-                    if key not in index:
-                        index[key] = len(order)
-                        order.append(key)
-                    trans.append((qi, code, index[key]))
-            qi += 1
-        outputs = []
-        for vec in order:
-            out = 0
-            for st, m, v in zip(vec[1:], machines[1:], values):
-                if st >= 0 and m.accepting[st]:
-                    out = v
-                    break
-            outputs.append(out)
-        acc = [i for i, vec in enumerate(order)
-               if vec[0] >= 0 and universe.accepting[vec[0]]]
-        return Automaton.from_transitions(
-            universe.arity, universe.dmax, len(order), 0, acc, trans,
-            outputs=outputs)
 
     # -- serialization -----------------------------------------------------------
 

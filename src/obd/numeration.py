@@ -10,7 +10,9 @@ Leading zeros are always allowed; they are how parallel tracks get padded.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 from .quadratic import ConvergentTable, PeriodicCF, QuadraticReal, cf_value
 
@@ -28,6 +30,16 @@ class DigitString:
         if any(d < 0 for d in self.digits):
             raise ValueError("negative digit")
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+
+    @classmethod
+    def _trusted(cls, digits: tuple[int, ...], dmax: int) -> "DigitString":
+        """Wrap digits this module computed (a non-empty tuple of Python
+        ints >= 0) without the per-digit checks, which cost about as much
+        as computing them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "digits", digits)
+        object.__setattr__(out, "dmax", dmax)
+        return out
 
     def __str__(self) -> str:
         if self.dmax > 9:
@@ -80,28 +92,25 @@ class NumerationSystem:
         if n < 0:
             raise ValueError("cannot encode a negative value")
         if n == 0:
-            return DigitString((0,), self.dmax)
-        t = 0
-        while self.q(t + 1) <= n:
-            t += 1
+            return DigitString._trusted((0,), self.dmax)
+        qs = self.convergents.q_list(n)
+        # qs[top] = q_{top-1} is the largest denominator <= n
+        top = bisect_right(qs, n) - 1
         digits = []
-        rem = n
-        for i in range(t, -1, -1):
-            e = rem // self.q(i)
+        for k in range(top, 0, -1):
+            e, n = divmod(n, qs[k])
             digits.append(e)
-            rem -= e * self.q(i)
-        assert rem == 0
-        return DigitString(tuple(digits), self.dmax)
+        return DigitString._trusted(tuple(digits), self.dmax)
 
     def decode(self, digits: DigitString | tuple[int, ...] | list[int]) -> int:
         """Value of an msd-first digit string. Accepts non-canonical strings."""
         ds = tuple(digits.digits if isinstance(digits, DigitString) else digits)
-        total = 0
-        for pos, d in enumerate(ds):
-            if d < 0 or d > self.dmax:
-                raise ValueError(f"digit {d} out of range 0..{self.dmax}")
-            total += d * self.q(len(ds) - 1 - pos)
-        return total
+        if ds and (min(ds) < 0 or max(ds) > self.dmax):
+            bad = next(d for d in ds if d < 0 or d > self.dmax)
+            raise ValueError(f"digit {bad} out of range 0..{self.dmax}")
+        self.q(len(ds) - 1)  # grows the cached list through the top position
+        qs = self.convergents.q_list(0)
+        return sum(map(mul, ds, qs[len(ds):0:-1]))
 
     def is_canonical(self, digits: DigitString | tuple[int, ...] | list[int]) -> bool:
         ds = tuple(digits.digits if isinstance(digits, DigitString) else digits)
@@ -125,7 +134,7 @@ class NumerationSystem:
         out = []
         for s in strings:
             pad = (0,) * (width - len(s))
-            out.append(DigitString(pad + s.digits, self.dmax))
+            out.append(DigitString._trusted(pad + s.digits, self.dmax))
         return out
 
     def floor_gamma(self, n: int) -> int:

@@ -316,3 +316,11 @@ class ConvergentTable:
             raise IndexError("convergent index below -1")
         self._grow(i)
         return self._q[i + 1]
+
+    def q_list(self, n: int) -> list[int]:
+        """The cached denominators [q_{-1}, q_0, q_1, ...], grown until the
+        last one exceeds n; entry i + 1 is q_i.  Callers only read it."""
+        q = self._q
+        while q[-1] <= n:
+            self._grow(len(q) - 1)
+        return q

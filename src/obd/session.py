@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .automata import Automaton, letter_code
 from .logic import (Environment, LogicError, StoredPredicate, compile_formula,
                     def_predicate, eval_sentence)
@@ -441,23 +439,14 @@ class Session:
 def _combine_outputs(automata: list[Automaton], values: list[int]) -> Automaton:
     """DFAO whose output is values[i] on inputs accepted by automata[i], 0 off.
 
-    The inputs were checked pairwise disjoint; a product walk over the
-    totalized acceptors assigns each product state its unique output.
+    The inputs were checked pairwise disjoint; a product walk over their
+    successor tables assigns each product state its unique output.
     """
     dmax = automata[0].dmax
     nletters = dmax + 1
-    DEAD = -1
-
-    def step(aut, state, letter):
-        if state == DEAD:
-            return DEAD
-        lo, hi = aut.indptr[state], aut.indptr[state + 1]
-        row = aut.letters[lo:hi]
-        pos = np.searchsorted(row, letter)
-        if pos < row.size and row[pos] == letter:
-            return int(aut.targets[lo + pos])
-        return DEAD
-
+    tables = [a.successors() for a in automata]
+    # one extra entry for the sink, state id n_states, which accepts nothing
+    finals = [a.accepting.tolist() + [0] for a in automata]
     start = tuple(a.initial for a in automata)
     index = {start: 0}
     worklist = [start]
@@ -467,15 +456,14 @@ def _combine_outputs(automata: list[Automaton], values: list[int]) -> Automaton:
     while worklist:
         state = worklist.pop()
         sid = index[state]
-        hits = [i for i, (a, s) in enumerate(zip(automata, state))
-                if s != DEAD and a.accepting[s]]
+        hits = [i for i, (f, s) in enumerate(zip(finals, state)) if f[s]]
         while len(outputs) <= sid:
             outputs.append(0)
             accepting.append(False)
         outputs[sid] = values[hits[0]] if hits else 0
         accepting[sid] = bool(hits)
         for letter in range(nletters):
-            nxt = tuple(step(a, s, letter) for a, s in zip(automata, state))
+            nxt = tuple(t[s * nletters + letter] for t, s in zip(tables, state))
             if nxt not in index:
                 index[nxt] = len(index)
                 worklist.append(nxt)
@@ -490,18 +478,10 @@ def word_value(aut: Automaton, system: NumerationSystem, n: int) -> int:
     """Output of a word automaton on the representation of n."""
     if aut.outputs is None:
         raise ValueError("not a word automaton")
-    digits = list(system.encode(n))
-    state = aut.initial
-    for d in digits:
-        code = letter_code((d,), aut.dmax)
-        lo, hi = int(aut.indptr[state]), int(aut.indptr[state + 1])
-        row = aut.letters[lo:hi]
-        found = None
-        for k in range(row.size):
-            if int(row[k]) == code:
-                found = int(aut.targets[lo + k])
-                break
-        if found is None:
-            raise ValueError(f"word automaton is not total at state {state}")
-        state = found
+    digits = system.encode(n).digits
+    if max(digits) > aut.dmax:
+        letter_code(digits, aut.dmax)  # raises, naming the digit
+    state = aut.walk(digits)
+    if state < 0:
+        raise ValueError(f"word automaton is not total on input {n}")
     return int(aut.outputs[state])

@@ -1,12 +1,15 @@
 """Cross-validation of the CSR automaton engine against the dict-based
 reference engine in oracles.py, mostly on randomly generated machines."""
 
+import itertools
 import random
 
 import pytest
 
 from obd.automata import (Automaton, letter_code, letter_digits, lift_codes,
                           nletters, project_letter_map)
+from obd.numeration import NumerationSystem
+from obd.session import _combine_outputs, word_value
 from oracles import RefDFA
 
 
@@ -67,6 +70,22 @@ class TestLetterCoding:
     def test_out_of_range_digit(self):
         with pytest.raises(ValueError):
             letter_code((3,), 2)
+
+    def test_read_path_rejects_digit_above_dmax(self):
+        # digit 2 on track 1 of a dmax-1 machine would alias to letter (1, 0)
+        aut = Automaton.universal(2, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            aut.accepts_digit_rows([[0], [2]])
+        with pytest.raises(ValueError, match="out of range"):
+            aut.accepts_digit_rows([[-1], [0]])
+        s2 = NumerationSystem("msd_s2", (2,))  # digits 0..2
+        with pytest.raises(ValueError, match="out of range"):
+            aut.accepts_values((4, 0), s2)  # 4 is 20 in msd_s2
+        with pytest.raises(ValueError, match="out of range"):
+            aut.function_value(s2, 4)
+        word = _combine_outputs([Automaton.universal(1, 1)], [1])
+        with pytest.raises(ValueError, match="out of range"):
+            word_value(word, s2, 4)
 
     def test_project_letter_map(self):
         m = project_letter_map(2, 2, 1)
@@ -289,22 +308,26 @@ class TestFiniteness:
 
 
 class TestCombine:
-    def test_first_match_and_default(self):
+    def test_outputs_match_brute_force(self):
         rng = random.Random(808)
-        univ = Automaton.universal(1, 2)
-        ra, aa = as_pair(random_machine(rng, 1, 2), 1, 2)
-        rb, ab = as_pair(random_machine(rng, 1, 2), 1, 2)
-        w = Automaton.combine([aa, ab], [7, 3], univ)
-        w.validate()
-        for word in csr_words(univ, 4):
-            s = w.walk(word)
-            expect = 7 if ra.accepts(word) else (3 if rb.accepts(word) else 0)
-            assert int(w.outputs[s]) == expect, word
+        for dmax in (1, 2):
+            for _ in range(4):
+                ra, aa = as_pair(random_machine(rng, 1, dmax), 1, dmax)
+                rb, ab = as_pair(random_machine(rng, 1, dmax), 1, dmax)
+                ab = ab.andnot(aa)  # the session checks its inputs disjoint
+                w = _combine_outputs([aa, ab], [7, -3])
+                w.validate()
+                for length in range(7):
+                    for word in itertools.product(range(dmax + 1), repeat=length):
+                        s = w.walk(word)
+                        expect = 7 if ra.accepts(word) else (
+                            -3 if rb.accepts(word) else 0)
+                        assert int(w.outputs[s]) == expect, word
+                        assert bool(w.accepting[s]) == (expect != 0), word
 
     def test_outputs_survive_text_round_trip(self):
-        univ = Automaton.universal(1, 1)
         a = Automaton.from_transitions(1, 1, 2, 0, [1], [(0, 1, 1), (1, 0, 1)])
-        w = Automaton.combine([a], [4], univ)
+        w = _combine_outputs([a], [4])
         name, back = Automaton.from_text(w.to_text("msd_t"))
         assert back.outputs is not None
         assert back.to_text("msd_t") == w.to_text("msd_t")

@@ -5,7 +5,8 @@ small inputs and a whole-array path for large ones, chosen by edge count
 against ``SMALL_EDGES``.  Here both paths run on the same random CSR
 machines (forced by moving the constant) and must return identical
 arrays; trim's shared compaction and quotient, which has one path, are
-also checked against scalar reference loops.
+also checked against scalar reference loops, and walk over the dense
+successor table against a binary search in the CSR rows.
 """
 import tracemalloc
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from obd import _kernels as K
+from obd.automata import Automaton
 
 
 def csr(n, letters_per_state, targets):
@@ -122,6 +124,41 @@ def trim_reference(indptr, letters, targets, acc, initial):
         new_indptr.append(len(new_letters))
     return (np.array(new_indptr, np.int64), np.array(new_letters, np.int32),
             np.array(new_targets, np.int32), acc[keep], remap[initial], True)
+
+
+def walk_reference(indptr, letters, targets, initial, word):
+    """Scalar walk by binary search in each CSR row; -1 on a dead end."""
+    s = initial
+    for code in word:
+        lo, hi = int(indptr[s]), int(indptr[s + 1])
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if letters[mid] < code:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == int(indptr[s + 1]) or letters[lo] != code:
+            return -1
+        s = int(targets[lo])
+    return s
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_walk_matches_binary_search(seed):
+    rng = np.random.default_rng(seed)
+    for indptr, letters, targets, acc in shapes(seed):
+        n, nl = acc.size, int(letters.max(initial=0)) + 1
+        delta = Automaton(1, nl - 1, indptr, letters, targets, acc).successors()
+        assert len(delta) == (n + 1) * nl
+        words = [[]] + [rng.integers(0, nl, size=rng.integers(1, 40)).tolist()
+                        for _ in range(60)]
+        # a code no edge can carry, at the start, in the middle and at the end
+        words += [[nl], [0, nl + 3, 0], [-1], words[1] + [nl]]
+        for initial in (0, n - 1):
+            for word in words:
+                want = walk_reference(indptr, letters, targets, initial, word)
+                got = K.walk(delta, nl, initial, word)
+                assert got == (n if want < 0 else want), (initial, word)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +44,15 @@ class TestEncodeDecode:
     def test_matches_independent_greedy(self, system):
         for n in range(2000):
             assert system.encode(n).digits == greedy_digits(system.period, n)
+        # up to 10**60 in mixed order: the system is shared by the whole
+        # session, so its cached denominators grow between calls
+        rng = random.Random(2402)
+        big = [10 ** 60, 10 ** 60 - 1] + [
+            rng.randrange(10 ** rng.randint(1, 60)) for _ in range(30)]
+        rng.shuffle(big)
+        for n in big:
+            assert system.encode(n).digits == greedy_digits(system.period, n)
+            assert system.decode(system.encode(n)) == n
 
     def test_digit_out_of_range_raises(self, system):
         with pytest.raises(ValueError):
