@@ -9,13 +9,8 @@ from .numeration import NumerationSystem, DigitString
 from .automata import Automaton
 from .regexlang import RegexError, regex_compile
 from .relations import (
-    BeattySpec,
-    affine_compose,
-    beatty_sync,
     canonical_recognizer,
-    comparison,
     fibonacci_word,
-    floor_gamma_sync,
     inequality_relation,
     linear_relation,
     shift_relation,
@@ -30,13 +25,14 @@ from .logic import (
     free_variables,
     parse_formula,
 )
+from .beatty import BeattySpec, beatty_sync, floor_gamma_sync
 
 __all__ = [
     "QuadraticReal", "PeriodicCF", "ConvergentTable", "cf_value", "cf_expand",
     "period_rotate", "NumerationSystem", "DigitString", "Automaton",
-    "BeattySpec", "affine_compose", "beatty_sync", "canonical_recognizer",
-    "comparison", "fibonacci_word", "floor_gamma_sync", "inequality_relation",
-    "linear_relation", "shift_relation", "RegexError", "regex_compile",
+    "BeattySpec", "beatty_sync", "canonical_recognizer", "fibonacci_word",
+    "floor_gamma_sync", "inequality_relation", "linear_relation",
+    "shift_relation", "RegexError", "regex_compile",
     "Environment", "LogicError", "StoredPredicate", "compile_formula",
     "def_predicate", "eval_sentence", "free_variables", "parse_formula",
 ]

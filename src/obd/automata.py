@@ -23,6 +23,10 @@ import numpy as np
 from . import _kernels as K
 
 
+class NoOutput(ValueError):
+    """A 2-track relation pairs no z with the n that ``function_value`` read."""
+
+
 def nletters(arity: int, dmax: int) -> int:
     return (dmax + 1) ** arity
 
@@ -575,7 +579,7 @@ class Automaton:
             alive.append(live)
         alive.reverse()
         if self.initial not in alive[0]:
-            raise ValueError(f"no output for input {n}")
+            raise NoOutput(f"no output for input {n}")
         state = self.initial
         zdigits = []
         for off, live in zip(offsets, alive[1:]):
@@ -613,7 +617,11 @@ class Automaton:
 
     @staticmethod
     def from_text(text: str) -> tuple[str, "Automaton"]:
+        """Parse ``to_text`` output; ValueError if the text is cut short, holds
+        another number of transitions than it declares or a state id out of range."""
         lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
+        if len(lines) < 4:
+            raise ValueError("truncated automaton text: no transition header")
         head = lines[0].split()
         if head[0] != "system":
             raise ValueError("missing system header")
@@ -627,15 +635,24 @@ class Automaton:
             outputs = np.zeros(n, np.int32)
             for item in lines[idx].split()[1:]:
                 i, v = item.split(":")
+                if not 0 <= int(i) < n:
+                    raise ValueError(f"output for state {i} of {n}")
                 outputs[int(i)] = int(v)
             idx += 1
         m = int(lines[idx].split()[1])
         idx += 1
+        if len(lines) - idx != m:
+            raise ValueError(f"{m} transitions declared, {len(lines) - idx} given")
         triples = []
-        for ln in lines[idx:idx + m]:
+        for ln in lines[idx:]:
             src, letter, dst = ln.split()
             digits = [int(x) for x in letter[1:-1].split(",")] if letter != "[]" else []
+            if len(digits) != arity:
+                raise ValueError(f"letter {letter} on {arity} tracks")
             triples.append((int(src), letter_code(digits, dmax), int(dst)))
+        ids = [initial, *accepting, *(t for tr in triples for t in (tr[0], tr[2]))]
+        if n < 1 or not all(0 <= s < n for s in ids):
+            raise ValueError(f"state id out of range for {n} states")
         aut = Automaton._from_sorted_triples(arity, dmax, n, initial, accepting,
                                              triples, outputs)
         return system_name, aut

@@ -1,4 +1,4 @@
-"""Builders for synchronized relations over one Ostrowski numeration system.
+"""Atom builders for synchronized relations over one Ostrowski numeration system.
 
 Everything here returns an :class:`~obd.automata.Automaton` whose tracks read
 digit tuples msd-first.  Unless a docstring says otherwise the language is
@@ -8,37 +8,30 @@ natural numbers.
 
 The central construction is :func:`linear_relation`, which recognizes
 ``sum(c_j * n_j) == c0`` by tracking the running imbalance in a rolling basis
-of consecutive convergent denominators.  Comparisons, the digit-shift
-relation, the slope synchronizer ``z = floor(n * gamma)`` and the general
-inhomogeneous floor synchronizer are all derived from it.
+of consecutive convergent denominators; :func:`inequality_relation` is its
+``<=`` twin, and every comparison atom of a formula compiles to one of the
+two.  :func:`shift_relation` is the digit-shift relation the paper's
+synchronizers are written over, and :func:`fibonacci_word` a word automaton.
+Anything composed from these atoms, the floor synchronizers of
+:mod:`obd.beatty` included, is written as a formula and compiled by
+:mod:`obd.logic`.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .automata import Automaton, letter_digits
 from .numeration import NumerationSystem
-from .quadratic import QuadraticReal
 
 __all__ = [
     "canonical_recognizer",
     "linear_relation",
     "pruning_bound",
     "inequality_relation",
-    "comparison",
-    "order_relations",
-    "track_equals",
-    "track_below",
     "shift_relation",
-    "floor_gamma_sync",
-    "BeattySpec",
-    "beatty_sync",
-    "affine_compose",
     "fibonacci_word",
 ]
 
@@ -480,77 +473,8 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
     return out
 
 
-def _lex_lt(system: NumerationSystem) -> Automaton:
-    """Strictly-less on canonical pairs, by msd-first digit comparison.
-
-    Greedy numeration makes numeric order agree with lexicographic order on
-    equal-length canonical strings, so one three-state comparator suffices.
-    """
-    dmax = system.dmax
-    transitions = []
-    for d1 in range(dmax + 1):
-        for d2 in range(dmax + 1):
-            if d1 == d2:
-                transitions.append((0, (d1, d2), 0))
-            elif d1 < d2:
-                transitions.append((0, (d1, d2), 1))
-            transitions.append((1, (d1, d2), 1))
-    raw = Automaton.from_transitions(2, dmax, 2, 0, [1], transitions)
-    return raw.intersect(canonical_recognizer(system, 2))
-
-
-def comparison(system: NumerationSystem, op: str) -> Automaton:
-    """Binary comparison relation on values: one of = != < <= > >=."""
-    aliases = {"eq": "=", "ne": "!=", "neq": "!=", "lt": "<", "le": "<=",
-               "leq": "<=", "gt": ">", "ge": ">=", "geq": ">="}
-    op = aliases.get(op, op)
-    key = ("cmp", op)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    if op == "=":
-        out = linear_relation(system, (1, -1), 0)
-    elif op == "!=":
-        out = canonical_recognizer(system, 2).andnot(comparison(system, "="))
-    elif op == "<":
-        out = _lex_lt(system)
-    elif op == "<=":
-        out = comparison(system, "<").union(comparison(system, "="))
-    elif op == ">":
-        out = comparison(system, "<").permute_tracks([1, 0])
-    elif op == ">=":
-        out = comparison(system, "<=").permute_tracks([1, 0])
-    else:
-        raise ValueError(f"unknown comparison {op!r}")
-    system._cache[key] = out
-    return out
-
-
-def order_relations(system: NumerationSystem) -> dict[str, Automaton]:
-    """The classic trio: equality, strict and non-strict order."""
-    return {"eq": comparison(system, "="),
-            "lt": comparison(system, "<"),
-            "leq": comparison(system, "<=")}
-
-
-def track_equals(system: NumerationSystem, arity: int, track: int,
-                 value: int) -> Automaton:
-    """Relation fixing one track to a constant, other tracks unconstrained."""
-    coefficients = tuple(1 if j == track else 0 for j in range(arity))
-    return linear_relation(system, coefficients, value)
-
-
-def track_below(system: NumerationSystem, arity: int, track: int,
-                limit: int) -> Automaton:
-    """Relation ``track < limit`` for a small constant limit."""
-    out = Automaton.empty(arity, system.dmax)
-    for v in range(limit):
-        out = out.union(track_equals(system, arity, track, v))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# shift relation and floor synchronizers
+# shift relation and the Fibonacci word
 
 
 def shift_relation(system: NumerationSystem) -> Automaton:
@@ -587,143 +511,6 @@ def shift_relation(system: NumerationSystem) -> Automaton:
     out = Automaton.from_transitions(2, dmax, len(order), 0, [0], transitions)
     system._cache[key] = out
     return out
-
-
-def floor_gamma_sync(system: NumerationSystem) -> Automaton:
-    """Synchronizer for ``z = floor(n * gamma)``, all n >= 0.
-
-    For n >= 1 the pair is pinned through the shifted representation of
-    n - 1: appending m zero digits multiplies by q_m and leaks a q_{m-1}
-    multiple of floor(n * gamma), so v = q_{m-1} z + q_m u with u = n - 1 and
-    v the shifted value.  n = 0 is glued on as a special case.
-    """
-    key = ("floor_gamma",)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    m = system.period_length
-    qm = system.q(m)
-    qm1 = system.q(m - 1)
-    # working tracks: 0 n, 1 z, 2 u, 3 v
-    succ = linear_relation(system, (1, -1), 1).lift(4, [0, 2])
-    shift = shift_relation(system).lift(4, [2, 3])
-    rebase = linear_relation(system, (-qm1, -qm, 1), 0).lift(4, [1, 2, 3])
-    core = succ.intersect(shift).intersect(rebase)
-    core = core.intersect(canonical_recognizer(system, 4))
-    pairs = core.project(3).project(2)
-    zero = track_equals(system, 2, 0, 0).intersect(track_equals(system, 2, 1, 0))
-    out = pairs.union(zero)
-    system._cache[key] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# inhomogeneous Beatty synchronizer
-
-
-@dataclass(frozen=True)
-class BeattySpec:
-    """Coefficients for ``alpha = (a + b*gamma)/c`` and ``beta = (d + e*gamma)/c``.
-
-    b must be nonnegative and c positive; the represented slope must satisfy
-    ``alpha >= 0`` and ``alpha + beta >= 0`` so that every term with n >= 1
-    is a natural number.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-
-    def alpha(self, system: NumerationSystem) -> QuadraticReal:
-        return (self.a + self.b * system.gamma) / self.c
-
-    def beta(self, system: NumerationSystem) -> QuadraticReal:
-        return (self.d + self.e * system.gamma) / self.c
-
-    def term(self, system: NumerationSystem, n: int) -> int:
-        """Exact ``floor(n * alpha + beta)``."""
-        value = (self.a * n + self.d) + (self.b * n + self.e) * system.gamma
-        return (value / self.c).floor()
-
-    def validate(self, system: NumerationSystem) -> None:
-        if self.c < 1:
-            raise ValueError("denominator c must be positive")
-        if self.b < 0:
-            raise ValueError("slope coefficient b must be nonnegative")
-        alpha = self.alpha(system)
-        if alpha.sign() < 0:
-            raise ValueError("slope alpha must be nonnegative")
-        if (alpha + self.beta(system)).sign() < 0:
-            raise ValueError("alpha + beta must be nonnegative")
-
-
-def _floor_div_block(system: NumerationSystem, a: int, c: int, d: int) -> Automaton:
-    """Tracks (n, z, w) with ``z = floor((a*n + w + d) / c)`` as naturals.
-
-    Union over the c possible remainders of ``a*n - c*z + w = k - d``.
-    """
-    out = Automaton.empty(3, system.dmax)
-    for k in range(c):
-        out = out.union(linear_relation(system, (a, -c, 1), k - d))
-    return out
-
-
-def beatty_sync(system: NumerationSystem, spec: BeattySpec) -> Automaton:
-    """Synchronizer for ``z = floor(n*alpha + beta)`` over pairs with n >= 1.
-
-    For b > 0 this rides on the slope synchronizer: with w = floor((bn+e)
-    gamma) the term equals floor((a n + d + w)/c), because taking the inner
-    floor first cannot change an integer division.  Indices small enough to
-    make bn + e negative are patched in as explicitly computed pairs.
-    """
-    spec.validate(system)
-    a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
-
-    if b == 0:
-        shifted = d + (e * system.gamma).floor()
-        out = Automaton.empty(2, system.dmax)
-        for k in range(c):
-            out = out.union(linear_relation(system, (a, -c), k - shifted))
-        return out.andnot(track_equals(system, 2, 0, 0))
-
-    start = 1 if e >= 0 else max(1, -(e // b))  # first n with b*n + e >= 0
-    # working tracks: 0 n, 1 z, 2 t, 3 w  (t = b*n + e, w = floor(t*gamma))
-    arg = linear_relation(system, (b, -1), -e).lift(4, [0, 2])
-    slope = floor_gamma_sync(system).lift(4, [2, 3])
-    div = _floor_div_block(system, a, c, d).lift(4, [0, 1, 3])
-    core = arg.intersect(slope).intersect(div)
-    core = core.intersect(canonical_recognizer(system, 4))
-    pairs = core.project(3).project(2)
-    pairs = pairs.andnot(track_below(system, 2, 0, start))
-    for n in range(1, start):
-        z = spec.term(system, n)
-        pairs = pairs.union(track_equals(system, 2, 0, n)
-                            .intersect(track_equals(system, 2, 1, z)))
-    return pairs
-
-
-def affine_compose(system: NumerationSystem, f: Automaton, b: int, e: int,
-                   a: int, d: int, c: int) -> Automaton:
-    """Pairs ``(n, floor((f(b*n + e) + a*n + d) / c))``.
-
-    f must be a two-track synchronizer (argument, value).  The domain is
-    inherited: n is accepted when b*n + e lands in f's domain and the result
-    of the division is a natural number.
-    """
-    if c < 1:
-        raise ValueError("denominator c must be positive")
-    if b < 0:
-        raise ValueError("argument slope b must be nonnegative")
-    if f.arity != 2:
-        raise ValueError("composition needs a two-track synchronizer")
-    arg = linear_relation(system, (b, -1), -e).lift(4, [0, 2])
-    inner = f.lift(4, [2, 3])
-    div = _floor_div_block(system, a, c, d).lift(4, [0, 1, 3])
-    core = arg.intersect(inner).intersect(div)
-    core = core.intersect(canonical_recognizer(system, 4))
-    return core.project(3).project(2)
 
 
 def fibonacci_word(system: NumerationSystem) -> Automaton:

@@ -1,4 +1,4 @@
-"""Batch command sessions: the ost/def/eval/reg/combine surface.
+"""Batch command sessions: the ost/def/eval/reg/combine/basis surface.
 
 A script is a sequence of commands, each ended by ``:`` (normal), ``;``
 (quiet) or ``::`` (verbose); ``#`` starts a comment.  Commands may span
@@ -10,23 +10,31 @@ format plus a metadata line in ``meta.jsonl``, and every executed command
 is appended to ``journal.txt``.  ``Session.load`` restores the environment
 from the stored automata byte for byte; ``Session.replay`` re-executes the
 journal from scratch instead, which must produce the same machines.
+
+``info``, ``enum``, ``export-dot`` and ``basis`` only read: they are not
+journaled and store nothing.  ``basis <set> <cap>`` finds the least h <= cap
+for which every natural number, or every one but finitely many, is a sum of
+exactly h members of the stored unary relation ``<set>``, by compiling the
+complement of the h-fold sum as a formula.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .automata import Automaton, letter_code
+from .automata import Automaton, NoOutput, letter_code
 from .logic import (Environment, LogicError, StoredPredicate, compile_formula,
                     def_predicate, eval_sentence)
 from .numeration import NumerationSystem
 from .quadratic import period_rotate
 from .regexlang import regex_compile
-from .relations import fibonacci_word, shift_relation, track_equals
+from .relations import fibonacci_word, shift_relation
 
 
 class SessionError(ValueError):
@@ -166,7 +174,7 @@ class Session:
     def _meta_path(self) -> Path:
         return self.directory / "meta.jsonl"
 
-    _QUERY_VERBS = frozenset({"info", "enum", "export-dot"})
+    _QUERY_VERBS = frozenset({"info", "enum", "export-dot", "basis"})
 
     def _record(self, command: str, terminator: str):
         # one journal line per command; embedded newlines are plain
@@ -187,8 +195,11 @@ class Session:
             meta.update(extra)
         if self.persist:
             if aut is not None:
+                # a crash mid-write leaves the old file, never a cut one
                 path = self.directory / f"{name}.aut"
-                path.write_text(aut.to_text(system), encoding="utf-8")
+                tmp = path.with_name(path.name + ".tmp")
+                tmp.write_text(aut.to_text(system), encoding="utf-8")
+                os.replace(tmp, path)
             with open(self._meta_path(), "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(meta) + "\n")
 
@@ -205,9 +216,12 @@ class Session:
                     sess.env.add_system(
                         NumerationSystem(name, tuple(meta["period"])))
                 elif kind in ("relation", "word"):
-                    text = (sess.directory / f"{name}.aut").read_text(
-                        encoding="utf-8")
-                    system_name, aut = Automaton.from_text(text)
+                    path = sess.directory / f"{name}.aut"
+                    try:
+                        system_name, aut = Automaton.from_text(
+                            path.read_text(encoding="utf-8"))
+                    except (OSError, ValueError, IndexError) as exc:
+                        raise SessionError(f"load {path}: {exc}") from exc
                     sess.env.add_predicate(StoredPredicate(
                         name, system_name, aut, meta["source"], kind=kind))
         if sess._journal_path().exists():
@@ -424,16 +438,51 @@ class Session:
             return ", ".join(str(v) for v in values)
         aut = pred.automaton
         if aut.arity == 2:
+            # a relation that is not functional raises, naming the n
             values = []
             for n in range(count):
-                row = aut.intersect(track_equals(system, 2, 0, n))
-                found = row.enumerate_values(system, 1)
-                values.append(str(found[0][1]) if found else "-")
+                try:
+                    values.append(str(aut.function_value(system, n)))
+                except NoOutput:
+                    values.append("-")
             return ", ".join(values)
         tuples = aut.enumerate_values(system, count)
         if aut.arity == 1:
             return ", ".join(str(t[0]) for t in tuples)
         return ", ".join(str(t) for t in tuples)
+
+    def _cmd_basis(self, args, verbose=False):
+        if len(args) != 2:
+            raise SessionError("usage: basis <set> <cap>")
+        name = args[0]
+        pred = self.env.predicate(name)
+        if pred.kind != "relation" or pred.automaton.arity != 1:
+            raise SessionError(f"${name} is not a unary relation")
+        try:
+            cap = int(args[1])
+        except ValueError:
+            raise SessionError(f"cap must be an integer, got {args[1]!r}") from None
+        if cap < 1:
+            raise SessionError("cap must be >= 1")
+        # level h-1 is reused as a predicate of a private environment, so
+        # the session itself gains nothing
+        env = Environment(dict(self.env.systems), dict(self.env.predicates),
+                          pred.system_name)
+        sums = f"{name}_sums"
+        formula = f"${name}(x)"
+        for h in range(1, cap + 1):
+            def_predicate(env, sums, formula)
+            missed, _, system = compile_formula(env, f"~${sums}(x)")
+            if missed.is_empty():
+                return f"{name}: order {h} (basis)"
+            if missed.is_value_finite():
+                # a finite language: enumeration ends when it runs out
+                values = missed.enumerate_values(
+                    system, sys.maxsize, max_len=missed.n_states + 2)
+                return (f"{name}: order {h} (asymptotic-basis, except "
+                        f"{[t[0] for t in values]})")
+            formula = f"Eu,v ${sums}(u) & ${name}(v) & x=u+v"
+        return f"{name}: no basis order up to {cap}"
 
 
 def _combine_outputs(automata: list[Automaton], values: list[int]) -> Automaton:

@@ -1,8 +1,8 @@
 """First-order DSL: parsing, compilation, and agreement with direct builders.
 
-The headline checks compile the slope and Beatty synchronizers from formula
-text alone and compare them, state for state and value for value, with the
-relation builders they must match.  Everything else pins parser errors and
+The headline checks compile the slope and Beatty synchronizers from the
+scripts' formula text and compare them, state for state and value for value,
+with the synchronizers of obd.beatty, whose digests test_relations pins.  Everything else pins parser errors and
 the compiler's handling of terms, quantifiers, and word automata.
 """
 
@@ -21,14 +21,8 @@ from obd.logic import (
     free_variables,
     parse_formula,
 )
-from obd.relations import (
-    BeattySpec,
-    beatty_sync,
-    fibonacci_word,
-    floor_gamma_sync,
-    shift_relation,
-    track_below,
-)
+from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
+from obd.relations import fibonacci_word, shift_relation
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +127,7 @@ class TestCompiledSynchronizers:
         spec = BeattySpec(2, 6, 2, 3, 3)
         direct = beatty_sync(s13, spec)
         # the compiled relation also carries the n=0 row; drop it to compare
-        positive = pred.automaton.andnot(track_below(s13, 2, 0, 1))
+        positive, _, _ = compile_formula(env, "?msd_s13 n>=1 & $beatty(n,z)")
         assert positive.equivalent(direct)
         for n in range(1, 200):
             z = spec.term(s13, n)

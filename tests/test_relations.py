@@ -3,30 +3,36 @@
 Every synchronized relation built here is checked either exhaustively on a
 value grid or against an independently computed closed form.  The state
 counts asserted for msd_s13 are regression anchors for the two relations the
-whole pipeline leans on.
+whole pipeline leans on, and the digests pin the floor synchronizers to the
+machines the hand-wired builders made before they were rewritten as formulas.
 """
 
 import itertools
+import random
 
 import pytest
 
-from obd import NumerationSystem
+from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
+from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
-    BeattySpec,
-    affine_compose,
-    beatty_sync,
+    _composed_linear,
+    _linear_machine,
     canonical_recognizer,
-    comparison,
-    floor_gamma_sync,
     inequality_relation,
     linear_relation,
-    order_relations,
     pruning_bound,
     shift_relation,
-    track_below,
-    track_equals,
 )
 from oracles import floor_surd, ref_linear_solutions, rules_ok
+
+
+def formula(system, text, **stored):
+    """Compile formula text over one system with the given stored relations."""
+    env = Environment()
+    env.add_system(system)
+    for name, aut in stored.items():
+        env.add_predicate(StoredPredicate(name, system.name, aut, "test"))
+    return compile_formula(env, text)[0]
 
 
 def exact_term(system, a, b, c, d, e, n):
@@ -66,6 +72,29 @@ LINEAR_SPECS = [
     ((1,), 5),         # x = 5
     ((2, -3), 4),      # 2x - 3y = 4
 ]
+
+
+def assert_builders_agree(system, count=3):
+    """Direct and composed linear builders give equal bytes, in = and <= mode.
+
+    The direct machine prunes hypotheses with float brackets; the composed
+    one reaches the same relation through pieces with other coefficients.
+    Both build their pieces with ``_linear_machine``, so this catches a
+    prune that goes wrong at some weights, not one wrong at all of them.
+    Cases are random light (coefficients, constant), weight * dmax <= 24.
+    """
+    rng = random.Random(20240212)
+    cases = []
+    while len(cases) < count:
+        coefs = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 3)))
+        if sum(map(abs, coefs)) * system.dmax <= 24:
+            cases.append((coefs, rng.randint(-3, 3)))
+    for coefs, constant in cases:
+        for le in (False, True):
+            direct = _linear_machine(system, coefs, constant, None, True, le)
+            composed = _composed_linear(system, coefs, constant, le)
+            assert direct.canonical_bytes() == composed.canonical_bytes(), \
+                (coefs, constant, le)
 
 
 class TestLinearRelation:
@@ -111,6 +140,15 @@ class TestLinearRelation:
         with pytest.raises(ValueError):
             linear_relation(system, (), 0)
 
+    def test_direct_and_composed_builders_agree(self, system):
+        if system.name == "msd_sqrt7":
+            pytest.skip("covered by the slow variant")
+        assert_builders_agree(system)
+
+    @pytest.mark.slow
+    def test_direct_and_composed_builders_agree_sqrt7(self, systems):
+        assert_builders_agree(systems["msd_sqrt7"])
+
     def test_subtraction_is_transposition(self, systems):
         # x - y = 1 holds only when x >= 1 actually exceeds y; there is no
         # truncation at zero
@@ -121,11 +159,17 @@ class TestLinearRelation:
         assert not rel.accepts_values((2, 3), fib)
 
 
+def lt_relation(system):
+    return inequality_relation(system, (1, -1), 0, "<")
+
+
 class TestComparisons:
+    """Two-variable comparisons as the compiler builds them."""
+
     def test_trichotomy_on_grid(self, system):
-        lt = comparison(system, "<")
-        eq = comparison(system, "=")
-        gt = comparison(system, ">")
+        lt = lt_relation(system)
+        eq = linear_relation(system, (1, -1), 0)
+        gt = inequality_relation(system, (1, -1), 0, ">")
         for x in range(30):
             for y in range(30):
                 flags = (lt.accepts_values((x, y), system),
@@ -134,9 +178,9 @@ class TestComparisons:
                 assert flags == (x < y, x == y, x > y)
 
     def test_non_strict_and_ne(self, system):
-        le = comparison(system, "<=")
-        ge = comparison(system, ">=")
-        ne = comparison(system, "!=")
+        le = inequality_relation(system, (1, -1), 0, "<=")
+        ge = inequality_relation(system, (1, -1), 0, ">=")
+        ne = formula(system, "x!=y")
         for x in range(18):
             for y in range(18):
                 assert le.accepts_values((x, y), system) == (x <= y)
@@ -144,20 +188,20 @@ class TestComparisons:
                 assert ne.accepts_values((x, y), system) == (x != y)
 
     def test_lexicographic_equals_slack_definition(self, system):
-        # x < y is also "exists w: x + w + 1 = y"; the msd comparator and the
-        # slack projection must produce the same automaton
-        lex = comparison(system, "<")
+        # x < y is also "exists w: x + w + 1 = y"; the native comparison
+        # machine and the slack projection must produce the same automaton
+        lex = lt_relation(system)
         slack = linear_relation(system, (1, -1, 1), -1).project(2)
         assert lex.equivalent(slack)
 
     def test_order_relations_bundle(self, system):
-        trio = order_relations(system)
-        assert set(trio) == {"eq", "lt", "leq"}
-        assert trio["leq"].equivalent(trio["lt"].union(trio["eq"]))
+        leq = inequality_relation(system, (1, -1), 0, "<=")
+        eq = linear_relation(system, (1, -1), 0)
+        assert leq.equivalent(lt_relation(system).union(eq))
 
     def test_unknown_op_rejected(self, system):
         with pytest.raises(ValueError):
-            comparison(system, "<>")
+            inequality_relation(system, (1, -1), 0, "<>")
 
 
 class TestInequalityAndTrackHelpers:
@@ -177,8 +221,8 @@ class TestInequalityAndTrackHelpers:
                 assert rel.accepts_values((x, y), s2) == (2 * x - y <= 3)
 
     def test_track_helpers(self, system):
-        fix = track_equals(system, 2, 0, 7)
-        below = track_below(system, 2, 1, 3)
+        fix = formula(system, "x=7 & y>=0")
+        below = formula(system, "x>=0 & y<3")
         for x in range(10):
             for y in range(10):
                 assert fix.accepts_values((x, y), system) == (x == 7)
@@ -209,7 +253,34 @@ class TestShiftRelation:
             assert not rel.accepts_values((u, v + 1), system)
 
 
+# sha() of the machines the hand-wired builders made
+FLOOR_GAMMA_SHA = {
+    "msd_fib": "dd3492ad4fc4b90e77deef6fb672d558dd068ab74a24f41e10688fdfa1095b69",
+    "msd_s13": "35cd62b303161dbfc25ce792923e6dde44c8ea28f6eccac4e05061017c1dfe67",
+    "msd_s2": "8d2aaffdb3e1d063104140f0134bfb1bd6772058b7115728c16031ab22b26989",
+    "msd_sqrt7": "3ec4a1447d2054b302b092718f1f943e45087b9516e4653f7ed4e2b38ab8a00b",
+}
+BEATTY_SHA = {
+    ("msd_s13", (2, 6, 2, 3, 3)): "cf5f2ed65c38cd23c3a9b724b794a984d60380ca4c0fc93ef507e9f0aca867a4",
+    ("msd_s13", (0, 6, 1, 3, -13)): "39afd074c878488b004bf87e7a2ab8ab82147cb1ccf04fec2f69854ad195fb8a",
+    ("msd_s2", (1, 1, 1, 0, 0)): "bad8ea9543d81e51b4c079cd7ce0a93f8fabc9febb783dc261cadd54f625a99a",
+    ("msd_s2", (2, 1, 1, 0, 0)): "2b16e237c299438d7a54a72a3a667a896afdaaadfe2cf58ab5e18e6e55fd85f0",
+    ("msd_s2", (-1, 3, 2, 1, 0)): "938e32541d0b282b10d3f101dc774d516fb9a5b80840b63390c1bc8e0b5b7bd6",
+    ("msd_fib", (3, 0, 2, 1, 0)): "0c3760744ee8ab44cb5de9411dac6ed4c279963b728ac3df72c0211f1b78739d",
+    ("msd_fib", (1, 0, 1, 0, 5)): "a62b784f52736c0d80eaf5e13286e8d6e93629ad4872e294c7193d7de5f42205",
+    ("msd_fib", (2, 2, 2, 0, -3)): "281eed834d292e302d60a3fcb771eacc650f4715c036a1737b23a856f2129729",
+    ("msd_fib", (1, 1, 1, 0, 0)): "bc39f4ce86ae1e9028e2e8fa01f01f41b8438da52d282c2648c7dfb2190b8c65",
+    ("msd_fib", (0, 1, 1, 0, 0)): "5cf3659aa0dc62251d12d7e54d1712519b90dc8985858d4e6d4dcfcfd04df386",
+    ("msd_fib", (1, 1, 2, 1, 1)): "e0a8fbd92d1a39cbe381791c6ee8cf8c9dcbb0d5de3fb6ec991dbeee4e29a2c5",
+}
+
+
 class TestFloorGammaSync:
+    def test_pinned_digest(self, system):
+        if system.name == "msd_sqrt7":
+            pytest.skip("covered by the slow variant")
+        assert floor_gamma_sync(system).sha() == FLOOR_GAMMA_SHA[system.name]
+
     def test_matches_surd_oracle(self, system):
         if system.name == "msd_sqrt7":
             pytest.skip("covered by the slow variant")
@@ -223,6 +294,7 @@ class TestFloorGammaSync:
     def test_matches_surd_oracle_sqrt7(self, systems):
         system = systems["msd_sqrt7"]
         fg = floor_gamma_sync(system)
+        assert fg.sha() == FLOOR_GAMMA_SHA["msd_sqrt7"]
         g = system.gamma
         for n in range(1200):
             assert fg.function_value(system, n) == floor_surd(
@@ -244,6 +316,15 @@ class TestFloorGammaSync:
 
 
 class TestBeattySync:
+    @pytest.mark.parametrize("sysname,abcde", sorted(BEATTY_SHA))
+    def test_pinned_digest(self, systems, sysname, abcde):
+        system = systems[sysname]
+        spec = BeattySpec(*abcde)
+        b = beatty_sync(system, spec)
+        assert b.sha() == BEATTY_SHA[sysname, abcde]
+        for n in range(1, 60):
+            assert b.function_value(system, n) == exact_term(system, *abcde, n)
+
     def test_s13_flagship_spec(self, systems):
         s13 = systems["msd_s13"]
         spec = BeattySpec(2, 6, 2, 3, 3)
@@ -309,24 +390,25 @@ class TestBeattySync:
 
 
 class TestAffineCompose:
+    """``floor((f(b*n+e) + a*n + d)/c)`` as a formula over a stored f."""
+
     def test_identity_composition(self, systems):
         fib = systems["msd_fib"]
         fg = floor_gamma_sync(fib)
-        assert affine_compose(fib, fg, 1, 0, 0, 0, 1).equivalent(fg)
+        assert formula(fib, "Et,w t=n & $fg(t,w) & z=w", fg=fg).equivalent(fg)
 
     def test_golden_ratio_floor(self, systems):
         # floor(n*gamma) + n = floor(n*phi) for gamma = phi - 1
         fib = systems["msd_fib"]
-        fg = floor_gamma_sync(fib)
-        h = affine_compose(fib, fg, 1, 0, 1, 0, 1)
+        h = formula(fib, "Et,w t=n & $fg(t,w) & z=w+n", fg=floor_gamma_sync(fib))
         assert h.function_value(fib, 4) == 6
         for n in range(150):
             assert h.function_value(fib, n) == exact_term(fib, 1, 1, 1, 0, 0, n)
 
     def test_halved_composition(self, systems):
         fib = systems["msd_fib"]
-        fg = floor_gamma_sync(fib)
-        h = affine_compose(fib, fg, 2, 0, 0, 1, 2)  # floor((floor(2n*g)+1)/2)
+        h = formula(fib, "Et,w t=2*n & $fg(t,w) & z=(w+1)/2",
+                    fg=floor_gamma_sync(fib))
         for n in range(100):
             want = (floor_surd(-2 * n, 2 * n, 2, 5) + 1) // 2
             assert h.function_value(fib, n) == want
@@ -334,25 +416,26 @@ class TestAffineCompose:
     def test_domain_validation(self, systems):
         fib = systems["msd_fib"]
         fg = floor_gamma_sync(fib)
-        with pytest.raises(ValueError):
-            affine_compose(fib, fg, 1, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            affine_compose(fib, fg, -1, 0, 0, 0, 1)
-        with pytest.raises(ValueError):
-            affine_compose(fib, canonical_recognizer(fib, 1), 1, 0, 0, 0, 1)
+        with pytest.raises(ValueError, match="positive constant"):
+            formula(fib, "Et,w t=n & $fg(t,w) & z=w/0", fg=fg)
+        with pytest.raises(ValueError, match="takes 1 arguments, got 2"):
+            formula(fib, "Et,w t=n & $f(t,w) & z=w",
+                    f=canonical_recognizer(fib, 1))
+        # the domain is inherited: b*n + e must be a natural number
+        h = formula(fib, "Et,w t=0-n & $fg(t,w) & z=w", fg=fg)
+        assert h.enumerate_values(fib, 5) == [(0, 0)]
 
 
 class TestPermuteTracks:
     def test_swap_matches_reversed_grid(self, systems):
         s2 = systems["msd_s2"]
-        lt = comparison(s2, "<")
-        swapped = lt.permute_tracks([1, 0])
+        swapped = lt_relation(s2).permute_tracks([1, 0])
         for x in range(15):
             for y in range(15):
                 assert swapped.accepts_values((x, y), s2) == (y < x)
 
     def test_involution(self, system):
-        lt = comparison(system, "<")
+        lt = lt_relation(system)
         assert lt.permute_tracks([1, 0]).permute_tracks([1, 0]) \
             .canonical_bytes() == lt.canonical_bytes()
 
@@ -368,4 +451,4 @@ class TestPermuteTracks:
 
     def test_bad_permutation_rejected(self, system):
         with pytest.raises(ValueError):
-            comparison(system, "<").permute_tracks([0, 0])
+            lt_relation(system).permute_tracks([0, 0])

@@ -1,0 +1,156 @@
+"""Session commands: basis against brute force, enum rows, crash-safe storage.
+
+The additive-basis verdicts are checked against sums of exactly computed
+terms (integer square roots only), so they are independent of every
+automaton the command compiles.
+"""
+import itertools
+from math import isqrt
+
+import pytest
+
+from obd.session import Session, SessionError
+
+SCRIPT = r"""
+reg shift {0,1} {0,1} "([0,0]|[0,1][1,1]*[1,0])*":
+def phin "?msd_fib (s=0&n=0) | Ex $shift(n-1,x) & s=x+1":
+def phi "?msd_fib En n>=1 & $phin(n,x)":
+def phi2 "?msd_fib En,s n>=1 & $phin(n,s) & x=s+n":
+def evens "?msd_fib En n>=1 & x=2*n":
+ost s2 [0] [2]:
+shift shift1;
+def a097508 "?msd_s2 (n=0 & z=0) | (Eu,v n=u+1 & $shift1(u,v) & v=z+2*u)":
+def sqrt2 "?msd_s2 En,u n>=1 & $a097508(n,u) & x=u+n":
+ost s13 [0] [3 1]:
+shift shift13;
+def beattyg "?msd_s13 (n=0 & z=0) | (Eu,v n=u+1 & $shift13(u,v) & v=3*z+4*u)":
+def beatty "?msd_s13 Eu $beattyg(6*n+3,u) & z=(u+2*n+3)/2":
+def s6 "?msd_s13 En n>=1 & $beatty(n,x)":
+"""
+
+BOUND = 400
+
+# the terms floor(n*alpha + beta), n >= 1, by integer square roots
+TERMS = {
+    "phi": lambda n: (n + isqrt(5 * n * n)) // 2,
+    "phi2": lambda n: (3 * n + isqrt(5 * n * n)) // 2,
+    "sqrt2": lambda n: isqrt(2 * n * n),
+    "s6": lambda n: (isqrt(21 * (2 * n + 1) ** 2) + 3 - 2 * n) // 4,
+}
+
+
+def missed_sums(terms, h):
+    """Numbers up to BOUND that are no sum of exactly h terms."""
+    values = [t for t in terms if t <= BOUND]
+    hit = {sum(c) for c in itertools.combinations_with_replacement(values, h)}
+    return [x for x in range(BOUND + 1) if x not in hit]
+
+
+def brute_force_verdict(name, cap):
+    terms = [TERMS[name](n) for n in range(1, BOUND + 1)]
+    for h in range(1, cap + 1):
+        missed = missed_sums(terms, h)
+        if not missed:
+            return f"{name}: order {h} (basis)"
+        # finitely many misses: none in the top half of the checked range
+        if missed[-1] < BOUND // 2:
+            return f"{name}: order {h} (asymptotic-basis, except {missed})"
+    return f"{name}: no basis order up to {cap}"
+
+
+@pytest.fixture(scope="module")
+def sess():
+    s = Session("unused", out=lambda line: None, persist=False)
+    s.run_script(SCRIPT)
+    return s
+
+
+class TestBasis:
+    @pytest.mark.parametrize("name,order", [
+        ("phi", 2), ("sqrt2", 2), ("phi2", 3), ("s6", 2)])
+    def test_matches_brute_force(self, sess, name, order):
+        got = sess.execute(f"basis {name} 4", ";")
+        assert got == brute_force_verdict(name, 4)
+        assert got.startswith(f"{name}: order {order} (asymptotic-basis")
+
+    def test_no_basis_when_odd_numbers_are_missed(self, sess):
+        assert sess.execute("basis evens 3", ";") == \
+            "evens: no basis order up to 3"
+
+    def test_reads_only(self, sess):
+        journal, names = list(sess.journal), set(sess.env.predicates)
+        sess.execute("basis phi 2", ";")
+        assert sess.journal == journal
+        assert set(sess.env.predicates) == names
+
+    @pytest.mark.parametrize("command,message", [
+        ("basis nosuch 2", r"unknown predicate \$nosuch"),
+        ("basis F 2", r"\$F is not a unary relation"),
+        ("basis phin 2", r"\$phin is not a unary relation"),
+        ("basis phi 0", "cap must be >= 1"),
+        ("basis phi two", "cap must be an integer"),
+        ("basis phi", "usage: basis <set> <cap>"),
+    ])
+    def test_bad_input(self, sess, command, message):
+        with pytest.raises(SessionError, match="^basis: .*" + message):
+            sess.execute(command, ";")
+
+
+class TestEnum:
+    def test_rows_without_output_print_a_dash(self, sess):
+        sess.execute('def halves "?msd_fib Ek n=2*k & z=k"', ";")
+        assert sess.execute("enum halves 7", ";") == "0, -, 1, -, 2, -, 3"
+
+    def test_relation_that_is_not_functional_names_n(self, sess):
+        sess.execute('def twice "?msd_fib z=n | (n=3 & z=0)"', ";")
+        with pytest.raises(SessionError,
+                           match="^enum: relation is not functional at 3$"):
+            sess.execute("enum twice 5", ";")
+
+
+class TestStorage:
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        s = Session(tmp_path / "sess", out=lambda line: None)
+        s.execute('def add "?msd_fib x+y=z"', ";")
+        return tmp_path / "sess"
+
+    def test_truncated_file(self, stored):
+        path = stored / "add.aut"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-3]), encoding="utf-8")
+        with pytest.raises(SessionError, match="add.aut"):
+            Session.load(stored, out=lambda line: None)
+
+    def test_target_out_of_range(self, stored):
+        path = stored / "add.aut"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        src, letter, _ = lines[-1].split()
+        lines[-1] = f"{src} {letter} 999"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SessionError, match="add.aut.*out of range"):
+            Session.load(stored, out=lambda line: None)
+
+    def test_missing_file(self, stored):
+        (stored / "add.aut").unlink()
+        with pytest.raises(SessionError, match="add.aut"):
+            Session.load(stored, out=lambda line: None)
+
+    def test_round_trip(self, stored):
+        sess = Session.load(stored, out=lambda line: None)
+        fresh = Session("unused", out=lambda line: None, persist=False)
+        fresh.execute('def add "?msd_fib x+y=z"', ";")
+        assert sess.env.predicate("add").automaton.sha() == \
+            fresh.env.predicate("add").automaton.sha()
+        assert [p.name for p in stored.iterdir() if p.suffix == ".tmp"] == []
+
+    def test_failed_write_keeps_the_old_machine(self, stored, monkeypatch):
+        before = (stored / "add.aut").read_text(encoding="utf-8")
+        sess = Session.load(stored, out=lambda line: None)
+
+        def crash(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr("obd.session.os.replace", crash)
+        with pytest.raises(OSError):
+            sess.execute('def add "?msd_fib x+y+1=z"', ";")
+        assert (stored / "add.aut").read_text(encoding="utf-8") == before
