@@ -20,6 +20,7 @@ complement of the h-fold sum as a formula.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -132,6 +133,10 @@ def _alphabet_set(arg: str) -> set[int]:
         raise SessionError(f"alphabet must contain integers: {arg!r}") from None
 
 
+def _text_sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _unquote(arg: str, what: str) -> str:
     if not (arg.startswith('"') and arg.endswith('"') and len(arg) >= 2):
         raise SessionError(f"{what} must be quoted, got {arg[:40]!r}")
@@ -196,21 +201,31 @@ class Session:
         if self.persist:
             if aut is not None:
                 # a crash mid-write leaves the old file, never a cut one
+                text = aut.to_text(system)
+                meta["sha"] = _text_sha(text)
                 path = self.directory / f"{name}.aut"
                 tmp = path.with_name(path.name + ".tmp")
-                tmp.write_text(aut.to_text(system), encoding="utf-8")
+                tmp.write_text(text, encoding="utf-8")
                 os.replace(tmp, path)
             with open(self._meta_path(), "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(meta) + "\n")
 
     @classmethod
     def load(cls, directory, out=print) -> "Session":
-        """Restore a session from its stored automata (no recompilation)."""
+        """Restore a session from its stored automata (no recompilation).
+
+        Each ``.aut`` file must hash to the ``sha`` its newest meta line
+        records; a name defined twice has one file, which only the last
+        line describes.  Meta lines written without a ``sha`` load as is.
+        """
         sess = cls(directory, out=out)
         meta_path = sess._meta_path()
         if meta_path.exists():
-            for line in meta_path.read_text(encoding="utf-8").splitlines():
-                meta = json.loads(line)
+            metas = [json.loads(line) for line in
+                     meta_path.read_text(encoding="utf-8").splitlines()]
+            newest = {meta["name"]: i for i, meta in enumerate(metas)
+                      if meta["kind"] in ("relation", "word")}
+            for i, meta in enumerate(metas):
                 kind, name = meta["kind"], meta["name"]
                 if kind == "system":
                     sess.env.add_system(
@@ -218,8 +233,12 @@ class Session:
                 elif kind in ("relation", "word"):
                     path = sess.directory / f"{name}.aut"
                     try:
-                        system_name, aut = Automaton.from_text(
-                            path.read_text(encoding="utf-8"))
+                        text = path.read_text(encoding="utf-8")
+                        system_name, aut = Automaton.from_text(text)
+                        if newest[name] == i and "sha" in meta \
+                                and _text_sha(text) != meta["sha"]:
+                            raise ValueError("contents differ from the sha "
+                                             "recorded in meta.jsonl")
                     except (OSError, ValueError, IndexError) as exc:
                         raise SessionError(f"load {path}: {exc}") from exc
                     sess.env.add_predicate(StoredPredicate(

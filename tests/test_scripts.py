@@ -4,10 +4,12 @@ machine a script defines is byte-identical to the pinned one.
 The pins are ``Automaton.sha()`` of each stored predicate (its canonical
 text), read back from the session directory the script wrote.  A kernel
 or compiler change that alters any machine the scripts build fails here
-by name, even when the machine still passes its checks.
+by name, even when the machine still passes its checks.  The same runs
+count the products each section builds.
 """
 import pytest
 
+from obd import _kernels
 from obd.repro import FAST_SECTIONS, SLOW_SECTIONS, run_section
 from obd.session import Session
 
@@ -99,14 +101,42 @@ PINNED = {
 }
 
 
+# Upper bounds on what one run of a section builds with
+# ``_kernels.pair_product``, its checks included: (calls, product states
+# before minimisation).  The five compile-small sections make 674 calls
+# (841 when every connective intersected both widened operands with the
+# canonical-word recognizer).  A compiler change that adds products back, or
+# drops the canonical step in ``&`` that keeps s6's products small, fails
+# here by name, with no timing involved.
+PRODUCTS = {
+    "s6": (59, 70163),
+    "s7": (39, 728),
+    "s8": (137, 3301),
+    "s9": (137, 5553),
+    "s10": (219, 13053),
+    "s12": (142, 2137),
+}
+
+
 def failed_checks(section, tmp_path):
     return [f"{r.label}: {r.detail}" for r in run_section(section, tmp_path)
             if not r.ok]
 
 
 @pytest.mark.parametrize("section", FAST_SECTIONS)
-def test_section(section, tmp_path):
+def test_section(section, tmp_path, monkeypatch):
+    built = []
+    product = _kernels.pair_product
+
+    def counted(*args):
+        out = product(*args)
+        built.append(out[3].size)  # one accepting flag per product state
+        return out
+    monkeypatch.setattr(_kernels, "pair_product", counted)
     assert failed_checks(section, tmp_path) == []
+    calls, states = PRODUCTS[section]
+    assert len(built) <= calls
+    assert sum(built) <= states
     sess = Session.load(tmp_path / section, out=lambda line: None)
     got = {name: pred.automaton.sha() for name, pred in sess.env.predicates.items()}
     assert got == PINNED[section]

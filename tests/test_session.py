@@ -5,6 +5,7 @@ terms (integer square roots only), so they are independent of every
 automaton the command compiles.
 """
 import itertools
+import json
 from math import isqrt
 
 import pytest
@@ -154,3 +155,32 @@ class TestStorage:
         with pytest.raises(OSError):
             sess.execute('def add "?msd_fib x+y+1=z"', ";")
         assert (stored / "add.aut").read_text(encoding="utf-8") == before
+
+    def test_edited_file_in_range(self, stored):
+        # every id stays in range, so only the recorded hash tells
+        path = stored / "add.aut"
+        text = path.read_text(encoding="utf-8")
+        assert "accepting 0 13 15\n" in text
+        path.write_text(text.replace("accepting 0 13 15\n", "accepting 1\n"),
+                        encoding="utf-8")
+        with pytest.raises(SessionError, match="add.aut.*sha"):
+            Session.load(stored, out=lambda line: None)
+
+    def test_redefined_name_loads_the_newest(self, stored):
+        sess = Session.load(stored, out=lambda line: None)
+        sess.execute('def add "?msd_fib x+y+1=z"', ";")
+        meta = (stored / "meta.jsonl").read_text(encoding="utf-8")
+        assert meta.count('"name": "add"') == 2
+        loaded = Session.load(stored, out=lambda line: None)
+        add = loaded.env.predicate("add").automaton
+        assert add.accepts_values((1, 1, 3), loaded.env.systems["msd_fib"])
+        assert add.sha() == sess.env.predicate("add").automaton.sha()
+
+    def test_meta_line_without_sha(self, stored):
+        meta_path = stored / "meta.jsonl"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["sha"]
+        meta_path.write_text(json.dumps(meta) + "\n", encoding="utf-8")
+        sess = Session.load(stored, out=lambda line: None)
+        add = sess.env.predicate("add").automaton
+        assert add.accepts_values((1, 1, 2), sess.env.systems["msd_fib"])
