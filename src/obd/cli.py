@@ -15,7 +15,11 @@ from .session import Session, SessionError
 
 
 def _open_session(directory: str) -> Session:
-    return Session.load(Path(directory))
+    """Load an existing session for a read-only command, creating nothing."""
+    path = Path(directory)
+    if not path.is_dir():
+        raise FileNotFoundError(f"no session directory {directory!r}")
+    return Session.load(path)
 
 
 def cmd_run(args) -> int:

@@ -1,8 +1,8 @@
 """Atom builders for synchronized relations over one Ostrowski numeration system.
 
 Everything here returns an :class:`~obd.automata.Automaton` whose tracks read
-digit tuples msd-first.  Unless a docstring says otherwise the language is
-intersected with the canonical-word recognizer, so accepted words are
+digit tuples msd-first.  Unless a docstring says otherwise the language lies
+inside the canonical-word recognizer canon(k), so accepted words are
 zero-padded canonical representations and the automaton denotes a relation on
 natural numbers.
 
@@ -10,7 +10,9 @@ The central construction is :func:`linear_relation`, which recognizes
 ``sum(c_j * n_j) == c0`` by tracking the running imbalance in a rolling basis
 of consecutive convergent denominators; :func:`inequality_relation` is its
 ``<=`` twin, and every comparison atom of a formula compiles to one of the
-two.  :func:`shift_relation` is the digit-shift relation the paper's
+two.  Their direct machine walks the imbalance in step with canon(k), so
+each per-residue piece is built inside the canonical language and no
+product with canon(k) follows.  :func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
 :mod:`obd.beatty` included, is written as a formula and compiled by
@@ -164,8 +166,7 @@ def _depth_bands(system: NumerationSystem):
 
 
 def linear_relation(system: NumerationSystem, coefficients, constant: int,
-                    *, bound: int | None = None,
-                    canonical: bool = True) -> Automaton:
+                    *, bound: int | None = None) -> Automaton:
     """Automaton for ``sum(c_j * value(track_j)) == constant``.
 
     Reading msd-first, the imbalance accumulated so far is kept as an integer
@@ -175,10 +176,8 @@ def linear_relation(system: NumerationSystem, coefficients, constant: int,
     each step every hypothesis is rebased one position down using
     ``q_i = a_i q_{i-1} + q_{i-2}`` and hypotheses that drift outside the
     still-cancelable band (see :func:`pruning_bound`) are discarded.  A word
-    is accepted exactly when the position-0 hypothesis lands on the constant.
-
-    With ``canonical=False`` the raw machine is returned: it relates digit
-    strings of any shape through their weighted values.
+    is accepted exactly when the position-0 hypothesis lands on the constant
+    and every track is canonical.
 
     Heavy coefficients (think 9x + 14y = z) would give the direct machine
     an enormous live band, so those are composed instead: scaled copies by
@@ -189,29 +188,26 @@ def linear_relation(system: NumerationSystem, coefficients, constant: int,
     constant = int(constant)
     if not coefficients:
         raise ValueError("need at least one coefficient")
-    key = ("linear", coefficients, constant, bound, canonical)
+    key = ("linear", coefficients, constant, bound)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
-    if _compose_instead(system, coefficients, canonical):
+    if _compose_instead(system, coefficients):
         out = _composed_linear(system, coefficients, constant, le=False)
     else:
-        out = _linear_machine(system, coefficients, constant, bound,
-                              canonical, le=False)
+        out = _linear_machine(system, coefficients, constant, bound, le=False)
     system._cache[key] = out
     return out
 
 
-def _compose_instead(system: NumerationSystem, coefficients: tuple,
-                     canonical: bool) -> bool:
+def _compose_instead(system: NumerationSystem, coefficients: tuple) -> bool:
     """Heavy-coefficient relations go through the compositional builder."""
     weight = sum(abs(c) for c in coefficients) * system.dmax
-    return canonical and weight > 24 and all(coefficients)
+    return weight > 24 and all(coefficients)
 
 
 def _linear_machine(system: NumerationSystem, coefficients: tuple,
-                    constant: int, bound: int | None, canonical: bool,
-                    le: bool) -> Automaton:
+                    constant: int, bound: int | None, le: bool) -> Automaton:
     """Shared machine for ``sum == constant`` and (le=True) ``sum <= constant``.
 
     The equality machine keeps a hypothesis pair only while the band test
@@ -219,6 +215,11 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     lower cliff: a pair that can no longer exceed the constant is decided
     and collapses to a single DONE marker, so the live band has the same
     width in both modes.
+
+    Each per-residue piece is built inside canon(k), the recognizer of
+    canonical k-tuples, by walking its states in step with canon(k)'s
+    CSR rows; the m pieces are then unioned with m - 1 products and no
+    final intersection.
     """
     arity = len(coefficients)
     dmax = system.dmax
@@ -289,47 +290,75 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     # the union over r of small one-pair machines (state = phase plus pair,
     # with a decided-true pair collapsed to DONE in comparison mode),
     # instead of one machine over m-tuples of pairs, whose reachable part
-    # is the near-product of the per-residue sets.
+    # is the near-product of the per-residue sets.  Each piece is walked in
+    # step with canon(k), the recognizer of canonical k-tuples: a state is
+    # a pair id and a canon state c, only the letters of c's row are
+    # followed, and acceptance also asks that c accepts.  The pieces then
+    # already lie inside canon(k), so their union needs no final product.
     DONE = -(8 * hard + 9)
     weight_of = [sum(c * d for c, d in zip(coefficients,
                                            letter_digits(code, arity, dmax)))
                  for code in range((dmax + 1) ** arity)]
-    ncodes = len(weight_of)
+    canon = canonical_recognizer(system, arity)
+    c_indptr = canon.indptr.tolist()
+    c_letters = canon.letters.tolist()
+    c_targets = canon.targets.tolist()
+    c_accepting = canon.accepting.tolist()
+    nc = canon.n_states
+
+    # pairs[p] is the (phase, s, t) of pair id p, and steps[p] maps a
+    # letter weight to the successor pair id (-1: dead); the pair
+    # arithmetic and its viability test do not depend on c or on r0, so
+    # every canon state and every piece reads the same memo
+    pair_id: dict[tuple, int] = {}
+    pairs: list[tuple] = []
+    steps: list[dict] = []
+
+    def intern(pair: tuple) -> int:
+        p = pair_id.get(pair)
+        if p is None:
+            p = pair_id[pair] = len(pairs)
+            pairs.append(pair)
+            steps.append({})
+        return p
+
+    def step(p: int, weighted: int) -> int:
+        phase, s, t = pairs[p]
+        nphase = (phase - 1) % m
+        if s == DONE:
+            return intern((nphase, DONE, DONE))
+        ns, nt = s * period[nphase] + t + weighted, s
+        fate = viable(nphase, ns, nt)
+        if fate == LIVE:
+            return intern((nphase, ns, nt))
+        if fate == DONE_CODE:
+            return intern((nphase, DONE, DONE))
+        return -1
 
     pieces = []
     for r0 in range(m):
-        start = (r0, 0, 0)
+        # a state is the integer p * nc + c
+        start = intern((r0, 0, 0)) * nc + canon.initial
         index = {start: 0}
         order = [start]
         edge_src = array("q")
         edge_letter = array("i")
         edge_dst = array("i")
+        index_get = index.get
         at = 0
         while at < len(order):
-            phase, s, t = order[at]
-            nphase = (phase - 1) % m
-            mult = period[nphase]
-            succ_of_weight: dict[int, tuple | None] = {}
-            memo_get = succ_of_weight.get
-            index_get = index.get
-            for code in range(ncodes):
+            p, c = divmod(order[at], nc)
+            memo = steps[p]
+            memo_get = memo.get
+            for j in range(c_indptr[c], c_indptr[c + 1]):
+                code = c_letters[j]
                 weighted = weight_of[code]
-                succ = memo_get(weighted, False)
-                if succ is False:
-                    if s == DONE:
-                        succ = (nphase, DONE, DONE)
-                    else:
-                        ns, nt = s * mult + t + weighted, s
-                        fate = viable(nphase, ns, nt)
-                        if fate == LIVE:
-                            succ = (nphase, ns, nt)
-                        elif fate == DONE_CODE:
-                            succ = (nphase, DONE, DONE)
-                        else:
-                            succ = None
-                    succ_of_weight[weighted] = succ
-                if succ is None:
+                q = memo_get(weighted)
+                if q is None:
+                    q = memo[weighted] = step(p, weighted)
+                if q < 0:
                     continue
+                succ = q * nc + c_targets[j]
                 nxt = index_get(succ)
                 if nxt is None:
                     nxt = len(order)
@@ -342,9 +371,12 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
 
         n_states = len(order)
         accepting = np.zeros(n_states, np.uint8)
-        for i, (phase, s, _t) in enumerate(order):
+        for i, key in enumerate(order):
+            p, c = divmod(key, nc)
+            phase, s, _t = pairs[p]
             # DONE (very negative) passes <= and can never equal the constant
-            if phase == 0 and (s <= constant if le else s == constant):
+            if phase == 0 and c_accepting[c] and (
+                    s <= constant if le else s == constant):
                 accepting[i] = 1
         src = np.frombuffer(edge_src, np.int64)
         lets = np.frombuffer(edge_letter, np.int32)
@@ -357,8 +389,6 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     out = pieces[0]
     for piece in pieces[1:]:
         out = out.union(piece)
-    if canonical:
-        out = out.intersect(canonical_recognizer(system, arity))
     return out
 
 
@@ -369,15 +399,15 @@ def _scaled_track(system: NumerationSystem, c: int) -> Automaton:
     if cached is not None:
         return cached
     if (c + 1) * system.dmax <= 24:
-        out = _linear_machine(system, (c, -1), 0, None, True, False)
+        out = _linear_machine(system, (c, -1), 0, None, False)
     else:
         # c*x = 2*(c//2)*x + (c%2)*x, doubling the recursive half
         half = _scaled_track(system, c // 2)
         wide = half.lift(3, [0, 1])
         if c % 2:
-            step = _linear_machine(system, (1, 2, -1), 0, None, True, False)
+            step = _linear_machine(system, (1, 2, -1), 0, None, False)
         else:
-            step = _linear_machine(system, (2, -1), 0, None, True,
+            step = _linear_machine(system, (2, -1), 0, None,
                                    False).lift(3, [1, 2])
         # every track is pinned by one of the two factors, so the product
         # is already within the canonical language
@@ -393,11 +423,11 @@ def _affine_step(system: NumerationSystem, c: int) -> Automaton:
     if cached is not None:
         return cached
     if (c + 2) * system.dmax <= 24:
-        out = _linear_machine(system, (c, 1, -1), 0, None, True, False)
+        out = _linear_machine(system, (c, 1, -1), 0, None, False)
     else:
         scaled = _scaled_track(system, c).lift(4, [0, 3])
         # t1 + u - t2 = 0 over tracks (t1, t2, u), fresh u last
-        add = _linear_machine(system, (1, -1, 1), 0, None, True,
+        add = _linear_machine(system, (1, -1, 1), 0, None,
                               False).lift(4, [1, 2, 3])
         out = scaled.intersect(add).project(3)
     system._cache[key] = out
@@ -422,7 +452,7 @@ def _composed_linear(system: NumerationSystem, coefficients: tuple,
     def side_value(terms) -> Automaton:
         """(v_0..v_{n-1}, acc) with acc = sum of the terms, others free."""
         if not terms:
-            zero = _linear_machine(system, (1,), 0, None, True, False)
+            zero = _linear_machine(system, (1,), 0, None, False)
             return zero.lift(n + 1, [n])
         (j0, c0), *rest = terms
         acc = _scaled_track(system, c0).lift(n + 1, [j0, n])
@@ -433,7 +463,7 @@ def _composed_linear(system: NumerationSystem, coefficients: tuple,
 
     left = side_value(pos)
     right = side_value(neg)
-    final = _linear_machine(system, (1, -1), constant, None, True, le)
+    final = _linear_machine(system, (1, -1), constant, None, le)
     out = (left.lift(n + 2, originals + [n])
            .intersect(right.lift(n + 2, originals + [n + 1]))
            .intersect(final.lift(n + 2, [n, n + 1])))
@@ -464,11 +494,10 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
     cached = system._cache.get(key)
     if cached is not None:
         return cached
-    if _compose_instead(system, coefficients, True):
+    if _compose_instead(system, coefficients):
         out = _composed_linear(system, coefficients, constant, le=True)
     else:
-        out = _linear_machine(system, coefficients, constant, None, True,
-                              le=True)
+        out = _linear_machine(system, coefficients, constant, None, le=True)
     system._cache[key] = out
     return out
 

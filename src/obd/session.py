@@ -449,7 +449,12 @@ class Session:
         if len(args) != 2:
             raise SessionError("usage: enum <name> <count>")
         pred = self.env.predicate(args[0])
-        count = int(args[1])
+        try:
+            count = int(args[1])
+        except ValueError:
+            raise SessionError(f"count must be an integer, got {args[1]!r}") from None
+        if count < 0:
+            raise SessionError("count must be >= 0")
         system = self.env.systems[pred.system_name]
         if pred.kind == "word":
             values = [word_value(pred.automaton, system, n)

@@ -1,0 +1,48 @@
+"""The ``obd`` command line: exit codes, and what read-only commands leave.
+
+Exit codes are 0 on success, 1 for a formula or script error and 2 for a
+system error (a missing file or session directory).
+"""
+import pytest
+
+from obd.cli import main
+
+SCRIPT = 'def add "?msd_fib x+y=z":\n'
+
+
+@pytest.fixture(autouse=True)
+def in_tmp(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
+def test_run_stores_the_machine(tmp_path):
+    (tmp_path / "ok.obd").write_text(SCRIPT, encoding="utf-8")
+    assert main(["run", "ok.obd", "--dir", "sess"]) == 0
+    assert (tmp_path / "sess" / "add.aut").is_file()
+    assert main(["info", "add", "--dir", "sess"]) == 0
+    assert main(["enum", "add", "-3", "--dir", "sess"]) == 1
+
+
+def test_bad_formula_exits_1(tmp_path, capsys):
+    (tmp_path / "bad.obd").write_text('def bad "?msd_fib x+=z":\n',
+                                      encoding="utf-8")
+    assert main(["run", "bad.obd", "--dir", "sess"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_script_exits_2(tmp_path, capsys):
+    assert main(["run", "nosuch.obd"]) == 2
+    assert capsys.readouterr().err.startswith("system error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "phin"],
+    ["enum", "phin", "3"],
+    ["export-dot", "phin"],
+])
+def test_read_only_command_on_missing_directory(tmp_path, capsys, argv):
+    assert main(argv + ["--dir", "missingdir"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("system error: ") and "missingdir" in err
+    assert not (tmp_path / "missingdir").exists()

@@ -4,10 +4,13 @@ Every synchronized relation built here is checked either exhaustively on a
 value grid or against an independently computed closed form.  The state
 counts asserted for msd_s13 are regression anchors for the two relations the
 whole pipeline leans on, and the digests pin the floor synchronizers to the
-machines the hand-wired builders made before they were rewritten as formulas.
+machines the hand-wired builders made before they were rewritten as formulas,
+and compile-large's linear atoms to the machines built before each atom's
+pieces were walked inside the canonical language.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -91,7 +94,7 @@ def assert_builders_agree(system, count=3):
             cases.append((coefs, rng.randint(-3, 3)))
     for coefs, constant in cases:
         for le in (False, True):
-            direct = _linear_machine(system, coefs, constant, None, True, le)
+            direct = _linear_machine(system, coefs, constant, None, le)
             composed = _composed_linear(system, coefs, constant, le)
             assert direct.canonical_bytes() == composed.canonical_bytes(), \
                 (coefs, constant, le)
@@ -157,6 +160,68 @@ class TestLinearRelation:
         assert rel.accepts_values((3, 2), fib)
         assert not rel.accepts_values((0, 1), fib)
         assert not rel.accepts_values((2, 3), fib)
+
+
+# compile-large's atoms (s6's beattyg and beatty), a 3-track comparison
+# with a nonzero constant among them, and two more comparison operators
+ATOMS = [
+    ((2, -2, -1), 3, "<="),
+    ((-2, 2, 1), -2, "<="),
+    ((-4, 1, -3), 0, "="),
+    ((-1, 6), -3, "="),
+    ((1, 1, -1), 2, "<"),
+    ((1, 1, -1), -1, ">="),
+]
+# sha() over msd_s13 of the machines built by intersecting the union of
+# the raw per-residue pieces with canon(k)
+ATOM_SHA = {
+    ((2, -2, -1), 3, "<="): "d451c3053a0123f9d1ffa06b7d27b83a43211789e98d0dbf2b4f2fd94a219bf8",
+    ((-2, 2, 1), -2, "<="): "ac8129678629b90f0a4327dfcc37ca33ed961619ae006bcda61384431923e01e",
+    ((-4, 1, -3), 0, "="): "b22522a91c77fea95a310d6b75051723dcb7defe20cdcb364fb3a5c390a4c665",
+    ((-1, 6), -3, "="): "de7515d4244e914eeabf79a9721fe0f657f5fdcc3f9b9ce59c80d36ef27559a2",
+}
+COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+def atom(system, coefs, constant, op):
+    if op == "=":
+        return linear_relation(system, coefs, constant)
+    return inequality_relation(system, coefs, constant, op)
+
+
+def assert_atom_matches_arithmetic(system, coefs, constant, op, bound):
+    """The atom lies inside canon(k) and agrees with Python on a grid."""
+    rel = atom(system, coefs, constant, op)
+    assert rel.andnot(canonical_recognizer(system, len(coefs))).is_empty()
+    grid = list(itertools.product(range(bound), repeat=len(coefs)))
+    if op == "=":
+        want = ref_linear_solutions(system.period, coefs, constant, bound)
+    else:
+        want = {tup for tup in grid if COMPARE[op](
+            sum(c * x for c, x in zip(coefs, tup)), constant)}
+    got = {tup for tup in grid if rel.accepts_values(tup, system)}
+    assert got == want
+
+
+class TestMultiPeriodAtoms:
+    @pytest.mark.parametrize("coefs,constant,op", ATOMS)
+    def test_matches_arithmetic(self, system, coefs, constant, op):
+        if system.name == "msd_sqrt7" and len(coefs) > 2:
+            pytest.skip("covered by the slow variant")
+        assert_atom_matches_arithmetic(system, coefs, constant, op,
+                                       25 if len(coefs) == 3 else 60)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("coefs,constant,op",
+                             [a for a in ATOMS if len(a[0]) == 3])
+    def test_matches_arithmetic_sqrt7(self, systems, coefs, constant, op):
+        assert_atom_matches_arithmetic(systems["msd_sqrt7"], coefs, constant,
+                                       op, 20)
+
+    @pytest.mark.parametrize("coefs,constant,op", sorted(ATOM_SHA))
+    def test_pinned_digest(self, systems, coefs, constant, op):
+        got = atom(systems["msd_s13"], coefs, constant, op).sha()
+        assert got == ATOM_SHA[coefs, constant, op]
 
 
 def lt_relation(system):

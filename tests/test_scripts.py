@@ -103,18 +103,20 @@ PINNED = {
 
 # Upper bounds on what one run of a section builds with
 # ``_kernels.pair_product``, its checks included: (calls, product states
-# before minimisation).  The five compile-small sections make 674 calls
-# (841 when every connective intersected both widened operands with the
-# canonical-word recognizer).  A compiler change that adds products back, or
-# drops the canonical step in ``&`` that keeps s6's products small, fails
-# here by name, with no timing involved.
+# before minimisation).  The five compile-small sections make 590 calls
+# (674 when the linear atoms intersected the union of their per-residue
+# pieces with the canonical-word recognizer, 841 when every connective
+# also intersected both widened operands with it).  A compiler or atom
+# builder change that adds products back, or drops the canonical step in
+# ``&`` that keeps s6's products small, fails here by name, with no timing
+# involved.
 PRODUCTS = {
-    "s6": (59, 70163),
-    "s7": (39, 728),
-    "s8": (137, 3301),
-    "s9": (137, 5553),
-    "s10": (219, 13053),
-    "s12": (142, 2137),
+    "s6": (49, 16825),
+    "s7": (30, 537),
+    "s8": (119, 2262),
+    "s9": (120, 4966),
+    "s10": (198, 12249),
+    "s12": (123, 1677),
 }
 
 

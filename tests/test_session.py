@@ -98,6 +98,14 @@ class TestBasis:
 
 
 class TestEnum:
+    @pytest.mark.parametrize("command,message", [
+        ("enum phin -3", "count must be >= 0"),
+        ("enum phin abc", "count must be an integer, got 'abc'"),
+    ])
+    def test_bad_count(self, sess, command, message):
+        with pytest.raises(SessionError, match=f"^enum: {message}$"):
+            sess.execute(command, ";")
+
     def test_rows_without_output_print_a_dash(self, sess):
         sess.execute('def halves "?msd_fib Ek n=2*k & z=k"', ";")
         assert sess.execute("enum halves 7", ";") == "0, -, 1, -, 2, -, 3"
