@@ -54,6 +54,8 @@ def cmd_repl(args) -> int:
             sess.run_script(buffer)
         except (SessionError, LogicError) as exc:
             print(f"error: {exc}")
+        except OSError as exc:
+            print(f"system error: {exc}")
         buffer = ""
 
 

@@ -10,9 +10,10 @@ The central construction is :func:`linear_relation`, which recognizes
 ``sum(c_j * n_j) == c0`` by tracking the running imbalance in a rolling basis
 of consecutive convergent denominators; :func:`inequality_relation` is its
 ``<=`` twin, and every comparison atom of a formula compiles to one of the
-two.  Their direct machine walks the imbalance in step with canon(k), so
-each per-residue piece is built inside the canonical language and no
-product with canon(k) follows.  :func:`shift_relation` is the digit-shift relation the paper's
+two.  Both build every atom, whatever its coefficients, with one machine
+that walks the imbalance in step with canon(k), so each per-residue piece
+is built inside the canonical language and no product with canon(k)
+follows.  :func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
 :mod:`obd.beatty` included, is written as a formula and compiled by
@@ -178,32 +179,11 @@ def linear_relation(system: NumerationSystem, coefficients, constant: int,
     still-cancelable band (see :func:`pruning_bound`) are discarded.  A word
     is accepted exactly when the position-0 hypothesis lands on the constant
     and every track is canonical.
-
-    Heavy coefficients (think 9x + 14y = z) would give the direct machine
-    an enormous live band, so those are composed instead: scaled copies by
-    repeated doubling, then a chain of three-track additions, all on
-    minimized intermediate automata.
     """
     coefficients = tuple(int(c) for c in coefficients)
-    constant = int(constant)
     if not coefficients:
         raise ValueError("need at least one coefficient")
-    key = ("linear", coefficients, constant, bound)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    if _compose_instead(system, coefficients):
-        out = _composed_linear(system, coefficients, constant, le=False)
-    else:
-        out = _linear_machine(system, coefficients, constant, bound, le=False)
-    system._cache[key] = out
-    return out
-
-
-def _compose_instead(system: NumerationSystem, coefficients: tuple) -> bool:
-    """Heavy-coefficient relations go through the compositional builder."""
-    weight = sum(abs(c) for c in coefficients) * system.dmax
-    return weight > 24 and all(coefficients)
+    return _linear_machine(system, coefficients, int(constant), bound, le=False)
 
 
 def _linear_machine(system: NumerationSystem, coefficients: tuple,
@@ -219,8 +199,13 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     Each per-residue piece is built inside canon(k), the recognizer of
     canonical k-tuples, by walking its states in step with canon(k)'s
     CSR rows; the m pieces are then unioned with m - 1 products and no
-    final intersection.
+    final intersection.  The machine is cached on the system per
+    (coefficients, constant, bound, le).
     """
+    key = ("linear", coefficients, constant, bound, le)
+    cached = system._cache.get(key)
+    if cached is not None:
+        return cached
     arity = len(coefficients)
     dmax = system.dmax
     m = system.period_length
@@ -371,8 +356,8 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
 
         n_states = len(order)
         accepting = np.zeros(n_states, np.uint8)
-        for i, key in enumerate(order):
-            p, c = divmod(key, nc)
+        for i, state in enumerate(order):
+            p, c = divmod(state, nc)
             phase, s, _t = pairs[p]
             # DONE (very negative) passes <= and can never equal the constant
             if phase == 0 and c_accepting[c] and (
@@ -389,85 +374,8 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     out = pieces[0]
     for piece in pieces[1:]:
         out = out.union(piece)
-    return out
-
-
-def _scaled_track(system: NumerationSystem, c: int) -> Automaton:
-    """Two-track relation ``value(track 1) == c * value(track 0)``, c >= 1."""
-    key = ("scaled", c)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    if (c + 1) * system.dmax <= 24:
-        out = _linear_machine(system, (c, -1), 0, None, False)
-    else:
-        # c*x = 2*(c//2)*x + (c%2)*x, doubling the recursive half
-        half = _scaled_track(system, c // 2)
-        wide = half.lift(3, [0, 1])
-        if c % 2:
-            step = _linear_machine(system, (1, 2, -1), 0, None, False)
-        else:
-            step = _linear_machine(system, (2, -1), 0, None,
-                                   False).lift(3, [1, 2])
-        # every track is pinned by one of the two factors, so the product
-        # is already within the canonical language
-        out = wide.intersect(step).project(1)
     system._cache[key] = out
     return out
-
-
-def _affine_step(system: NumerationSystem, c: int) -> Automaton:
-    """Three-track relation ``value(2) == value(1) + c * value(0)``, c >= 1."""
-    key = ("affine", c)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    if (c + 2) * system.dmax <= 24:
-        out = _linear_machine(system, (c, 1, -1), 0, None, False)
-    else:
-        scaled = _scaled_track(system, c).lift(4, [0, 3])
-        # t1 + u - t2 = 0 over tracks (t1, t2, u), fresh u last
-        add = _linear_machine(system, (1, -1, 1), 0, None,
-                              False).lift(4, [1, 2, 3])
-        out = scaled.intersect(add).project(3)
-    system._cache[key] = out
-    return out
-
-
-def _composed_linear(system: NumerationSystem, coefficients: tuple,
-                     constant: int, le: bool) -> Automaton:
-    """Heavy-coefficient linear (in)equality from small engine pieces.
-
-    Positive and negative terms of ``sum(c_j v_j) (op) constant`` are each
-    folded into an accumulator, one affine step at a time, and the two
-    accumulators meet in a light two-track comparison.  Every intermediate
-    is a minimized automaton at most n+2 tracks wide, so no step sees the
-    huge live band the direct machine would have to crawl through.
-    """
-    n = len(coefficients)
-    originals = list(range(n))
-    pos = [(j, c) for j, c in enumerate(coefficients) if c > 0]
-    neg = [(j, -c) for j, c in enumerate(coefficients) if c < 0]
-
-    def side_value(terms) -> Automaton:
-        """(v_0..v_{n-1}, acc) with acc = sum of the terms, others free."""
-        if not terms:
-            zero = _linear_machine(system, (1,), 0, None, False)
-            return zero.lift(n + 1, [n])
-        (j0, c0), *rest = terms
-        acc = _scaled_track(system, c0).lift(n + 1, [j0, n])
-        for j, c in rest:
-            step = _affine_step(system, c).lift(n + 2, [j, n, n + 1])
-            acc = acc.lift(n + 2, originals + [n]).intersect(step).project(n)
-        return acc
-
-    left = side_value(pos)
-    right = side_value(neg)
-    final = _linear_machine(system, (1, -1), constant, None, le)
-    out = (left.lift(n + 2, originals + [n])
-           .intersect(right.lift(n + 2, originals + [n + 1]))
-           .intersect(final.lift(n + 2, [n, n + 1])))
-    return out.project(n + 1).project(n)
 
 
 def inequality_relation(system: NumerationSystem, coefficients, constant: int,
@@ -490,16 +398,7 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
         op = "<="
     else:
         raise ValueError(f"unknown inequality {op!r}")
-    key = ("ineq", coefficients, constant)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    if _compose_instead(system, coefficients):
-        out = _composed_linear(system, coefficients, constant, le=True)
-    else:
-        out = _linear_machine(system, coefficients, constant, None, le=True)
-    system._cache[key] = out
-    return out
+    return _linear_machine(system, coefficients, constant, None, le=True)
 
 
 # ---------------------------------------------------------------------------

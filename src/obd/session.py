@@ -221,8 +221,16 @@ class Session:
         sess = cls(directory, out=out)
         meta_path = sess._meta_path()
         if meta_path.exists():
-            metas = [json.loads(line) for line in
-                     meta_path.read_text(encoding="utf-8").splitlines()]
+            metas = []
+            for n, line in enumerate(meta_path.read_text(
+                    encoding="utf-8").splitlines(), 1):
+                try:
+                    meta = json.loads(line)
+                    meta["kind"], meta["name"]  # every line needs both
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise SessionError(f"load {meta_path}: line {n}: "
+                                       f"{type(exc).__name__}: {exc}") from exc
+                metas.append(meta)
             newest = {meta["name"]: i for i, meta in enumerate(metas)
                       if meta["kind"] in ("relation", "word")}
             for i, meta in enumerate(metas):

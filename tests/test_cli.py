@@ -3,11 +3,14 @@
 Exit codes are 0 on success, 1 for a formula or script error and 2 for a
 system error (a missing file or session directory).
 """
+import builtins
+
 import pytest
 
 from obd.cli import main
 
 SCRIPT = 'def add "?msd_fib x+y=z":\n'
+TWO_DEFS = SCRIPT + 'def sub "?msd_fib x=y+z":\n'
 
 
 @pytest.fixture(autouse=True)
@@ -46,3 +49,34 @@ def test_read_only_command_on_missing_directory(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("system error: ") and "missingdir" in err
     assert not (tmp_path / "missingdir").exists()
+
+
+def test_cut_meta_line_exits_1(tmp_path, capsys):
+    (tmp_path / "two.obd").write_text(TWO_DEFS, encoding="utf-8")
+    assert main(["run", "two.obd", "--dir", "sess"]) == 0
+    meta = tmp_path / "sess" / "meta.jsonl"
+    meta.write_bytes(meta.read_bytes()[:-20])
+    capsys.readouterr()
+    assert main(["info", "add", "--dir", "sess"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: load ") and "line 2" in err
+    assert "Traceback" not in err
+
+
+def test_repl_keeps_reading_after_a_system_error(tmp_path, capsys,
+                                                 monkeypatch):
+    (tmp_path / "ok.obd").write_text(SCRIPT, encoding="utf-8")
+    assert main(["run", "ok.obd", "--dir", "sess"]) == 0
+    lines = iter(["export-dot add missing/x.dot;", "info add:"])
+
+    def feed(prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+    monkeypatch.setattr(builtins, "input", feed)
+    capsys.readouterr()
+    assert main(["repl", "sess"]) == 0
+    out = capsys.readouterr().out
+    assert "system error: " in out and "missing" in out
+    assert "add: relation over msd_fib" in out

@@ -1,12 +1,15 @@
 """Relation builders against brute-force oracles.
 
 Every synchronized relation built here is checked either exhaustively on a
-value grid or against an independently computed closed form.  The state
-counts asserted for msd_s13 are regression anchors for the two relations the
-whole pipeline leans on, and the digests pin the floor synchronizers to the
-machines the hand-wired builders made before they were rewritten as formulas,
-and compile-large's linear atoms to the machines built before each atom's
-pieces were walked inside the canonical language.
+value grid, against an independently computed closed form, or against the
+same relation compiled as a formula of light atoms.  The state counts
+asserted for msd_s13 are regression anchors for the two relations the whole
+pipeline leans on.  The digests pin the floor synchronizers to the machines
+the hand-wired builders made before they were rewritten as formulas,
+compile-large's linear atoms to the machines built before each atom's pieces
+were walked inside the canonical language, and msd_sqrt7's heavy atoms to
+the machines composed from doublings and additions before every atom went
+through the one linear builder.
 """
 
 import itertools
@@ -18,8 +21,6 @@ import pytest
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
 from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
-    _composed_linear,
-    _linear_machine,
     canonical_recognizer,
     inequality_relation,
     linear_relation,
@@ -77,49 +78,77 @@ LINEAR_SPECS = [
 ]
 
 
-def assert_builders_agree(system, count=3):
-    """Direct and composed linear builders give equal bytes, in = and <= mode.
+def light_chain(coefs, constant, op):
+    """``sum(c_j * x_j) op constant`` as a formula of light atoms only.
 
-    The direct machine prunes hypotheses with float brackets; the composed
-    one reaches the same relation through pieces with other coefficients.
-    Both build their pieces with ``_linear_machine``, so this catches a
-    prune that goes wrong at some weights, not one wrong at all of them.
-    Cases are random light (coefficients, constant), weight * dmax <= 24.
+    Each ``|c_j| * x_j`` is reached by doublings ``t=2*h`` and sums
+    ``s=u+v`` over fresh variables, each quantified right around its uses;
+    the positive terms sum to P, the negative ones to N, and the formula
+    ends in ``P = N+k`` or ``P <= N+k``.  The free variables x0, x1, ...
+    sort in track order.
+    """
+    names = iter(f"t{i}" for i in itertools.count())
+
+    def scaled(x, c, out):
+        if c <= 2:
+            return f"{out}={c}*{x}"
+        h = next(names)
+        if c % 2:
+            return f"E{h} ({scaled(x, c - 1, h)} & {out}={h}+{x})"
+        return f"E{h} ({scaled(x, c // 2, h)} & {out}=2*{h})"
+
+    def total(terms, out):
+        (x, c), *rest = terms
+        if not rest:
+            return scaled(x, c, out)
+        a, b = next(names), next(names)
+        return (f"E{a} ({scaled(x, c, a)} & E{b} ({total(rest, b)} & "
+                f"{out}={a}+{b}))")
+
+    sides = []
+    for sign in (1, -1):
+        terms = [(f"x{j}", sign * c) for j, c in enumerate(coefs) if sign * c > 0]
+        sides.append((next(names), terms) if terms else ("0", []))
+    p, n = (var for var, _ in sides)
+    final = (f"{p}{op}{n}+{constant}" if constant >= 0
+             else f"{p}+{-constant}{op}{n}")
+    for var, terms in sides:
+        if terms:
+            final = f"E{var} ({total(terms, var)} & {final})"
+    return final
+
+
+def assert_matches_light_chain(system, extra=()):
+    """Each atom equals, byte for byte, its light-atom formula, in = and <=.
+
+    The atom is one machine with coefficients of any weight; the formula
+    reaches the same relation through atoms of weight at most 3 and the
+    compiler's products and projections, so a prune that goes wrong at
+    some weights shows.  Cases are seeded random light (coefficients,
+    constant), weight * dmax <= 24, then ``extra``.
     """
     rng = random.Random(20240212)
     cases = []
-    while len(cases) < count:
+    while len(cases) < 3:
         coefs = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 3)))
         if sum(map(abs, coefs)) * system.dmax <= 24:
             cases.append((coefs, rng.randint(-3, 3)))
-    for coefs, constant in cases:
-        for le in (False, True):
-            direct = _linear_machine(system, coefs, constant, None, le)
-            composed = _composed_linear(system, coefs, constant, le)
-            assert direct.canonical_bytes() == composed.canonical_bytes(), \
-                (coefs, constant, le)
+    for coefs, constant in cases + list(extra):
+        for op in ("=", "<="):
+            text = f"?{system.name} " + light_chain(coefs, constant, op)
+            chain = formula(system, text)
+            assert atom(system, coefs, constant, op).canonical_bytes() == \
+                chain.canonical_bytes(), (coefs, constant, op)
 
 
 class TestLinearRelation:
     @pytest.mark.parametrize("coefs,constant", LINEAR_SPECS)
     def test_matches_bruteforce_grid(self, system, coefs, constant):
-        if system.name == "msd_sqrt7" and len(coefs) > 2:
-            pytest.skip("covered by the slow variant")
         rel = linear_relation(system, coefs, constant)
         bound = 25 if len(coefs) == 3 else 60
         want = ref_linear_solutions(system.period, coefs, constant, bound)
         got = {tup for tup in itertools.product(range(bound), repeat=len(coefs))
                if rel.accepts_values(tup, system)}
-        assert got == want
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("coefs,constant", [((1, 1, -1), 0), ((3, 4, -1), 0)])
-    def test_matches_bruteforce_grid_sqrt7(self, systems, coefs, constant):
-        system = systems["msd_sqrt7"]
-        rel = linear_relation(system, coefs, constant)
-        want = ref_linear_solutions(system.period, coefs, constant, 20)
-        got = {tup for tup in itertools.product(range(20), repeat=3)
-              if rel.accepts_values(tup, system)}
         assert got == want
 
     def test_empty_word_convention(self, system):
@@ -143,14 +172,14 @@ class TestLinearRelation:
         with pytest.raises(ValueError):
             linear_relation(system, (), 0)
 
-    def test_direct_and_composed_builders_agree(self, system):
+    def test_matches_light_chain(self, system):
         if system.name == "msd_sqrt7":
             pytest.skip("covered by the slow variant")
-        assert_builders_agree(system)
+        assert_matches_light_chain(system, [((-1, 6), -3), ((3, 4, -1), 0)])
 
     @pytest.mark.slow
-    def test_direct_and_composed_builders_agree_sqrt7(self, systems):
-        assert_builders_agree(systems["msd_sqrt7"])
+    def test_matches_light_chain_sqrt7(self, systems):
+        assert_matches_light_chain(systems["msd_sqrt7"], [((-1, 6), -3)])
 
     def test_subtraction_is_transposition(self, systems):
         # x - y = 1 holds only when x >= 1 actually exceeds y; there is no
@@ -180,6 +209,14 @@ ATOM_SHA = {
     ((-4, 1, -3), 0, "="): "b22522a91c77fea95a310d6b75051723dcb7defe20cdcb364fb3a5c390a4c665",
     ((-1, 6), -3, "="): "de7515d4244e914eeabf79a9721fe0f657f5fdcc3f9b9ce59c80d36ef27559a2",
 }
+# sha() over msd_sqrt7 of the atoms of weight * dmax > 24, as built when
+# such atoms were composed from doublings and additions of lighter ones
+SQRT7_ATOM_SHA = {
+    ((-1, 6), -3, "="): "1b6d50a3e99089184cd04a3aed77861aedb24d930be436cfb046880b4b7d2e1a",
+    ((3, 4, -1), 0, "="): "2366238c10f35f56b00ee64795f1011f359ec53e9241c06fcfbe2d04192f375c",
+    ((-4, 1, -3), 0, "="): "6da33982e8cf516dbf3bd2a3a4d8a51ddad96a8a8960ddba205a4696b29b8e52",
+}
+SQRT7_HEAVY_SHA = "bb6a45d67a23b60bd4797dc9b46d1502ae8d53d7fa21859f4430a17ed8d482b6"
 COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
@@ -206,22 +243,24 @@ def assert_atom_matches_arithmetic(system, coefs, constant, op, bound):
 class TestMultiPeriodAtoms:
     @pytest.mark.parametrize("coefs,constant,op", ATOMS)
     def test_matches_arithmetic(self, system, coefs, constant, op):
-        if system.name == "msd_sqrt7" and len(coefs) > 2:
-            pytest.skip("covered by the slow variant")
         assert_atom_matches_arithmetic(system, coefs, constant, op,
                                        25 if len(coefs) == 3 else 60)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("coefs,constant,op",
-                             [a for a in ATOMS if len(a[0]) == 3])
-    def test_matches_arithmetic_sqrt7(self, systems, coefs, constant, op):
-        assert_atom_matches_arithmetic(systems["msd_sqrt7"], coefs, constant,
-                                       op, 20)
 
     @pytest.mark.parametrize("coefs,constant,op", sorted(ATOM_SHA))
     def test_pinned_digest(self, systems, coefs, constant, op):
         got = atom(systems["msd_s13"], coefs, constant, op).sha()
         assert got == ATOM_SHA[coefs, constant, op]
+
+    @pytest.mark.parametrize("coefs,constant,op", sorted(SQRT7_ATOM_SHA))
+    def test_pinned_digest_sqrt7(self, systems, coefs, constant, op):
+        got = atom(systems["msd_sqrt7"], coefs, constant, op).sha()
+        assert got == SQRT7_ATOM_SHA[coefs, constant, op]
+
+    @pytest.mark.slow
+    def test_pinned_digest_sqrt7_heavy(self, systems):
+        # v=9*z+14*u, the atom inside floor_gamma_sync and s11's beatty7
+        got = atom(systems["msd_sqrt7"], (9, 14, -1), 0, "=").sha()
+        assert got == SQRT7_HEAVY_SHA
 
 
 def lt_relation(system):
@@ -318,7 +357,8 @@ class TestShiftRelation:
             assert not rel.accepts_values((u, v + 1), system)
 
 
-# sha() of the machines the hand-wired builders made
+# sha() of the machines the hand-wired builders made; msd_sqrt7's, whose
+# v=9*z+14*u atom dominates its build (about 13 s), is checked under slow
 FLOOR_GAMMA_SHA = {
     "msd_fib": "dd3492ad4fc4b90e77deef6fb672d558dd068ab74a24f41e10688fdfa1095b69",
     "msd_s13": "35cd62b303161dbfc25ce792923e6dde44c8ea28f6eccac4e05061017c1dfe67",

@@ -184,6 +184,25 @@ class TestStorage:
         assert add.accepts_values((1, 1, 3), loaded.env.systems["msd_fib"])
         assert add.sha() == sess.env.predicate("add").automaton.sha()
 
+    def test_cut_meta_line(self, stored):
+        Session.load(stored, out=lambda line: None).execute(
+            'def sub "?msd_fib x=y+z"', ";")
+        meta_path = stored / "meta.jsonl"
+        meta_path.write_bytes(meta_path.read_bytes()[:-20])
+        with pytest.raises(SessionError,
+                           match=r"meta\.jsonl: line 2: JSONDecodeError"):
+            Session.load(stored, out=lambda line: None)
+
+    @pytest.mark.parametrize("key", ["kind", "name"])
+    def test_meta_line_without_kind_or_name(self, stored, key):
+        meta_path = stored / "meta.jsonl"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta[key]
+        meta_path.write_text(json.dumps(meta) + "\n", encoding="utf-8")
+        with pytest.raises(SessionError,
+                           match=f"meta\\.jsonl: line 1: KeyError: '{key}'"):
+            Session.load(stored, out=lambda line: None)
+
     def test_meta_line_without_sha(self, stored):
         meta_path = stored / "meta.jsonl"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
