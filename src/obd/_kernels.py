@@ -8,24 +8,23 @@ go to an implicit dead sink.  Kernels never write into their inputs and
 may return an input array unchanged (``trim`` does when it cuts nothing)
 or a read-only one, so callers must not write into automaton arrays.
 
-Two paths.  ``trim``, ``min_blocks``, ``bfs_renumber`` and
-``pair_product`` pick an implementation by the input's edge count.  Below
-SMALL_EDGES they run plain Python loops over ``.tolist()`` lists with
-``dict`` interning; from SMALL_EDGES on they run whole-array numpy
-passes: frontier searches one BFS level at a time, and Moore rounds as
-one sort of the rows [block, letter-row id, block of each target] per
-out-degree group.  A numpy call costs microseconds however little it
-does, and a small machine needs many BFS levels and Moore rounds for few
-edges, so there the loops win; on large machines their per-edge
-interpreter cost loses by far.  Timing both paths on every call the
-packaged scripts make put the crossover between 4 096 and 16 384 input
-edges for trim, min_blocks and bfs_renumber, and between 1 024 and 2 048
-for pair_product, whose output is several times its input; the single
-constant sits at the low end of the first range.  The two paths return
-identical arrays.  ``quotient`` has only the numpy path, ``determinize``
-(whose inputs in the benchmark stay under 1 000 edges) only the list
-path, and ``walk`` reads one word through a dense successor table (a
-Python list; see ``Automaton.successors``) rather than the CSR arrays.
+Two paths.  Below SMALL_EDGES input edges, ``canonical`` does trim, Moore
+refinement, quotient and BFS renumbering in one pass over ``.tolist()``
+lists with ``dict`` interning, and ``pair_product`` runs a loop of the
+same kind; from SMALL_EDGES on, ``trim``, ``min_blocks``, ``quotient``,
+``bfs_renumber`` and ``pair_product`` run whole-array numpy passes:
+frontier searches one BFS level at a time, and Moore rounds as one sort
+of the rows [block, letter-row id, block of each target] per out-degree
+group.  A numpy call costs microseconds however little it does, and a
+small machine needs many BFS levels and Moore rounds for few edges, so
+there the loops win; on large machines their per-edge interpreter cost
+loses by far.  On the machines the packaged scripts canonicalise, the
+list pass wins up to about 10 000 edges and loses from about 27 000;
+pair_product's loop, whose output is several times its input, loses from
+1 024 to 2 048 edges on.  The single constant sits between the two.  The
+two paths return identical arrays.  ``determinize`` (under 1 000 edges
+in the benchmark) has only a list path, and ``walk`` reads one word
+through a dense successor table (see ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
 needs it (edge positions for gathers, pair keys).  Every per-edge gather
@@ -39,6 +38,7 @@ outgrow their input (product, subset construction) are collected in
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 
 import numpy as np
 
@@ -335,16 +335,12 @@ def _product_array(ia, la, ta, ib, lb, tb, start, mode, accepting):
 # ---------------------------------------------------------------------------
 
 def trim(indptr, letters, targets, acc, initial):
-    n = acc.size
     initial = int(initial)
-    if letters.size < SMALL_EDGES:
-        keep = _useful_list(indptr, targets, acc, initial)
-    else:
-        seen = np.zeros(n, bool)
-        seen[initial] = True
-        seen = _reach(indptr, targets, seen)
-        rev_indptr, sources = _reverse(indptr, targets)
-        keep = _reach(rev_indptr, sources, seen & (acc != 0)) & seen
+    seen = np.zeros(acc.size, bool)
+    seen[initial] = True
+    seen = _reach(indptr, targets, seen)
+    rev_indptr, sources = _reverse(indptr, targets)
+    keep = _reach(rev_indptr, sources, seen & (acc != 0)) & seen
     if keep.all():
         return indptr, letters, targets, acc, initial, True
     if not keep[initial]:
@@ -354,33 +350,6 @@ def trim(indptr, letters, targets, acc, initial):
     edge = np.repeat(keep, np.diff(indptr)) & keep[targets]
     return (_csr(_row_counts(indptr, edge)[keep]), letters[edge],
             remap[targets[edge]], acc[keep], int(remap[initial]), True)
-
-
-def _useful_list(indptr, targets, acc, initial):
-    ip, tg = indptr.tolist(), targets.tolist()
-    n = len(ip) - 1
-    seen = [False] * n
-    seen[initial] = True
-    preds = [[] for _ in range(n)]
-    stack = [initial]
-    while stack:
-        s = stack.pop()
-        for t in tg[ip[s]:ip[s + 1]]:
-            preds[t].append(s)
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    # preds only hold reachable sources, so this stays inside `seen`
-    useful = [False] * n
-    stack = [s for s, a in enumerate(acc.tolist()) if a and seen[s]]
-    for s in stack:
-        useful[s] = True
-    while stack:
-        for p in preds[stack.pop()]:
-            if not useful[p]:
-                useful[p] = True
-                stack.append(p)
-    return np.array(useful, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -393,30 +362,6 @@ def _useful_list(indptr, targets, acc, initial):
 
 def min_blocks(indptr, letters, targets, labels):
     block = _first_occurrence(labels)
-    if letters.size < SMALL_EDGES:
-        return _moore_list(indptr, letters, targets, block)
-    return _moore_array(indptr, letters, targets, block)
-
-
-def _moore_list(indptr, letters, targets, block):
-    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
-    n = len(ip) - 1
-    row_ids: dict = {}
-    row_of = [row_ids.setdefault(tuple(lt[ip[s]:ip[s + 1]]), len(row_ids))
-              for s in range(n)]
-    succ = [tg[ip[s]:ip[s + 1]] for s in range(n)]
-    block = block.tolist()
-    nblocks = max(block) + 1
-    while True:
-        ids: dict = {}
-        new = [ids.setdefault((b, r, *map(block.__getitem__, t)), len(ids))
-               for b, r, t in zip(block, row_of, succ)]
-        if len(ids) == nblocks:
-            return np.array(block, np.int32)
-        block, nblocks = new, len(ids)
-
-
-def _moore_array(indptr, letters, targets, block):
     deg = np.diff(indptr)
     groups = []  # per out-degree: states, letter-row ids, target table
     for d in _distinct(deg).tolist():
@@ -457,37 +402,116 @@ def bfs_renumber(indptr, letters, targets, acc, initial):
     """Relabel states in BFS discovery order (rows are letter sorted, so
     the numbering is canonical for isomorphic automata).  Unreachable
     states are dropped."""
-    initial = int(initial)
-    if letters.size < SMALL_EDGES:
-        ip, tg = indptr.tolist(), targets.tolist()
-        seen = [False] * acc.size
-        seen[initial] = True
-        order = [initial]
-        for s in order:  # the loop visits states appended while it runs
-            for t in tg[ip[s]:ip[s + 1]]:
-                if not seen[t]:
-                    seen[t] = True
-                    order.append(t)
-        order = np.array(order, np.int32)
-    else:
-        # one level at a time; a level keeps the order in which the
-        # previous level's rows first name its states, as a queue would
-        seen = np.zeros(acc.size, bool)
-        seen[initial] = True
-        levels = [np.array([initial], np.int32)]
-        while levels[-1].size:
-            found = []
-            for succ in _successors(indptr, targets, levels[-1]):
-                succ = succ[~seen[succ]]
-                _, first = np.unique(succ, return_index=True)
-                succ = succ[np.sort(first)]
-                seen[succ] = True
-                found.append(succ)
-            levels.append(np.concatenate(found))
-        order = np.concatenate(levels)
+    # one level at a time; a level keeps the order in which the previous
+    # level's rows first name its states, as a queue would
+    seen = np.zeros(acc.size, bool)
+    seen[initial] = True
+    levels = [np.array([initial], np.int32)]
+    while levels[-1].size:
+        found = []
+        for succ in _successors(indptr, targets, levels[-1]):
+            succ = succ[~seen[succ]]
+            _, first = np.unique(succ, return_index=True)
+            succ = succ[np.sort(first)]
+            seen[succ] = True
+            found.append(succ)
+        levels.append(np.concatenate(found))
+    order = np.concatenate(levels)
     pos = np.empty(acc.size, np.int32)
     pos[order] = np.arange(order.size, dtype=np.int32)
     return (*_gather(indptr, letters, targets, order, pos), acc[order], order)
+
+
+# ---------------------------------------------------------------------------
+# the four steps above in one pass over lists, for small machines
+# ---------------------------------------------------------------------------
+
+def _no_targets(block):
+    return None
+
+
+def canonical(indptr, letters, targets, acc, initial, labels=None):
+    """What trim, min_blocks, quotient and bfs_renumber give in turn, and
+    an input state of each output state.  With `labels` None the machine
+    is a relation: it is trimmed (a dead initial state gives the one-state
+    empty machine) and refined by acceptance.  Otherwise it is a word
+    automaton: not trimmed, and refined by `labels`.  Unreachable states
+    take no part: they cannot split a block, and BFS drops them anyway."""
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    label = (acc if labels is None else labels).tolist()
+    n = len(label)
+    seen = [False] * n
+    seen[initial] = True
+    preds = [[] for _ in range(n)]
+    states = [initial]
+    for s in states:  # the loop visits states appended while it runs
+        for t in tg[ip[s]:ip[s + 1]]:
+            preds[t].append(s)
+            if not seen[t]:
+                seen[t] = True
+                states.append(t)
+    at = [-1] * n  # input state -> position in `states`, -1 when cut
+    if labels is None:
+        stack = [s for s in states if label[s]]
+        for s in stack:
+            at[s] = 0
+        while stack:
+            for p in preds[stack.pop()]:
+                if at[p] < 0:
+                    at[p] = 0
+                    stack.append(p)
+        if at[initial] < 0:
+            return (np.zeros(2, np.int64), np.empty(0, np.int32),
+                    np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
+        states = [s for s in states if at[s] == 0]
+    for i, s in enumerate(states):
+        at[s] = i
+    tg = [at[t] for t in tg]  # targets as positions, -1 when cut
+    rows, succ = [], []
+    for s in states:
+        lo, hi = ip[s], ip[s + 1]
+        row, out = lt[lo:hi], tg[lo:hi]
+        if -1 in out:  # edges into cut states go too
+            row = [c for c, t in zip(row, out) if t >= 0]
+            out = [t for t in out if t >= 0]
+        rows.append(row)
+        succ.append(out)
+    # Moore rounds from the partition by (label, letter row): states with
+    # different rows are never equivalent, so the fixpoint is the same
+    ids: dict = {}
+    block = [ids.setdefault((label[s], *row), len(ids)) for s, row in zip(states, rows)]
+    nblocks = len(ids)
+    # a state's target blocks, read in one call: states of one block have
+    # one row, so their keys have one shape
+    reads = [itemgetter(*out) if out else _no_targets for out in succ]
+    while nblocks < len(block):  # singletons cannot split
+        ids = {}
+        new = [ids.setdefault((b, read(block)), len(ids))
+               for b, read in zip(block, reads)]
+        if len(ids) == nblocks:
+            break
+        block, nblocks = new, len(ids)
+    # equivalent states have equal rows up to blocks, so any one will do
+    rep = [0] * nblocks
+    for i, b in enumerate(block):
+        rep[b] = i
+    pos = [-1] * nblocks
+    pos[block[0]] = 0
+    order = [block[0]]
+    out_indptr, out_letters, out_targets = [0], [], []
+    for b in order:  # BFS over blocks, in the same order as bfs_renumber
+        s = rep[b]
+        for t in succ[s]:
+            t = block[t]
+            if pos[t] < 0:
+                pos[t] = len(order)
+                order.append(t)
+            out_targets.append(pos[t])
+        out_letters += rows[s]
+        out_indptr.append(len(out_targets))
+    kept = [states[rep[b]] for b in order]
+    return (np.array(out_indptr, np.int64), np.array(out_letters, np.int32),
+            np.array(out_targets, np.int32), acc[kept], np.array(kept, np.int32))
 
 
 # ---------------------------------------------------------------------------

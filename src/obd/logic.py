@@ -462,6 +462,8 @@ class StoredPredicate:
     automaton: Automaton
     source: str
     kind: str = "relation"  # or "word"
+    # set for def machines: they accept canonical tuples of this system only
+    canon_of: NumerationSystem | None = None
 
     @property
     def state_count(self) -> int:
@@ -678,7 +680,8 @@ class _Compiler:
             out = self.project_name(out, w)
         return out
 
-    def apply_relation(self, aut: Automaton, args, label: str) -> _Node:
+    def apply_relation(self, aut: Automaton, args, label: str,
+                       inside_canon: bool = False) -> _Node:
         if aut.arity != len(args):
             raise LogicError(
                 f"{label} takes {aut.arity} arguments, got {len(args)}")
@@ -698,7 +701,11 @@ class _Compiler:
         perm = [order.index(v) for v in names]
         if perm != list(range(len(perm))):
             aut = aut.permute_tracks(perm)
-        aut = aut.intersect(self.canon(len(order)))
+        # canon(k) checks each track alone, so a def machine stays inside
+        # it under permuted or repeated arguments; reg and shift machines,
+        # F[.] tests and loaded machines may lie outside it
+        if not inside_canon:
+            aut = aut.intersect(self.canon(len(order)))
         out = _Node(aut, order)
         for constraint in constraints:
             out = self.merge("&", out, self.constraint_node(constraint))
@@ -717,7 +724,8 @@ class _Compiler:
             raise LogicError(
                 f"${node.name} belongs to {pred.system_name}, the formula "
                 f"uses {self.system.name}: mixed systems are not allowed")
-        return self.apply_relation(pred.automaton, node.args, f"${node.name}")
+        return self.apply_relation(pred.automaton, node.args, f"${node.name}",
+                                   pred.canon_of is self.system)
 
     def word_test(self, node: WordTest) -> _Node:
         pred = self.env.predicate(node.name)
@@ -793,5 +801,6 @@ def def_predicate(env: Environment, name: str, text: str, *,
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
         raise LogicError(f"bad predicate name {name!r}")
     aut, free, system = compile_formula(env, text, trace=trace)
-    pred = StoredPredicate(name, system.name, aut, text)
+    # by the _Node invariant the machine accepts canonical tuples only
+    pred = StoredPredicate(name, system.name, aut, text, canon_of=system)
     return env.add_predicate(pred)

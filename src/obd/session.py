@@ -226,7 +226,9 @@ class Session:
                     encoding="utf-8").splitlines(), 1):
                 try:
                     meta = json.loads(line)
-                    meta["kind"], meta["name"]  # every line needs both
+                    meta["kind"], meta["name"]  # every line needs both,
+                    if meta["kind"] in ("system", "relation", "word"):  # and these one more
+                        meta["period" if meta["kind"] == "system" else "source"]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise SessionError(f"load {meta_path}: line {n}: "
                                        f"{type(exc).__name__}: {exc}") from exc

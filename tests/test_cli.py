@@ -63,6 +63,19 @@ def test_cut_meta_line_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_meta_line_without_source_exits_1(tmp_path, capsys):
+    (tmp_path / "ok.obd").write_text(SCRIPT, encoding="utf-8")
+    assert main(["run", "ok.obd", "--dir", "sess"]) == 0
+    meta = tmp_path / "sess" / "meta.jsonl"
+    meta.write_text(meta.read_text(encoding="utf-8").replace('"source"', '"src"'),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["info", "add", "--dir", "sess"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: load ") and "line 1: KeyError: 'source'" in err
+    assert "Traceback" not in err
+
+
 def test_repl_keeps_reading_after_a_system_error(tmp_path, capsys,
                                                  monkeypatch):
     (tmp_path / "ok.obd").write_text(SCRIPT, encoding="utf-8")

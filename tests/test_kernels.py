@@ -1,12 +1,13 @@
 """Differential tests of the kernels' two paths, and their memory bounds.
 
-trim, min_blocks, bfs_renumber and pair_product have a list path for
-small inputs and a whole-array path for large ones, chosen by edge count
-against ``SMALL_EDGES``.  Here both paths run on the same random CSR
-machines (forced by moving the constant) and must return identical
-arrays; trim's shared compaction and quotient, which has one path, are
-also checked against scalar reference loops, and walk over the dense
-successor table against a binary search in the CSR rows.
+Canonicalisation and pair_product have a list path for small inputs and
+a whole-array path for large ones, chosen by edge count against
+``SMALL_EDGES``: below it ``canonical`` does in one pass what the array
+kernels trim, min_blocks, quotient and bfs_renumber do in turn.  Here
+both paths run on the same random CSR machines (forced by moving the
+constant) and must return identical arrays; trim's compaction and
+quotient are also checked against scalar reference loops, and walk over
+the dense successor table against a binary search in the CSR rows.
 """
 import tracemalloc
 
@@ -161,16 +162,68 @@ def test_walk_matches_binary_search(seed):
                 assert got == (n if want < 0 else want), (initial, word)
 
 
+def sized(rng, edges):
+    """A random machine cut down to exactly `edges` edges."""
+    indptr, letters, targets, acc = random_machine(rng, edges // 2 + 1, 4,
+                                                   density=0.8, classes=40)
+    assert letters.size >= edges
+    return np.minimum(indptr, edges), letters[:edges], targets[:edges], acc
+
+
+def canonical_machines(seed):
+    """shapes(seed), a dead initial state and the two sizes either side of
+    SMALL_EDGES, each with initial state 0 and n - 1."""
+    rng = np.random.default_rng(seed)
+    machines = shapes(seed)
+    # state 0 has no edges and does not accept
+    indptr, letters, targets, acc = random_machine(rng, 200, 3, acc_p=0.5)
+    acc = acc.copy()
+    acc[0] = 0
+    machines.append((np.maximum(indptr - indptr[1], 0), letters[indptr[1]:],
+                     targets[indptr[1]:], acc))
+    machines += [sized(rng, K.SMALL_EDGES - 1), sized(rng, K.SMALL_EDGES)]
+    for indptr, letters, targets, acc in machines:
+        for initial in (0, acc.size - 1):
+            yield indptr, letters, targets, acc, initial
+
+
+def canonical_arrays(aut):
+    out = aut._canonical()
+    return (out.indptr, out.letters, out.targets, out.accepting, out.initial,
+            out.outputs)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_trim_paths_agree(monkeypatch, seed):
+def test_canonical_paths_agree(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    machines = list(canonical_machines(seed))
+    assert [m[1].size for m in machines[-4:]] == \
+        [K.SMALL_EDGES - 1] * 2 + [K.SMALL_EDGES] * 2
+    dead = 0
+    for indptr, letters, targets, acc, initial in machines:
+        nl = int(letters.max(initial=0)) + 1
+        relation = Automaton(1, nl - 1, indptr, letters, targets, acc, initial)
+        # word automaton: no trim, labels from negative outputs too
+        word = Automaton(1, nl - 1, indptr, letters, targets, acc, initial,
+                         rng.integers(-3, 2, acc.size))
+        for aut in (relation, word):
+            small, large = both_paths(monkeypatch, canonical_arrays, aut)
+            assert_same(small, large)
+            monkeypatch.undo()  # and the path SMALL_EDGES itself picks
+            assert_same(small, canonical_arrays(aut))
+        if not trim_reference(indptr, letters, targets, acc, initial)[5]:
+            dead += 1  # no accepting state in reach: the empty machine
+            assert_same(canonical_arrays(relation),
+                        canonical_arrays(Automaton.empty(1, nl - 1)))
+    assert dead >= 3
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_trim_matches_reference(seed):
     for indptr, letters, targets, acc in shapes(seed):
         for initial in (0, acc.size - 1):
-            small, large = both_paths(monkeypatch, K.trim, indptr, letters,
-                                      targets, acc, np.int64(initial))
-            assert_same(small, large)
-            if seed == 1:
-                assert_same(small, trim_reference(indptr, letters, targets, acc,
-                                                  initial))
+            assert_same(K.trim(indptr, letters, targets, acc, np.int64(initial)),
+                        trim_reference(indptr, letters, targets, acc, initial))
 
 
 def test_trim_keeps_everything_unchanged(monkeypatch):
@@ -192,19 +245,6 @@ def test_trim_nothing_useful(monkeypatch):
     small, large = both_paths(monkeypatch, K.trim, indptr, letters, targets, acc, 0)
     assert_same(small, large)
     assert small[0].tolist() == [0] and small[5] is False
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_min_blocks_paths_agree(monkeypatch, seed):
-    rng = np.random.default_rng(seed)
-    for indptr, letters, targets, acc in shapes(seed):
-        # negative labels, as word automata give for negative outputs
-        for labels in (acc.astype(np.int64),
-                       rng.integers(-3, 2, acc.size).astype(np.int64)):
-            small, large = both_paths(monkeypatch, K.min_blocks, indptr,
-                                      letters, targets, labels)
-            assert_same(small, large)
-            assert small.max() + 1 == np.unique(small).size
 
 
 def quotient_reference(indptr, letters, targets, acc, block, nblocks, initial):
@@ -233,15 +273,6 @@ def test_quotient_matches_reference(seed):
             got = K.quotient(indptr, letters, targets, acc, block, nblocks, initial)
             assert_same(got, quotient_reference(indptr, letters, targets, acc,
                                                 block, nblocks, initial))
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_bfs_renumber_paths_agree(monkeypatch, seed):
-    for indptr, letters, targets, acc in shapes(seed):
-        for initial in (0, acc.size - 1):
-            small, large = both_paths(monkeypatch, K.bfs_renumber, indptr,
-                                      letters, targets, acc, np.int64(initial))
-            assert_same(small, large)
 
 
 def dead_machine():

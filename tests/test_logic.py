@@ -6,11 +6,12 @@ with the synchronizers of obd.beatty, whose digests test_relations pins.  Everyt
 the compiler's handling of terms, quantifiers, and word automata.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 
-from obd import NumerationSystem
+from obd import NumerationSystem, _kernels
 from obd.logic import (
     Environment,
     LogicError,
@@ -280,3 +281,32 @@ class TestCompilationBehavior:
         assert free == ("a", "b", "c")
         assert aut.arity == 3
         assert system is systems["msd_s2"]
+
+    def test_def_machines_skip_the_canon_product(self, systems, monkeypatch):
+        fib = systems["msd_fib"]
+        env = Environment()
+        env.add_system(fib)
+        lt = def_predicate(env, "lt", "?msd_fib x<y")
+        assert lt.canon_of is fib
+        # the same machine, but not known to be canonical, as after a load
+        env.add_predicate(dataclasses.replace(lt, name="lt0", canon_of=None))
+        calls = []
+        product = _kernels.pair_product
+
+        def counted(*args):
+            calls.append(1)
+            return product(*args)
+        monkeypatch.setattr(_kernels, "pair_product", counted)
+
+        def compiled(text):
+            compile_formula(env, text)  # builds and caches what canon needs
+            calls.clear()
+            return compile_formula(env, text)[0].sha(), len(calls)
+        # permuted, repeated and term arguments stay inside canon
+        for args in ("y,x", "x,x", "x+1,y", "x,y"):
+            skipped, with_product = compiled(f"$lt({args})"), compiled(f"$lt0({args})")
+            assert skipped[0] == with_product[0]
+            assert skipped[1] == with_product[1] - 1
+        # a system redefined under the same name has another canon
+        env.add_system(NumerationSystem("msd_fib", (1,)))
+        assert compiled("$lt(x,y)")[1] == compiled("$lt0(x,y)")[1]

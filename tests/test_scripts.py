@@ -10,6 +10,8 @@ count the products each section builds.
 import pytest
 
 from obd import _kernels
+from obd.logic import Environment
+from obd.relations import canonical_recognizer
 from obd.repro import FAST_SECTIONS, SLOW_SECTIONS, run_section
 from obd.session import Session
 
@@ -103,26 +105,32 @@ PINNED = {
 
 # Upper bounds on what one run of a section builds with
 # ``_kernels.pair_product``, its checks included: (calls, product states
-# before minimisation).  The five compile-small sections make 590 calls
-# (674 when the linear atoms intersected the union of their per-residue
-# pieces with the canonical-word recognizer, 841 when every connective
-# also intersected both widened operands with it).  A compiler or atom
-# builder change that adds products back, or drops the canonical step in
-# ``&`` that keeps s6's products small, fails here by name, with no timing
-# involved.
+# before minimisation).  The five compile-small sections make 467 calls
+# (590 when every applied def machine was intersected again with the
+# canonical-word recognizer it already lies inside, 674 when the linear
+# atoms intersected the union of their per-residue pieces with it, 841
+# when every connective also intersected both widened operands with it).
+# A compiler or atom builder change that adds products back, or drops the
+# canonical step in ``&`` that keeps s6's products small, fails here by
+# name, with no timing involved.
 PRODUCTS = {
-    "s6": (49, 16825),
-    "s7": (30, 537),
-    "s8": (119, 2262),
-    "s9": (120, 4966),
-    "s10": (198, 12249),
-    "s12": (123, 1677),
+    "s6": (46, 16646),
+    "s7": (26, 502),
+    "s8": (92, 1952),
+    "s9": (92, 4325),
+    "s10": (159, 11294),
+    "s12": (98, 1505),
 }
 
 
 def failed_checks(section, tmp_path):
     return [f"{r.label}: {r.detail}" for r in run_section(section, tmp_path)
             if not r.ok]
+
+
+def stored_digests(section, tmp_path):
+    sess = Session.load(tmp_path / section, out=lambda line: None)
+    return {name: pred.automaton.sha() for name, pred in sess.env.predicates.items()}
 
 
 @pytest.mark.parametrize("section", FAST_SECTIONS)
@@ -135,13 +143,30 @@ def test_section(section, tmp_path, monkeypatch):
         built.append(out[3].size)  # one accepting flag per product state
         return out
     monkeypatch.setattr(_kernels, "pair_product", counted)
+    inside = []  # def machines, which calls apply without the canon product
+    add = Environment.add_predicate
+
+    def recorded(env, pred):
+        if pred.canon_of is not None:
+            inside.append(pred)
+        return add(env, pred)
+    monkeypatch.setattr(Environment, "add_predicate", recorded)
     assert failed_checks(section, tmp_path) == []
     calls, states = PRODUCTS[section]
     assert len(built) <= calls
     assert sum(built) <= states
-    sess = Session.load(tmp_path / section, out=lambda line: None)
-    got = {name: pred.automaton.sha() for name, pred in sess.env.predicates.items()}
-    assert got == PINNED[section]
+    assert stored_digests(section, tmp_path) == PINNED[section]
+    assert inside
+    for pred in inside:
+        canon = canonical_recognizer(pred.canon_of, pred.automaton.arity)
+        assert pred.automaton.andnot(canon).is_empty(), pred.name
+
+
+def test_array_path_gives_the_pinned_machines(tmp_path, monkeypatch):
+    # every minimisation, and every product, on the numpy kernels
+    monkeypatch.setattr(_kernels, "SMALL_EDGES", 0)
+    assert failed_checks("s7", tmp_path) == []
+    assert stored_digests("s7", tmp_path) == PINNED["s7"]
 
 
 # s11's machines are not pinned: no complete run of it exists to take the

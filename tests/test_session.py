@@ -203,6 +203,20 @@ class TestStorage:
                            match=f"meta\\.jsonl: line 1: KeyError: '{key}'"):
             Session.load(stored, out=lambda line: None)
 
+    @pytest.mark.parametrize("command, key", [
+        ('def add "?msd_fib x+y=z"', "source"),
+        ("ost two [0] [2]", "period"),
+    ])
+    def test_meta_line_without_what_load_reads(self, tmp_path, command, key):
+        Session(tmp_path / "sess", out=lambda line: None).execute(command, ";")
+        meta_path = tmp_path / "sess" / "meta.jsonl"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta[key]
+        meta_path.write_text(json.dumps(meta) + "\n", encoding="utf-8")
+        with pytest.raises(SessionError,
+                           match=f"^load .*meta\\.jsonl: line 1: KeyError: '{key}'"):
+            Session.load(tmp_path / "sess", out=lambda line: None)
+
     def test_meta_line_without_sha(self, stored):
         meta_path = stored / "meta.jsonl"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
