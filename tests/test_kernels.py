@@ -5,9 +5,12 @@ a whole-array path for large ones, chosen by edge count against
 ``SMALL_EDGES``: below it ``canonical`` does in one pass what the array
 kernels trim, min_blocks, quotient and bfs_renumber do in turn.  Here
 both paths run on the same random CSR machines (forced by moving the
-constant) and must return identical arrays; trim's compaction and
-quotient are also checked against scalar reference loops, and walk over
-the dense successor table against a binary search in the CSR rows.
+constant) and must return identical arrays.  trim, min_blocks and
+bfs_renumber each keep only their array path; the plain loops that were
+their list paths live on here as references, and each kernel must return
+what its loop returns.  quotient is checked against a scalar loop too,
+and walk over the dense successor table against a binary search in the
+CSR rows.
 """
 import tracemalloc
 
@@ -218,8 +221,8 @@ def test_canonical_paths_agree(monkeypatch, seed):
     assert dead >= 3
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_trim_matches_reference(seed):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trim_paths_agree(seed):
     for indptr, letters, targets, acc in shapes(seed):
         for initial in (0, acc.size - 1):
             assert_same(K.trim(indptr, letters, targets, acc, np.int64(initial)),
@@ -245,6 +248,38 @@ def test_trim_nothing_useful(monkeypatch):
     small, large = both_paths(monkeypatch, K.trim, indptr, letters, targets, acc, 0)
     assert_same(small, large)
     assert small[0].tolist() == [0] and small[5] is False
+
+
+def min_blocks_reference(indptr, letters, targets, labels):
+    """Moore rounds over lists, blocks numbered by first occurrence."""
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    n = len(ip) - 1
+    row_ids: dict = {}
+    row_of = [row_ids.setdefault(tuple(lt[ip[s]:ip[s + 1]]), len(row_ids))
+              for s in range(n)]
+    succ = [tg[ip[s]:ip[s + 1]] for s in range(n)]
+    ids: dict = {}
+    block = [ids.setdefault(b, len(ids)) for b in labels.tolist()]
+    nblocks = len(ids)
+    while True:
+        ids = {}
+        new = [ids.setdefault((b, r, *[block[t] for t in ts]), len(ids))
+               for b, r, ts in zip(block, row_of, succ)]
+        if len(ids) == nblocks:
+            return np.array(block, np.int32)
+        block, nblocks = new, len(ids)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_min_blocks_paths_agree(seed):
+    rng = np.random.default_rng(seed)
+    for indptr, letters, targets, acc in shapes(seed):
+        # negative labels, as word automata give for negative outputs
+        for labels in (acc.astype(np.int64),
+                       rng.integers(-3, 2, acc.size).astype(np.int64)):
+            got = K.min_blocks(indptr, letters, targets, labels)
+            assert_same(got, min_blocks_reference(indptr, letters, targets, labels))
+            assert got.max() + 1 == np.unique(got).size
 
 
 def quotient_reference(indptr, letters, targets, acc, block, nblocks, initial):
@@ -273,6 +308,34 @@ def test_quotient_matches_reference(seed):
             got = K.quotient(indptr, letters, targets, acc, block, nblocks, initial)
             assert_same(got, quotient_reference(indptr, letters, targets, acc,
                                                 block, nblocks, initial))
+
+
+def bfs_renumber_reference(indptr, letters, targets, acc, initial):
+    """Queue BFS over lists, then the rows copied in discovery order."""
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    pos = {initial: 0}
+    order = [initial]
+    for s in order:  # the loop visits states appended while it runs
+        for t in tg[ip[s]:ip[s + 1]]:
+            if t not in pos:
+                pos[t] = len(order)
+                order.append(t)
+    new_indptr, new_letters, new_targets = [0], [], []
+    for s in order:
+        new_letters += lt[ip[s]:ip[s + 1]]
+        new_targets += [pos[t] for t in tg[ip[s]:ip[s + 1]]]
+        new_indptr.append(len(new_letters))
+    return (np.array(new_indptr, np.int64), np.array(new_letters, np.int32),
+            np.array(new_targets, np.int32), acc[order], np.array(order, np.int32))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bfs_renumber_paths_agree(seed):
+    for indptr, letters, targets, acc in shapes(seed):
+        for initial in (0, acc.size - 1):
+            got = K.bfs_renumber(indptr, letters, targets, acc, np.int64(initial))
+            assert_same(got, bfs_renumber_reference(indptr, letters, targets, acc,
+                                                    initial))
 
 
 def dead_machine():
