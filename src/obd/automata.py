@@ -366,7 +366,9 @@ class Automaton:
         """Smallest padding-closed language with the same stripped words.
 
         Equals {u : strip(u) = strip(w) for some accepted w}; built as
-        0* . L with leading-zero closure folded in.
+        0* . L with leading-zero closure folded in.  The regex compiler
+        and the linear atom builder (``relations._linear_machine``, which
+        builds only the words of one length residue) call it.
         """
         n = self.n_states
         q0row = slice(self.indptr[self.initial], self.indptr[self.initial + 1])

@@ -10,10 +10,11 @@ The central construction is :func:`linear_relation`, which recognizes
 ``sum(c_j * n_j) == c0`` by tracking the running imbalance in a rolling basis
 of consecutive convergent denominators; :func:`inequality_relation` is its
 ``<=`` twin, and every comparison atom of a formula compiles to one of the
-two.  Both build every atom, whatever its coefficients, with one machine
-that walks the imbalance in step with canon(k), so each per-residue piece
-is built inside the canonical language and no product with canon(k)
-follows.  :func:`shift_relation` is the digit-shift relation the paper's
+two.  Both build every atom, whatever its coefficients, by walking the
+imbalance in step with canon(k) over the words whose length is a multiple
+of the period length m, then closing that piece under leading zeros, which
+gives every other length; no product with canon(k) follows.
+:func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
 :mod:`obd.beatty` included, is written as a formula and compiled by
@@ -172,13 +173,13 @@ def linear_relation(system: NumerationSystem, coefficients, constant: int,
 
     Reading msd-first, the imbalance accumulated so far is kept as an integer
     pair ``(s, t)`` meaning ``s*q_i + t*q_{i-1}`` at the current position
-    ``i``.  Since the automaton cannot know the final length in advance, one
-    such pair is kept for every residue of the current position mod m; on
-    each step every hypothesis is rebased one position down using
-    ``q_i = a_i q_{i-1} + q_{i-2}`` and hypotheses that drift outside the
-    still-cancelable band (see :func:`pruning_bound`) are discarded.  A word
-    is accepted exactly when the position-0 hypothesis lands on the constant
-    and every track is canonical.
+    ``i``.  Walking words whose length is a multiple of the period length
+    m, it knows the current position mod m; each step rebases the pair one
+    position down using ``q_i = a_i q_{i-1} + q_{i-2}`` and discards a pair
+    that drifts outside the still-cancelable band (see
+    :func:`pruning_bound`).  Such a word is accepted exactly when the pair
+    lands on the constant and every track is canonical; leading zeros give
+    the other lengths (see :func:`_linear_machine`).
     """
     coefficients = tuple(int(c) for c in coefficients)
     if not coefficients:
@@ -196,11 +197,12 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     and collapses to a single DONE marker, so the live band has the same
     width in both modes.
 
-    Each per-residue piece is built inside canon(k), the recognizer of
-    canonical k-tuples, by walking its states in step with canon(k)'s
-    CSR rows; the m pieces are then unioned with m - 1 products and no
-    final intersection.  The machine is cached on the system per
-    (coefficients, constant, bound, le).
+    One piece, the words of length == 0 (mod m), is walked in step with
+    the CSR rows of canon(k), the recognizer of canonical k-tuples.  The
+    relation is padding closed, so with m > 1 closing the piece under
+    leading zeros (:meth:`Automaton.pad_normalized`) gives every other
+    length; with m = 1 the piece is the whole relation.  The machine is
+    cached on the system per (coefficients, constant, bound, le).
     """
     key = ("linear", coefficients, constant, bound, le)
     cached = system._cache.get(key)
@@ -269,17 +271,17 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     if le:
         viable = viable_le
 
-    # A pair born for words of length == r (mod m) migrates one phase
-    # down per letter and is evaluated when it reaches phase 0, entirely
-    # independent of the pairs for the other residues.  So the relation is
-    # the union over r of small one-pair machines (state = phase plus pair,
-    # with a decided-true pair collapsed to DONE in comparison mode),
-    # instead of one machine over m-tuples of pairs, whose reachable part
-    # is the near-product of the per-residue sets.  Each piece is walked in
-    # step with canon(k), the recognizer of canonical k-tuples: a state is
-    # a pair id and a canon state c, only the letters of c's row are
-    # followed, and acceptance also asks that c accepts.  The pieces then
-    # already lie inside canon(k), so their union needs no final product.
+    # A pair born at phase r drops one phase per letter and is evaluated
+    # at phase 0, so the one-pair machine (state = phase plus pair, a
+    # decided-true pair collapsed to DONE in comparison mode) started at
+    # phase r accepts the words of the relation L of length == r (mod m).
+    # L is padding closed, since an all-zero leading letter keeps every
+    # track canonical and every value; so the piece for r is the piece
+    # for 0 with m - r leading zeros removed, and L is the phase-0 piece
+    # closed under leading zeros.  It is walked in step with canon(k): a
+    # state is a pair id and a canon state c, only the letters of c's row
+    # are followed, and acceptance also asks that c accepts, so the piece
+    # and its closure lie inside canon(k).
     DONE = -(8 * hard + 9)
     weight_of = [sum(c * d for c, d in zip(coefficients,
                                            letter_digits(code, arity, dmax)))
@@ -293,8 +295,8 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
 
     # pairs[p] is the (phase, s, t) of pair id p, and steps[p] maps a
     # letter weight to the successor pair id (-1: dead); the pair
-    # arithmetic and its viability test do not depend on c or on r0, so
-    # every canon state and every piece reads the same memo
+    # arithmetic and its viability test do not depend on c, so every
+    # canon state reads the same memo
     pair_id: dict[tuple, int] = {}
     pairs: list[tuple] = []
     steps: list[dict] = []
@@ -320,60 +322,55 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
             return intern((nphase, DONE, DONE))
         return -1
 
-    pieces = []
-    for r0 in range(m):
-        # a state is the integer p * nc + c
-        start = intern((r0, 0, 0)) * nc + canon.initial
-        index = {start: 0}
-        order = [start]
-        edge_src = array("q")
-        edge_letter = array("i")
-        edge_dst = array("i")
-        index_get = index.get
-        at = 0
-        while at < len(order):
-            p, c = divmod(order[at], nc)
-            memo = steps[p]
-            memo_get = memo.get
-            for j in range(c_indptr[c], c_indptr[c + 1]):
-                code = c_letters[j]
-                weighted = weight_of[code]
-                q = memo_get(weighted)
-                if q is None:
-                    q = memo[weighted] = step(p, weighted)
-                if q < 0:
-                    continue
-                succ = q * nc + c_targets[j]
-                nxt = index_get(succ)
-                if nxt is None:
-                    nxt = len(order)
-                    index[succ] = nxt
-                    order.append(succ)
-                edge_src.append(at)
-                edge_letter.append(code)
-                edge_dst.append(nxt)
-            at += 1
+    # a state is the integer p * nc + c
+    start = intern((0, 0, 0)) * nc + canon.initial
+    index = {start: 0}
+    order = [start]
+    edge_src = array("q")
+    edge_letter = array("i")
+    edge_dst = array("i")
+    index_get = index.get
+    at = 0
+    while at < len(order):
+        p, c = divmod(order[at], nc)
+        memo = steps[p]
+        memo_get = memo.get
+        for j in range(c_indptr[c], c_indptr[c + 1]):
+            code = c_letters[j]
+            weighted = weight_of[code]
+            q = memo_get(weighted)
+            if q is None:
+                q = memo[weighted] = step(p, weighted)
+            if q < 0:
+                continue
+            succ = q * nc + c_targets[j]
+            nxt = index_get(succ)
+            if nxt is None:
+                nxt = len(order)
+                index[succ] = nxt
+                order.append(succ)
+            edge_src.append(at)
+            edge_letter.append(code)
+            edge_dst.append(nxt)
+        at += 1
 
-        n_states = len(order)
-        accepting = np.zeros(n_states, np.uint8)
-        for i, state in enumerate(order):
-            p, c = divmod(state, nc)
-            phase, s, _t = pairs[p]
-            # DONE (very negative) passes <= and can never equal the constant
-            if phase == 0 and c_accepting[c] and (
-                    s <= constant if le else s == constant):
-                accepting[i] = 1
-        src = np.frombuffer(edge_src, np.int64)
-        lets = np.frombuffer(edge_letter, np.int32)
-        targets = np.frombuffer(edge_dst, np.int32)
-        indptr = np.zeros(n_states + 1, np.int64)
-        np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
-        pieces.append(Automaton(arity, dmax, indptr, lets, targets,
-                                accepting, 0)._canonical())
-
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = out.union(piece)
+    n_states = len(order)
+    accepting = np.zeros(n_states, np.uint8)
+    for i, state in enumerate(order):
+        p, c = divmod(state, nc)
+        phase, s, _t = pairs[p]
+        # DONE (very negative) passes <= and can never equal the constant
+        if phase == 0 and c_accepting[c] and (
+                s <= constant if le else s == constant):
+            accepting[i] = 1
+    src = np.frombuffer(edge_src, np.int64)
+    lets = np.frombuffer(edge_letter, np.int32)
+    targets = np.frombuffer(edge_dst, np.int32)
+    indptr = np.zeros(n_states + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
+    out = Automaton(arity, dmax, indptr, lets, targets, accepting, 0)._canonical()
+    if m > 1:
+        out = out.pad_normalized()
     system._cache[key] = out
     return out
 

@@ -315,6 +315,18 @@ class Session:
         if not period or any(a < 1 for a in period):
             raise SessionError("period entries must be >= 1")
         rotated, all_ones = period_rotate(tuple(period))
+        old = self.env.systems.get(f"msd_{name}")
+        if old is not None and old.period != rotated:
+            # predicates name their system, not its period, so they would
+            # be applied to the new one unchecked
+            users = sorted(p.name for p in self.env.predicates.values()
+                           if p.system_name == old.name)
+            if users:
+                was, now = (" ".join(map(str, p)) for p in (old.period, rotated))
+                raise SessionError(
+                    f"{old.name} has period [{was}] and is used by "
+                    f"{', '.join('$' + u for u in users)}; "
+                    f"cannot redefine it as [{now}]")
         system = NumerationSystem(f"msd_{name}", rotated)
         self.env.add_system(system)
         self._store("system", system.name, system.name, "ost", None,

@@ -93,3 +93,11 @@ def test_repl_keeps_reading_after_a_system_error(tmp_path, capsys,
     out = capsys.readouterr().out
     assert "system error: " in out and "missing" in out
     assert "add: relation over msd_fib" in out
+
+
+def test_redefined_system_in_use_exits_1(tmp_path, capsys):
+    (tmp_path / "redef.obd").write_text(
+        'ost x [0] [1 2]:\ndef lt "?msd_x a<b":\nost x [0] [2 2]:\n',
+        encoding="utf-8")
+    assert main(["run", "redef.obd", "--dir", "sess"]) == 1
+    assert capsys.readouterr().err.startswith("error: ost: msd_x ")

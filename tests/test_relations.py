@@ -217,7 +217,7 @@ SQRT7_ATOM_SHA = {
     ((-4, 1, -3), 0, "="): "6da33982e8cf516dbf3bd2a3a4d8a51ddad96a8a8960ddba205a4696b29b8e52",
 }
 SQRT7_HEAVY_SHA = "bb6a45d67a23b60bd4797dc9b46d1502ae8d53d7fa21859f4430a17ed8d482b6"
-COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
 def atom(system, coefs, constant, op):
@@ -246,6 +246,23 @@ class TestMultiPeriodAtoms:
         assert_atom_matches_arithmetic(system, coefs, constant, op,
                                        25 if len(coefs) == 3 else 60)
 
+    @pytest.mark.parametrize("sysname", ["msd_s13", "msd_sqrt7"])
+    @pytest.mark.parametrize("coefs,constant,op", ATOMS)
+    def test_every_length_residue(self, systems, sysname, coefs, constant, op):
+        # the atom is built for word lengths == 0 (mod m) and closed under
+        # leading zeros, so read each tuple at every length residue
+        system = systems[sysname]
+        m = system.period_length
+        rel = atom(system, coefs, constant, op)
+        bound = 10 if len(coefs) == 3 else 30
+        for tup in itertools.product(range(bound), repeat=len(coefs)):
+            want = COMPARE[op](sum(c * x for c, x in zip(coefs, tup)), constant)
+            rows = [p.digits for p in
+                    system.pad_parallel(*(system.encode(x) for x in tup))]
+            for extra in range(m + 1):
+                padded = [(0,) * extra + row for row in rows]
+                assert rel.accepts_digit_rows(padded) == want, (tup, extra)
+
     @pytest.mark.parametrize("coefs,constant,op", sorted(ATOM_SHA))
     def test_pinned_digest(self, systems, coefs, constant, op):
         got = atom(systems["msd_s13"], coefs, constant, op).sha()
@@ -256,7 +273,6 @@ class TestMultiPeriodAtoms:
         got = atom(systems["msd_sqrt7"], coefs, constant, op).sha()
         assert got == SQRT7_ATOM_SHA[coefs, constant, op]
 
-    @pytest.mark.slow
     def test_pinned_digest_sqrt7_heavy(self, systems):
         # v=9*z+14*u, the atom inside floor_gamma_sync and s11's beatty7
         got = atom(systems["msd_sqrt7"], (9, 14, -1), 0, "=").sha()
@@ -357,8 +373,8 @@ class TestShiftRelation:
             assert not rel.accepts_values((u, v + 1), system)
 
 
-# sha() of the machines the hand-wired builders made; msd_sqrt7's, whose
-# v=9*z+14*u atom dominates its build (about 13 s), is checked under slow
+# sha() of the machines the hand-wired builders made; msd_sqrt7's v=9*z+14*u
+# atom dominates its build (about 4 s)
 FLOOR_GAMMA_SHA = {
     "msd_fib": "dd3492ad4fc4b90e77deef6fb672d558dd068ab74a24f41e10688fdfa1095b69",
     "msd_s13": "35cd62b303161dbfc25ce792923e6dde44c8ea28f6eccac4e05061017c1dfe67",
@@ -382,24 +398,10 @@ BEATTY_SHA = {
 
 class TestFloorGammaSync:
     def test_pinned_digest(self, system):
-        if system.name == "msd_sqrt7":
-            pytest.skip("covered by the slow variant")
         assert floor_gamma_sync(system).sha() == FLOOR_GAMMA_SHA[system.name]
 
     def test_matches_surd_oracle(self, system):
-        if system.name == "msd_sqrt7":
-            pytest.skip("covered by the slow variant")
         fg = floor_gamma_sync(system)
-        g = system.gamma
-        for n in range(1200):
-            assert fg.function_value(system, n) == floor_surd(
-                g.a * n, g.b * n, g.c, g.d)
-
-    @pytest.mark.slow
-    def test_matches_surd_oracle_sqrt7(self, systems):
-        system = systems["msd_sqrt7"]
-        fg = floor_gamma_sync(system)
-        assert fg.sha() == FLOOR_GAMMA_SHA["msd_sqrt7"]
         g = system.gamma
         for n in range(1200):
             assert fg.function_value(system, n) == floor_surd(

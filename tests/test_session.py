@@ -225,3 +225,30 @@ class TestStorage:
         sess = Session.load(stored, out=lambda line: None)
         add = sess.env.predicate("add").automaton
         assert add.accepts_values((1, 1, 2), sess.env.systems["msd_fib"])
+
+
+class TestRedefinedSystem:
+    """A predicate names its system, so the system must keep its period."""
+
+    REDEFINE = ('ost x [0] [1 2]:\n'
+                'def lt "?msd_x a<b":\n'
+                'ost x [0] [2 2]:\n'
+                'eval u "?msd_x Aa,b $lt(a,b) <=> a<b":\n')
+
+    def test_other_period_is_refused_while_a_predicate_uses_it(self):
+        s = Session("unused", out=lambda line: None, persist=False)
+        with pytest.raises(SessionError, match=r"^ost: msd_x .*\$lt"):
+            s.run_script(self.REDEFINE)
+        # the old system and its predicate are untouched
+        assert s.env.systems["msd_x"].period == (2, 1)
+        assert s.execute('eval u "?msd_x Aa,b $lt(a,b) <=> a<b"', ";") == "u: TRUE"
+
+    def test_same_period_is_allowed(self):
+        s = Session("unused", out=lambda line: None, persist=False)
+        s.run_script(self.REDEFINE.replace("[2 2]", "[1 2]"))
+        assert s.execute('eval u "?msd_x Aa,b $lt(a,b) <=> a<b"', ";") == "u: TRUE"
+
+    def test_unused_system_may_change_period(self):
+        s = Session("unused", out=lambda line: None, persist=False)
+        s.run_script("ost x [0] [1 2]:\nost x [0] [2 2]:\n")
+        assert s.env.systems["msd_x"].period == (2, 2)
