@@ -48,15 +48,16 @@ def letter_digits(code: int, arity: int, dmax: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def project_letter_map(arity: int, dmax: int, drop: int) -> np.ndarray:
-    """Old letter code -> code with track `drop` removed."""
-    if not 0 <= drop < arity:
+def project_letter_map(arity: int, dmax: int, drop) -> np.ndarray:
+    """Old letter code -> code with the tracks in `drop` removed."""
+    if not all(0 <= t < arity for t in drop):
         raise ValueError("track index out of range")
+    keep = [t for t in range(arity) if t not in drop]
     n = nletters(arity, dmax)
     out = np.empty(n, np.int32)
     for code in range(n):
         digits = letter_digits(code, arity, dmax)
-        out[code] = letter_code(digits[:drop] + digits[drop + 1:], dmax)
+        out[code] = letter_code([digits[t] for t in keep], dmax)
     return out
 
 
@@ -274,19 +275,22 @@ class Automaton:
 
     # -- track surgery -------------------------------------------------------
 
-    def project(self, track: int) -> "Automaton":
-        """Existentially quantify one track away.
+    def project(self, tracks) -> "Automaton":
+        """Existentially quantify `tracks` away in one subset construction.
 
         The image is closed under stripping leading zeros (initial-state
-        zero closure) so the result is padding closed again.
+        zero closure) so the result is padding closed again.  Dropping the
+        tracks one at a time gives the same language, since dropping a
+        track keeps a zero letter zero.
         """
-        lmap = project_letter_map(self.arity, self.dmax, track)
+        tracks = set(tracks)
+        lmap = project_letter_map(self.arity, self.dmax, tracks)
         inits = np.array([self.initial], np.int64)
         indptr, letters, targets, acc = K.determinize(
             self.indptr, self.letters, self.targets, self.accepting,
             inits, lmap, True)
-        return Automaton(self.arity - 1, self.dmax, indptr, letters, targets,
-                         acc, 0)._canonical()
+        return Automaton(self.arity - len(tracks), self.dmax, indptr, letters,
+                         targets, acc, 0)._canonical()
 
     def lift(self, arity_new: int, positions) -> "Automaton":
         """Spread tracks out into a wider tuple; new tracks are unconstrained.

@@ -18,9 +18,9 @@ a term with no natural value makes its atom false.
 Compilation is structural: each subformula becomes an automaton over the
 subformula's free variables in sorted name order, every node stays inside
 the canonical-word language and closed under leading zero padding, E
-projects a track, A is the complemented projection.  A formula with no
-free variables compiles to a zero-track automaton whose nonemptiness is
-the truth value.
+projects all its variables' tracks at once, A is the complemented
+projection.  A formula with no free variables compiles to a zero-track
+automaton whose nonemptiness is the truth value.
 """
 
 from __future__ import annotations
@@ -604,13 +604,14 @@ class _Compiler:
         self.note("~", aut)
         return _Node(aut, node.names)
 
-    def project_name(self, node: _Node, name: str) -> _Node:
-        if name not in node.names:
+    def project_names(self, node: _Node, names) -> _Node:
+        """Existentially quantify a block of names in one projection."""
+        drop = [i for i, v in enumerate(node.names) if v in names]
+        if not drop:
             return node
-        idx = node.names.index(name)
-        aut = node.aut.project(idx)
+        aut = node.aut.project(drop)
         self.note("project", aut)
-        return _Node(aut, node.names[:idx] + node.names[idx + 1:])
+        return _Node(aut, tuple(v for v in node.names if v not in names))
 
     # -- atoms ---------------------------------------------------------------
 
@@ -663,9 +664,11 @@ class _Compiler:
             aut = inequality_relation(self.system, coefs, constant, op)
         return _Node(aut, names)
 
-    def constraint_node(self, constraint) -> _Node:
-        lin, constant, op = constraint
-        return self.linear_atom(lin, constant, op)
+    def constrain(self, out: _Node, constraints, freshes) -> _Node:
+        """`out` & every constraint atom, with the fresh names projected."""
+        for lin, constant, op in constraints:
+            out = self.merge("&", out, self.linear_atom(lin, constant, op))
+        return self.project_names(out, freshes)
 
     def compare(self, node: Compare) -> _Node:
         constraints, freshes = [], []
@@ -673,12 +676,8 @@ class _Compiler:
         rlin, rk = self.flatten(node.rhs, constraints, freshes)
         for v, c in rlin.items():
             llin[v] = llin.get(v, 0) - c
-        out = self.linear_atom(llin, rk - lk, node.op)
-        for constraint in constraints:
-            out = self.merge("&", out, self.constraint_node(constraint))
-        for w in freshes:
-            out = self.project_name(out, w)
-        return out
+        return self.constrain(self.linear_atom(llin, rk - lk, node.op),
+                              constraints, freshes)
 
     def apply_relation(self, aut: Automaton, args, label: str,
                        inside_canon: bool = False) -> _Node:
@@ -706,11 +705,7 @@ class _Compiler:
         # F[.] tests and loaded machines may lie outside it
         if not inside_canon:
             aut = aut.intersect(self.canon(len(order)))
-        out = _Node(aut, order)
-        for constraint in constraints:
-            out = self.merge("&", out, self.constraint_node(constraint))
-        for w in freshes:
-            out = self.project_name(out, w)
+        out = self.constrain(_Node(aut, order), constraints, freshes)
         self.note(label, out.aut)
         return out
 
@@ -755,15 +750,10 @@ class _Compiler:
             return self.merge(node.op, self.compile(node.left),
                               self.compile(node.right))
         if isinstance(node, Quantified):
-            inner = self.compile(node.body)
             if node.kind == "E":
-                for name in node.names:
-                    inner = self.project_name(inner, name)
-                return inner
-            inner = self.negate(inner)
-            for name in node.names:
-                inner = self.project_name(inner, name)
-            return self.negate(inner)
+                return self.project_names(self.compile(node.body), node.names)
+            body = self.negate(self.compile(node.body))
+            return self.negate(self.project_names(body, node.names))
         raise TypeError(f"not a formula node: {node!r}")
 
 

@@ -238,8 +238,10 @@ class Session:
             for i, meta in enumerate(metas):
                 kind, name = meta["kind"], meta["name"]
                 if kind == "system":
-                    sess.env.add_system(
-                        NumerationSystem(name, tuple(meta["period"])))
+                    period = tuple(meta["period"])
+                    sess._check_redefinition(
+                        name, period, f"load {meta_path}: line {i + 1}: ")
+                    sess.env.add_system(NumerationSystem(name, period))
                 elif kind in ("relation", "word"):
                     path = sess.directory / f"{name}.aut"
                     try:
@@ -300,6 +302,27 @@ class Session:
             self.out(line)
         return result
 
+    def _check_redefinition(self, name: str, period: tuple, where: str = ""):
+        """Refuse a new period for a system in use: predicates name their
+        system, not its period.  `where` prefixes the error."""
+        old = self.env.systems.get(name)
+        users = sorted(p.name for p in self.env.predicates.values()
+                       if p.system_name == name)
+        if old is not None and old.period != period and users:
+            was, now = (" ".join(map(str, p)) for p in (old.period, period))
+            raise SessionError(
+                f"{where}{name} has period [{was}] and is used by "
+                f"{', '.join('$' + u for u in users)}; "
+                f"cannot redefine it as [{now}]")
+
+    def _report(self, trace: list | None):
+        """Print a ``::`` command's compiler trace and its largest step."""
+        if trace:
+            for label, states in trace:
+                self.out(f"  {label}: {states} states")
+            self.out(f"  largest intermediate: "
+                     f"{max(states for _, states in trace)} states")
+
     # -- commands ----------------------------------------------------------
 
     def _cmd_ost(self, args, verbose=False):
@@ -315,18 +338,7 @@ class Session:
         if not period or any(a < 1 for a in period):
             raise SessionError("period entries must be >= 1")
         rotated, all_ones = period_rotate(tuple(period))
-        old = self.env.systems.get(f"msd_{name}")
-        if old is not None and old.period != rotated:
-            # predicates name their system, not its period, so they would
-            # be applied to the new one unchecked
-            users = sorted(p.name for p in self.env.predicates.values()
-                           if p.system_name == old.name)
-            if users:
-                was, now = (" ".join(map(str, p)) for p in (old.period, rotated))
-                raise SessionError(
-                    f"{old.name} has period [{was}] and is used by "
-                    f"{', '.join('$' + u for u in users)}; "
-                    f"cannot redefine it as [{now}]")
+        self._check_redefinition(f"msd_{name}", rotated)
         system = NumerationSystem(f"msd_{name}", rotated)
         self.env.add_system(system)
         self._store("system", system.name, system.name, "ost", None,
@@ -358,11 +370,7 @@ class Session:
         source = _unquote(args[1], "formula")
         trace = [] if verbose else None
         pred = def_predicate(self.env, name, source, trace=trace)
-        if verbose and trace:
-            peak = max(states for _, states in trace)
-            for label, states in trace:
-                self.out(f"  {label}: {states} states")
-            self.out(f"  largest intermediate: {peak} states")
+        self._report(trace)
         self._store("relation", name, pred.system_name, source,
                     pred.automaton)
         return f"{name}: {pred.state_count} states"
@@ -400,11 +408,7 @@ class Session:
         name, source = args[0], _unquote(args[1], "formula")
         trace = [] if verbose else None
         value = eval_sentence(self.env, source, trace=trace)
-        if verbose and trace:
-            peak = max(states for _, states in trace)
-            for label, states in trace:
-                self.out(f"  {label}: {states} states")
-            self.out(f"  largest intermediate: {peak} states")
+        self._report(trace)
         self._store("eval", name, self.env.default_system or "", source,
                     None, {"value": bool(value)})
         return f"{name}: {'TRUE' if value else 'FALSE'}"

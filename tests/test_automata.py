@@ -9,6 +9,7 @@ import pytest
 from obd.automata import (Automaton, letter_code, letter_digits, lift_codes,
                           nletters, project_letter_map)
 from obd.numeration import NumerationSystem
+from obd.relations import canonical_recognizer
 from obd.session import _combine_outputs, word_value
 from oracles import RefDFA
 
@@ -31,13 +32,13 @@ def csr_words(aut, maxlen):
     return found
 
 
-def random_machine(rng, arity, dmax, n_max=5):
+def random_machine(rng, arity, dmax, n_max=5, density=0.75):
     n = rng.randint(1, n_max)
     nl = nletters(arity, dmax)
     trans = {}
     for s in range(n):
         for letter in range(nl):
-            if rng.random() < 0.75:
+            if rng.random() < density:
                 trans[(s, letter)] = rng.randrange(n)
     accepting = {s for s in range(n) if rng.random() < 0.45}
     return n, 0, accepting, trans, tuple(range(nl))
@@ -54,6 +55,14 @@ def as_pair(spec, arity, dmax):
 
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def project_one_at_a_time(aut, tracks):
+    """Reference: one subset construction per track, as the compiler once
+    ran them, highest track first so the lower indices keep their meaning."""
+    for track in sorted(tracks, reverse=True):
+        aut = aut.project([track])
+    return aut
 
 
 class TestLetterCoding:
@@ -88,12 +97,18 @@ class TestLetterCoding:
             word_value(word, s2, 4)
 
     def test_project_letter_map(self):
-        m = project_letter_map(2, 2, 1)
+        m = project_letter_map(2, 2, [1])
         for code in range(9):
             assert m[code] == letter_digits(code, 2, 2)[0]
-        m0 = project_letter_map(2, 2, 0)
+        m0 = project_letter_map(2, 2, [0])
         for code in range(9):
             assert m0[code] == letter_digits(code, 2, 2)[1]
+        middle = project_letter_map(3, 1, [0, 2])
+        for code in range(8):
+            assert middle[code] == letter_digits(code, 3, 1)[1]
+        assert project_letter_map(3, 1, [0, 1, 2]).tolist() == [0] * 8
+        with pytest.raises(ValueError, match="out of range"):
+            project_letter_map(2, 2, [0, 2])
 
     def test_lift_codes(self):
         table = lift_codes(1, 1, [0], 2)
@@ -178,7 +193,7 @@ class TestTrackSurgery:
             dmax = 1 + trial % 2
             ref, aut = as_pair(random_machine(rng, 2, dmax), 2, dmax)
             track = trial % 2
-            got = aut.project(track)
+            got = aut.project([track])
             got.validate()
             keep = 1 - track
 
@@ -210,8 +225,37 @@ class TestTrackSurgery:
         # hand-checked: equality relation projected is everything
         eq = Automaton.from_transitions(2, 2, 1, 0, [0],
                                         [(0, (d, d), 0) for d in range(3)])
-        assert eq.project(0).equivalent(Automaton.universal(1, 2))
-        assert eq.project(1).equivalent(Automaton.universal(1, 2))
+        assert eq.project([0]).equivalent(Automaton.universal(1, 2))
+        assert eq.project([1]).equivalent(Automaton.universal(1, 2))
+
+    @pytest.mark.parametrize("sysname", ["msd_fib", "msd_s2", "msd_s13"])
+    def test_joint_projection_matches_one_at_a_time(self, systems, sysname):
+        # every nonempty set of tracks, down to a 0-track sentence, of random
+        # 3- and 4-track machines, raw and inside the canonical-word language;
+        # at most 3 states, since the reference can blow up: one track of a
+        # 6-state 4-track machine gives 63 states, and the next ~50 000 subsets
+        dmax = systems[sysname].dmax
+        rng = random.Random(sysname)
+        # its only word (1,0,0)(0,1,1) loses track 0 to (0,0)(1,1), whose
+        # stripped form (1,1) only the zero closure adds
+        zeros = Automaton.from_transitions(
+            3, dmax, 3, 0, [2], [(0, (1, 0, 0), 1), (1, (0, 1, 1), 2)])
+        assert zeros.project([0]).accepts_word([letter_code((1, 1), dmax)])
+        machines = [zeros]
+        for arity in (3, 4):
+            canon = canonical_recognizer(systems[sysname], arity)
+            for density in (0.75, 3 / nletters(arity, dmax)) * 3:
+                _, aut = as_pair(random_machine(rng, arity, dmax, 3, density),
+                                 arity, dmax)
+                machines += [m for m in (aut, aut.intersect(canon))
+                             if not m.is_empty()]
+        for aut in machines:
+            for size in range(1, aut.arity + 1):
+                for tracks in itertools.combinations(range(aut.arity), size):
+                    joint = aut.project(list(tracks))
+                    assert joint.arity == aut.arity - size
+                    assert joint.canonical_bytes() == project_one_at_a_time(
+                        aut, tracks).canonical_bytes(), (aut, tracks)
 
     def test_lift_then_project_round_trip(self):
         # for a padding-closed language, adding a free track and projecting
@@ -222,7 +266,7 @@ class TestTrackSurgery:
             p = aut.pad_normalized()
             lifted = p.lift(2, [0])
             lifted.validate()
-            assert lifted.project(1).equivalent(p), f"trial {trial}"
+            assert lifted.project([1]).equivalent(p), f"trial {trial}"
 
     def test_lift_and_permute_stay_canonical(self):
         # neither runs the full canonicalisation; running it must change
@@ -376,6 +420,6 @@ class TestDegenerate:
         # one track, accepts anything nonempty starting 1: projecting the
         # only track leaves a true sentence
         a = Automaton.from_transitions(1, 1, 2, 0, [1], [(0, 1, 1), (1, 0, 1), (1, 1, 1)])
-        s = a.project(0)
+        s = a.project([0])
         assert s.arity == 0 and s.decide()
-        assert Automaton.empty(1, 1).project(0).decide() is False
+        assert Automaton.empty(1, 1).project([0]).decide() is False

@@ -9,7 +9,7 @@ the canonical-word recognizer canon(k).  Three checks keep it honest:
 - compiled 2- and 3-variable formulas agree with exact Python arithmetic on
   every tuple below 40;
 - every node that ``merge``, ``negate``, ``apply_relation`` and
-  ``project_name`` return lies inside canon (the ``_Node`` invariant), both
+  ``project_names`` return lies inside canon (the ``_Node`` invariant), both
   in the differential test and while s7 and s9 compile.
 """
 import itertools
@@ -23,7 +23,7 @@ from obd.session import Session
 
 SYSTEMS = ("msd_fib", "msd_s2", "msd_s13")
 CONNECTIVES = ("&", "|", "^", "=>", "<=>")
-STEPS = ("merge", "negate", "apply_relation", "project_name")
+STEPS = ("merge", "negate", "apply_relation", "project_names")
 
 
 @pytest.fixture()

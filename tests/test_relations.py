@@ -240,6 +240,24 @@ def assert_atom_matches_arithmetic(system, coefs, constant, op, bound):
     assert got == want
 
 
+# constants past the exact depth table, whose largest mass is 20 on msd_fib
+# and 986 on msd_s13, so the rho/twin brackets decide the long words
+TAIL_ATOMS = [
+    pytest.param("msd_fib", (1,), 100, "<=", 200, id="fib x<=100"),
+    pytest.param("msd_fib", (1, -1), 60, "<=", 130, id="fib x-y<=60"),
+    pytest.param("msd_fib", (1,), 100, "=", 200, id="fib x=100"),
+    pytest.param("msd_fib", (1, 1), 300, "=", 310, id="fib x+y=300"),
+    pytest.param("msd_s13", (1,), 3000, "=", 3200, id="s13 x=3000"),
+]
+
+
+@pytest.mark.parametrize("sysname,coefs,constant,op,bound", TAIL_ATOMS)
+def test_atoms_past_the_depth_table(systems, sysname, coefs, constant, op,
+                                    bound):
+    assert_atom_matches_arithmetic(systems[sysname], coefs, constant, op,
+                                   bound)
+
+
 class TestMultiPeriodAtoms:
     @pytest.mark.parametrize("coefs,constant,op", ATOMS)
     def test_matches_arithmetic(self, system, coefs, constant, op):
@@ -311,7 +329,7 @@ class TestComparisons:
         # x < y is also "exists w: x + w + 1 = y"; the native comparison
         # machine and the slack projection must produce the same automaton
         lex = lt_relation(system)
-        slack = linear_relation(system, (1, -1, 1), -1).project(2)
+        slack = linear_relation(system, (1, -1, 1), -1).project([2])
         assert lex.equivalent(slack)
 
     def test_order_relations_bundle(self, system):

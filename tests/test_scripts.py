@@ -7,12 +7,14 @@ or compiler change that alters any machine the scripts build fails here
 by name, even when the machine still passes its checks.  The same runs
 count the products each section builds.
 """
+from math import isqrt
+
 import pytest
 
 from obd import _kernels
 from obd.logic import Environment
 from obd.relations import canonical_recognizer
-from obd.repro import FAST_SECTIONS, SLOW_SECTIONS, run_section
+from obd.repro import FAST_SECTIONS, SCRIPT_DIR, SLOW_SECTIONS, run_section
 from obd.session import Session
 
 PINNED = {
@@ -171,9 +173,38 @@ def test_array_path_gives_the_pinned_machines(tmp_path, monkeypatch):
     assert stored_digests("s7", tmp_path) == PINNED["s7"]
 
 
-# s11's machines are not pinned: no complete run of it exists to take the
-# digests from (its final machine needs more than 2.5 GB to build).  Its
-# checks include the exact state counts of beatty7, beat7 and a276873.
+# s11's a276873 as packaged quantifies m, n, x and y together over 5-track
+# products and needs more than 2.5 GB, so the section stays slow.  The same
+# sentence with each variable quantified next to its last use builds in
+# seconds; its machines are pinned here by the first 16 hex digits of sha().
+S11_SCOPED = {
+    "beatty7": "5d0db0da986ebd32",
+    "beat7": "ab76cbddac71c2ee",
+    "a276873": "b56cb1f1847d7334",
+}
+
+
+def test_s11_scoped_by_hand():
+    sess = Session("unused", out=lambda line: None, persist=False)
+    text = (SCRIPT_DIR / "s11.obd").read_text(encoding="utf-8")
+    sess.run_script(text[:text.index("def a276873")])
+    sess.execute('def a276873 "?msd_sqrt7 ~Em,n (m>=1 & n>=1) & '
+                 'Ex $beat7(m,x) & Ey $beat7(n,y) & z+x=y"', ";")
+    preds = sess.env.predicates
+    assert {name: preds[name].automaton.sha()[:16] for name in S11_SCOPED} \
+        == S11_SCOPED
+    aut = preds["a276873"].automaton
+    assert aut.live_states == 6961
+    # z = floor(n*sqrt 7) - floor(m*sqrt 7) for 1 <= m <= n, in integers
+    terms = [isqrt(7 * n * n) for n in range(1, 2000)]
+    gaps = {b - a for i, a in enumerate(terms) for b in terms[i:i + 400]}
+    system = sess.env.systems["msd_sqrt7"]
+    assert {z for z in range(400) if aut.accepts_values((z,), system)} == \
+        set(range(400)) - gaps
+
+
+# The packaged text of s11 checks the exact state counts of beatty7, beat7
+# and a276873.
 @pytest.mark.slow
 @pytest.mark.parametrize("section", SLOW_SECTIONS)
 def test_slow_section(section, tmp_path):

@@ -6,6 +6,7 @@ automaton the command compiles.
 """
 import itertools
 import json
+import re
 from math import isqrt
 
 import pytest
@@ -252,3 +253,38 @@ class TestRedefinedSystem:
         s = Session("unused", out=lambda line: None, persist=False)
         s.run_script("ost x [0] [1 2]:\nost x [0] [2 2]:\n")
         assert s.env.systems["msd_x"].period == (2, 2)
+
+    def test_load_refuses_a_later_period_for_a_system_in_use(self, tmp_path):
+        # a session directory written before ost refused the redefinition
+        s = Session(tmp_path / "sess", out=lambda line: None)
+        s.run_script('ost x [0] [1 2]:\ndef lt "?msd_x a<b":\n')
+        meta = {"kind": "system", "name": "msd_x", "system": "msd_x",
+                "source": "ost", "period": [2, 2]}
+        with open(tmp_path / "sess" / "meta.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(meta) + "\n")
+        with pytest.raises(SessionError, match=r"^load .*meta\.jsonl: line 3: "
+                           r"msd_x has period \[2 1\] .*\$lt"):
+            Session.load(tmp_path / "sess", out=lambda line: None)
+
+    def test_load_allows_the_same_period_again(self, tmp_path):
+        s = Session(tmp_path / "sess", out=lambda line: None)
+        s.run_script(self.REDEFINE.replace("[2 2]", "[1 2]"))
+        loaded = Session.load(tmp_path / "sess", out=lambda line: None)
+        assert loaded.env.systems["msd_x"].period == (2, 1)
+        assert loaded.execute('eval u "?msd_x Aa,b $lt(a,b) <=> a<b"',
+                              ";") == "u: TRUE"
+
+
+@pytest.mark.parametrize("command", [
+    'def p "?msd_fib Eu,v u+v=x & u<v"',
+    'def q "?msd_fib x=(y+z)/2"',
+    'eval t "?msd_fib Ax,y x<y | y<=x"',
+])
+def test_verbose_command_prints_one_projection_per_block(command):
+    lines = []
+    s = Session("unused", out=lines.append, persist=False)
+    s.execute(command, "::")
+    assert sum(line.startswith("  project: ") for line in lines) == 1
+    peak = max(int(line.split()[-2]) for line in lines[:-2])
+    assert lines[-2] == f"  largest intermediate: {peak} states"
+    assert re.fullmatch(r"\w+: \w+( states)?  \(\d+ ms\)", lines[-1])
