@@ -15,6 +15,7 @@ single dead state and reports live_states == 0.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import deque
 
@@ -49,7 +50,14 @@ def letter_digits(code: int, arity: int, dmax: int) -> tuple[int, ...]:
 
 
 def project_letter_map(arity: int, dmax: int, drop) -> np.ndarray:
-    """Old letter code -> code with the tracks in `drop` removed."""
+    """Old letter code -> code with the tracks in `drop` removed.
+
+    Memoised by its arguments; the table is shared, so it is read-only."""
+    return _project_table(arity, dmax, frozenset(drop))
+
+
+@functools.cache
+def _project_table(arity: int, dmax: int, drop: frozenset) -> np.ndarray:
     if not all(0 <= t < arity for t in drop):
         raise ValueError("track index out of range")
     keep = [t for t in range(arity) if t not in drop]
@@ -58,6 +66,7 @@ def project_letter_map(arity: int, dmax: int, drop) -> np.ndarray:
     for code in range(n):
         digits = letter_digits(code, arity, dmax)
         out[code] = letter_code([digits[t] for t in keep], dmax)
+    out.flags.writeable = False
     return out
 
 
@@ -66,10 +75,16 @@ def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> np.ndarr
 
     positions[i] is the new index of old track i (strictly increasing).
     Row `code` lists every new-alphabet code whose mapped tracks spell out
-    `code`; free tracks range over all digits.
+    `code`; free tracks range over all digits.  Memoised by its arguments;
+    the table is shared, so it is read-only.
     """
-    positions = list(positions)
-    if sorted(positions) != positions or len(set(positions)) != len(positions):
+    return _lift_table(arity_old, dmax, tuple(positions), arity_new)
+
+
+@functools.cache
+def _lift_table(arity_old: int, dmax: int, positions: tuple,
+                arity_new: int) -> np.ndarray:
+    if sorted(positions) != list(positions) or len(set(positions)) != len(positions):
         raise ValueError("positions must be strictly increasing")
     if len(positions) != arity_old or (positions and positions[-1] >= arity_new):
         raise ValueError("bad track embedding")
@@ -89,6 +104,7 @@ def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> np.ndarr
                 digits[j] = rest % base
                 rest //= base
             out[code, fill] = letter_code(digits, dmax)
+    out.flags.writeable = False
     return out
 
 

@@ -17,10 +17,13 @@ a term with no natural value makes its atom false.
 
 Compilation is structural: each subformula becomes an automaton over the
 subformula's free variables in sorted name order, every node stays inside
-the canonical-word language and closed under leading zero padding, E
-projects all its variables' tracks at once, A is the complemented
-projection.  A formula with no free variables compiles to a zero-track
-automaton whose nonemptiness is the truth value.
+the canonical-word language and closed under leading zero padding, and E
+projects all its variables' tracks at once.  A negation is pushed inward
+before anything is complemented: ~~p is p, ~Ax p is Ex ~p, ~(p => q) is
+p & ~q and ~(p <=> q) is p ^ q; any other ~p is the complement of p within
+the canonical words.  So Ax p is ~Ex ~p, and Ax p => q complements only
+once, after the projection.  A formula with no free variables compiles to
+a zero-track automaton whose nonemptiness is the truth value.
 """
 
 from __future__ import annotations
@@ -576,6 +579,10 @@ class _Compiler:
           over canonical tuples, in two products whether or not a side
           spans.
         - ``<=>``: canon \\ (L xor R).
+        - ``&~``: L \\ R, with no canon step when L spans.  It is not a
+          connective of the language: `compile_negated` builds ~(p => q)
+          with it, and ~(p <=> q) with ``^``, instead of complementing
+          the ``=>`` or ``<=>`` node within canon.
         """
         names = tuple(sorted(set(a.names) | set(b.names)))
         left, right = self.widen(a, names), self.widen(b, names)
@@ -594,6 +601,10 @@ class _Compiler:
             aut = canon.andnot(left.andnot(right))
         elif op == "<=>":
             aut = canon.andnot(left.xor(right))
+        elif op == "&~":
+            aut = left.andnot(right)
+            if not spans[0]:
+                aut = aut.intersect(canon)
         else:
             raise LogicError(f"unknown connective {op!r}")
         self.note(op, aut)
@@ -702,7 +713,7 @@ class _Compiler:
             aut = aut.permute_tracks(perm)
         # canon(k) checks each track alone, so a def machine stays inside
         # it under permuted or repeated arguments; reg and shift machines,
-        # F[.] tests and loaded machines may lie outside it
+        # F[.]=@v tests and loaded machines may lie outside it
         if not inside_canon:
             aut = aut.intersect(self.canon(len(order)))
         out = self.constrain(_Node(aut, order), constraints, freshes)
@@ -731,9 +742,10 @@ class _Compiler:
                 f"{node.name} belongs to {pred.system_name}, the formula "
                 f"uses {self.system.name}: mixed systems are not allowed")
         hit = pred.automaton.output_equals(node.value)
-        if node.op == "!=":
+        if node.op == "!=":  # the complement lies inside canon(1)
             hit = hit.complement_within(self.canon(1))
-        return self.apply_relation(hit, (node.index,), f"{node.name}[.]")
+        return self.apply_relation(hit, (node.index,), f"{node.name}[.]",
+                                   node.op == "!=")
 
     # -- recursion -----------------------------------------------------------
 
@@ -745,16 +757,29 @@ class _Compiler:
         if isinstance(node, WordTest):
             return self.word_test(node)
         if isinstance(node, Not):
-            return self.negate(self.compile(node.body))
+            return self.compile_negated(node.body)
         if isinstance(node, Connective):
             return self.merge(node.op, self.compile(node.left),
                               self.compile(node.right))
         if isinstance(node, Quantified):
             if node.kind == "E":
                 return self.project_names(self.compile(node.body), node.names)
-            body = self.negate(self.compile(node.body))
+            body = self.compile_negated(node.body)
             return self.negate(self.project_names(body, node.names))
         raise TypeError(f"not a formula node: {node!r}")
+
+    def compile_negated(self, node) -> _Node:
+        """~node, with the negation pushed inward past ~, A, => and <=>."""
+        if isinstance(node, Not):
+            return self.compile(node.body)
+        if isinstance(node, Quantified) and node.kind == "A":
+            return self.project_names(self.compile_negated(node.body),
+                                      node.names)
+        if isinstance(node, Connective) and node.op in ("=>", "<=>"):
+            op = "&~" if node.op == "=>" else "^"
+            return self.merge(op, self.compile(node.left),
+                              self.compile(node.right))
+        return self.negate(self.compile(node))
 
 
 # ---------------------------------------------------------------------------

@@ -85,19 +85,22 @@ def _canon_1(system: NumerationSystem) -> Automaton:
 
 
 def canonical_recognizer(system: NumerationSystem, arity: int = 1) -> Automaton:
-    """Recognizer of k-tuples whose tracks are all zero-padded canonical."""
+    """Recognizer of k-tuples whose tracks are all zero-padded canonical.
+
+    canon(k) is canon(k-1) on the first k-1 tracks intersected with
+    canon(1) on the last, one product per arity, each cached."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
     if arity == 0:
         return Automaton.universal(0, system.dmax)
+    if arity == 1:
+        return _canon_1(system)
     key = ("canon", arity)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
-    one = _canon_1(system)
-    out = one.lift(arity, [0])
-    for track in range(1, arity):
-        out = out.intersect(one.lift(arity, [track]))
+    head = canonical_recognizer(system, arity - 1).lift(arity, range(arity - 1))
+    out = head.intersect(_canon_1(system).lift(arity, [arity - 1]))
     system._cache[key] = out
     return out
 

@@ -117,6 +117,32 @@ class TestLetterCoding:
         with pytest.raises(ValueError):
             lift_codes(2, 1, [1, 0], 3)
 
+    @pytest.mark.parametrize("arity,dmax", [(1, 1), (2, 2), (3, 1), (3, 3)])
+    def test_memoised_tables_match_fresh_ones(self, arity, dmax):
+        for drop in itertools.chain.from_iterable(
+                itertools.combinations(range(arity), r) for r in range(arity + 1)):
+            table = project_letter_map(arity, dmax, list(drop))
+            assert project_letter_map(arity, dmax, set(drop)) is table
+            keep = [t for t in range(arity) if t not in drop]
+            assert table.tolist() == [
+                letter_code([letter_digits(code, arity, dmax)[t] for t in keep], dmax)
+                for code in range(nletters(arity, dmax))]
+        for wide in range(arity, arity + 3):
+            for positions in itertools.combinations(range(wide), arity):
+                table = lift_codes(arity, dmax, list(positions), wide)
+                assert lift_codes(arity, dmax, positions, wide) is table
+                rows = [[] for _ in range(nletters(arity, dmax))]
+                for code in range(nletters(wide, dmax)):
+                    digits = letter_digits(code, wide, dmax)
+                    rows[letter_code([digits[p] for p in positions], dmax)].append(code)
+                assert table.tolist() == rows
+
+    def test_memoised_tables_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            project_letter_map(2, 1, [0])[0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            lift_codes(1, 1, [0], 2)[0, 0] = 5
+
 
 class TestBooleanOps:
     def test_products_match_reference(self):

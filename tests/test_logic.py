@@ -23,7 +23,7 @@ from obd.logic import (
     parse_formula,
 )
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
-from obd.relations import fibonacci_word, shift_relation
+from obd.relations import canonical_recognizer, fibonacci_word, shift_relation
 
 
 @pytest.fixture(scope="module")
@@ -199,14 +199,27 @@ class TestAtomSemantics:
         for x, y in itertools.product(range(4), repeat=2):
             assert iff.accepts_values((x, y), sys_) == ((x == 0) == (y == 0))
 
-    def test_word_indexing(self, env, systems):
+    def test_word_indexing(self, env, systems, monkeypatch):
         sys_ = systems["msd_fib"]
         word = fib_word(300)
         ones, _, _ = compile_formula(env, "?msd_fib F[n]=@1")
         for n in range(250):
             assert ones.accepts_values((n,), sys_) == (word[n] == 1)
+        calls = []
+        product = _kernels.pair_product
+
+        def counted(*args):
+            calls.append(1)
+            return product(*args)
+        monkeypatch.setattr(_kernels, "pair_product", counted)
         noteq, _, _ = compile_formula(env, "?msd_fib F[n]!=@0")
         assert noteq.equivalent(ones)
+        # the complement within canon(1) is applied as it is: one product,
+        # where intersecting it with canon(1) again took two
+        assert len(calls) == 1
+        canon = canonical_recognizer(sys_, 1)
+        hit = env.predicate("F").automaton.output_equals(0)
+        assert noteq.sha() == hit.complement_within(canon).intersect(canon).sha()
 
     def test_word_index_can_be_a_term(self, env, systems):
         sys_ = systems["msd_fib"]

@@ -10,14 +10,20 @@ the canonical-word recognizer canon(k).  Three checks keep it honest:
   every tuple below 40;
 - every node that ``merge``, ``negate``, ``apply_relation`` and
   ``project_names`` return lies inside canon (the ``_Node`` invariant), both
-  in the differential test and while s7 and s9 compile.
+  in the differential tests and while s7 and s9 compile.
+
+``_Compiler.compile_negated`` pushes each negation inward instead of
+complementing within canon; formulas with ``~~``, ``~A``, ``A...=>``,
+``A...<=>`` and nested ``A`` give the same canonical bytes as the plain
+route, which complements whatever it negates.
 """
 import itertools
 import random
 
 import pytest
 
-from obd.logic import Environment, _Compiler, parse_formula, compile_formula
+from obd.logic import (Environment, _Compiler, compile_formula, def_predicate,
+                       parse_formula)
 from obd.repro import SCRIPT_DIR
 from obd.session import Session
 
@@ -165,3 +171,45 @@ def test_invariant_while_scripts_compile(section, checked):
     sess = Session("unused", out=lambda line: None, persist=False)
     sess.run_script((SCRIPT_DIR / f"{section}.obd").read_text(encoding="utf-8"))
     assert set(checked) == set(STEPS)
+
+
+
+# (formula, the labels its :: trace must list); "&~" is the negated
+# implication, built only by compile_negated
+NEGATIONS = [
+    pytest.param("~~(x<y | y=2*x)", {"|"}, id="not-not"),
+    pytest.param("~(x<y => $p(x,z))", {"&~"}, id="not-implies"),
+    pytest.param("~(x<y <=> $p(x,z))", {"^"}, id="not-iff"),
+    pytest.param("~Ax (x<y => $p(x,z))", {"&~", "project"}, id="not-all"),
+    pytest.param("Ax $p(x,y) => x<y", {"&~", "project", "~"},
+                 id="all-implies-spanning"),
+    # s9's ainv shape: the left side of => lacks m, so it does not span
+    pytest.param("Ax (x<z & x>0) => ~$p(m,x)", {"&~", "project", "~"},
+                 id="all-implies-narrow"),
+    pytest.param("Ax x<z <=> $p(x,y)", {"^", "project", "~"}, id="all-iff"),
+    pytest.param("Ax Ay (x<y & y<z) => $p(x,y)", {"&~", "project", "~"},
+                 id="nested-all"),
+    pytest.param("Ax ~Ay ~(x<y => $p(y,z))", {"=>", "project", "~"},
+                 id="all-not-all-not"),
+    pytest.param("Az Ax (x<z & x>0) => ~$p(z,x)", {"&~", "project", "~"},
+                 id="sentence"),
+]
+
+
+@pytest.mark.parametrize("sysname", ["msd_fib", "msd_s2"])
+@pytest.mark.parametrize("text,labels", NEGATIONS)
+def test_negations_match_complement_route(systems, sysname, text, labels,
+                                          checked, monkeypatch):
+    env = Environment()
+    env.add_system(systems[sysname])
+    def_predicate(env, "p", f"?{sysname} a+1<2*b")
+    trace = []
+    pushed, free, _ = compile_formula(env, f"?{sysname} {text}", trace=trace)
+    assert {label for label, _ in trace} >= labels
+    if "~" not in labels:
+        assert "~" not in {label for label, _ in trace}
+    monkeypatch.setattr(_Compiler, "compile_negated",
+                        lambda self, node: self.negate(self.compile(node)))
+    plain, plain_free, _ = compile_formula(env, f"?{sysname} {text}")
+    assert free == plain_free
+    assert pushed.sha() == plain.sha()

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from obd import NumerationSystem
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
 from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
@@ -66,6 +67,18 @@ class TestCanonicalRecognizer:
 
     def test_cached_per_system(self, system):
         assert canonical_recognizer(system, 2) is canonical_recognizer(system, 2)
+
+    @pytest.mark.parametrize("sysname", ["msd_fib", "msd_s2", "msd_s13"])
+    def test_equals_intersection_of_lifted_tracks(self, systems, sysname):
+        # a fresh system, so every arity is built from the one below it
+        system = NumerationSystem(sysname, systems[sysname].period)
+        one = canonical_recognizer(system, 1)
+        for arity in range(1, 6):
+            reference = one.lift(arity, [0])
+            for track in range(1, arity):
+                reference = reference.intersect(one.lift(arity, [track]))
+            assert canonical_recognizer(system, arity).canonical_bytes() == \
+                reference.canonical_bytes(), arity
 
 
 LINEAR_SPECS = [

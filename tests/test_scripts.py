@@ -107,23 +107,26 @@ PINNED = {
 
 # Upper bounds on what one run of a section builds with
 # ``_kernels.pair_product``, its checks included: (calls, product states
-# before minimisation).  The five compile-small sections make 467 calls
-# (590 when every applied def machine was intersected again with the
-# canonical-word recognizer it already lies inside, 674 when the linear
-# atoms intersected the union of their per-residue pieces with it, 841
-# when every connective also intersected both widened operands with it).
-# s6 makes 36 calls over 14 178 states (46 over 16 646 when each linear
+# before minimisation).  The five compile-small sections make 391 calls
+# (467 when ~ and A complemented twice where pushing the negation inward
+# complements once or not at all and canon(k) was rebuilt from k lifted
+# copies of canon(1), 590 when every applied def machine was intersected
+# again with the canonical-word recognizer it already lies inside, 674
+# when the linear atoms intersected the union of their per-residue pieces
+# with it, 841 when every connective also intersected both widened
+# operands with it).  s6 makes 28 calls over 13 769 states (36 over
+# 14 178 with the double complements, 46 over 16 646 when each linear
 # atom over its period-2 system unioned two per-residue pieces).
 # A compiler or atom builder change that adds products back, or drops the
 # canonical step in ``&`` that keeps s6's products small, fails here by
 # name, with no timing involved.
 PRODUCTS = {
-    "s6": (36, 14178),
-    "s7": (26, 502),
-    "s8": (92, 1952),
-    "s9": (92, 4325),
-    "s10": (159, 11294),
-    "s12": (98, 1505),
+    "s6": (28, 13769),
+    "s7": (23, 493),
+    "s8": (81, 1916),
+    "s9": (82, 4002),
+    "s10": (119, 9169),
+    "s12": (86, 1409),
 }
 
 
@@ -173,8 +176,9 @@ def test_array_path_gives_the_pinned_machines(tmp_path, monkeypatch):
     assert stored_digests("s7", tmp_path) == PINNED["s7"]
 
 
-# s11's a276873 as packaged quantifies m, n, x and y together over 5-track
-# products and needs more than 2.5 GB, so the section stays slow.  The same
+# s11's a276873 as packaged quantifies m, n, x and y together: one subset
+# construction over a 5-track conjunction, about 30 s and 155 MB for the
+# whole script, so the section stays slow for its time only.  The same
 # sentence with each variable quantified next to its last use builds in
 # seconds; its machines are pinned here by the first 16 hex digits of sha().
 S11_SCOPED = {
