@@ -498,56 +498,36 @@ class Automaton:
                 stack.pop()
         return True
 
-    def enumerate_words(self, count: int, max_len: int = 64):
-        """Stripped accepted words in (length, lexicographic) order."""
-        out = []
-        s = self._stripped()
-        if s.accepting[s.initial] and not s.is_empty():
-            out.append(())
-        frontier = [((), s.initial)]
-        for _ in range(max_len):
-            if len(out) >= count or not frontier:
-                break
-            nxt = []
-            for word, state in frontier:
-                for e in range(s.indptr[state], s.indptr[state + 1]):
-                    w = word + (int(s.letters[e]),)
-                    t = int(s.targets[e])
-                    if s.accepting[t]:
-                        out.append(w)
-                    nxt.append((w, t))
-            frontier = nxt
-        return out[:count]
-
     def enumerate_values(self, system, count: int, max_len: int = 64):
-        """First `count` accepted value tuples, sorted numerically.
+        """First `count` accepted value tuples, by representation length,
+        then numerically.
 
-        Levels are explored by word length until enough tuples are found,
-        plus two safety levels, so the numeric sort is stable in practice.
+        The representation length of a tuple is that of its stripped word
+        (the padded canonical word without its all-zero leading letters), so
+        the stripped words are walked one length at a time and each length
+        is sorted; ``enum k`` is then a prefix of ``enum k+1``.  On one
+        track this is numeric order, since a stripped canonical word of
+        length L has a value in [q_{L-1}, q_L).
         """
         s = self._stripped()
         tuples = []
         if s.accepting[s.initial] and not s.is_empty():
             tuples.append(tuple([0] * self.arity))
         frontier = [((), s.initial)]
-        extra = 2
         for _ in range(max_len):
-            if not frontier:
+            if len(tuples) >= count or not frontier:
                 break
-            if len(tuples) >= count:
-                extra -= 1
-                if extra < 0:
-                    break
+            level = []
             nxt = []
             for word, state in frontier:
                 for e in range(s.indptr[state], s.indptr[state + 1]):
                     w = word + (int(s.letters[e]),)
                     t = int(s.targets[e])
                     if s.accepting[t]:
-                        tuples.append(self._decode_word(w, system))
+                        level.append(self._decode_word(w, system))
                     nxt.append((w, t))
+            tuples += sorted(level)
             frontier = nxt
-        tuples.sort()
         return tuples[:count]
 
     def _decode_word(self, word, system):

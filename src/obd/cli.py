@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default=".obd-session")
     p.set_defaults(fn=cmd_info)
 
-    p = sub.add_parser("enum", help="first values accepted by a predicate")
+    p = sub.add_parser("enum", help="first values of a predicate: f(0), f(1), ... "
+                       "for a word or a function, else accepted tuples by "
+                       "representation length, then numerically")
     p.add_argument("name")
     p.add_argument("count", type=int)
     p.add_argument("--dir", default=".obd-session")

@@ -7,10 +7,8 @@ the scripts this mirrors write "(0+1)*" for "any digit string", so '+'
 is alternation here, never one-or-more.
 
 Compilation is the textbook route: Thompson construction, epsilon
-removal, subset construction, minimization.  By default the result is
-additionally closed under leading zero letters so it can take part in
-synchronized products; pass normalize=False for the exact pattern
-language.
+removal, subset construction, minimization.  The result is then closed
+under leading zero letters so it can take part in synchronized products.
 """
 from __future__ import annotations
 
@@ -213,24 +211,18 @@ def _nfa_to_dfa(builder: _Builder, start: int, accept: int,
                      d_acc, 0)._canonical()
 
 
-def regex_compile(system: NumerationSystem, arity: int, pattern: str,
-                  *, normalize: bool = True) -> Automaton:
-    """Automaton for a pattern over the system's digit alphabet.
-
-    The default pads the language closed under leading zero letters (the
-    convention every relation in the library follows); the exact pattern
-    language is available with normalize=False.
-    """
+def regex_compile(system: NumerationSystem, arity: int, pattern: str) -> Automaton:
+    """Automaton for a pattern over the system's digit alphabet, closed
+    under leading zero letters (the convention every relation in the
+    library follows)."""
     if arity < 1:
         raise ValueError("regex arity must be at least 1")
-    key = ("regex", arity, pattern, normalize)
+    key = ("regex", arity, pattern)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
     builder = _Builder(pattern, arity, system.dmax)
     start, accept = builder.parse()
-    out = _nfa_to_dfa(builder, start, accept, arity, system.dmax)
-    if normalize:
-        out = out.pad_normalized()
+    out = _nfa_to_dfa(builder, start, accept, arity, system.dmax).pad_normalized()
     system._cache[key] = out
     return out

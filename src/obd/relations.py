@@ -13,7 +13,10 @@ of consecutive convergent denominators; :func:`inequality_relation` is its
 two.  Both build every atom, whatever its coefficients, by walking the
 imbalance in step with canon(k) over the words whose length is a multiple
 of the period length m, then closing that piece under leading zeros, which
-gives every other length; no product with canon(k) follows.
+gives every other length; no product with canon(k) follows.  Whether an
+imbalance can still reach the constant is decided in exact integers by
+walking the depths it could end at until a witness or a certificate of
+monotone growth settles it (see :func:`_fate`); no float and no cutoff.
 :func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
@@ -33,7 +36,6 @@ from .numeration import NumerationSystem
 __all__ = [
     "canonical_recognizer",
     "linear_relation",
-    "pruning_bound",
     "inequality_relation",
     "shift_relation",
     "fibonacci_word",
@@ -109,105 +111,126 @@ def canonical_recognizer(system: NumerationSystem, arity: int = 1) -> Automaton:
 # linear relations
 
 
-def pruning_bound(system: NumerationSystem, coefficients, constant: int) -> int:
-    """Viability cutoff for the rolling-basis imbalance.
+def _depth_rows(system: NumerationSystem, r: int, k: int) -> list:
+    """Rows ``(q_i, q_{i-1}, q_0+...+q_{i-1})`` at the depths i = r + j*m.
 
-    A hypothesis holding partial value ``s*q_i + t*q_{i-1}`` can still reach
-    the constant only if that value is within what the remaining digits can
-    contribute, which is at most ``W*dmax*(q_0+...+q_{i-1}) <= 4*W*dmax*q_i``
-    with W the sum of absolute coefficients.  Dividing out q_i, the pair must
-    satisfy ``|s + t*rho| <= M`` for the current convergent ratio
-    ``rho = q_{i-1}/q_i`` in (0, 1].  The bound returned here exceeds that M
-    with room to spare; it is validated against a doubled bound in the test
-    suite and can simply be raised if a counterexample ever shows up.
+    One list per residue r, cached on the system and grown until it holds
+    row k; callers index it and ask again for a longer one.
     """
-    weight = sum(abs(c) for c in coefficients)
-    return weight * (system.dmax + 2) * (max(system.period) + 1) + abs(constant)
-
-
-def _depth_bands(system: NumerationSystem):
-    """Per-residue viability data for the rolling-basis machines.
-
-    A hypothesis pair is judged against every depth i it could still end
-    at (i = letters yet to come, i == r mod m for slot r).  Small depths
-    get exact integer triples ``(q_i, q_{i-1}, q_0+...+q_{i-1})``; past
-    the settling point the convergent ratio ``q_{i-1}/q_i`` and the
-    cancelation mass ``(q_0+...+q_{i-1})/q_i`` have converged, so the tail
-    is covered by one tight bracket per residue plus the smallest tail
-    denominator (which brackets the scaled target ``constant/q_i``).
-    Returns (depth_table, rho_lo, rho_hi, mass_hi, q_min), all by residue.
-    """
-    key = ("depth_bands",)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
     m = system.period_length
-    exact_until = 3 * m + 3
-    depth_table = [[] for _ in range(m)]
-    mass = 0
-    for i in range(exact_until + 1):
-        qi = system.q(i)
-        depth_table[i % m].append((qi, system.q(i - 1) if i else 0, mass))
-        mass += qi
-    rho_lo = [2.0] * m
-    rho_hi = [-1.0] * m
-    mass_hi = [0.0] * m
-    q_min = [0] * m
-    for i in range(exact_until + 1, exact_until + 8 * m + 120):
-        qi = system.q(i)
-        r = i % m
-        rho = system.q(i - 1) / qi
-        rho_lo[r] = min(rho_lo[r], rho)
-        rho_hi[r] = max(rho_hi[r], rho)
-        mass_hi[r] = max(mass_hi[r], mass / qi)
-        if not q_min[r]:
-            q_min[r] = qi
-        mass += qi
-    out = (depth_table, [x - 1e-9 for x in rho_lo],
-           [x + 1e-9 for x in rho_hi],
-           [x * 1.001 + 1e-9 for x in mass_hi], q_min)
-    system._cache[key] = out
-    return out
+    table = system._cache.get(("depths",))
+    if table is None:
+        table = system._cache[("depths",)] = [[] for _ in range(m)]
+    rows = table[r]
+    while len(rows) <= k:
+        i = r + len(rows) * m
+        rows.append((system.q(i), system.q(i - 1), sum(map(system.q, range(i)))))
+    return rows
 
 
-def linear_relation(system: NumerationSystem, coefficients, constant: int,
-                    *, bound: int | None = None) -> Automaton:
+_DEAD, _LIVE, _DONE = 0, 1, 2
+
+
+def _never_falls(g0: int, g1: int, g2: int) -> bool:
+    """Whether g(k), g(k+1), g(k+2) certify g(j) >= g(k) for every j >= k.
+
+    g is an affine form in (q_i, q_{i-1}) along one residue of depths (see
+    :func:`_fate`), so its differences x obey x_{k+2} = tau*x_{k+1} -
+    (-1)^m x_k with tau >= 1, and tau >= 3 for even m: from
+    0 <= x_k <= x_{k+1} on, x stays nonnegative and nondecreasing.
+    """
+    return g0 <= g1 and g1 - g0 <= g2 - g1
+
+
+def _fate(system: NumerationSystem, r: int, s: int, t: int, constant: int,
+          d_min: int, d_max: int, le: bool) -> int:
+    """Exact viability verdict on the pair (s, t) at phase r.
+
+    With ``g_d(k) = s*q_i + t*q_{i-1} + d*(q_0+...+q_{i-1}) - constant``
+    at the depth i = r + k*m, the pair is _LIVE for ``==`` iff some k has
+    g_min(k) <= 0 <= g_max(k), and _DEAD otherwise.  For ``<=`` it can
+    exceed iff some g_max(k) > 0 and can fit iff some g_min(k) <= 0; it is
+    _DONE when it cannot exceed, _DEAD when it cannot fit, else _LIVE.
+    The walk over k stops on such a witness or on a certificate of
+    :func:`_never_falls` that g_min stays above 0 or g_max stays at or
+    below it.  It always stops: the differences of g are
+    alpha*lambda^k + beta*lambda'^k with |lambda'| < 1 < lambda, and
+    alpha = 0 only when they all vanish, since the expanding eigenvector
+    has irrational slope; so g turns monotone and a certificate comes.
+    """
+    rows = _depth_rows(system, r, 2)
+    can_exceed = can_fit = False
+    lo1 = hi1 = None
+    k = 0
+    while True:
+        if k == len(rows):
+            _depth_rows(system, r, 2 * k)  # grows rows in place
+        qi, qim1, mass = rows[k]
+        head = s * qi + t * qim1 - constant
+        lo = head + d_min * mass
+        hi = head + d_max * mass
+        if le:
+            can_exceed = can_exceed or hi > 0
+            can_fit = can_fit or lo <= 0
+            if can_exceed and can_fit:
+                return _LIVE
+        elif lo <= 0 <= hi:
+            return _LIVE
+        # No depth so far was a witness, or the walk would have ended; in
+        # <= mode lo0 > 0 forces hi0 > 0, so none could fit, and hi0 <= 0
+        # forces lo0 <= 0, so none could exceed.  A certified trend then
+        # carries that to every later depth.
+        if k >= 2:
+            if lo0 > 0 and _never_falls(lo0, lo1, lo):
+                return _DEAD
+            if hi0 <= 0 and _never_falls(-hi0, -hi1, -hi):
+                return _DONE if le else _DEAD
+        lo0, hi0, lo1, hi1 = lo1, hi1, lo, hi
+        k += 1
+
+
+def linear_relation(system: NumerationSystem, coefficients, constant: int) -> Automaton:
     """Automaton for ``sum(c_j * value(track_j)) == constant``.
 
     Reading msd-first, the imbalance accumulated so far is kept as an integer
-    pair ``(s, t)`` meaning ``s*q_i + t*q_{i-1}`` at the current position
-    ``i``.  Walking words whose length is a multiple of the period length
-    m, it knows the current position mod m; each step rebases the pair one
-    position down using ``q_i = a_i q_{i-1} + q_{i-2}`` and discards a pair
-    that drifts outside the still-cancelable band (see
-    :func:`pruning_bound`).  Such a word is accepted exactly when the pair
+    pair ``(s, t)`` meaning ``s*q_i + t*q_{i-1}`` if the word ends i letters
+    from now.  Walking words whose length is a multiple of the period length
+    m, it knows i mod m; each step rebases the pair one position down using
+    ``q_i = a_i q_{i-1} + q_{i-2}`` and discards a pair from which no depth
+    of that residue can still reach the constant, decided in integers (see
+    :func:`_fate`).  Such a word is accepted exactly when the pair
     lands on the constant and every track is canonical; leading zeros give
-    the other lengths (see :func:`_linear_machine`).
+    the other lengths.
     """
     coefficients = tuple(int(c) for c in coefficients)
     if not coefficients:
         raise ValueError("need at least one coefficient")
-    return _linear_machine(system, coefficients, int(constant), bound, le=False)
+    return _linear_machine(system, coefficients, int(constant), le=False)
 
 
 def _linear_machine(system: NumerationSystem, coefficients: tuple,
-                    constant: int, bound: int | None, le: bool) -> Automaton:
+                    constant: int, le: bool) -> Automaton:
     """Shared machine for ``sum == constant`` and (le=True) ``sum <= constant``.
 
-    The equality machine keeps a hypothesis pair only while the band test
-    says the constant is still reachable.  The comparison machine has no
-    lower cliff: a pair that can no longer exceed the constant is decided
-    and collapses to a single DONE marker, so the live band has the same
-    width in both modes.
+    Each successor pair is kept, dropped, or (le=True) collapsed to one
+    DONE marker by the exact verdict of :func:`_fate`, walked once per
+    pair.  No cutoff is needed to keep the pairs finite.  The stable
+    coordinate of (s, t) contracts over each period and is driven only by
+    the bounded letter weights, so it stays bounded on every reachable
+    pair.  A kept pair has a depth i with g_min <= 0 and one with
+    g_max >= 0 (the same i for ``==``); divided by q_i, with mass_i/q_i
+    bounded, they bound the expanding coordinate s + t*rho
+    (rho = lim q_{i-1}/q_i along the residue) from above and below.
+    Both bounds leave finitely many integer pairs.
 
     One piece, the words of length == 0 (mod m), is walked in step with
     the CSR rows of canon(k), the recognizer of canonical k-tuples.  The
     relation is padding closed, so with m > 1 closing the piece under
     leading zeros (:meth:`Automaton.pad_normalized`) gives every other
     length; with m = 1 the piece is the whole relation.  The machine is
-    cached on the system per (coefficients, constant, bound, le).
+    cached on the system per (coefficients, constant, le).
     """
-    key = ("linear", coefficients, constant, bound, le)
+    key = ("linear", coefficients, constant, le)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
@@ -215,65 +238,8 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     dmax = system.dmax
     m = system.period_length
     period = system.period
-    cutoff = pruning_bound(system, coefficients, constant) if bound is None else bound
-    # termination backstop, far beyond anything the depth tests let survive
-    hard = 64 * cutoff + 64
-    depth_table, rho_lo, rho_hi, mass_hi, q_min = _depth_bands(system)
-
-    # The slot pair (s, t) stands for the value s*q_i + t*q_{i-1} if the
-    # word ends i letters from now; the digits still to come then add
-    # between d_min and d_max times the mass q_0+...+q_{i-1}.  Small i are
-    # tested exactly, the converged tail through the scaled windows below.
     d_max = sum(c for c in coefficients if c > 0) * dmax
     d_min = sum(c for c in coefficients if c < 0) * dmax
-    twin_lo = [min(constant / q_min[r], 0.0) - d_max * mass_hi[r] - 0.5
-               for r in range(m)]
-    twin_hi = [max(constant / q_min[r], 0.0) - d_min * mass_hi[r] + 0.5
-               for r in range(m)]
-
-    DEAD, LIVE, DONE_CODE = 0, 1, 2
-
-    def viable(r: int, s: int, t: int) -> int:
-        for qi, qim1, mass in depth_table[r]:
-            head = s * qi + t * qim1
-            if head + d_min * mass <= constant <= head + d_max * mass:
-                return LIVE
-        if abs(s) > hard or abs(t) > hard:
-            return DEAD
-        a, b = s + t * rho_lo[r], s + t * rho_hi[r]
-        if a > b:
-            a, b = b, a
-        return LIVE if a <= twin_hi[r] and b >= twin_lo[r] else DEAD
-
-    def viable_le(r: int, s: int, t: int) -> int:
-        can_exceed = False  # some completion ends above the constant
-        can_fit = False     # some completion ends at or below it
-        for qi, qim1, mass in depth_table[r]:
-            head = s * qi + t * qim1
-            if head + d_max * mass > constant:
-                can_exceed = True
-            if head + d_min * mass <= constant:
-                can_fit = True
-            if can_exceed and can_fit:
-                return LIVE
-        a, b = s + t * rho_lo[r], s + t * rho_hi[r]
-        if a > b:
-            a, b = b, a
-        if b > twin_lo[r]:
-            can_exceed = True
-        if a <= twin_hi[r]:
-            can_fit = True
-        if not can_exceed:
-            return DONE_CODE
-        if not can_fit:
-            return DEAD
-        if abs(s) > hard or abs(t) > hard:  # termination backstop
-            return DEAD
-        return LIVE
-
-    if le:
-        viable = viable_le
-
     # A pair born at phase r drops one phase per letter and is evaluated
     # at phase 0, so the one-pair machine (state = phase plus pair, a
     # decided-true pair collapsed to DONE in comparison mode) started at
@@ -285,7 +251,7 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     # state is a pair id and a canon state c, only the letters of c's row
     # are followed, and acceptance also asks that c accepts, so the piece
     # and its closure lie inside canon(k).
-    DONE = -(8 * hard + 9)
+    DONE = None  # s and t of the decided-true pair
     weight_of = [sum(c * d for c, d in zip(coefficients,
                                            letter_digits(code, arity, dmax)))
                  for code in range((dmax + 1) ** arity)]
@@ -299,7 +265,10 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     # pairs[p] is the (phase, s, t) of pair id p, and steps[p] maps a
     # letter weight to the successor pair id (-1: dead); the pair
     # arithmetic and its viability test do not depend on c, so every
-    # canon state reads the same memo
+    # canon state reads the same memo.  pair_id maps a pair to its id,
+    # and also a successor judged DONE to the DONE pair's id and a dead
+    # one to -1, since many (pair, weight) steps land on one pair, whose
+    # fate is then walked once.
     pair_id: dict[tuple, int] = {}
     pairs: list[tuple] = []
     steps: list[dict] = []
@@ -315,15 +284,19 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     def step(p: int, weighted: int) -> int:
         phase, s, t = pairs[p]
         nphase = (phase - 1) % m
-        if s == DONE:
+        if s is DONE:
             return intern((nphase, DONE, DONE))
-        ns, nt = s * period[nphase] + t + weighted, s
-        fate = viable(nphase, ns, nt)
-        if fate == LIVE:
-            return intern((nphase, ns, nt))
-        if fate == DONE_CODE:
-            return intern((nphase, DONE, DONE))
-        return -1
+        succ = (nphase, s * period[nphase] + t + weighted, s)
+        q = pair_id.get(succ)
+        if q is None:
+            fate = _fate(system, *succ, constant, d_min, d_max, le)
+            if fate == _LIVE:
+                q = intern(succ)
+            elif fate == _DONE:
+                q = pair_id[succ] = intern((nphase, DONE, DONE))
+            else:
+                q = pair_id[succ] = -1
+        return q
 
     # a state is the integer p * nc + c
     start = intern((0, 0, 0)) * nc + canon.initial
@@ -362,9 +335,9 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     for i, state in enumerate(order):
         p, c = divmod(state, nc)
         phase, s, _t = pairs[p]
-        # DONE (very negative) passes <= and can never equal the constant
+        # only comparison pairs are ever DONE, and DONE is true
         if phase == 0 and c_accepting[c] and (
-                s <= constant if le else s == constant):
+                s is DONE or (s <= constant if le else s == constant)):
             accepting[i] = 1
     src = np.frombuffer(edge_src, np.int64)
     lets = np.frombuffer(edge_letter, np.int32)
@@ -382,9 +355,10 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
                         op: str) -> Automaton:
     """Automaton for ``sum(c_j * n_j) <op> constant`` with op in <,<=,>,>=.
 
-    All four comparisons are rewritten to a single native ``<=`` machine;
-    see :func:`_linear_machine` for how it stays finite without a slack
-    track.
+    All four comparisons are rewritten to a single native ``<=`` machine,
+    whose pairs that can no longer exceed the constant collapse to one
+    marker (see :func:`_fate`); :func:`_linear_machine` says why it stays
+    finite without a slack track or a depth cutoff.
     """
     coefficients = tuple(int(c) for c in coefficients)
     constant = int(constant)
@@ -398,7 +372,7 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
         op = "<="
     else:
         raise ValueError(f"unknown inequality {op!r}")
-    return _linear_machine(system, coefficients, constant, None, le=True)
+    return _linear_machine(system, coefficients, constant, le=True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ from the stored automata byte for byte; ``Session.replay`` re-executes the
 journal from scratch instead, which must produce the same machines.
 
 ``info``, ``enum``, ``export-dot`` and ``basis`` only read: they are not
-journaled and store nothing.  ``basis <set> <cap>`` finds the least h <= cap
+journaled and store nothing.  ``enum <name> <count>`` prints the first
+count values of a word or of a 2-track function at n = 0, 1, ..., and
+otherwise the first count accepted tuples, ordered by representation
+length and then numerically, so a shorter list is a prefix of a longer
+one.  ``basis <set> <cap>`` finds the least h <= cap
 for which every natural number, or every one but finitely many, is a sum of
 exactly h members of the stored unary relation ``<set>``, by compiling the
 complement of the h-fold sum as a formula.

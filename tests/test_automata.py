@@ -371,11 +371,6 @@ class TestFiniteness:
         zeros = Automaton.from_transitions(1, 1, 1, 0, [0], [(0, 0, 0)])
         assert zeros.is_value_finite()
 
-    def test_enumerate_words_order(self):
-        loop = Automaton.from_transitions(1, 1, 2, 0, [1], [(0, 1, 1), (1, 0, 1)])
-        ws = loop.enumerate_words(4)
-        assert ws == [(1,), (1, 0), (1, 0, 0), (1, 0, 0, 0)]
-
 
 class TestCombine:
     def test_outputs_match_brute_force(self):

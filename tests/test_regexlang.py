@@ -66,10 +66,7 @@ class TestSemantics:
         # padding closure keeps the 0-prefixed variants
         assert aut.accepts_word([0, 0, 3, 1])
 
-    def test_exact_language_without_normalize(self, fib):
-        aut = regex_compile(fib, 1, "1", normalize=False)
-        assert aut.accepts_word([1])
-        assert not aut.accepts_word([0, 1])
+    def test_language_is_closed_under_leading_zeros(self, fib):
         norm = regex_compile(fib, 1, "1")
         assert norm.accepts_word([0, 1]) and norm.accepts_word([1])
 

@@ -22,10 +22,15 @@ from obd import NumerationSystem
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
 from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
+    _DEAD,
+    _DONE,
+    _LIVE,
+    _depth_rows,
+    _fate,
+    _never_falls,
     canonical_recognizer,
     inequality_relation,
     linear_relation,
-    pruning_bound,
     shift_relation,
 )
 from oracles import floor_surd, ref_linear_solutions, rules_ok
@@ -169,18 +174,6 @@ class TestLinearRelation:
         assert linear_relation(system, (1, -1), 0).accepts_word([])
         assert not linear_relation(system, (1,), 3).accepts_word([])
 
-    def test_bound_stability(self, systems):
-        # the default viability window, the documented bound and twice the
-        # documented bound must all carve out the same language
-        for name in ("msd_fib", "msd_s13"):
-            system = systems[name]
-            b = pruning_bound(system, (1, 1, -1), 0)
-            auto = linear_relation(system, (1, 1, -1), 0)
-            at_b = linear_relation(system, (1, 1, -1), 0, bound=b)
-            at_2b = linear_relation(system, (1, 1, -1), 0, bound=2 * b)
-            assert auto.canonical_bytes() == at_b.canonical_bytes()
-            assert auto.canonical_bytes() == at_2b.canonical_bytes()
-
     def test_rejects_empty_coefficients(self, system):
         with pytest.raises(ValueError):
             linear_relation(system, (), 0)
@@ -202,6 +195,80 @@ class TestLinearRelation:
         assert rel.accepts_values((3, 2), fib)
         assert not rel.accepts_values((0, 1), fib)
         assert not rel.accepts_values((2, 3), fib)
+
+
+# odd and even period lengths: the trace of the period's matrix product is
+# >= 1 for odd m and >= 3 for even m
+LEMMA_PERIODS = [(1,), (2,), (3, 1), (1, 2), (2, 1, 1)]
+
+
+def depth_values(system, r, s, t, d, constant, count):
+    """g(k) = s*q_i + t*q_{i-1} + d*(q_0+...+q_{i-1}) - constant at the
+    depths i = r + k*m, k < count, summed from the convergents directly."""
+    m = system.period_length
+    q = system.q
+    mass = list(itertools.accumulate(map(q, range(r + count * m)), initial=0))
+    return [s * q(i) + t * q(i - 1) + d * mass[i] - constant
+            for i in range(r, r + count * m, m)]
+
+
+@pytest.mark.parametrize("period", LEMMA_PERIODS, ids=str)
+class TestExactViability:
+    """The integer viability rule of the linear atoms, against brute force."""
+
+    def test_depth_rows_match_convergents(self, period):
+        system = NumerationSystem("lemma", period)
+        for r in range(system.period_length):
+            rows = _depth_rows(system, r, 12)
+            for k, (qi, qim1, mass) in enumerate(rows[:13]):
+                i = r + k * system.period_length
+                assert (qi, qim1, mass) == (
+                    system.q(i), system.q(i - 1), sum(map(system.q, range(i))))
+
+    def test_certified_trend_holds_for_40_more_depths(self, period):
+        # whenever g(k), g(k+1), g(k+2) certify that g never falls (or, for
+        # -g, never rises), the next 40 depths of that residue keep g(k) as
+        # their minimum, so a certified sign of g(k) is kept too
+        system = NumerationSystem("lemma", period)
+        rng = random.Random(str(period))
+        certified = 0
+        for _ in range(150):
+            r = rng.randrange(system.period_length)
+            s, t = rng.randint(-60, 60), rng.randint(-60, 60)
+            d, constant = rng.randint(-12, 12), rng.randint(-40, 400)
+            g = depth_values(system, r, s, t, d, constant, 20 + 42)
+            fired = False
+            for k in range(20):
+                for h in (g, [-x for x in g]):
+                    if _never_falls(h[k], h[k + 1], h[k + 2]):
+                        fired = True
+                        certified += 1
+                        assert min(h[k:k + 41]) == h[k], (s, t, d, constant, r, k)
+            assert fired, (s, t, d, constant, r)  # every walk can stop
+        assert certified > 150
+
+    @pytest.mark.parametrize("le", [False, True], ids=["eq", "le"])
+    def test_verdict_matches_60_depths(self, period, le):
+        system = NumerationSystem("lemma", period)
+        rng = random.Random(f"{period} {le}")
+        seen = set()
+        for _ in range(300):
+            r = rng.randrange(system.period_length)
+            s, t = rng.randint(-80, 80), rng.randint(-80, 80)
+            d_min, d_max = rng.randint(-12, 0), rng.randint(0, 12)
+            constant = rng.randint(-40, 400)
+            lo = depth_values(system, r, s, t, d_min, constant, 60)
+            hi = depth_values(system, r, s, t, d_max, constant, 60)
+            if le:
+                exceed = any(x > 0 for x in hi)
+                fit = any(x <= 0 for x in lo)
+                want = _LIVE if exceed and fit else _DONE if not exceed else _DEAD
+            else:
+                want = _LIVE if any(a <= 0 <= b for a, b in zip(lo, hi)) else _DEAD
+            got = _fate(system, r, s, t, constant, d_min, d_max, le)
+            assert got == want, (s, t, d_min, d_max, constant, r)
+            seen.add(got)
+        assert seen == ({_LIVE, _DEAD, _DONE} if le else {_LIVE, _DEAD})
 
 
 # compile-large's atoms (s6's beattyg and beatty), a 3-track comparison
@@ -253,22 +320,30 @@ def assert_atom_matches_arithmetic(system, coefs, constant, op, bound):
     assert got == want
 
 
-# constants past the exact depth table, whose largest mass is 20 on msd_fib
-# and 986 on msd_s13, so the rho/twin brackets decide the long words
+# constants past a table of the first 3m + 4 depths (largest mass 20 on
+# msd_fib, 986 on msd_s13 and 1 632 on msd_s211), so the viability walk
+# runs deep before it decides; msd_s13 has an even period length and
+# msd_s211 one of 3
+TAIL_SYSTEMS = {"msd_fib": (1,), "msd_s13": (3, 1), "msd_s211": (2, 1, 1)}
 TAIL_ATOMS = [
     pytest.param("msd_fib", (1,), 100, "<=", 200, id="fib x<=100"),
     pytest.param("msd_fib", (1, -1), 60, "<=", 130, id="fib x-y<=60"),
     pytest.param("msd_fib", (1,), 100, "=", 200, id="fib x=100"),
     pytest.param("msd_fib", (1, 1), 300, "=", 310, id="fib x+y=300"),
     pytest.param("msd_s13", (1,), 3000, "=", 3200, id="s13 x=3000"),
+    pytest.param("msd_s13", (1,), 1500, ">=", 1600, id="s13 x>=1500"),
+    pytest.param("msd_s13", (2,), 2500, "<=", 1400, id="s13 2x<=2500"),
+    pytest.param("msd_s13", (-1,), -1200, "<", 1300, id="s13 -x<-1200"),
+    pytest.param("msd_s211", (1,), 2000, "=", 2100, id="s211 x=2000"),
+    pytest.param("msd_s211", (3,), 5000, "<", 1800, id="s211 3x<5000"),
+    pytest.param("msd_s211", (1,), 1700, ">=", 1800, id="s211 x>=1700"),
 ]
 
 
 @pytest.mark.parametrize("sysname,coefs,constant,op,bound", TAIL_ATOMS)
-def test_atoms_past_the_depth_table(systems, sysname, coefs, constant, op,
-                                    bound):
-    assert_atom_matches_arithmetic(systems[sysname], coefs, constant, op,
-                                   bound)
+def test_atoms_past_the_depth_table(sysname, coefs, constant, op, bound):
+    system = NumerationSystem(sysname, TAIL_SYSTEMS[sysname])
+    assert_atom_matches_arithmetic(system, coefs, constant, op, bound)
 
 
 class TestMultiPeriodAtoms:

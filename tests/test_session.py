@@ -111,6 +111,19 @@ class TestEnum:
         sess.execute('def halves "?msd_fib Ek n=2*k & z=k"', ";")
         assert sess.execute("enum halves 7", ";") == "0, -, 1, -, 2, -, 3"
 
+    def test_longer_list_extends_shorter(self, sess):
+        # tuples come by representation length, then numerically, so each
+        # count prints a prefix of the next; the reference sorts a grid
+        sess.execute('def w "?msd_fib (x=0 & y>=5 & z=y) | '
+                     '(x=1 & z=0 & y<=5)"', ";")
+        rows = [sess.execute(f"enum w {k}", ";") for k in range(1, 10)]
+        for short, longer in zip(rows, rows[1:]):
+            assert longer.startswith(short + ", ")
+        fib = sess.env.systems["msd_fib"]
+        grid = [(0, y, y) for y in range(5, 60)] + [(1, y, 0) for y in range(6)]
+        grid.sort(key=lambda tup: (max(len(fib.encode(v)) for v in tup), tup))
+        assert rows[-1] == ", ".join(map(str, grid[:9]))
+
     def test_relation_that_is_not_functional_names_n(self, sess):
         sess.execute('def twice "?msd_fib z=n | (n=3 & z=0)"', ";")
         with pytest.raises(SessionError,
