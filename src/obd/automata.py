@@ -120,14 +120,17 @@ class Automaton:
     a missing edge leads to the sink, state id ``n_states``, whose row
     points back to itself.  It holds (n_states + 1) * (dmax + 1)**arity
     entries, which is small for the machines read here: the packaged
-    scripts and the benchmark read machines of at most 2 tracks.  It is
-    built from the CSR arrays on the first read and cached, which is safe
-    because nothing writes into an automaton's arrays after construction.
-    Compile paths never build it.
+    scripts and the benchmark read machines of at most 2 tracks.
+    ``function_value`` also memoises in ``_suffixes`` the suffix sets B it
+    meets (its docstring), each by an int id: the steps (B_{i+1}, d_i) ->
+    B_i and the picks (B_{i+1}, row) -> dz, -1 where not functional.  The
+    table and the memo are built on the first read, never on compile
+    paths, and kept, which is safe because an automaton's arrays are
+    never written after construction.
     """
 
     __slots__ = ("arity", "dmax", "indptr", "letters", "targets",
-                 "accepting", "initial", "outputs", "_delta")
+                 "accepting", "initial", "outputs", "_delta", "_suffixes")
 
     def __init__(self, arity, dmax, indptr, letters, targets, accepting,
                  initial=0, outputs=None):
@@ -140,6 +143,7 @@ class Automaton:
         self.initial = int(initial)
         self.outputs = None if outputs is None else np.asarray(outputs, np.int32)
         self._delta = None
+        self._suffixes = None
 
     # -- constructors -----------------------------------------------------
 
@@ -551,48 +555,50 @@ class Automaton:
         system is not enough: floor(n phi^4) over msd_fib needs up to 4
         digits more than n, where the period length plus 2 is 3.
 
-        A forward pass collects the states reachable on the n-track prefix,
-        a backward pass keeps those from which acceptance remains, and a
-        last forward pass picks the one viable z digit at each position.
+        B_i, the states from which some z completes n's padded digits
+        d_i .. d_{L-1} to acceptance, depends on (B_{i+1}, d_i) alone: B_L
+        is the accepting set, and s is in B_i iff delta(s, (d_i, dz)) is in
+        B_{i+1} for some dz.  A backward pass finds each B_i, and a forward
+        pass from the initial state takes the one dz into B_{i+1} at each
+        position.  The states it visits are reachable on n's prefix, as are
+        their successors, so intersecting B with the reachable states would
+        change no choice, nor the NoOutput test (initial state not in B_0).
+        Both steps are memoised on the automaton (class docstring).
         """
         if self.arity != 2:
             raise ValueError("function_value needs a 2-track automaton")
         enc = system.encode(n).digits
         if max(enc) > self.dmax:
             letter_code(enc, self.dmax)  # raises, naming the digit
-        sink = self.n_states
-        base = self.dmax + 1
-        nl = base * base
-        delta = self.successors()
-        zs = range(base)
-        offsets = [0] * sink + [d * base for d in enc]
-        # the successors of s on n-digit d are delta[s*nl + d*base :][:base]
-        reach = [{self.initial}]
-        for off in offsets:
-            nxt = set()
-            for s in reach[-1]:
-                nxt.update(delta[s * nl + off:s * nl + off + base])
-            nxt.discard(sink)
-            reach.append(nxt)
-        live = {s for s in reach[-1] if self.accepting[s]}
-        alive = [live]
-        for i in range(len(offsets) - 1, -1, -1):
-            off = offsets[i]
-            live = {s for s in reach[i] if not live.isdisjoint(
-                delta[s * nl + off:s * nl + off + base])}
-            alive.append(live)
-        alive.reverse()
-        if self.initial not in alive[0]:
+        delta, sink, base = self.successors(), self.n_states, self.dmax + 1
+        if self._suffixes is None:
+            self._suffixes = ([frozenset(np.flatnonzero(self.accepting).tolist())], {}, {})
+        sets, steps, picks = self._suffixes
+        digits = [0] * sink + list(enc)
+        ids = [0]  # of B_L, B_{L-1}, ..., B_0
+        for d in reversed(digits):
+            b = steps.get((ids[-1], d))
+            if b is None:
+                live = sets[ids[-1]]
+                found = frozenset(s for s in range(sink) if not live.isdisjoint(
+                    delta[(s * base + d) * base:(s * base + d + 1) * base]))
+                if found not in sets:
+                    sets.append(found)
+                b = steps[ids[-1], d] = sets.index(found)
+            ids.append(b)
+        if self.initial not in sets[ids[-1]]:
             raise NoOutput(f"no output for input {n}")
-        state = self.initial
-        zdigits = []
-        for off, live in zip(offsets, alive[1:]):
-            row = state * nl + off
-            choices = [dz for dz in zs if delta[row + dz] in live]
-            if len(choices) != 1:
+        state, zdigits = self.initial, []
+        for d, b in zip(digits, reversed(ids[:-1])):
+            row = (state * base + d) * base
+            dz = picks.get((b, row))
+            if dz is None:
+                choices = [c for c in range(base) if delta[row + c] in sets[b]]
+                dz = picks[b, row] = choices[0] if len(choices) == 1 else -1
+            if dz < 0:
                 raise ValueError(f"relation is not functional at {n}")
-            zdigits.append(choices[0])
-            state = delta[row + choices[0]]
+            zdigits.append(dz)
+            state = delta[row + dz]
         return system.decode(zdigits)
 
     def output_equals(self, value: int) -> "Automaton":
@@ -657,25 +663,17 @@ class Automaton:
         ids = [initial, *accepting, *(t for tr in triples for t in (tr[0], tr[2]))]
         if n < 1 or not all(0 <= s < n for s in ids):
             raise ValueError(f"state id out of range for {n} states")
-        aut = Automaton._from_sorted_triples(arity, dmax, n, initial, accepting,
-                                             triples, outputs)
-        return system_name, aut
-
-    @staticmethod
-    def _from_sorted_triples(arity, dmax, n, initial, accepting, triples, outputs):
-        # loads stored canonical machines verbatim (no re-canonicalization)
+        # a stored machine is canonical: it is loaded verbatim
         src = np.array([t[0] for t in triples], np.int64)
         letters = np.array([t[1] for t in triples], np.int32)
         targets = np.array([t[2] for t in triples], np.int32)
         order = np.lexsort((letters, src))
         indptr = np.zeros(n + 1, np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         acc = np.zeros(n, np.uint8)
-        if accepting:
-            acc[accepting] = 1
-        return Automaton(arity, dmax, indptr, letters[order], targets[order],
-                         acc, initial, outputs)
+        acc[accepting] = 1
+        return system_name, Automaton(arity, dmax, indptr, letters[order],
+                                      targets[order], acc, initial, outputs)
 
     def canonical_bytes(self) -> bytes:
         return self.to_text("_").encode()

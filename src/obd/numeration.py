@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 
 from .quadratic import ConvergentTable, PeriodicCF, QuadraticReal, cf_value
 
@@ -88,7 +88,9 @@ class NumerationSystem:
     # -- encode / decode --------------------------------------------------
 
     def encode(self, n: int) -> DigitString:
-        """Canonical (greedy) representation of n >= 0."""
+        """Canonical (greedy) representation of n >= 0, read through
+        ``operator.index``: a float is a TypeError, a numpy int an int."""
+        n = index(n)
         if n < 0:
             raise ValueError("cannot encode a negative value")
         if n == 0:

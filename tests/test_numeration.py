@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +35,17 @@ class TestEncodeDecode:
     def test_negative_raises(self, system):
         with pytest.raises(ValueError):
             system.encode(-1)
+
+    def test_encode_refuses_non_integers(self, system):
+        for bad in (2.5, 12.0, "12", None):
+            with pytest.raises(TypeError):
+                system.encode(bad)
+
+    def test_encode_numpy_int_gives_python_int_digits(self, system):
+        for n in (np.int64(12), np.int32(0), np.uint8(200)):
+            digits = system.encode(n).digits
+            assert digits == system.encode(int(n)).digits
+            assert all(type(d) is int for d in digits)
 
     def test_round_trip_and_canonical(self, system):
         for n in range(3000):

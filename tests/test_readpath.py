@@ -1,11 +1,20 @@
 """The read path (encode, walks, word_value, function_value) against
-answers computed independently in exact integer arithmetic."""
+answers computed independently in exact integer arithmetic.
+
+``function_value`` reads n's digits off suffix sets memoised on the
+automaton.  The three set passes it used before (forward reach, backward
+liveness, forward pick) live on here as a reference, and the new reads
+must give the same value, or the same exception and message, whatever
+the memo already holds.
+"""
 
 import random
 from math import isqrt
 
 import pytest
 
+from obd.automata import Automaton, NoOutput, letter_code
+from obd.repro import SCRIPT_DIR
 from obd.session import Session, word_value
 
 
@@ -52,3 +61,132 @@ def test_function_value_wide_output():
     fib = sess.env.systems[pred.system_name]
     for n in list(range(1, 301)) + sample_ns(12, 40, 60):
         assert pred.automaton.function_value(fib, n) == floor_phi(3 * n) + 2 * n, n
+
+
+def three_pass_function_value(aut, system, n):
+    """``function_value`` before the suffix-set memo: per call, a forward
+    pass of reachable sets, a backward pass keeping the live ones, and a
+    forward pass picking the one viable z digit at each position."""
+    if aut.arity != 2:
+        raise ValueError("function_value needs a 2-track automaton")
+    enc = system.encode(n).digits
+    if max(enc) > aut.dmax:
+        letter_code(enc, aut.dmax)
+    sink = aut.n_states
+    base = aut.dmax + 1
+    nl = base * base
+    delta = aut.successors()
+    offsets = [0] * sink + [d * base for d in enc]
+    reach = [{aut.initial}]
+    for off in offsets:
+        nxt = set()
+        for s in reach[-1]:
+            nxt.update(delta[s * nl + off:s * nl + off + base])
+        nxt.discard(sink)
+        reach.append(nxt)
+    live = {s for s in reach[-1] if aut.accepting[s]}
+    alive = [live]
+    for i in range(len(offsets) - 1, -1, -1):
+        off = offsets[i]
+        live = {s for s in reach[i] if not live.isdisjoint(
+            delta[s * nl + off:s * nl + off + base])}
+        alive.append(live)
+    alive.reverse()
+    if aut.initial not in alive[0]:
+        raise NoOutput(f"no output for input {n}")
+    state = aut.initial
+    zdigits = []
+    for off, live in zip(offsets, alive[1:]):
+        row = state * nl + off
+        choices = [dz for dz in range(base) if delta[row + dz] in live]
+        if len(choices) != 1:
+            raise ValueError(f"relation is not functional at {n}")
+        zdigits.append(choices[0])
+        state = delta[row + choices[0]]
+    return system.decode(zdigits)
+
+
+def outcome(read, aut, system, n):
+    """The value read, or the exception's type and message."""
+    try:
+        return read(aut, system, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def fresh(aut):
+    """The same machine with nothing memoised."""
+    return Automaton(aut.arity, aut.dmax, aut.indptr, aut.letters,
+                     aut.targets, aut.accepting, aut.initial)
+
+
+@pytest.fixture(scope="module")
+def machines():
+    """The benchmark's query machines (s10, s12), a relation that is not
+    functional, and one with no output below 3."""
+    out = {}
+    for section, names in (("s10", ("leswap", "ueswap")),
+                           ("s12", ("a003151", "a001951", "a080754"))):
+        sess = session()
+        sess.run_script((SCRIPT_DIR / f"{section}.obd").read_text(encoding="utf-8"))
+        for name in names:
+            pred = sess.env.predicate(name)
+            out[name] = (pred.automaton, sess.env.systems[pred.system_name])
+    sess = session('def le "?msd_fib z<=n"', 'def from3 "?msd_fib n>=3 & z=n+1"')
+    for name in ("le", "from3"):
+        pred = sess.env.predicate(name)
+        out[name] = (pred.automaton, sess.env.systems[pred.system_name])
+    return out
+
+
+@pytest.mark.parametrize("name", ["leswap", "ueswap", "a003151", "a001951",
+                                  "a080754", "le", "from3"])
+def test_function_value_matches_three_passes(machines, name):
+    aut, system = machines[name]
+    ns = list(range(400)) + sample_ns(13, 60, 120)
+    want = [outcome(three_pass_function_value, aut, system, n) for n in ns]
+    shuffled = list(zip(ns, want))
+    random.Random(14).shuffle(shuffled)
+    first, second = fresh(aut), fresh(aut)
+    for reader, order in ((first, zip(ns, want)), (second, shuffled),
+                          (first, shuffled)):
+        for n, expected in order:
+            assert outcome(Automaton.function_value, reader, system, n) == expected, n
+    # the warmed machine read nothing new the second time round
+    assert [len(m) for m in first._suffixes] == [len(m) for m in second._suffixes]
+
+
+def test_function_value_outcomes_of_the_odd_machines(machines):
+    """The two relations the differential test reads for its error paths
+    do reach them: z<=n is functional at 0 only, n>=3 & z=n+1 has no
+    output below 3."""
+    le, fib = machines["le"]
+    assert le.function_value(fib, 0) == 0
+    with pytest.raises(ValueError, match="not functional at 5"):
+        le.function_value(fib, 5)
+    from3, fib = machines["from3"]
+    for n in range(3):
+        with pytest.raises(NoOutput, match=f"no output for input {n}"):
+            from3.function_value(fib, n)
+    assert [from3.function_value(fib, n) for n in (3, 4, 100)] == [4, 5, 101]
+
+
+CLOSED_FORMS = {
+    "leswap": lambda n: 2 * ((n + floor_phi(n)) // 2),
+    "ueswap": lambda n: 2 * ((n + floor_phi(n) + 1) // 2),
+    "a003151": lambda n: isqrt(2 * n * n) + n,  # floor(n (1 + sqrt 2))
+    "a001951": lambda n: isqrt(2 * n * n),  # floor(n sqrt 2)
+    "a080754": lambda n: isqrt(2 * n * n) + n + 1 if n else 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_query_machines_closed_forms(machines, name):
+    """Each query machine past the 41 digits the compile checks reach:
+    n = 1..299, and one n of each length from 1 to 60 decimal digits."""
+    aut, system = machines[name]
+    rng = random.Random(15)
+    ns = list(range(1, 300)) + [rng.randrange(10 ** (d - 1), 10 ** d)
+                                for d in range(1, 61)]
+    for n in ns:
+        assert aut.function_value(system, n) == CLOSED_FORMS[name](n), n
