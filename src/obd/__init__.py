@@ -5,7 +5,7 @@ synchronized finite automata -> a Walnut-style first-order DSL compiled
 to automata, plus a CLI and scripted reproductions of the key identities.
 """
 from .quadratic import QuadraticReal, PeriodicCF, ConvergentTable, cf_value, cf_expand, period_rotate
-from .numeration import NumerationSystem, DigitString
+from .numeration import NumerationSystem
 from .automata import Automaton
 from .regexlang import RegexError, regex_compile
 from .relations import (
@@ -29,7 +29,7 @@ from .beatty import BeattySpec, beatty_sync, floor_gamma_sync
 
 __all__ = [
     "QuadraticReal", "PeriodicCF", "ConvergentTable", "cf_value", "cf_expand",
-    "period_rotate", "NumerationSystem", "DigitString", "Automaton",
+    "period_rotate", "NumerationSystem", "Automaton",
     "BeattySpec", "beatty_sync", "canonical_recognizer", "fibonacci_word",
     "floor_gamma_sync", "inequality_relation", "linear_relation",
     "shift_relation", "RegexError", "regex_compile",

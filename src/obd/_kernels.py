@@ -22,8 +22,9 @@ loses by far.  On the machines the packaged scripts canonicalise, the
 list pass wins up to about 10 000 edges and loses from about 27 000;
 pair_product's loop, whose output is several times its input, loses from
 1 024 to 2 048 edges on.  The single constant sits between the two.  The
-two paths return identical arrays.  ``determinize`` (under 1 000 edges
-in the benchmark) has only a list path, and ``walk`` reads one word
+two paths return identical arrays.  ``determinize`` (at most 910 input
+edges on compile-small and 2 024 on compile-large) has only a list path,
+and ``walk`` reads one word
 through a dense successor table (see ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy

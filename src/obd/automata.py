@@ -8,10 +8,13 @@ to a common length, and every language handled here is padding closed
 
 Storage is CSR: indptr / letters / targets sorted by (state, letter),
 one initial state, an accepting mask and optionally a per-state output
-(for word automata built with combine). All public operations return
-canonical machines: trimmed, minimized and BFS renumbered, so equal
-languages give byte-identical arrays. The empty language is stored as a
-single dead state and reports live_states == 0.
+(for word automata built with combine). Every machine built from edges
+goes through the one edge constructor ``csr_from_edges``, and every
+letter remap between track layouts (lift, projection, permutation)
+reads the one memoised track table ``_track_table``. All public
+operations return canonical machines: trimmed, minimized and BFS
+renumbered, so equal languages give byte-identical arrays. The empty
+language is stored as a single dead state and reports live_states == 0.
 """
 from __future__ import annotations
 
@@ -49,6 +52,52 @@ def letter_digits(code: int, arity: int, dmax: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def csr_from_edges(n_states: int, src, letters, targets):
+    """The edges src -> targets on `letters`, given in any order, as CSR
+    (indptr, letters, targets): rows sorted by (state, letter), edges with
+    equal (state, letter) in their given order.  Edges that already come
+    in that order (``relations._linear_machine`` emits them so) are
+    neither sorted nor copied."""
+    src = np.asarray(src, np.int64)
+    letters = np.asarray(letters, np.int32)
+    targets = np.asarray(targets, np.int32)
+    in_order = src[1:] == src[:-1]  # built in place: 1 byte per edge
+    in_order &= letters[1:] >= letters[:-1]
+    in_order |= src[1:] > src[:-1]
+    if not in_order.all():
+        order = np.lexsort((letters, src))
+        src, letters, targets = src[order], letters[order], targets[order]
+    indptr = np.zeros(n_states + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
+    return indptr, letters, targets
+
+
+def edge_sources(indptr) -> np.ndarray:
+    """Source state of each edge of a CSR machine."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+@functools.cache
+def _track_table(arity: int, dmax: int, positions: tuple,
+                 arity_new: int) -> np.ndarray:
+    """Row `code` lists, in increasing order, every code over `arity_new`
+    tracks whose track positions[i] holds digit i of `code`; the other
+    tracks range over all digits.  Memoised, so read-only."""
+    if len(positions) != arity or len(set(positions)) != arity \
+            or not all(0 <= p < arity_new for p in positions):
+        raise ValueError(f"bad track embedding {list(positions)} into "
+                         f"{arity_new} tracks")
+    base = dmax + 1
+    wide = np.arange(nletters(arity_new, dmax))
+    code = np.zeros_like(wide)
+    for p in positions:
+        code = code * base + wide // base ** (arity_new - 1 - p) % base
+    table = np.argsort(code, kind="stable").astype(np.int32)
+    table = table.reshape(nletters(arity, dmax), -1)
+    table.flags.writeable = False
+    return table
+
+
 def project_letter_map(arity: int, dmax: int, drop) -> np.ndarray:
     """Old letter code -> code with the tracks in `drop` removed.
 
@@ -60,12 +109,10 @@ def project_letter_map(arity: int, dmax: int, drop) -> np.ndarray:
 def _project_table(arity: int, dmax: int, drop: frozenset) -> np.ndarray:
     if not all(0 <= t < arity for t in drop):
         raise ValueError("track index out of range")
-    keep = [t for t in range(arity) if t not in drop]
-    n = nletters(arity, dmax)
-    out = np.empty(n, np.int32)
-    for code in range(n):
-        digits = letter_digits(code, arity, dmax)
-        out[code] = letter_code([digits[t] for t in keep], dmax)
+    keep = tuple(t for t in range(arity) if t not in drop)
+    table = _track_table(len(keep), dmax, keep, arity)
+    out = np.empty(nletters(arity, dmax), np.int32)
+    out[table] = np.arange(table.shape[0], dtype=np.int32)[:, None]
     out.flags.writeable = False
     return out
 
@@ -78,34 +125,10 @@ def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> np.ndarr
     `code`; free tracks range over all digits.  Memoised by its arguments;
     the table is shared, so it is read-only.
     """
-    return _lift_table(arity_old, dmax, tuple(positions), arity_new)
-
-
-@functools.cache
-def _lift_table(arity_old: int, dmax: int, positions: tuple,
-                arity_new: int) -> np.ndarray:
-    if sorted(positions) != list(positions) or len(set(positions)) != len(positions):
+    positions = tuple(positions)
+    if sorted(set(positions)) != list(positions):
         raise ValueError("positions must be strictly increasing")
-    if len(positions) != arity_old or (positions and positions[-1] >= arity_new):
-        raise ValueError("bad track embedding")
-    free = [j for j in range(arity_new) if j not in positions]
-    base = dmax + 1
-    n_old = nletters(arity_old, dmax)
-    n_free = base ** len(free)
-    out = np.empty((n_old, n_free), np.int32)
-    for code in range(n_old):
-        old = letter_digits(code, arity_old, dmax)
-        for fill in range(n_free):
-            digits = [0] * arity_new
-            for i, p in enumerate(positions):
-                digits[p] = old[i]
-            rest = fill
-            for j in reversed(free):
-                digits[j] = rest % base
-                rest //= base
-            out[code, fill] = letter_code(digits, dmax)
-    out.flags.writeable = False
-    return out
+    return _track_table(arity_old, dmax, positions, arity_new)
 
 
 _MODES = {"and": 0, "or": 1, "xor": 2, "andnot": 3}
@@ -155,8 +178,8 @@ class Automaton:
     def universal(arity: int, dmax: int) -> "Automaton":
         """Accepts every word, including the empty one."""
         nl = nletters(arity, dmax)
-        return Automaton(arity, dmax, np.array([0, nl], np.int64),
-                         np.arange(nl, dtype=np.int32), np.zeros(nl, np.int32), [1])
+        return Automaton(arity, dmax, *csr_from_edges(
+            1, np.zeros(nl, np.int64), np.arange(nl), np.zeros(nl, np.int32)), [1])
 
     @staticmethod
     def from_transitions(arity, dmax, n_states, initial, accepting, transitions,
@@ -177,19 +200,11 @@ class Automaton:
         for i in range(1, len(triples)):
             if triples[i][:2] == triples[i - 1][:2]:
                 raise ValueError(f"duplicate transition {triples[i][:2]}")
-        src = np.array([t[0] for t in triples], np.int64)
-        letters = np.array([t[1] for t in triples], np.int32)
-        targets = np.array([t[2] for t in triples], np.int32)
-        indptr = np.zeros(n_states + 1, np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
         acc = np.zeros(n_states, np.uint8)
         acc[list(accepting)] = 1
-        out = None
-        if outputs is not None:
-            out = np.asarray(outputs, np.int32)
-        return Automaton(arity, dmax, indptr, letters, targets, acc,
-                         initial, out)._canonical()
+        return Automaton(arity, dmax, *csr_from_edges(
+            n_states, *np.array(triples, np.int64).reshape(-1, 3).T),
+            acc, initial, outputs)._canonical()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -324,21 +339,10 @@ class Automaton:
         """
         table = lift_codes(self.arity, self.dmax, positions, arity_new)
         n_free = table.shape[1]
-        src = np.repeat(np.arange(self.n_states, dtype=np.int64),
-                        np.diff(self.indptr))
-        new_src = np.repeat(src, n_free)
-        new_letters = table[self.letters].reshape(-1)
-        new_targets = np.repeat(self.targets, n_free)
-        order = np.lexsort((new_letters, new_src))
-        new_src = new_src[order]
-        new_letters = new_letters[order]
-        new_targets = new_targets[order]
-        indptr = np.zeros(self.n_states + 1, np.int64)
-        np.add.at(indptr, new_src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return Automaton(arity_new, self.dmax, indptr, new_letters.astype(np.int32),
-                         new_targets.astype(np.int32), self.accepting,
-                         self.initial, self.outputs)
+        return Automaton(arity_new, self.dmax, *csr_from_edges(
+            self.n_states, np.repeat(edge_sources(self.indptr), n_free),
+            table[self.letters].reshape(-1), np.repeat(self.targets, n_free)),
+            self.accepting, self.initial, self.outputs)
 
     def permute_tracks(self, perm) -> "Automaton":
         """Reorder tracks: old track i becomes track perm[i].
@@ -348,42 +352,26 @@ class Automaton:
         perm = list(perm)
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of the tracks")
-        n = nletters(self.arity, self.dmax)
-        table = np.empty(n, np.int32)
-        for code in range(n):
-            digits = letter_digits(code, self.arity, self.dmax)
-            moved = [0] * self.arity
-            for i, p in enumerate(perm):
-                moved[p] = digits[i]
-            table[code] = letter_code(moved, self.dmax)
-        src = np.repeat(np.arange(self.n_states, dtype=np.int64),
-                        np.diff(self.indptr))
-        new_letters = table[self.letters]
-        rows = np.lexsort((new_letters, src))
+        table = _track_table(self.arity, self.dmax, tuple(perm), self.arity)[:, 0]
+        indptr, letters, targets = csr_from_edges(
+            self.n_states, edge_sources(self.indptr), table[self.letters], self.targets)
         indptr, letters, targets, acc, order = K.bfs_renumber(
-            self.indptr, new_letters[rows], self.targets[rows], self.accepting,
-            np.int64(self.initial))
+            indptr, letters, targets, self.accepting, np.int64(self.initial))
         outputs = None if self.outputs is None else self.outputs[order]
         return Automaton(self.arity, self.dmax, indptr, letters, targets, acc,
                          0, outputs)
 
     def reverse_determinized(self) -> "Automaton":
         """Minimal DFA of the reversed language."""
-        n = self.n_states
-        src = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
-        order = np.argsort(self.targets, kind="stable")
-        rev_indptr = np.zeros(n + 1, np.int64)
-        rev_indptr[1:] = np.cumsum(np.bincount(self.targets, minlength=n))
-        rev_letters = self.letters[order]
-        rev_targets = src[order]
-        acc_rev = np.zeros(n, np.uint8)
-        acc_rev[self.initial] = 1
-        inits = np.where(self.accepting)[0].astype(np.int64)
+        inits = np.flatnonzero(self.accepting).astype(np.int64)
         if inits.size == 0:
             return Automaton.empty(self.arity, self.dmax)
+        acc_rev = np.zeros(self.n_states, np.uint8)
+        acc_rev[self.initial] = 1
         identity = np.arange(nletters(self.arity, self.dmax), dtype=np.int32)
-        indptr, letters, targets, acc = K.determinize(
-            rev_indptr, rev_letters, rev_targets, acc_rev, inits, identity, False)
+        indptr, letters, targets, acc = K.determinize(*csr_from_edges(
+            self.n_states, self.targets, self.letters, edge_sources(self.indptr)),
+            acc_rev, inits, identity, False)
         return Automaton(self.arity, self.dmax, indptr, letters, targets, acc, 0)._canonical()
 
     def pad_normalized(self) -> "Automaton":
@@ -394,19 +382,17 @@ class Automaton:
         and the linear atom builder (``relations._linear_machine``, which
         builds only the words of one length residue) call it.
         """
+        # a fresh state n reads a zero letter to itself, then q0's row
         n = self.n_states
         q0row = slice(self.indptr[self.initial], self.indptr[self.initial + 1])
-        extra_letters = np.concatenate([self.letters[q0row], [np.int32(0)]])
-        extra_targets = np.concatenate([self.targets[q0row], [np.int32(n)]])
-        indptr = np.concatenate([self.indptr,
-                                 [self.indptr[-1] + extra_letters.size]]).astype(np.int64)
-        letters = np.concatenate([self.letters, extra_letters]).astype(np.int32)
-        targets = np.concatenate([self.targets, extra_targets]).astype(np.int32)
-        acc = np.concatenate([self.accepting, [self.accepting[self.initial]]]).astype(np.uint8)
+        width = q0row.stop - q0row.start
+        acc = np.append(self.accepting, self.accepting[self.initial])
         identity = np.arange(nletters(self.arity, self.dmax), dtype=np.int32)
-        inits = np.array([n], np.int64)
-        indptr, letters, targets, acc = K.determinize(
-            indptr, letters, targets, acc, inits, identity, True)
+        indptr, letters, targets, acc = K.determinize(*csr_from_edges(
+            n + 1, np.append(edge_sources(self.indptr), np.full(width + 1, n)),
+            np.concatenate([self.letters, [0], self.letters[q0row]]),
+            np.concatenate([self.targets, [n], self.targets[q0row]])),
+            acc, np.array([n], np.int64), identity, True)
         return Automaton(self.arity, self.dmax, indptr, letters, targets, acc, 0)._canonical()
 
     # -- running words -------------------------------------------------------
@@ -417,8 +403,7 @@ class Automaton:
             nl = nletters(self.arity, self.dmax)
             n = self.n_states
             table = np.full((n + 1) * nl, n, np.int64)
-            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-            table[src * nl + self.letters] = self.targets
+            table[edge_sources(self.indptr) * nl + self.letters] = self.targets
             self._delta = table.tolist()
         return self._delta
 
@@ -457,9 +442,8 @@ class Automaton:
             raise ValueError("wrong number of values")
         if self.arity == 0:
             return self.accepts_word([])
-        encs = [system.encode(v) for v in values]
-        padded = system.pad_parallel(*encs)
-        return self.accepts_digit_rows([p.digits for p in padded])
+        return self.accepts_digit_rows(
+            system.pad_parallel(*(system.encode(v) for v in values)))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -567,7 +551,7 @@ class Automaton:
         """
         if self.arity != 2:
             raise ValueError("function_value needs a 2-track automaton")
-        enc = system.encode(n).digits
+        enc = system.encode(n)
         if max(enc) > self.dmax:
             letter_code(enc, self.dmax)  # raises, naming the digit
         delta, sink, base = self.successors(), self.n_states, self.dmax + 1
@@ -627,16 +611,18 @@ class Automaton:
 
     @staticmethod
     def from_text(text: str) -> tuple[str, "Automaton"]:
-        """Parse ``to_text`` output; ValueError if the text is cut short, holds
-        another number of transitions than it declares or a state id out of range."""
+        """Parse ``to_text`` output; ValueError if the text is cut short, has a
+        short header line, holds another number of transitions than it
+        declares or a state id out of range."""
         lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
         if len(lines) < 4:
             raise ValueError("truncated automaton text: no transition header")
-        head = lines[0].split()
+        head, st = lines[0].split(), lines[1].split()
         if head[0] != "system":
             raise ValueError("missing system header")
+        if len(head) < 6 or len(st) < 4:
+            raise ValueError("short system or states line")
         system_name, arity, dmax = head[1], int(head[3]), int(head[5])
-        st = lines[1].split()
         n, initial = int(st[1]), int(st[3])
         accepting = [int(x) for x in lines[2].split()[1:]]
         idx = 3
@@ -649,7 +635,10 @@ class Automaton:
                     raise ValueError(f"output for state {i} of {n}")
                 outputs[int(i)] = int(v)
             idx += 1
-        m = int(lines[idx].split()[1])
+        declared = lines[idx].split() if idx < len(lines) else []
+        if len(declared) < 2:
+            raise ValueError("truncated automaton text: no transition header")
+        m = int(declared[1])
         idx += 1
         if len(lines) - idx != m:
             raise ValueError(f"{m} transitions declared, {len(lines) - idx} given")
@@ -664,16 +653,11 @@ class Automaton:
         if n < 1 or not all(0 <= s < n for s in ids):
             raise ValueError(f"state id out of range for {n} states")
         # a stored machine is canonical: it is loaded verbatim
-        src = np.array([t[0] for t in triples], np.int64)
-        letters = np.array([t[1] for t in triples], np.int32)
-        targets = np.array([t[2] for t in triples], np.int32)
-        order = np.lexsort((letters, src))
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         acc = np.zeros(n, np.uint8)
         acc[accepting] = 1
-        return system_name, Automaton(arity, dmax, indptr, letters[order],
-                                      targets[order], acc, initial, outputs)
+        return system_name, Automaton(arity, dmax, *csr_from_edges(
+            n, *np.array(triples, np.int64).reshape(-1, 3).T),
+            acc, initial, outputs)
 
     def canonical_bytes(self) -> bytes:
         return self.to_text("_").encode()

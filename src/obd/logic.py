@@ -48,7 +48,12 @@ __all__ = [
 
 
 class LogicError(ValueError):
-    """Parse or compile failure; syntax errors carry line and column."""
+    """Parse or compile failure; a syntax error names its line and column
+    and keeps its offset into the text in ``pos`` (-1 for other errors)."""
+
+    def __init__(self, message: str, pos: int = -1):
+        super().__init__(message)
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,7 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise LogicError(_span(text, pos) + f": unexpected {text[pos]!r}")
+            raise LogicError(_span(text, pos) + f": unexpected {text[pos]!r}", pos)
         pos = m.end()
         kind = m.lastgroup
         if kind != "ws":
@@ -178,7 +183,7 @@ class _Parser:
     def _err(self, message: str, pos: int | None = None):
         if pos is None:
             pos = self.tokens[self.i][2]
-        raise LogicError(f"{_span(self.text, pos)}: {message}")
+        raise LogicError(f"{_span(self.text, pos)}: {message}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -287,13 +292,11 @@ class _Parser:
                 self._err("parenthesized term", open_pos)  # force the retry
             return node
         except LogicError as formula_err:
-            term_mark_err = formula_err
             self.i = mark
             try:
                 return self.atom()
             except LogicError as atom_err:
-                raise atom_err if _err_pos(atom_err, self.text) >= \
-                    _err_pos(term_mark_err, self.text) else term_mark_err
+                raise atom_err if atom_err.pos >= formula_err.pos else formula_err
 
     # -- atoms -------------------------------------------------------------
 
@@ -403,17 +406,6 @@ def _const_of(term) -> int | None:
         a, b = _const_of(term.left), _const_of(term.right)
         return None if a is None or b is None else a + term.sign * b
     return None
-
-
-def _err_pos(err: LogicError, text: str) -> int:
-    m = re.search(r"line (\d+) col (\d+)", str(err))
-    if not m:
-        return -1
-    line, col = int(m.group(1)), int(m.group(2))
-    at = 0
-    for _ in range(line - 1):
-        at = text.find("\n", at) + 1
-    return at + col - 1
 
 
 def parse_formula(text: str):

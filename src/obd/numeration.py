@@ -7,50 +7,15 @@ n = sum e_i * q_i over the convergent denominators q_i. The canonical
   (b) e_i = a_{i+1} forces e_{i-1} = 0,
   (c) 0 <= e_0 < a_1.
 Leading zeros are always allowed; they are how parallel tracks get padded.
+A digit string is a plain tuple of ints, msd first; ``decode`` and
+``is_canonical`` take any sequence of ints.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import index, mul
 
 from .quadratic import ConvergentTable, PeriodicCF, QuadraticReal, cf_value
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """An msd-first digit string. Prints compactly when digits fit one char."""
-
-    digits: tuple[int, ...]
-    dmax: int = 9
-
-    def __post_init__(self) -> None:
-        if not self.digits:
-            raise ValueError("empty digit string; zero is written as '0'")
-        if any(d < 0 for d in self.digits):
-            raise ValueError("negative digit")
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-
-    @classmethod
-    def _trusted(cls, digits: tuple[int, ...], dmax: int) -> "DigitString":
-        """Wrap digits this module computed (a non-empty tuple of Python
-        ints >= 0) without the per-digit checks, which cost about as much
-        as computing them."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "digits", digits)
-        object.__setattr__(out, "dmax", dmax)
-        return out
-
-    def __str__(self) -> str:
-        if self.dmax > 9:
-            return " ".join(str(d) for d in self.digits)
-        return "".join(str(d) for d in self.digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
 
 
 class NumerationSystem:
@@ -87,14 +52,14 @@ class NumerationSystem:
 
     # -- encode / decode --------------------------------------------------
 
-    def encode(self, n: int) -> DigitString:
-        """Canonical (greedy) representation of n >= 0, read through
+    def encode(self, n: int) -> tuple[int, ...]:
+        """Canonical (greedy) digit tuple of n >= 0, msd first, read through
         ``operator.index``: a float is a TypeError, a numpy int an int."""
         n = index(n)
         if n < 0:
             raise ValueError("cannot encode a negative value")
         if n == 0:
-            return DigitString._trusted((0,), self.dmax)
+            return (0,)
         qs = self.convergents.q_list(n)
         # qs[top] = q_{top-1} is the largest denominator <= n
         top = bisect_right(qs, n) - 1
@@ -102,11 +67,11 @@ class NumerationSystem:
         for k in range(top, 0, -1):
             e, n = divmod(n, qs[k])
             digits.append(e)
-        return DigitString._trusted(tuple(digits), self.dmax)
+        return tuple(digits)
 
-    def decode(self, digits: DigitString | tuple[int, ...] | list[int]) -> int:
-        """Value of an msd-first digit string. Accepts non-canonical strings."""
-        ds = tuple(digits.digits if isinstance(digits, DigitString) else digits)
+    def decode(self, digits) -> int:
+        """Value of an msd-first sequence of digits. Accepts non-canonical ones."""
+        ds = tuple(digits)
         if ds and (min(ds) < 0 or max(ds) > self.dmax):
             bad = next(d for d in ds if d < 0 or d > self.dmax)
             raise ValueError(f"digit {bad} out of range 0..{self.dmax}")
@@ -114,8 +79,8 @@ class NumerationSystem:
         qs = self.convergents.q_list(0)
         return sum(map(mul, ds, qs[len(ds):0:-1]))
 
-    def is_canonical(self, digits: DigitString | tuple[int, ...] | list[int]) -> bool:
-        ds = tuple(digits.digits if isinstance(digits, DigitString) else digits)
+    def is_canonical(self, digits) -> bool:
+        ds = tuple(digits)
         if not ds:
             return True
         prev = None  # digit at position i+1 while scanning position i
@@ -130,14 +95,10 @@ class NumerationSystem:
             prev = d
         return True
 
-    def pad_parallel(self, *strings: DigitString) -> list[DigitString]:
-        """Left-pad digit strings with zeros to a common length."""
+    def pad_parallel(self, *strings: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Left-pad digit tuples with zeros to a common length."""
         width = max(len(s) for s in strings)
-        out = []
-        for s in strings:
-            pad = (0,) * (width - len(s))
-            out.append(DigitString._trusted(pad + s.digits, self.dmax))
-        return out
+        return [(0,) * (width - len(s)) + s for s in strings]
 
     def floor_gamma(self, n: int) -> int:
         """floor(n * gamma), exactly."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels as K
-from .automata import Automaton, letter_code, nletters
+from .automata import Automaton, csr_from_edges, letter_code, nletters
 from .numeration import NumerationSystem
 
 __all__ = ["RegexError", "regex_compile"]
@@ -191,22 +191,16 @@ def _nfa_to_dfa(builder: _Builder, start: int, accept: int,
         for s in range(n):
             if src in closure[s]:
                 triples.add((s, code, dst))
-    triples = sorted(triples)
     acc = np.zeros(n, np.uint8)
     for s in range(n):
         if accept in closure[s]:
             acc[s] = 1
 
-    indptr = np.zeros(n + 1, np.int64)
-    for s, _, _ in triples:
-        indptr[s + 1] += 1
-    np.cumsum(indptr, out=indptr)
-    letters = np.array([c for _, c, _ in triples], np.int32)
-    targets = np.array([t for _, _, t in triples], np.int32)
     identity = np.arange(nletters(arity, dmax), dtype=np.int32)
     inits = np.array([start], np.int64)
-    d_indptr, d_letters, d_targets, d_acc = K.determinize(
-        indptr, letters, targets.astype(np.int32), acc, inits, identity, False)
+    d_indptr, d_letters, d_targets, d_acc = K.determinize(*csr_from_edges(
+        n, *np.array(sorted(triples), np.int64).reshape(-1, 3).T),
+        acc, inits, identity, False)
     return Automaton(arity, dmax, d_indptr, d_letters, d_targets,
                      d_acc, 0)._canonical()
 

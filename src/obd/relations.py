@@ -30,7 +30,7 @@ from array import array
 
 import numpy as np
 
-from .automata import Automaton, letter_digits
+from .automata import Automaton, csr_from_edges, letter_digits
 from .numeration import NumerationSystem
 
 __all__ = [
@@ -339,12 +339,10 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
         if phase == 0 and c_accepting[c] and (
                 s is DONE or (s <= constant if le else s == constant)):
             accepting[i] = 1
-    src = np.frombuffer(edge_src, np.int64)
-    lets = np.frombuffer(edge_letter, np.int32)
-    targets = np.frombuffer(edge_dst, np.int32)
-    indptr = np.zeros(n_states + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
-    out = Automaton(arity, dmax, indptr, lets, targets, accepting, 0)._canonical()
+    out = Automaton(arity, dmax, *csr_from_edges(
+        n_states, np.frombuffer(edge_src, np.int64),
+        np.frombuffer(edge_letter, np.int32), np.frombuffer(edge_dst, np.int32)),
+        accepting, 0)._canonical()
     if m > 1:
         out = out.pad_normalized()
     system._cache[key] = out

@@ -255,7 +255,7 @@ class Session:
                                 and _text_sha(text) != meta["sha"]:
                             raise ValueError("contents differ from the sha "
                                              "recorded in meta.jsonl")
-                    except (OSError, ValueError, IndexError) as exc:
+                    except (OSError, ValueError) as exc:
                         raise SessionError(f"load {path}: {exc}") from exc
                     sess.env.add_predicate(StoredPredicate(
                         name, system_name, aut, meta["source"], kind=kind))
@@ -581,7 +581,7 @@ def word_value(aut: Automaton, system: NumerationSystem, n: int) -> int:
     """Output of a word automaton on the representation of n."""
     if aut.outputs is None:
         raise ValueError("not a word automaton")
-    digits = system.encode(n).digits
+    digits = system.encode(n)
     if max(digits) > aut.dmax:
         letter_code(digits, aut.dmax)  # raises, naming the digit
     state = aut.walk(digits)

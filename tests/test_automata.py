@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from obd.automata import (Automaton, letter_code, letter_digits, lift_codes,
-                          nletters, project_letter_map)
+from obd.automata import (Automaton, csr_from_edges, edge_sources, letter_code,
+                          letter_digits, lift_codes, nletters, project_letter_map)
 from obd.numeration import NumerationSystem
-from obd.relations import canonical_recognizer
+from obd.relations import canonical_recognizer, fibonacci_word
 from obd.session import _combine_outputs, word_value
 from oracles import RefDFA
 
@@ -116,6 +116,11 @@ class TestLetterCoding:
         assert sorted(table[1].tolist()) == [letter_code((1, 0), 1), letter_code((1, 1), 1)]
         with pytest.raises(ValueError):
             lift_codes(2, 1, [1, 0], 3)
+        # a negative position is out of range, not a free pick of tracks
+        with pytest.raises(ValueError):
+            lift_codes(1, 1, [-1], 2)
+        with pytest.raises(ValueError):
+            Automaton.universal(1, 1).lift(2, [-1])
 
     @pytest.mark.parametrize("arity,dmax", [(1, 1), (2, 2), (3, 1), (3, 3)])
     def test_memoised_tables_match_fresh_ones(self, arity, dmax):
@@ -142,6 +147,26 @@ class TestLetterCoding:
             project_letter_map(2, 1, [0])[0] = 5
         with pytest.raises(ValueError, match="read-only"):
             lift_codes(1, 1, [0], 2)[0, 0] = 5
+
+
+class TestEdgeConstructor:
+    def test_any_order_gives_the_csr_arrays(self):
+        rng = random.Random(1401)
+        for trial in range(20):
+            arity, dmax = SHAPES[trial % len(SHAPES)]
+            _, aut = as_pair(random_machine(rng, arity, dmax), arity, dmax)
+            src = edge_sources(aut.indptr)
+            shuffled = rng.sample(range(src.size), src.size)
+            indptr, letters, targets = csr_from_edges(
+                aut.n_states, src[shuffled], aut.letters[shuffled],
+                aut.targets[shuffled])
+            assert indptr.tolist() == aut.indptr.tolist()
+            assert letters.tolist() == aut.letters.tolist()
+            assert targets.tolist() == aut.targets.tolist()
+            # edges already in (state, letter) order are not copied
+            _, same_letters, same_targets = csr_from_edges(
+                aut.n_states, src, aut.letters, aut.targets)
+            assert same_letters is aut.letters and same_targets is aut.targets
 
 
 class TestBooleanOps:
@@ -409,6 +434,16 @@ class TestSerialization:
             back.validate()
             assert back.to_text("msd_x") == aut.to_text("msd_x")
             assert back.equivalent(aut)
+
+    @pytest.mark.parametrize("cut", [
+        lambda lines: lines[:4],  # stops after the outputs line
+        lambda lines: ["system msd_fib arity 1", *lines[1:]],
+        lambda lines: [lines[0], "states 4", *lines[2:]],
+    ], ids=["after-outputs", "short-system", "short-states"])
+    def test_short_text_is_a_value_error(self, cut):
+        text = fibonacci_word(NumerationSystem("msd_fib", (1,))).to_text("msd_fib")
+        with pytest.raises(ValueError):
+            Automaton.from_text("\n".join(cut(text.splitlines())))
 
     def test_arity0_text(self):
         t = Automaton.universal(0, 3)

@@ -100,8 +100,25 @@ class TestParsing:
             parse_formula("x/0 = z")
 
     def test_error_carries_position(self):
-        with pytest.raises(LogicError, match=r"line 1 col"):
+        with pytest.raises(LogicError, match=r"line 1 col 5") as info:
             parse_formula("x = )")
+        assert info.value.pos == 4
+        with pytest.raises(LogicError, match=r"line 2 col 3") as info:
+            parse_formula("x = 1\n& #")
+        assert info.value.pos == 8
+
+    @pytest.mark.parametrize("text,message", [
+        ("(x = 1", "line 1 col 7: expected ')', found 'end of input'"),
+        ("(x + ) = 1", "line 1 col 6: expected a term, found ')'"),
+        ("(x=1) + 2 = y", "line 1 col 3: expected ')', found '='"),
+        ("(x = 1\n & y = ", "line 2 col 8: expected a term, found 'end of input'"),
+    ])
+    def test_group_reports_the_reading_that_got_further(self, text, message):
+        # a parenthesis is read as a formula, then as a term; the error
+        # raised is the one at the later offset, the term's on a tie
+        with pytest.raises(LogicError) as info:
+            parse_formula(text)
+        assert str(info.value) == "syntax error at " + message
 
     def test_free_variables(self):
         _, ast = parse_formula("Eu u=n & $p(u,z) & F[t]=@1")

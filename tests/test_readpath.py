@@ -69,7 +69,7 @@ def three_pass_function_value(aut, system, n):
     forward pass picking the one viable z digit at each position."""
     if aut.arity != 2:
         raise ValueError("function_value needs a 2-track automaton")
-    enc = system.encode(n).digits
+    enc = system.encode(n)
     if max(enc) > aut.dmax:
         letter_code(enc, aut.dmax)
     sink = aut.n_states

@@ -363,8 +363,7 @@ class TestMultiPeriodAtoms:
         bound = 10 if len(coefs) == 3 else 30
         for tup in itertools.product(range(bound), repeat=len(coefs)):
             want = COMPARE[op](sum(c * x for c, x in zip(coefs, tup)), constant)
-            rows = [p.digits for p in
-                    system.pad_parallel(*(system.encode(x) for x in tup))]
+            rows = system.pad_parallel(*(system.encode(x) for x in tup))
             for extra in range(m + 1):
                 padded = [(0,) * extra + row for row in rows]
                 assert rel.accepts_digit_rows(padded) == want, (tup, extra)
@@ -460,7 +459,7 @@ class TestShiftRelation:
         m = system.period_length
         sh = shift_relation(system)
         for u in range(0, 40):
-            w = system.encode(u).digits
+            w = system.encode(u)
             rows = [(0,) * m + w, w + (0,) * m]
             assert sh.accepts_digit_rows(rows)
         # a pair that is not a clean window shift

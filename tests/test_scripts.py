@@ -176,6 +176,17 @@ def test_array_path_gives_the_pinned_machines(tmp_path, monkeypatch):
     assert stored_digests("s7", tmp_path) == PINNED["s7"]
 
 
+@pytest.mark.parametrize("section", ["s9", "s12"])
+def test_replay_matches_load(section, tmp_path):
+    # replaying the journal rebuilds every stored machine byte for byte,
+    # the word automata s9 combines included, and writes nothing
+    run_section(section, tmp_path, out=lambda line: None)
+    replayed = Session.replay(tmp_path / section)
+    assert not (tmp_path / section / "_replay").exists()
+    assert {name: pred.automaton.sha() for name, pred in
+            replayed.env.predicates.items()} == stored_digests(section, tmp_path)
+
+
 # s11's a276873 as packaged quantifies m, n, x and y together: one subset
 # construction over a 5-track conjunction, about 30 s and 155 MB for the
 # whole script, so the section stays slow for its time only.  The same
