@@ -21,6 +21,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import deque
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -143,10 +145,15 @@ class Automaton:
     a missing edge leads to the sink, state id ``n_states``, whose row
     points back to itself.  It holds (n_states + 1) * (dmax + 1)**arity
     entries, which is small for the machines read here: the packaged
-    scripts and the benchmark read machines of at most 2 tracks.
+    scripts and the benchmark read machines of at most 2 tracks.  Reads
+    hand their letter codes to ``_kernels.walk`` as they are: ``walk``
+    converts only an ndarray, and ``accepts_digit_rows`` packs the codes
+    of all positions at once, track by track, as code * (dmax+1) + digit
+    with ``map``, so no read builds a list per letter.
     ``function_value`` also memoises in ``_suffixes`` the suffix sets B it
-    meets (its docstring), each by an int id: the steps (B_{i+1}, d_i) ->
-    B_i and the picks (B_{i+1}, row) -> dz, -1 where not functional.  The
+    meets (its docstring), each by an int id b: the steps (B_{i+1}, d_i)
+    -> B_i, keyed b * (dmax+1) + d_i, and the picks (B_{i+1}, row) -> dz,
+    keyed b * len(successors()) + row, -1 where not functional.  The
     table and the memo are built on the first read, never on compile
     paths, and kept, which is safe because an automaton's arrays are
     never written after construction.
@@ -408,8 +415,10 @@ class Automaton:
         return self._delta
 
     def walk(self, word) -> int:
-        """Final state after reading letter codes, or -1 on a dead end."""
-        word = word.tolist() if isinstance(word, np.ndarray) else list(word)
+        """Final state after reading letter codes (a tuple, list or array),
+        or -1 on a dead end."""
+        if isinstance(word, np.ndarray):
+            word = word.tolist()
         s = K.walk(self.successors(), nletters(self.arity, self.dmax),
                    self.initial, word)
         return -1 if s == self.n_states else s
@@ -419,7 +428,7 @@ class Automaton:
         return s >= 0 and bool(self.accepting[s])
 
     def accepts_digit_rows(self, rows) -> bool:
-        """rows: one digit sequence per track, already equal length."""
+        """rows: one digit tuple or list per track, already equal length."""
         if len(rows) != self.arity:
             raise ValueError("wrong number of tracks")
         if self.arity == 0:
@@ -431,10 +440,12 @@ class Automaton:
             if width and (min(row) < 0 or max(row) > self.dmax):
                 letter_code(row, self.dmax)  # raises, naming the digit
         base = self.dmax + 1
-        word = list(rows[0])
+        codes = rows[0]
         for row in rows[1:]:
-            word = [code * base + d for code, d in zip(word, row)]
-        return self.accepts_word(word)
+            codes = list(map(add, map(mul, codes, repeat(base)), row))
+        s = K.walk(self.successors(), nletters(self.arity, self.dmax),
+                   self.initial, codes)
+        return s != self.n_states and bool(self.accepting[s])
 
     def accepts_values(self, values, system) -> bool:
         """Encode a tuple of naturals in the given numeration system and run."""
@@ -561,24 +572,26 @@ class Automaton:
         digits = [0] * sink + list(enc)
         ids = [0]  # of B_L, B_{L-1}, ..., B_0
         for d in reversed(digits):
-            b = steps.get((ids[-1], d))
+            key = ids[-1] * base + d
+            b = steps.get(key)
             if b is None:
                 live = sets[ids[-1]]
                 found = frozenset(s for s in range(sink) if not live.isdisjoint(
                     delta[(s * base + d) * base:(s * base + d + 1) * base]))
                 if found not in sets:
                     sets.append(found)
-                b = steps[ids[-1], d] = sets.index(found)
+                b = steps[key] = sets.index(found)
             ids.append(b)
         if self.initial not in sets[ids[-1]]:
             raise NoOutput(f"no output for input {n}")
-        state, zdigits = self.initial, []
+        state, zdigits, size = self.initial, [], len(delta)
         for d, b in zip(digits, reversed(ids[:-1])):
             row = (state * base + d) * base
-            dz = picks.get((b, row))
+            key = b * size + row
+            dz = picks.get(key)
             if dz is None:
                 choices = [c for c in range(base) if delta[row + c] in sets[b]]
-                dz = picks[b, row] = choices[0] if len(choices) == 1 else -1
+                dz = picks[key] = choices[0] if len(choices) == 1 else -1
             if dz < 0:
                 raise ValueError(f"relation is not functional at {n}")
             zdigits.append(dz)

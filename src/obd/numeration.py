@@ -9,6 +9,24 @@ n = sum e_i * q_i over the convergent denominators q_i. The canonical
 Leading zeros are always allowed; they are how parallel tracks get padded.
 A digit string is a plain tuple of ints, msd first; ``decode`` and
 ``is_canonical`` take any sequence of ints.
+
+``encode`` takes the greedy digits a block of w positions at a time.
+Canonical strings of one length, leading zeros allowed, are ordered by
+value exactly as they are ordered lexicographically (Fraenkel, "Systems
+of numeration", Amer. Math. Monthly 1985).  So when the greedy remainder
+r is below q_{lo+w}, the greedy digits at positions lo .. lo+w-1 are the
+lexicographically last canonical block b with value sum b_i q_i <= r: b
+followed by r's lower greedy digits is canonical and worth r, and any
+block after b, followed by zeros, is a canonical string of the same
+length, so it is worth more than r.  Each system memoises, per block, the
+values of its canonical blocks in increasing (= lexicographic) order, so
+a block costs one ``bisect_right`` and one subtraction.  The digit
+patterns depend only on the block's phase, lo mod the period length,
+except for block 0 with its rule (c), so blocks of one phase share them.
+w is the largest width at which no phase has more than BLOCK_CAP
+patterns (8 on msd_fib, 4 on msd_s2), and 1 if even one position has
+more: such a position, whose period entry is BLOCK_CAP or more, gets no
+table, and its digit is read by ``divmod``.
 """
 from __future__ import annotations
 
@@ -16,6 +34,33 @@ from bisect import bisect_right
 from operator import index, mul
 
 from .quadratic import ConvergentTable, PeriodicCF, QuadraticReal, cf_value
+
+BLOCK_CAP = 64  # most canonical digit patterns any one block table holds
+
+
+def _positions(period, lo, width):
+    """(a_{i+1}, digit bound) for the positions i = lo+width-1 .. lo."""
+    m = len(period)
+    return [(period[i % m], period[i % m] - (i == 0))
+            for i in range(lo + width - 1, lo - 1, -1)]
+
+
+def _pattern_count(positions) -> int:
+    """How many canonical digit blocks `positions` (msd first) allow."""
+    free, forced = 1, 0  # blocks whose last digit leaves the next one free / forces 0
+    for a, bound in positions:
+        free, forced = free * (bound + (bound < a)) + forced, free * (bound == a)
+    return free + forced
+
+
+def _patterns(positions) -> list[tuple[int, ...]]:
+    """The canonical digit blocks over `positions`, in lexicographic order."""
+    pats, prev = [()], None
+    for a, bound in positions:
+        pats = [p + (d,) for p in pats
+                for d in range(1 if p and p[-1] == prev else bound + 1)]
+        prev = a
+    return pats
 
 
 class NumerationSystem:
@@ -30,6 +75,21 @@ class NumerationSystem:
         self.convergents = ConvergentTable(self.cf)
         # engine-side caches (canonical recognizers etc.) hang off here
         self._cache: dict = {}
+        # encode's block tables (module docstring): block 0's digit patterns
+        # and those of each phase lo mod m, None where a lone position
+        # exceeds the cap; then block j's (values, patterns), grown on
+        # demand, or (None, q_lo) where its digit is read by divmod
+        m, per = len(self.period), self.period
+        starts = [0, *range(m, 2 * m)]  # block 0, then one block of each phase
+        width = 1
+        while max(_pattern_count(_positions(per, lo, width + 1))
+                  for lo in starts) <= BLOCK_CAP:
+            width += 1
+        self._width = width
+        self._block0_patterns, *self._phase_patterns = [
+            _patterns(pos) if _pattern_count(pos) <= BLOCK_CAP else None
+            for pos in (_positions(per, lo, width) for lo in starts)]
+        self._blocks: list = []
 
     @property
     def period_length(self) -> int:
@@ -54,20 +114,46 @@ class NumerationSystem:
 
     def encode(self, n: int) -> tuple[int, ...]:
         """Canonical (greedy) digit tuple of n >= 0, msd first, read through
-        ``operator.index``: a float is a TypeError, a numpy int an int."""
+        ``operator.index``: a float is a TypeError, a numpy int an int.
+
+        The digits are taken one block of positions at a time, from the top
+        block down, as the last entry <= the remainder of the block's value
+        table (module docstring); the top block's surplus leading zeros are
+        cut off at the end."""
         n = index(n)
         if n < 0:
             raise ValueError("cannot encode a negative value")
         if n == 0:
             return (0,)
-        qs = self.convergents.q_list(n)
         # qs[top] = q_{top-1} is the largest denominator <= n
-        top = bisect_right(qs, n) - 1
+        top = bisect_right(self.convergents.q_list(n), n) - 1
+        nblocks = -(-top // self._width)
+        blocks = self._blocks
+        while len(blocks) < nblocks:
+            blocks.append(self._block(len(blocks)))
         digits = []
-        for k in range(top, 0, -1):
-            e, n = divmod(n, qs[k])
-            digits.append(e)
-        return tuple(digits)
+        for values, patterns in blocks[nblocks - 1::-1]:
+            if values is None:
+                e, n = divmod(n, patterns)
+                digits.append(e)
+            else:
+                k = bisect_right(values, n) - 1
+                n -= values[k]
+                digits += patterns[k]
+        return tuple(digits[nblocks * self._width - top:])
+
+    def _block(self, j: int):
+        """Block j's (values, patterns): its canonical digit blocks, msd
+        first, and their values, both in increasing order; (None, q_lo)
+        for a lone position over the cap."""
+        w = self._width
+        lo = j * w
+        patterns = self._phase_patterns[lo % self.period_length] if j else self._block0_patterns
+        if patterns is None:
+            return None, self.q(lo)
+        self.q(lo + w - 1)  # grows the cached list through the block's top
+        qrow = self.convergents.q_list(0)[lo + w:lo:-1]  # q_{lo+w-1} .. q_lo
+        return [sum(map(mul, p, qrow)) for p in patterns], patterns
 
     def decode(self, digits) -> int:
         """Value of an msd-first sequence of digits. Accepts non-canonical ones."""
@@ -88,7 +174,7 @@ class NumerationSystem:
             i = len(ds) - 1 - pos
             if d < 0 or d > self.digit_bound(i):
                 return False
-            if prev is not None and i >= 0:
+            if prev is not None:
                 # rule (b): a saturated digit forces a zero just below it
                 if prev == self.cf.partial_quotient(i + 2) and d != 0:
                     return False

@@ -74,7 +74,7 @@ def greedy_digits(period, n):
         return (0,)
     qs = denominators(period, 1)
     while qs[-1] <= n:
-        qs = denominators(period, len(qs))
+        qs = denominators(period, 2 * len(qs))  # doubling: the zeros above n's top are cut below
     out = []
     for i in range(len(qs) - 1, -1, -1):
         e = n // qs[i]

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obd import NumerationSystem
+from obd.numeration import BLOCK_CAP
 from oracles import all_canonical, digits_value, floor_surd, greedy_digits, rules_ok
 
 periods = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4).map(tuple)
+# entries from BLOCK_CAP up leave a lone position with more digits than the cap
+wide_periods = st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=4).map(tuple)
 
 
 class TestEncodeDecode:
@@ -38,7 +41,7 @@ class TestEncodeDecode:
             assert system.is_canonical(s)
 
     def test_matches_independent_greedy(self, system):
-        for n in range(2000):
+        for n in range(5001):
             assert system.encode(n) == greedy_digits(system.period, n)
         # up to 10**60 in mixed order: the system is shared by the whole
         # session, so its cached denominators grow between calls
@@ -68,6 +71,61 @@ class TestEncodeDecode:
         assert sys.decode(s) == n
         assert sys.is_canonical(s)
         assert s == greedy_digits(period, n)
+
+
+def stored_tables(system):
+    """Every digit pattern list and value list the system's encoder holds."""
+    pattern_lists = [system._block0_patterns, *system._phase_patterns]
+    return [t for t in pattern_lists + [values for values, _ in system._blocks]
+            if t is not None]
+
+
+class TestBlockEncode:
+    """``encode`` reads the greedy digits a block of positions at a time,
+    out of value tables memoised on the system; each case is checked
+    against the digit-by-digit ``greedy_digits``."""
+
+    def test_block_edges(self, system):
+        # q_k - 1, q_k and q_k + 1 change the digit string around position
+        # k, so k up to 300 meets every block edge of the first 300 positions
+        for k in range(301):
+            q = system.q(k)
+            for n in (q - 1, q, q + 1):
+                assert system.encode(n) == greedy_digits(system.period, n), n
+
+    def test_large_values_on_fresh_tables(self, system):
+        # a fresh system, whose tables grow as values of shuffled lengths arrive
+        fresh = NumerationSystem(system.name, system.period)
+        rng = random.Random(1985)
+        ns = [rng.randrange(10 ** rng.randint(1, 60)) for _ in range(2000)]
+        rng.shuffle(ns)
+        for n in ns:
+            assert fresh.encode(n) == greedy_digits(system.period, n), n
+        tables = stored_tables(fresh)
+        assert tables and all(len(t) <= BLOCK_CAP for t in tables)
+        # value tables rise strictly: lexicographic order is numeric order
+        for values, _ in fresh._blocks:
+            assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_block_widths(self, systems):
+        # the largest widths at which no phase has more than 64 patterns
+        assert systems["msd_fib"]._width == 8
+        assert systems["msd_s2"]._width == 4
+
+    @given(wide_periods, st.integers(min_value=0, max_value=10**40))
+    @settings(max_examples=150, deadline=None)
+    def test_periods_across_the_cap(self, period, n):
+        sys = NumerationSystem("t", period)
+        assert sys.encode(n) == greedy_digits(period, n)
+        assert all(len(t) <= BLOCK_CAP for t in stored_tables(sys))
+
+    def test_huge_partial_quotient(self):
+        # one position alone allows 10**6 + 1 digits: no table is built for
+        # it, and its digit is read by divmod
+        big = NumerationSystem("big", (10 ** 6,))
+        assert big.encode(10 ** 30) == greedy_digits((10 ** 6,), 10 ** 30)
+        assert big.decode(big.encode(10 ** 30)) == 10 ** 30
+        assert stored_tables(big) == []
 
 
 class TestCanonicity:

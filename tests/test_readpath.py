@@ -1,11 +1,12 @@
-"""The read path (encode, walks, word_value, function_value) against
-answers computed independently in exact integer arithmetic.
+"""The read path (encode, walks, membership, word_value, function_value)
+against answers computed independently in exact integer arithmetic.
 
 ``function_value`` reads n's digits off suffix sets memoised on the
 automaton.  The three set passes it used before (forward reach, backward
 liveness, forward pick) live on here as a reference, and the new reads
 must give the same value, or the same exception and message, whatever
-the memo already holds.
+the memo already holds.  Membership packs its letter codes with ``map``;
+the per-letter route it replaced is kept the same way.
 """
 
 import random
@@ -13,6 +14,7 @@ from math import isqrt
 
 import pytest
 
+from obd import NumerationSystem
 from obd.automata import Automaton, NoOutput, letter_code
 from obd.repro import SCRIPT_DIR
 from obd.session import Session, word_value
@@ -190,3 +192,82 @@ def test_query_machines_closed_forms(machines, name):
                                 for d in range(1, 61)]
     for n in ns:
         assert aut.function_value(system, n) == CLOSED_FORMS[name](n), n
+
+
+def per_letter_accepts_values(aut, values, system):
+    """``accepts_values`` before the codes were packed with ``map``: pad the
+    encoded values, build each letter's code in a per-letter list, and run
+    it through ``accepts_word``."""
+    if len(values) != aut.arity:
+        raise ValueError("wrong number of values")
+    if aut.arity == 0:
+        return aut.accepts_word([])
+    rows = system.pad_parallel(*(system.encode(v) for v in values))
+    for row in rows:
+        if min(row) < 0 or max(row) > aut.dmax:
+            letter_code(row, aut.dmax)
+    base = aut.dmax + 1
+    word = list(rows[0])
+    for row in rows[1:]:
+        word = [code * base + d for code, d in zip(word, row)]
+    return aut.accepts_word(word)
+
+
+def member_outcome(read, aut, values, system):
+    """The answer, or the exception's type and message."""
+    try:
+        return read(aut, values, system)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_membership(aut, system, tuples):
+    for values in tuples:
+        want = member_outcome(per_letter_accepts_values, aut, values, system)
+        got = member_outcome(Automaton.accepts_values, aut, values, system)
+        assert got == want, values
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_membership_matches_per_letter_route(machines, name):
+    aut, system = machines[name]
+    rng = random.Random(16)
+    tuples = []
+    for n in list(range(200)) + sample_ns(17, 60, 100):
+        z = CLOSED_FORMS[name](n)
+        tuples += [(n, z), (n, z + 1), (n, rng.randrange(10 ** 60))]
+    assert_same_membership(aut, system, tuples)
+    assert sum(member_outcome(Automaton.accepts_values, aut, t, system) is True
+               for t in tuples) >= 300
+
+
+def test_membership_on_one_and_three_tracks():
+    sess = session('def even "?msd_fib Ek n=2*k"', 'def add "?msd_fib x+y=z"')
+    even, add = (sess.env.predicate(name) for name in ("even", "add"))
+    fib = sess.env.systems[even.system_name]
+    assert even.automaton.arity == 1 and add.automaton.arity == 3
+    ns = list(range(100)) + sample_ns(18, 60, 100)
+    assert_same_membership(even.automaton, fib, [(n,) for n in ns])
+    assert [even.automaton.accepts_values((n,), fib) for n in range(6)] == [
+        True, False, True, False, True, False]
+    rng = random.Random(19)
+    triples = []
+    for _ in range(200):
+        x, y = (rng.randrange(10 ** rng.randint(1, 59)) for _ in range(2))
+        triples += [(x, y, x + y), (x, y, x + y + 1), (y, x, x + y)]
+    assert_same_membership(add.automaton, fib, triples)
+    assert all(add.automaton.accepts_values(t, fib) for t in triples[::3])
+
+
+def test_membership_errors_match_per_letter_route(machines):
+    aut, fib = machines["leswap"]
+    s2 = NumerationSystem("msd_s2", (2,))
+    assert s2.encode(4) == (2, 0)
+    for values, system in (((1,), fib), ((1, 2, 3), fib), ((), fib),
+                           ((-1, 0), fib), ((0, -1), fib),
+                           ((4, 0), s2), ((0, 4), s2)):
+        want = member_outcome(per_letter_accepts_values, aut, values, system)
+        assert want[0] is ValueError, values
+        assert member_outcome(Automaton.accepts_values, aut, values, system) == want
+    assert member_outcome(Automaton.accepts_values, aut, (4, 0), s2) == (
+        ValueError, "digit 2 out of range 0..1")
