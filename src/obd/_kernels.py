@@ -8,21 +8,24 @@ go to an implicit dead sink.  Kernels never write into their inputs and
 may return an input array unchanged (``trim`` does when it cuts nothing)
 or a read-only one, so callers must not write into automaton arrays.
 
-Two paths.  Below SMALL_EDGES input edges, ``canonical`` does trim, Moore
-refinement, quotient and BFS renumbering in one pass over ``.tolist()``
-lists with ``dict`` interning, and ``pair_product`` runs a loop of the
-same kind; from SMALL_EDGES on, ``trim``, ``min_blocks``, ``quotient``,
-``bfs_renumber`` and ``pair_product`` run whole-array numpy passes:
-frontier searches one BFS level at a time, and Moore rounds as one sort
-of the rows [block, letter-row id, block of each target] per out-degree
-group.  A numpy call costs microseconds however little it does, and a
-small machine needs many BFS levels and Moore rounds for few edges, so
-there the loops win; on large machines their per-edge interpreter cost
-loses by far.  On the machines the packaged scripts canonicalise, the
-list pass wins up to about 10 000 edges and loses from about 27 000;
-pair_product's loop, whose output is several times its input, loses from
-1 024 to 2 048 edges on.  The single constant sits between the two.  The
-two paths return identical arrays.  ``determinize`` (at most 910 input
+Two paths.  Below CANONICAL_EDGES input edges, ``canonical`` does trim,
+Moore refinement, quotient and BFS renumbering in one pass over
+``.tolist()`` lists with ``dict`` interning, and below SMALL_EDGES
+``pair_product`` runs a loop of the same kind; from those sizes on,
+``trim``, ``min_blocks``, ``quotient``, ``bfs_renumber`` and
+``pair_product`` run whole-array numpy passes: frontier searches one BFS
+level at a time, and Moore rounds as one sort of the rows [block,
+letter-row id, block of each target] per out-degree group.  A numpy call
+costs microseconds however little it does, and a small machine needs many
+BFS levels and Moore rounds for few edges, so there the loops win; on
+large machines their per-edge interpreter cost loses by far.  On the
+machines the packaged scripts and the linear atoms canonicalise, the list
+pass wins up to about 12 500 edges (3.4 against 13.2 ms at 4 899 edges,
+5.4 against 9.6 ms at 9 372) and loses from about 27 000 (0.30 against
+0.11 s on s11's 24 407-state subset construction); pair_product's loop,
+whose output is several times its input, loses from 1 024 to 2 048 edges
+on.  Each constant sits below its own crossover.  The two paths return
+identical arrays.  ``determinize`` (at most 910 input
 edges on compile-small and 2 024 on compile-large) has only a list path,
 and ``walk`` reads one word
 through a dense successor table (see ``Automaton.successors``).
@@ -45,7 +48,8 @@ import numpy as np
 
 HAVE_NUMBA = False  # the kernels are numpy and plain Python only
 
-SMALL_EDGES = 4096
+SMALL_EDGES = 4096  # pair_product's list loop below this many input edges
+CANONICAL_EDGES = 12288  # canonical's list pass below this many edges
 SLICE_EDGES = 1 << 14
 
 

@@ -254,14 +254,14 @@ class Automaton:
     # -- canonical form ----------------------------------------------------
 
     def _canonical(self) -> "Automaton":
-        """Trimmed, minimal and BFS numbered: below ``K.SMALL_EDGES`` edges
-        by the one list pass ``K.canonical``, from there on by the array
-        kernels trim, min_blocks, quotient and bfs_renumber in turn, with
-        identical arrays.  A word automaton (one with outputs) is not
+        """Trimmed, minimal and BFS numbered: below ``K.CANONICAL_EDGES``
+        edges by the one list pass ``K.canonical``, from there on by the
+        array kernels trim, min_blocks, quotient and bfs_renumber in turn,
+        with identical arrays.  A word automaton (one with outputs) is not
         trimmed; its states are refined by outputs * 2 + acc."""
         word = self.outputs is not None
         labels = self.outputs.astype(np.int64) * 2 + self.accepting if word else None
-        if self.letters.size < K.SMALL_EDGES:
+        if self.letters.size < K.CANONICAL_EDGES:
             indptr, letters, targets, acc, states = K.canonical(
                 self.indptr, self.letters, self.targets, self.accepting,
                 self.initial, labels)
@@ -439,6 +439,11 @@ class Automaton:
         for row in rows:
             if width and (min(row) < 0 or max(row) > self.dmax):
                 letter_code(row, self.dmax)  # raises, naming the digit
+        return self._accepts_rows(rows)
+
+    def _accepts_rows(self, rows) -> bool:
+        """accepts_digit_rows on rows of one length whose digits are already
+        known to lie in 0..dmax."""
         base = self.dmax + 1
         codes = rows[0]
         for row in rows[1:]:
@@ -448,13 +453,18 @@ class Automaton:
         return s != self.n_states and bool(self.accepting[s])
 
     def accepts_values(self, values, system) -> bool:
-        """Encode a tuple of naturals in the given numeration system and run."""
+        """Encode a tuple of naturals in the given numeration system and run.
+
+        Encoded digits lie in 0..system.dmax, so the rows are checked
+        digit by digit only when that exceeds the machine's dmax."""
         if len(values) != self.arity:
             raise ValueError("wrong number of values")
         if self.arity == 0:
             return self.accepts_word([])
-        return self.accepts_digit_rows(
-            system.pad_parallel(*(system.encode(v) for v in values)))
+        rows = system.pad_parallel(*(system.encode(v) for v in values))
+        if system.dmax <= self.dmax:
+            return self._accepts_rows(rows)
+        return self.accepts_digit_rows(rows)
 
     # -- enumeration -----------------------------------------------------------
 

@@ -14,9 +14,11 @@ two.  Both build every atom, whatever its coefficients, by walking the
 imbalance in step with canon(k) over the words whose length is a multiple
 of the period length m, then closing that piece under leading zeros, which
 gives every other length; no product with canon(k) follows.  Whether an
-imbalance can still reach the constant is decided in exact integers by
-walking the depths it could end at until a witness or a certificate of
-monotone growth settles it (see :func:`_fate`); no float and no cutoff.
+imbalance can still reach the constant is decided in exact integers: the
+canonical suffixes of length i are worth 0 .. q_i - 1, which bounds what
+the digits still to come can add, and the depths it could end at are
+walked until a witness or a certificate of monotone growth settles it
+(see :func:`_fate`); no float and no cutoff.
 :func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
@@ -111,23 +113,6 @@ def canonical_recognizer(system: NumerationSystem, arity: int = 1) -> Automaton:
 # linear relations
 
 
-def _depth_rows(system: NumerationSystem, r: int, k: int) -> list:
-    """Rows ``(q_i, q_{i-1}, q_0+...+q_{i-1})`` at the depths i = r + j*m.
-
-    One list per residue r, cached on the system and grown until it holds
-    row k; callers index it and ask again for a longer one.
-    """
-    m = system.period_length
-    table = system._cache.get(("depths",))
-    if table is None:
-        table = system._cache[("depths",)] = [[] for _ in range(m)]
-    rows = table[r]
-    while len(rows) <= k:
-        i = r + len(rows) * m
-        rows.append((system.q(i), system.q(i - 1), sum(map(system.q, range(i)))))
-    return rows
-
-
 _DEAD, _LIVE, _DONE = 0, 1, 2
 
 
@@ -143,14 +128,21 @@ def _never_falls(g0: int, g1: int, g2: int) -> bool:
 
 
 def _fate(system: NumerationSystem, r: int, s: int, t: int, constant: int,
-          d_min: int, d_max: int, le: bool) -> int:
+          c_min: int, c_max: int, le: bool) -> int:
     """Exact viability verdict on the pair (s, t) at phase r.
 
-    With ``g_d(k) = s*q_i + t*q_{i-1} + d*(q_0+...+q_{i-1}) - constant``
-    at the depth i = r + k*m, the pair is _LIVE for ``==`` iff some k has
+    The canonical strings of length i are worth exactly 0 .. q_i - 1
+    (Ostrowski), so with c_min and c_max the sums of the negative and of
+    the positive coefficients, the suffixes still to come at depth i add
+    between c_min*(q_i - 1) and c_max*(q_i - 1).  With
+    ``g_c(k) = s*q_i + t*q_{i-1} + c*(q_i - 1) - constant`` at the depth
+    i = r + k*m, the pair is _LIVE for ``==`` iff some k has
     g_min(k) <= 0 <= g_max(k), and _DEAD otherwise.  For ``<=`` it can
     exceed iff some g_max(k) > 0 and can fit iff some g_min(k) <= 0; it is
     _DONE when it cannot exceed, _DEAD when it cannot fit, else _LIVE.
+    The range bounds each track on its own, so the verdict over-approximates
+    what canonical tuples can reach: DEAD and DONE are never wrong, and a
+    LIVE pair that reaches nothing is trimmed with the raw piece.
     The walk over k stops on such a witness or on a certificate of
     :func:`_never_falls` that g_min stays above 0 or g_max stays at or
     below it.  It always stops: the differences of g are
@@ -158,17 +150,19 @@ def _fate(system: NumerationSystem, r: int, s: int, t: int, constant: int,
     alpha = 0 only when they all vanish, since the expanding eigenvector
     has irrational slope; so g turns monotone and a certificate comes.
     """
-    rows = _depth_rows(system, r, 2)
+    m = system.period_length
+    qs = system.convergents.q_list(0)  # entry i + 1 is q_i
     can_exceed = can_fit = False
     lo1 = hi1 = None
+    i = r
     k = 0
     while True:
-        if k == len(rows):
-            _depth_rows(system, r, 2 * k)  # grows rows in place
-        qi, qim1, mass = rows[k]
-        head = s * qi + t * qim1 - constant
-        lo = head + d_min * mass
-        hi = head + d_max * mass
+        if i + 1 >= len(qs):
+            system.q(2 * i + m)  # grows qs in place
+        qi = qs[i + 1]
+        head = s * qi + t * qs[i] - constant
+        lo = head + c_min * (qi - 1)
+        hi = head + c_max * (qi - 1)
         if le:
             can_exceed = can_exceed or hi > 0
             can_fit = can_fit or lo <= 0
@@ -186,6 +180,7 @@ def _fate(system: NumerationSystem, r: int, s: int, t: int, constant: int,
             if hi0 <= 0 and _never_falls(-hi0, -hi1, -hi):
                 return _DONE if le else _DEAD
         lo0, hi0, lo1, hi1 = lo1, hi1, lo, hi
+        i += m
         k += 1
 
 
@@ -218,8 +213,8 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     coordinate of (s, t) contracts over each period and is driven only by
     the bounded letter weights, so it stays bounded on every reachable
     pair.  A kept pair has a depth i with g_min <= 0 and one with
-    g_max >= 0 (the same i for ``==``); divided by q_i, with mass_i/q_i
-    bounded, they bound the expanding coordinate s + t*rho
+    g_max >= 0 (the same i for ``==``); divided by q_i, with
+    (q_i - 1)/q_i < 1, they bound the expanding coordinate s + t*rho
     (rho = lim q_{i-1}/q_i along the residue) from above and below.
     Both bounds leave finitely many integer pairs.
 
@@ -238,8 +233,8 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     dmax = system.dmax
     m = system.period_length
     period = system.period
-    d_max = sum(c for c in coefficients if c > 0) * dmax
-    d_min = sum(c for c in coefficients if c < 0) * dmax
+    c_max = sum(c for c in coefficients if c > 0)
+    c_min = sum(c for c in coefficients if c < 0)
     # A pair born at phase r drops one phase per letter and is evaluated
     # at phase 0, so the one-pair machine (state = phase plus pair, a
     # decided-true pair collapsed to DONE in comparison mode) started at
@@ -289,7 +284,7 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
         succ = (nphase, s * period[nphase] + t + weighted, s)
         q = pair_id.get(succ)
         if q is None:
-            fate = _fate(system, *succ, constant, d_min, d_max, le)
+            fate = _fate(system, *succ, constant, c_min, c_max, le)
             if fate == _LIVE:
                 q = intern(succ)
             elif fate == _DONE:

@@ -2,15 +2,15 @@
 
 Canonicalisation and pair_product have a list path for small inputs and
 a whole-array path for large ones, chosen by edge count against
-``SMALL_EDGES``: below it ``canonical`` does in one pass what the array
-kernels trim, min_blocks, quotient and bfs_renumber do in turn.  Here
-both paths run on the same random CSR machines (forced by moving the
-constant) and must return identical arrays.  trim, min_blocks and
-bfs_renumber each keep only their array path; the plain loops that were
-their list paths live on here as references, and each kernel must return
-what its loop returns.  quotient is checked against a scalar loop too,
-and walk over the dense successor table against a binary search in the
-CSR rows.
+``CANONICAL_EDGES`` and ``SMALL_EDGES``: below the first ``canonical``
+does in one pass what the array kernels trim, min_blocks, quotient and
+bfs_renumber do in turn.  Here both paths run on the same random CSR
+machines (forced by moving both constants) and must return identical
+arrays.  trim, min_blocks and bfs_renumber each keep only their array
+path; the plain loops that were their list paths live on here as
+references, and each kernel must return what its loop returns.  quotient
+is checked against a scalar loop too, and walk over the dense successor
+table against a binary search in the CSR rows.
 """
 import tracemalloc
 
@@ -78,9 +78,11 @@ def shapes(seed):
 
 
 def both_paths(monkeypatch, fn, *args):
-    monkeypatch.setattr(K, "SMALL_EDGES", 1 << 62)
+    for name in ("SMALL_EDGES", "CANONICAL_EDGES"):
+        monkeypatch.setattr(K, name, 1 << 62)
     small = fn(*args)
-    monkeypatch.setattr(K, "SMALL_EDGES", 0)
+    for name in ("SMALL_EDGES", "CANONICAL_EDGES"):
+        monkeypatch.setattr(K, name, 0)
     large = fn(*args)
     return small, large
 
@@ -175,7 +177,7 @@ def sized(rng, edges):
 
 def canonical_machines(seed):
     """shapes(seed), a dead initial state and the two sizes either side of
-    SMALL_EDGES, each with initial state 0 and n - 1."""
+    CANONICAL_EDGES, each with initial state 0 and n - 1."""
     rng = np.random.default_rng(seed)
     machines = shapes(seed)
     # state 0 has no edges and does not accept
@@ -184,7 +186,7 @@ def canonical_machines(seed):
     acc[0] = 0
     machines.append((np.maximum(indptr - indptr[1], 0), letters[indptr[1]:],
                      targets[indptr[1]:], acc))
-    machines += [sized(rng, K.SMALL_EDGES - 1), sized(rng, K.SMALL_EDGES)]
+    machines += [sized(rng, K.CANONICAL_EDGES - 1), sized(rng, K.CANONICAL_EDGES)]
     for indptr, letters, targets, acc in machines:
         for initial in (0, acc.size - 1):
             yield indptr, letters, targets, acc, initial
@@ -201,7 +203,7 @@ def test_canonical_paths_agree(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     machines = list(canonical_machines(seed))
     assert [m[1].size for m in machines[-4:]] == \
-        [K.SMALL_EDGES - 1] * 2 + [K.SMALL_EDGES] * 2
+        [K.CANONICAL_EDGES - 1] * 2 + [K.CANONICAL_EDGES] * 2
     dead = 0
     for indptr, letters, targets, acc, initial in machines:
         nl = int(letters.max(initial=0)) + 1
@@ -212,7 +214,7 @@ def test_canonical_paths_agree(monkeypatch, seed):
         for aut in (relation, word):
             small, large = both_paths(monkeypatch, canonical_arrays, aut)
             assert_same(small, large)
-            monkeypatch.undo()  # and the path SMALL_EDGES itself picks
+            monkeypatch.undo()  # and the path CANONICAL_EDGES itself picks
             assert_same(small, canonical_arrays(aut))
         if not trim_reference(indptr, letters, targets, acc, initial)[5]:
             dead += 1  # no accepting state in reach: the empty machine

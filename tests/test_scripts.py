@@ -172,6 +172,7 @@ def test_section(section, tmp_path, monkeypatch):
 def test_array_path_gives_the_pinned_machines(tmp_path, monkeypatch):
     # every minimisation, and every product, on the numpy kernels
     monkeypatch.setattr(_kernels, "SMALL_EDGES", 0)
+    monkeypatch.setattr(_kernels, "CANONICAL_EDGES", 0)
     assert failed_checks("s7", tmp_path) == []
     assert stored_digests("s7", tmp_path) == PINNED["s7"]
 
