@@ -25,10 +25,12 @@ pass wins up to about 12 500 edges (3.4 against 13.2 ms at 4 899 edges,
 0.11 s on s11's 24 407-state subset construction); pair_product's loop,
 whose output is several times its input, loses from 1 024 to 2 048 edges
 on.  Each constant sits below its own crossover.  The two paths return
-identical arrays.  ``determinize`` (at most 910 input
-edges on compile-small and 2 024 on compile-large) has only a list path,
-and ``walk`` reads one word
-through a dense successor table (see ``Automaton.successors``).
+identical arrays.  ``bfs_renumber`` runs only in that array chain.
+``determinize`` (at most 910 input edges on compile-small and 2 024 on
+compile-large) has only a list path and one caller,
+``automata.determinized``, through which every subset construction goes;
+``walk`` reads one word through a dense successor table (see
+``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
 needs it (edge positions for gathers, pair keys).  Every per-edge gather

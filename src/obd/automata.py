@@ -11,10 +11,14 @@ one initial state, an accepting mask and optionally a per-state output
 (for word automata built with combine). Every machine built from edges
 goes through the one edge constructor ``csr_from_edges``, and every
 letter remap between track layouts (lift, projection, permutation)
-reads the one memoised track table ``_track_table``. All public
-operations return canonical machines: trimmed, minimized and BFS
-renumbered, so equal languages give byte-identical arrays. The empty
-language is stored as a single dead state and reports live_states == 0.
+reads the one memoised track table ``_track_table``. Every subset
+construction (projection, reversal, leading-zero closure, the regex
+compiler and the canonical recognizer) goes through the one builder
+``determinized``, leading-zero closure through ``pad_closed`` on top of
+it. All public operations return canonical machines: trimmed, minimized
+and BFS renumbered, so equal languages give byte-identical arrays. The
+empty language is stored as a single dead state and reports
+live_states == 0.
 """
 from __future__ import annotations
 
@@ -131,6 +135,40 @@ def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> np.ndarr
     if sorted(set(positions)) != list(positions):
         raise ValueError("positions must be strictly increasing")
     return _track_table(arity_old, dmax, positions, arity_new)
+
+
+def determinized(arity, dmax, indptr, letters, targets, acc, inits,
+                 letter_map=None, zero_close=False) -> "Automaton":
+    """Canonical DFA of a CSR machine with any number of edges per (state,
+    letter), started in the set `inits`, its letters read through
+    `letter_map` (old code -> code over `arity` tracks; None keeps them).
+    With `zero_close` the start set is closed under mapped zero letters, so
+    leading zeros can be dropped."""
+    if letter_map is None:
+        letter_map = np.arange(nletters(arity, dmax), dtype=np.int32)
+    indptr, letters, targets, acc = K.determinize(
+        indptr, letters, targets, acc, np.asarray(inits, np.int64), letter_map,
+        zero_close)
+    return Automaton(arity, dmax, indptr, letters, targets, acc, 0)._canonical()
+
+
+def pad_closed(arity, dmax, n_states, src, letters, targets, acc,
+               initial) -> "Automaton":
+    """Smallest padding-closed language with the same stripped words as the
+    machine of edges src -> targets on `letters` (any order, any number per
+    (state, letter)) started in `initial`: {u : strip(u) = strip(w) for
+    some accepted w}, built as 0* . L with leading-zero closure folded in,
+    in one subset construction."""
+    src = np.asarray(src, np.int64)
+    letters = np.asarray(letters, np.int32)
+    targets = np.asarray(targets, np.int32)
+    # a fresh state n reads a zero letter to itself, then the initial row
+    n, first = n_states, src == initial
+    return determinized(arity, dmax, *csr_from_edges(
+        n + 1, np.concatenate([src, np.full(1 + first.sum(), n)]),
+        np.concatenate([letters, [0], letters[first]]),
+        np.concatenate([targets, [n], targets[first]])),
+        np.append(acc, acc[initial]), [n], zero_close=True)
 
 
 _MODES = {"and": 0, "or": 1, "xor": 2, "andnot": 3}
@@ -326,13 +364,10 @@ class Automaton:
         track keeps a zero letter zero.
         """
         tracks = set(tracks)
-        lmap = project_letter_map(self.arity, self.dmax, tracks)
-        inits = np.array([self.initial], np.int64)
-        indptr, letters, targets, acc = K.determinize(
-            self.indptr, self.letters, self.targets, self.accepting,
-            inits, lmap, True)
-        return Automaton(self.arity - len(tracks), self.dmax, indptr, letters,
-                         targets, acc, 0)._canonical()
+        return determinized(
+            self.arity - len(tracks), self.dmax, self.indptr, self.letters,
+            self.targets, self.accepting, [self.initial],
+            project_letter_map(self.arity, self.dmax, tracks), zero_close=True)
 
     def lift(self, arity_new: int, positions) -> "Automaton":
         """Spread tracks out into a wider tuple; new tracks are unconstrained.
@@ -354,53 +389,32 @@ class Automaton:
     def permute_tracks(self, perm) -> "Automaton":
         """Reorder tracks: old track i becomes track perm[i].
 
-        A bijection on letters keeps a canonical machine trim and minimal,
-        so it needs only BFS renumbering."""
+        The letters are relabelled and the machine canonicalised again."""
         perm = list(perm)
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of the tracks")
         table = _track_table(self.arity, self.dmax, tuple(perm), self.arity)[:, 0]
-        indptr, letters, targets = csr_from_edges(
-            self.n_states, edge_sources(self.indptr), table[self.letters], self.targets)
-        indptr, letters, targets, acc, order = K.bfs_renumber(
-            indptr, letters, targets, self.accepting, np.int64(self.initial))
-        outputs = None if self.outputs is None else self.outputs[order]
-        return Automaton(self.arity, self.dmax, indptr, letters, targets, acc,
-                         0, outputs)
+        return Automaton(self.arity, self.dmax, *csr_from_edges(
+            self.n_states, edge_sources(self.indptr), table[self.letters],
+            self.targets), self.accepting, self.initial, self.outputs)._canonical()
 
     def reverse_determinized(self) -> "Automaton":
         """Minimal DFA of the reversed language."""
-        inits = np.flatnonzero(self.accepting).astype(np.int64)
-        if inits.size == 0:
-            return Automaton.empty(self.arity, self.dmax)
         acc_rev = np.zeros(self.n_states, np.uint8)
         acc_rev[self.initial] = 1
-        identity = np.arange(nletters(self.arity, self.dmax), dtype=np.int32)
-        indptr, letters, targets, acc = K.determinize(*csr_from_edges(
+        return determinized(self.arity, self.dmax, *csr_from_edges(
             self.n_states, self.targets, self.letters, edge_sources(self.indptr)),
-            acc_rev, inits, identity, False)
-        return Automaton(self.arity, self.dmax, indptr, letters, targets, acc, 0)._canonical()
+            acc_rev, np.flatnonzero(self.accepting))
 
     def pad_normalized(self) -> "Automaton":
-        """Smallest padding-closed language with the same stripped words.
-
-        Equals {u : strip(u) = strip(w) for some accepted w}; built as
-        0* . L with leading-zero closure folded in.  The regex compiler
-        and the linear atom builder (``relations._linear_machine``, which
-        builds only the words of one length residue) call it.
+        """Smallest padding-closed language with the same stripped words
+        (``pad_closed``).  The linear atom builder
+        (``relations._linear_machine``, which builds only the words of one
+        length residue) calls it.
         """
-        # a fresh state n reads a zero letter to itself, then q0's row
-        n = self.n_states
-        q0row = slice(self.indptr[self.initial], self.indptr[self.initial + 1])
-        width = q0row.stop - q0row.start
-        acc = np.append(self.accepting, self.accepting[self.initial])
-        identity = np.arange(nletters(self.arity, self.dmax), dtype=np.int32)
-        indptr, letters, targets, acc = K.determinize(*csr_from_edges(
-            n + 1, np.append(edge_sources(self.indptr), np.full(width + 1, n)),
-            np.concatenate([self.letters, [0], self.letters[q0row]]),
-            np.concatenate([self.targets, [n], self.targets[q0row]])),
-            acc, np.array([n], np.int64), identity, True)
-        return Automaton(self.arity, self.dmax, indptr, letters, targets, acc, 0)._canonical()
+        return pad_closed(self.arity, self.dmax, self.n_states,
+                          edge_sources(self.indptr), self.letters, self.targets,
+                          self.accepting, self.initial)
 
     # -- running words -------------------------------------------------------
 

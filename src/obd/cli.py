@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .logic import LogicError
+from .repro import FAST_SECTIONS, SLOW_SECTIONS, reproduce
 from .session import Session, SessionError
 
 
@@ -79,7 +80,6 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .repro import reproduce
     ok = reproduce(args.section, slow=args.slow, report=args.report,
                    out=print)
     return 0 if ok else 1
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export_dot)
 
     p = sub.add_parser("reproduce", help="run a reproduction section")
-    p.add_argument("section", help="s6, s7, s8, s9, s10, s11, s12, or all")
+    p.add_argument("section", choices=(*FAST_SECTIONS, *SLOW_SECTIONS, "all"),
+                   help="a section of the paper, or all")
     p.add_argument("--slow", action="store_true",
                    help="include the long s11 computation")
     p.add_argument("--report", help="write a JUnit-style XML report here")

@@ -130,6 +130,7 @@ class Quantified:
 
 
 _RELOPS = ("=", "!=", "<", "<=", ">", ">=")
+_CONNECTIVES = ("<=>", "=>", "^", "|", "&")
 
 
 # ---------------------------------------------------------------------------
@@ -219,39 +220,16 @@ class _Parser:
 
     # -- connective ladder -----------------------------------------------------
 
-    def formula(self):
-        node = self.implication()
-        while self.peek_op() == "<=>":
+    def formula(self, level: int = 0):
+        """Connectives from the loosest, ``<=>``, to the tightest, ``&``;
+        each binds to the left."""
+        if level == len(_CONNECTIVES):
+            return self.negation()
+        op = _CONNECTIVES[level]
+        node = self.formula(level + 1)
+        while self.peek_op() == op:
             self.take()
-            node = Connective("<=>", node, self.implication())
-        return node
-
-    def implication(self):
-        node = self.xor()
-        while self.peek_op() == "=>":
-            self.take()
-            node = Connective("=>", node, self.xor())
-        return node
-
-    def xor(self):
-        node = self.disjunction()
-        while self.peek_op() == "^":
-            self.take()
-            node = Connective("^", node, self.disjunction())
-        return node
-
-    def disjunction(self):
-        node = self.conjunction()
-        while self.peek_op() == "|":
-            self.take()
-            node = Connective("|", node, self.conjunction())
-        return node
-
-    def conjunction(self):
-        node = self.negation()
-        while self.peek_op() == "&":
-            self.take()
-            node = Connective("&", node, self.negation())
+            node = Connective(op, node, self.formula(level + 1))
         return node
 
     def negation(self):

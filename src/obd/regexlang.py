@@ -6,16 +6,18 @@ bare digits when there is a single track.  Juxtaposition concatenates,
 the scripts this mirrors write "(0+1)*" for "any digit string", so '+'
 is alternation here, never one-or-more.
 
-Compilation is the textbook route: Thompson construction, epsilon
-removal, subset construction, minimization.  The result is then closed
-under leading zero letters so it can take part in synchronized products.
+Compilation is Glushkov's position construction: every letter of the
+pattern is a state of an NFA without epsilon moves, entered only on that
+letter, and state 0 is the start.  That NFA, closed under leading zero
+letters so the result can take part in synchronized products, goes
+through one subset construction (``automata.pad_closed``), which also
+minimizes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels as K
-from .automata import Automaton, csr_from_edges, letter_code, nletters
+from .automata import Automaton, letter_code, pad_closed
 from .numeration import NumerationSystem
 
 __all__ = ["RegexError", "regex_compile"]
@@ -30,10 +32,12 @@ class RegexError(ValueError):
 
 
 class _Builder:
-    """Recursive-descent parser emitting a Thompson NFA as it goes.
+    """Recursive-descent parser emitting a Glushkov NFA as it goes.
 
-    Fragments are (start, accept) state pairs with a single accept state
-    and no transitions leaving the accept state.
+    Position p >= 1 is the p-th letter of the pattern, read by every edge
+    into state p.  A fragment is (first, last, nullable): the positions
+    that can read its first and its last letter, and whether it matches
+    the empty word.  Concatenation and star add follow edges last -> first.
     """
 
     def __init__(self, text: str, arity: int, dmax: int):
@@ -41,43 +45,34 @@ class _Builder:
         self.pos = 0
         self.arity = arity
         self.dmax = dmax
-        self.eps: list[tuple[int, int]] = []
-        self.steps: list[tuple[int, int, int]] = []
-        self.n_states = 0
+        self.codes: list[int] = []  # letter of position p at index p - 1
+        self.follow: set[tuple[int, int]] = set()
 
     # -- NFA assembly ----------------------------------------------------
 
-    def new_state(self) -> int:
-        self.n_states += 1
-        return self.n_states - 1
-
     def frag_epsilon(self):
-        s = self.new_state()
-        t = self.new_state()
-        self.eps.append((s, t))
-        return s, t
+        return frozenset(), frozenset(), True
 
     def frag_letter(self, code: int):
-        s = self.new_state()
-        t = self.new_state()
-        self.steps.append((s, code, t))
-        return s, t
+        self.codes.append(code)
+        p = frozenset([len(self.codes)])
+        return p, p, False
+
+    def link(self, last, first):
+        self.follow.update((x, y) for x in last for y in first)
 
     def frag_concat(self, a, b):
-        self.eps.append((a[1], b[0]))
-        return a[0], b[1]
+        (first_a, last_a, nullable_a), (first_b, last_b, nullable_b) = a, b
+        self.link(last_a, first_b)
+        return (first_a | first_b if nullable_a else first_a,
+                last_b | last_a if nullable_b else last_b, nullable_a and nullable_b)
 
     def frag_union(self, a, b):
-        s = self.new_state()
-        t = self.new_state()
-        self.eps += [(s, a[0]), (s, b[0]), (a[1], t), (b[1], t)]
-        return s, t
+        return a[0] | b[0], a[1] | b[1], a[2] or b[2]
 
     def frag_star(self, a):
-        s = self.new_state()
-        t = self.new_state()
-        self.eps += [(s, a[0]), (s, t), (a[1], a[0]), (a[1], t)]
-        return s, t
+        self.link(a[1], a[0])
+        return a[0], a[1], True
 
     # -- scanning ----------------------------------------------------------
 
@@ -169,42 +164,6 @@ class _Builder:
         raise RegexError(f"unexpected {ch!r}", at)
 
 
-def _nfa_to_dfa(builder: _Builder, start: int, accept: int,
-                arity: int, dmax: int) -> Automaton:
-    n = builder.n_states
-    closure = [set() for _ in range(n)]
-    adj = [[] for _ in range(n)]
-    for a, b in builder.eps:
-        adj[a].append(b)
-    for s in range(n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        closure[s] = seen
-
-    triples = set()
-    for src, code, dst in builder.steps:
-        for s in range(n):
-            if src in closure[s]:
-                triples.add((s, code, dst))
-    acc = np.zeros(n, np.uint8)
-    for s in range(n):
-        if accept in closure[s]:
-            acc[s] = 1
-
-    identity = np.arange(nletters(arity, dmax), dtype=np.int32)
-    inits = np.array([start], np.int64)
-    d_indptr, d_letters, d_targets, d_acc = K.determinize(*csr_from_edges(
-        n, *np.array(sorted(triples), np.int64).reshape(-1, 3).T),
-        acc, inits, identity, False)
-    return Automaton(arity, dmax, d_indptr, d_letters, d_targets,
-                     d_acc, 0)._canonical()
-
-
 def regex_compile(system: NumerationSystem, arity: int, pattern: str) -> Automaton:
     """Automaton for a pattern over the system's digit alphabet, closed
     under leading zero letters (the convention every relation in the
@@ -216,7 +175,13 @@ def regex_compile(system: NumerationSystem, arity: int, pattern: str) -> Automat
     if cached is not None:
         return cached
     builder = _Builder(pattern, arity, system.dmax)
-    start, accept = builder.parse()
-    out = _nfa_to_dfa(builder, start, accept, arity, system.dmax).pad_normalized()
+    first, last, nullable = builder.parse()
+    edges = [(0, y) for y in first] + list(builder.follow)
+    src, dst = np.array(edges, np.int64).reshape(-1, 2).T
+    acc = np.zeros(len(builder.codes) + 1, np.uint8)
+    acc[list(last)] = 1
+    acc[0] = nullable
+    out = pad_closed(arity, system.dmax, acc.size, src,
+                     np.array(builder.codes, np.int32)[dst - 1], dst, acc, 0)
     system._cache[key] = out
     return out

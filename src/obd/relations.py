@@ -32,7 +32,7 @@ from array import array
 
 import numpy as np
 
-from .automata import Automaton, csr_from_edges, letter_digits
+from .automata import Automaton, csr_from_edges, determinized, letter_digits
 from .numeration import NumerationSystem
 
 __all__ = [
@@ -53,7 +53,8 @@ def _canon_1(system: NumerationSystem) -> Automaton:
 
     Built least-significant-digit first, where the validity rules are local
     (position mod m picks the digit bound, a saturated digit forces the
-    previous one to zero), then reversed into msd reading order.
+    previous one to zero); its edges, reversed into msd reading order, go
+    straight to the subset construction.
     """
     key = ("canon", 1)
     cached = system._cache.get(key)
@@ -68,22 +69,22 @@ def _canon_1(system: NumerationSystem) -> Automaton:
     def pos_state(r: int, p: int) -> int:
         return 1 + r * (dmax + 1) + p
 
-    transitions = []
-    first_bound = period[0] - 1  # units digit is strictly below a_1
-    for d in range(first_bound + 1):
-        transitions.append((0, (d,), pos_state(1 % m, d)))
+    edges = [(0, d, pos_state(1 % m, d))  # units digit strictly below a_1
+             for d in range(period[0])]
     for r in range(m):
         bound = period[r]  # digit bound at positions i % m == r, i >= 1
         for p in range(dmax + 1):
-            src = pos_state(r, p)
             for d in range(bound + 1):
                 if d == bound and p != 0:
                     continue  # saturated digit demands a zero below it
-                transitions.append((src, (d,), pos_state((r + 1) % m, d)))
+                edges.append((pos_state(r, p), d, pos_state((r + 1) % m, d)))
     n_states = 1 + m * (dmax + 1)
-    lsd = Automaton.from_transitions(
-        1, dmax, n_states, 0, range(n_states), transitions)
-    canon = lsd.reverse_determinized()
+    src, digits, dst = np.array(edges, np.int64).T
+    # every lsd state accepts, so the reversed machine starts in all of them
+    acc = np.zeros(n_states, np.uint8)
+    acc[0] = 1
+    canon = determinized(1, dmax, *csr_from_edges(n_states, dst, digits, src),
+                         acc, np.arange(n_states))
     system._cache[key] = canon
     return canon
 
@@ -355,15 +356,13 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
     """
     coefficients = tuple(int(c) for c in coefficients)
     constant = int(constant)
-    if op in ("<", "lt"):
-        coefficients, constant, op = coefficients, constant - 1, "<="
-    elif op in (">", "gt"):
-        coefficients, constant, op = tuple(-c for c in coefficients), -constant - 1, "<="
-    elif op in (">=", "ge", "geq"):
-        coefficients, constant, op = tuple(-c for c in coefficients), -constant, "<="
-    elif op in ("<=", "le", "leq"):
-        op = "<="
-    else:
+    if op == "<":
+        constant -= 1
+    elif op == ">":
+        coefficients, constant = tuple(-c for c in coefficients), -constant - 1
+    elif op == ">=":
+        coefficients, constant = tuple(-c for c in coefficients), -constant
+    elif op != "<=":
         raise ValueError(f"unknown inequality {op!r}")
     return _linear_machine(system, coefficients, constant, le=True)
 

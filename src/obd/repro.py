@@ -254,19 +254,19 @@ def reproduce(section: str = "all", slow: bool = False, report: str | None = Non
         if section not in FAST_SECTIONS + SLOW_SECTIONS:
             raise ValueError(f"unknown section {section!r}")
         sections = [section]
-    base = Path(tempfile.mkdtemp(prefix="obd-repro-"))
     results: list[CheckResult] = []
     all_ok = True
-    for name in sections:
-        rows = run_section(name, base, out=out)
-        results.extend(rows)
-        ok = all(r.ok for r in rows)
-        all_ok = all_ok and ok
-        for r in rows:
-            mark = "ok" if r.ok else "FAIL"
-            out(f"  {name} {r.label}: {mark} ({r.detail}, {r.elapsed:.1f}s)")
-        out(f"SECTION {name}: {'PASS' if ok else 'FAIL'} "
-            f"({len(rows)} checks, {sum(r.elapsed for r in rows):.1f}s)")
+    with tempfile.TemporaryDirectory(prefix="obd-repro-") as base:
+        for name in sections:
+            rows = run_section(name, base, out=out)
+            results.extend(rows)
+            ok = all(r.ok for r in rows)
+            all_ok = all_ok and ok
+            for r in rows:
+                mark = "ok" if r.ok else "FAIL"
+                out(f"  {name} {r.label}: {mark} ({r.detail}, {r.elapsed:.1f}s)")
+            out(f"SECTION {name}: {'PASS' if ok else 'FAIL'} "
+                f"({len(rows)} checks, {sum(r.elapsed for r in rows):.1f}s)")
     if report:
         _write_junit(report, results)
         out(f"report written to {report}")

@@ -4,10 +4,13 @@ Exit codes are 0 on success, 1 for a formula or script error and 2 for a
 system error (a missing file or session directory).
 """
 import builtins
+import tempfile
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from obd.cli import main
+from obd.repro import reproduce
 
 SCRIPT = 'def add "?msd_fib x+y=z":\n'
 TWO_DEFS = SCRIPT + 'def sub "?msd_fib x=y+z":\n'
@@ -101,3 +104,28 @@ def test_redefined_system_in_use_exits_1(tmp_path, capsys):
         encoding="utf-8")
     assert main(["run", "redef.obd", "--dir", "sess"]) == 1
     assert capsys.readouterr().err.startswith("error: ost: msd_x ")
+
+
+def test_unknown_section_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reproduce", "s99"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 's99'" in capsys.readouterr().err
+
+
+def test_reproduce_writes_a_junit_report(tmp_path, capsys):
+    assert main(["reproduce", "s7", "--report", "s7.xml"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in out
+            if line.startswith("SECTION")] == ["SECTION s7: PASS"]
+    suites = ET.parse(tmp_path / "s7.xml").getroot().findall("testsuite")
+    assert [(s.get("name"), s.get("tests"), s.get("failures"))
+            for s in suites] == [("s7", "3", "0")]
+
+
+def test_reproduce_removes_its_sessions(tmp_path, monkeypatch):
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    assert reproduce("s7", out=lambda line: None)
+    assert list(root.iterdir()) == []

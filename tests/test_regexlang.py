@@ -1,5 +1,6 @@
 """Pattern compiler: syntax, semantics, and agreement with the builders."""
 import itertools
+import random
 
 import pytest
 
@@ -81,6 +82,67 @@ class TestSemantics:
         a = regex_compile(fib, 2, "( [0,0] | [0, 1] [1,1]* [1,0] )*")
         b = regex_compile(fib, 2, "([0,0]|[0,1][1,1]*[1,0])*")
         assert a.canonical_bytes() == b.canonical_bytes()
+
+    def test_random_patterns_match_a_set_matcher(self, s13):
+        # nested stars, unions and empty groups, drawn as trees and checked
+        # by matching the tree itself: u is accepted iff 0^j strip(u)
+        # matches for some j, and j never needs to exceed the number of
+        # letters in the pattern (pump the zeros down)
+        rng = random.Random(1961)
+
+        def tree(depth):
+            kind = rng.random()
+            if depth == 0 or kind < 0.3:
+                return rng.choice([("eps",), ("lit", 0), ("lit", 1), ("lit", 2),
+                                   ("lit", 3), ("lit", 3)])
+            if kind < 0.5:
+                return ("star", tree(depth - 1))
+            if kind < 0.75:
+                return ("cat", tree(depth - 1), tree(depth - 1))
+            return ("alt", tree(depth - 1), tree(depth - 1), rng.choice("|+"))
+
+        def text(node):
+            kind = node[0]
+            if kind == "eps":
+                return "()"
+            if kind == "lit":
+                return str(node[1])
+            if kind == "star":
+                return f"({text(node[1])})*"
+            if kind == "cat":
+                return text(node[1]) + text(node[2])
+            return f"({text(node[1])}{node[3]}{text(node[2])})"
+
+        def ends(node, word, i):
+            """Positions where a match of `node` starting at i can end."""
+            kind = node[0]
+            if kind == "eps":
+                return {i}
+            if kind == "lit":
+                return {i + 1} if i < len(word) and word[i] == node[1] else set()
+            if kind == "cat":
+                return {k for j in ends(node[1], word, i)
+                        for k in ends(node[2], word, j)}
+            if kind == "alt":
+                return ends(node[1], word, i) | ends(node[2], word, i)
+            reached, todo = {i}, [i]
+            while todo:
+                for k in ends(node[1], word, todo.pop()) - reached:
+                    reached.add(k)
+                    todo.append(k)
+            return reached
+
+        words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
+        for _ in range(50):
+            pattern = tree(rng.randint(1, 5))
+            source = text(pattern)
+            aut = regex_compile(s13, 1, source)
+            zeros = sum(ch.isdigit() for ch in source) + 1
+            for word in words:
+                stripped = word[next((k for k, d in enumerate(word) if d), len(word)):]
+                expect = any(len(padded) in ends(pattern, padded, 0)
+                             for padded in ((0,) * j + stripped for j in range(zeros)))
+                assert aut.accepts_word(word) == expect, (source, word)
 
     def test_cache_returns_identical_object(self, fib):
         a = regex_compile(fib, 1, "0*")

@@ -494,8 +494,9 @@ class TestComparisons:
         assert leq.equivalent(lt_relation(system).union(eq))
 
     def test_unknown_op_rejected(self, system):
-        with pytest.raises(ValueError):
-            inequality_relation(system, (1, -1), 0, "<>")
+        for op in ("<>", "le"):
+            with pytest.raises(ValueError):
+                inequality_relation(system, (1, -1), 0, op)
 
 
 class TestInequalityAndTrackHelpers:
