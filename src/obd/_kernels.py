@@ -1,45 +1,42 @@
-"""Array kernels for the automaton algebra.
+"""Kernels for the automaton algebra.
 
 CSR contract.  An automaton with n states and m transitions is stored as
 indptr (int64, n+1), letters (int32, m) and targets (int32, m), sorted by
 (state, letter) with at most one transition per (state, letter); an
 accepting mask (uint8, n) and a single initial state.  Missing transitions
 go to an implicit dead sink.  Kernels never write into their inputs and
-may return an input array unchanged (``trim`` does when it cuts nothing)
-or a read-only one, so callers must not write into automaton arrays.
+may return a read-only array, so callers must not write into automaton
+arrays.
 
-Two paths.  Below CANONICAL_EDGES input edges, ``canonical`` does trim,
-Moore refinement, quotient and BFS renumbering in one pass over
-``.tolist()`` lists with ``dict`` interning, and below SMALL_EDGES
-``pair_product`` runs a loop of the same kind; from those sizes on,
-``trim``, ``min_blocks``, ``quotient``, ``bfs_renumber`` and
-``pair_product`` run whole-array numpy passes: frontier searches one BFS
-level at a time, and Moore rounds as one sort of the rows [block,
-letter-row id, block of each target] per out-degree group.  A numpy call
-costs microseconds however little it does, and a small machine needs many
-BFS levels and Moore rounds for few edges, so there the loops win; on
-large machines their per-edge interpreter cost loses by far.  On the
-machines the packaged scripts and the linear atoms canonicalise, the list
-pass wins up to about 12 500 edges (3.4 against 13.2 ms at 4 899 edges,
-5.4 against 9.6 ms at 9 372) and loses from about 27 000 (0.30 against
-0.11 s on s11's 24 407-state subset construction); pair_product's loop,
-whose output is several times its input, loses from 1 024 to 2 048 edges
-on.  Each constant sits below its own crossover.  The two paths return
-identical arrays.  ``bfs_renumber`` runs only in that array chain.
-``determinize`` (at most 910 input edges on compile-small and 2 024 on
-compile-large) has only a list path and one caller,
+Canonical form has one path.  ``canonical`` converts the arrays to lists
+once and calls ``trim``, ``min_blocks``, ``quotient`` and
+``bfs_renumber`` in turn, each a loop over lists with ``dict``
+interning, then builds the output arrays once.  A small machine needs
+many BFS levels and Moore rounds for few edges, and a numpy call costs
+microseconds however little it does, so on the machines the benchmark's
+scripts canonicalise (at most about 8 000 edges) the lists win by far.
+On much larger machines (s11's 24 407-state subset construction) a
+whole-array chain was about three times faster, but no benchmark
+workload reached it, so it was not worth a second implementation.
+
+``pair_product`` has two paths: below SMALL_EDGES input edges a loop of
+the same kind, from there on whole-array numpy passes over one BFS level
+at a time.  The product's output is several times its input, so the
+loop loses early, and both sides carry benchmark load: on the products
+of at least 4 096 input edges that compile-small's s10 and the head of
+compile-large's s6 make, the array path took 11 ms per pass against the
+loop's 24-27 ms, and 9-10 ms against 13-17 ms.  Both paths return
+identical arrays.  ``determinize`` has only a list path and one caller,
 ``automata.determinized``, through which every subset construction goes;
 ``walk`` reads one word through a dense successor table (see
 ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
-needs it (edge positions for gathers, pair keys).  Every per-edge gather
-and the product's frontier run over slices of at most SLICE_EDGES edges,
-so temporaries stay bounded however wide a BFS level is.  Value-only
-``np.unique`` is avoided: it builds a hash set whose many small
-allocations are left behind in the process heap.  Outputs that can
-outgrow their input (product, subset construction) are collected in
-``array`` buffers rather than lists of Python ints.
+needs it (edge positions for gathers, pair keys).  The product's
+frontier runs over slices of at most SLICE_EDGES edges, so temporaries
+stay bounded however wide a BFS level is.  Outputs that can outgrow
+their input (product, subset construction) are collected in ``array``
+buffers rather than lists of Python ints.
 """
 from __future__ import annotations
 
@@ -51,7 +48,6 @@ import numpy as np
 HAVE_NUMBA = False  # the kernels are numpy and plain Python only
 
 SMALL_EDGES = 4096  # pair_product's list loop below this many input edges
-CANONICAL_EDGES = 12288  # canonical's list pass below this many edges
 SLICE_EDGES = 1 << 14
 
 
@@ -79,104 +75,6 @@ def _csr(counts):
     indptr = np.zeros(counts.size + 1, np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr
-
-
-def _gather(indptr, letters, targets, states, relabel=None):
-    """CSR of the rows of `states`, in that order, targets mapped through
-    `relabel`; built a slice at a time."""
-    counts = indptr[states + 1] - indptr[states]
-    out_indptr = _csr(counts)
-    out_letters = np.empty(int(out_indptr[-1]), np.int32)
-    out_targets = np.empty(int(out_indptr[-1]), np.int32)
-    for lo, hi in _slices(counts):
-        index = _rows(indptr, states[lo:hi])
-        at = slice(out_indptr[lo], out_indptr[hi])
-        out_letters[at] = letters[index]
-        out_targets[at] = targets[index] if relabel is None else relabel[targets[index]]
-    return out_indptr, out_letters, out_targets
-
-
-def _successors(indptr, targets, states):
-    """Targets of the rows of `states`, in order, a slice at a time."""
-    counts = indptr[states + 1] - indptr[states]
-    for lo, hi in _slices(counts):
-        yield targets[_rows(indptr, states[lo:hi])]
-
-
-def _distinct(values):
-    """Sorted distinct values.  (np.unique would build a hash set here,
-    whose many small allocations stay behind in the process heap.)"""
-    values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])] if values.size else values
-
-
-def _reach(indptr, targets, seen):
-    """Close the boolean mask `seen` under successors, a level at a time."""
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        found = []
-        for succ in _successors(indptr, targets, frontier):
-            succ = _distinct(succ[~seen[succ]])
-            seen[succ] = True
-            found.append(succ)
-        frontier = np.concatenate(found)
-    return seen
-
-
-def _reverse(indptr, targets):
-    """Reversed edges as CSR: sources grouped by target, in source order.
-    A counting sort, one slice of edges at a time."""
-    n = indptr.size - 1
-    deg = np.diff(indptr)
-    rev_indptr = _csr(np.bincount(targets, minlength=n))
-    sources = np.empty(targets.size, np.int32)
-    fill = rev_indptr[:-1].copy()  # next free slot of each target
-    for lo, hi in _slices(deg):
-        succ = targets[indptr[lo]:indptr[hi]]
-        if succ.size == 0:
-            continue
-        order = np.argsort(succ, kind="stable")
-        succ = succ[order]
-        rank = np.arange(succ.size) - np.searchsorted(succ, succ)
-        sources[fill[succ] + rank] = np.repeat(
-            np.arange(lo, hi, dtype=np.int32), deg[lo:hi])[order]
-        last = np.flatnonzero(np.append(succ[1:] != succ[:-1], True))
-        fill[succ[last]] += rank[last] + 1
-    return rev_indptr, sources
-
-
-def _row_counts(indptr, flags):
-    """Per-row count of the set per-edge flags; rows may be empty."""
-    deg = np.diff(indptr)
-    counts = np.zeros(deg.size, np.int64)
-    rows = deg > 0
-    if flags.size:
-        counts[rows] = np.add.reduceat(flags, indptr[:-1][rows], dtype=np.int64)
-    return counts
-
-
-def _first_occurrence(values):
-    """Dense ids numbered by first occurrence; values may be any ints."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, np.int32)
-    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
-    return rank[inverse.reshape(-1)]
-
-
-def _row_ids(table):
-    """Ids of the distinct rows of a 2-d int32 table (any numbering)."""
-    if table.shape[1] == 0:
-        return np.zeros(table.shape[0], np.int32)
-    rows = np.ascontiguousarray(table).view(
-        np.dtype((np.void, table.dtype.itemsize * table.shape[1]))).reshape(-1)
-    order = np.argsort(rows)
-    rows = rows[order]
-    fresh = np.empty(rows.size, bool)
-    fresh[:1] = True
-    fresh[1:] = rows[1:] != rows[:-1]
-    ids = np.empty(rows.size, np.int32)
-    ids[order] = np.cumsum(fresh) - 1
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -337,116 +235,18 @@ def _product_array(ia, la, ta, ib, lb, tb, start, mode, accepting):
 
 
 # ---------------------------------------------------------------------------
-# trim: keep states reachable from the initial state and co-reachable
-# from an accepting state
+# canonical form: trim, Moore minimization, quotient and BFS numbering,
+# over Python lists.  The four steps are module-level functions, called
+# through the module's globals, so that each can be timed on its own.
 # ---------------------------------------------------------------------------
 
-def trim(indptr, letters, targets, acc, initial):
-    initial = int(initial)
-    seen = np.zeros(acc.size, bool)
-    seen[initial] = True
-    seen = _reach(indptr, targets, seen)
-    rev_indptr, sources = _reverse(indptr, targets)
-    keep = _reach(rev_indptr, sources, seen & (acc != 0)) & seen
-    if keep.all():
-        return indptr, letters, targets, acc, initial, True
-    if not keep[initial]:
-        return (np.zeros(1, np.int64), np.empty(0, np.int32), np.empty(0, np.int32),
-                np.zeros(0, np.uint8), 0, False)
-    remap = np.cumsum(keep, dtype=np.int32) - 1
-    edge = np.repeat(keep, np.diff(indptr)) & keep[targets]
-    return (_csr(_row_counts(indptr, edge)[keep]), letters[edge],
-            remap[targets[edge]], acc[keep], int(remap[initial]), True)
-
-
-# ---------------------------------------------------------------------------
-# Moore minimization: refine a labelled partition to the Nerode congruence.
-# Input must already be trimmed; the implicit sink is its own class.  Each
-# round gives state s the record [block[s], letters of s, block of each
-# target of s]; states stay together while their records agree.  The
-# result is numbered by first occurrence.
-# ---------------------------------------------------------------------------
-
-def min_blocks(indptr, letters, targets, labels):
-    block = _first_occurrence(labels)
-    deg = np.diff(indptr)
-    groups = []  # per out-degree: states, letter-row ids, target table
-    for d in _distinct(deg).tolist():
-        states = np.flatnonzero(deg == d)
-        _, row, succ = _gather(indptr, letters, targets, states)
-        shape = (states.size, d)
-        groups.append((states, _row_ids(row.reshape(shape)), succ.reshape(shape)))
-    nblocks = int(block.max()) + 1
-    while True:
-        new = np.empty_like(block)
-        base = 0
-        for states, row, succ in groups:
-            table = np.empty((states.size, succ.shape[1] + 2), np.int32)
-            table[:, 0] = block[states]
-            table[:, 1] = row
-            table[:, 2:] = block[succ]
-            ids = _row_ids(table)
-            new[states] = base + ids
-            base += int(ids.max()) + 1
-        if base == nblocks:
-            return _first_occurrence(block)
-        block, nblocks = new, base
-
-
-# ---------------------------------------------------------------------------
-# quotient by a stable partition, then canonical BFS numbering
-# ---------------------------------------------------------------------------
-
-def quotient(indptr, letters, targets, acc, block, nblocks, initial):
-    """Keep the first state of each block as its representative."""
-    _, rep = np.unique(block, return_index=True)
-    rep = rep[:nblocks].astype(np.int32)
-    return (*_gather(indptr, letters, targets, rep, block), acc[rep],
-            int(block[initial]), rep)
-
-
-def bfs_renumber(indptr, letters, targets, acc, initial):
-    """Relabel states in BFS discovery order (rows are letter sorted, so
-    the numbering is canonical for isomorphic automata).  Unreachable
-    states are dropped."""
-    # one level at a time; a level keeps the order in which the previous
-    # level's rows first name its states, as a queue would
-    seen = np.zeros(acc.size, bool)
-    seen[initial] = True
-    levels = [np.array([initial], np.int32)]
-    while levels[-1].size:
-        found = []
-        for succ in _successors(indptr, targets, levels[-1]):
-            succ = succ[~seen[succ]]
-            _, first = np.unique(succ, return_index=True)
-            succ = succ[np.sort(first)]
-            seen[succ] = True
-            found.append(succ)
-        levels.append(np.concatenate(found))
-    order = np.concatenate(levels)
-    pos = np.empty(acc.size, np.int32)
-    pos[order] = np.arange(order.size, dtype=np.int32)
-    return (*_gather(indptr, letters, targets, order, pos), acc[order], order)
-
-
-# ---------------------------------------------------------------------------
-# the four steps above in one pass over lists, for small machines
-# ---------------------------------------------------------------------------
-
-def _no_targets(block):
-    return None
-
-
-def canonical(indptr, letters, targets, acc, initial, labels=None):
-    """What trim, min_blocks, quotient and bfs_renumber give in turn, and
-    an input state of each output state.  With `labels` None the machine
-    is a relation: it is trimmed (a dead initial state gives the one-state
-    empty machine) and refined by acceptance.  Otherwise it is a word
-    automaton: not trimmed, and refined by `labels`.  Unreachable states
-    take no part: they cannot split a block, and BFS drops them anyway."""
-    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
-    label = (acc if labels is None else labels).tolist()
-    n = len(label)
+def trim(ip, lt, tg, initial, accepting=None):
+    """The part of a machine, given as CSR lists, reachable from `initial`:
+    its states in discovery order (`initial` first), and the letter row
+    and target row of each, targets as positions in that order.  With
+    `accepting` (a flag per state), only the states that also reach an
+    accepting state are kept, and none when `initial` reaches none."""
+    n = len(ip) - 1
     seen = [False] * n
     seen[initial] = True
     preds = [[] for _ in range(n)]
@@ -458,8 +258,8 @@ def canonical(indptr, letters, targets, acc, initial, labels=None):
                 seen[t] = True
                 states.append(t)
     at = [-1] * n  # input state -> position in `states`, -1 when cut
-    if labels is None:
-        stack = [s for s in states if label[s]]
+    if accepting is not None:
+        stack = [s for s in states if accepting[s]]
         for s in stack:
             at[s] = 0
         while stack:
@@ -468,8 +268,7 @@ def canonical(indptr, letters, targets, acc, initial, labels=None):
                     at[p] = 0
                     stack.append(p)
         if at[initial] < 0:
-            return (np.zeros(2, np.int64), np.empty(0, np.int32),
-                    np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
+            return [], [], []
         states = [s for s in states if at[s] == 0]
     for i, s in enumerate(states):
         at[s] = i
@@ -483,10 +282,21 @@ def canonical(indptr, letters, targets, acc, initial, labels=None):
             out = [t for t in out if t >= 0]
         rows.append(row)
         succ.append(out)
-    # Moore rounds from the partition by (label, letter row): states with
-    # different rows are never equivalent, so the fixpoint is the same
+    return states, rows, succ
+
+
+def _no_targets(block):
+    return None
+
+
+def min_blocks(rows, succ, labels):
+    """Block of each state under the Nerode congruence, by Moore rounds
+    from the partition by (label, letter row), numbered by first
+    occurrence.  States with different rows are never equivalent, so
+    starting there gives the same fixpoint.  The machine must be trimmed;
+    the implicit sink is its own class."""
     ids: dict = {}
-    block = [ids.setdefault((label[s], *row), len(ids)) for s, row in zip(states, rows)]
+    block = [ids.setdefault((label, *row), len(ids)) for label, row in zip(labels, rows)]
     nblocks = len(ids)
     # a state's target blocks, read in one call: states of one block have
     # one row, so their keys have one shape
@@ -498,28 +308,60 @@ def canonical(indptr, letters, targets, acc, initial, labels=None):
         if len(ids) == nblocks:
             break
         block, nblocks = new, len(ids)
-    # equivalent states have equal rows up to blocks, so any one will do
-    rep = [0] * nblocks
+    return block
+
+
+def quotient(rows, succ, block):
+    """The machine on blocks: the rows and target rows of one state per
+    block, targets mapped to their blocks, and that state of each block.
+    Equivalent states have equal rows up to blocks, so any one will do."""
+    rep = [0] * (max(block) + 1)
     for i, b in enumerate(block):
         rep[b] = i
-    pos = [-1] * nblocks
-    pos[block[0]] = 0
-    order = [block[0]]
-    out_indptr, out_letters, out_targets = [0], [], []
-    for b in order:  # BFS over blocks, in the same order as bfs_renumber
-        s = rep[b]
+    return [rows[s] for s in rep], [[block[t] for t in succ[s]] for s in rep], rep
+
+
+def bfs_renumber(rows, succ, initial):
+    """CSR lists of the machine with its states numbered in BFS discovery
+    order from `initial`, and the old state of each new one.  Rows are
+    letter sorted, so the numbering is canonical for isomorphic machines.
+    Unreachable states are dropped."""
+    pos = [-1] * len(rows)
+    pos[initial] = 0
+    order = [initial]
+    indptr, letters, targets = [0], [], []
+    for s in order:  # the loop visits states appended while it runs
         for t in succ[s]:
-            t = block[t]
             if pos[t] < 0:
                 pos[t] = len(order)
                 order.append(t)
-            out_targets.append(pos[t])
-        out_letters += rows[s]
-        out_indptr.append(len(out_targets))
-    kept = [states[rep[b]] for b in order]
-    return (np.array(out_indptr, np.int64), np.array(out_letters, np.int32),
-            np.array(out_targets, np.int32), acc[kept], np.array(kept, np.int32))
+            targets.append(pos[t])
+        letters += rows[s]
+        indptr.append(len(targets))
+    return indptr, letters, targets, order
 
+
+def canonical(indptr, letters, targets, acc, initial, labels=None):
+    """What trim, min_blocks, quotient and bfs_renumber give in turn, as
+    arrays, and an input state of each output state.  With `labels` None
+    the machine is a relation: it is trimmed (a dead initial state gives
+    the one-state empty machine) and refined by acceptance.  Otherwise it
+    is a word automaton: not trimmed, and refined by `labels`.
+    Unreachable states take no part: trim drops them in either case."""
+    accepting = acc.tolist()
+    relation = labels is None
+    states, rows, succ = trim(indptr.tolist(), letters.tolist(), targets.tolist(),
+                              initial, accepting if relation else None)
+    if not states:
+        return (np.zeros(2, np.int64), np.empty(0, np.int32),
+                np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
+    label = accepting if relation else labels.tolist()
+    block = min_blocks(rows, succ, [label[s] for s in states])
+    rows, succ, rep = quotient(rows, succ, block)
+    indptr, letters, targets, order = bfs_renumber(rows, succ, block[0])
+    kept = [states[rep[b]] for b in order]
+    return (np.array(indptr, np.int64), np.array(letters, np.int32),
+            np.array(targets, np.int32), acc[kept], np.array(kept, np.int32))
 
 # ---------------------------------------------------------------------------
 # subset construction (also handles projection via letter_map and the

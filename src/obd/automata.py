@@ -292,32 +292,14 @@ class Automaton:
     # -- canonical form ----------------------------------------------------
 
     def _canonical(self) -> "Automaton":
-        """Trimmed, minimal and BFS numbered: below ``K.CANONICAL_EDGES``
-        edges by the one list pass ``K.canonical``, from there on by the
-        array kernels trim, min_blocks, quotient and bfs_renumber in turn,
-        with identical arrays.  A word automaton (one with outputs) is not
-        trimmed; its states are refined by outputs * 2 + acc."""
+        """Trimmed, minimal and BFS numbered, by ``K.canonical``.  A word
+        automaton (one with outputs) is not trimmed; its states are
+        refined by outputs * 2 + acc."""
         word = self.outputs is not None
         labels = self.outputs.astype(np.int64) * 2 + self.accepting if word else None
-        if self.letters.size < K.CANONICAL_EDGES:
-            indptr, letters, targets, acc, states = K.canonical(
-                self.indptr, self.letters, self.targets, self.accepting,
-                self.initial, labels)
-        else:
-            indptr, letters, targets, acc, init = (
-                self.indptr, self.letters, self.targets, self.accepting, self.initial)
-            if not word:
-                indptr, letters, targets, acc, init, alive = K.trim(
-                    indptr, letters, targets, acc, init)
-                if not alive:
-                    return Automaton.empty(self.arity, self.dmax)
-                labels = acc.astype(np.int64)
-            blocks = K.min_blocks(indptr, letters, targets, labels)
-            indptr, letters, targets, acc, init, rep = K.quotient(
-                indptr, letters, targets, acc, blocks, int(blocks.max()) + 1, init)
-            indptr, letters, targets, acc, order = K.bfs_renumber(
-                indptr, letters, targets, acc, init)
-            states = rep[order]  # input states when nothing was trimmed
+        indptr, letters, targets, acc, states = K.canonical(
+            self.indptr, self.letters, self.targets, self.accepting,
+            self.initial, labels)
         return Automaton(self.arity, self.dmax, indptr, letters, targets, acc,
                          0, self.outputs[states] if word else None)
 

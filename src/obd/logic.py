@@ -759,11 +759,14 @@ class _Compiler:
 def compile_formula(env: Environment, text: str, *,
                     trace: list | None = None):
     """Compile text to (automaton, free variable tuple, numeration system)."""
-    tag, ast = parse_formula(text)
-    system = env.system_for(tag)
-    free = tuple(sorted(free_variables(ast)))
-    compiler = _Compiler(env, system, trace)
-    node = compiler.compile(ast)
+    try:  # the parser and the compiler recurse once per level of nesting
+        tag, ast = parse_formula(text)
+        system = env.system_for(tag)
+        free = tuple(sorted(free_variables(ast)))
+        compiler = _Compiler(env, system, trace)
+        node = compiler.compile(ast)
+    except RecursionError:
+        raise LogicError("formula nests too deeply") from None
     aut = node.aut
     if node.names != free:  # a variable whose coefficients cancel, as in x=x
         aut = compiler.widen(node, free).intersect(compiler.canon(len(free)))

@@ -85,6 +85,7 @@ class _Builder:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def scan_number(self) -> int:
+        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -142,7 +143,6 @@ class _Builder:
             digits = [self.check_digit(self.scan_number(), self.pos)]
             while self.peek() == ",":
                 self.pos += 1
-                self.skip_ws()
                 digits.append(self.check_digit(self.scan_number(), self.pos))
             if self.peek() != "]":
                 raise RegexError("expected ']'", self.pos)

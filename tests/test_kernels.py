@@ -1,16 +1,15 @@
-"""Differential tests of the kernels' two paths, and their memory bounds.
+"""Kernel tests against plain scalar references, and memory bounds.
 
-Canonicalisation and pair_product have a list path for small inputs and
-a whole-array path for large ones, chosen by edge count against
-``CANONICAL_EDGES`` and ``SMALL_EDGES``: below the first ``canonical``
-does in one pass what the array kernels trim, min_blocks, quotient and
-bfs_renumber do in turn.  Here both paths run on the same random CSR
-machines (forced by moving both constants) and must return identical
-arrays.  trim, min_blocks and bfs_renumber each keep only their array
-path; the plain loops that were their list paths live on here as
-references, and each kernel must return what its loop returns.  quotient
-is checked against a scalar loop too, and walk over the dense successor
-table against a binary search in the CSR rows.
+Canonical form has one path: ``canonical`` runs the list functions trim,
+min_blocks, quotient and bfs_renumber in turn.  Each step has a plain
+loop here as its reference, and ``canonical`` must return what the four
+references give in turn, on relations, word automata, dead initial
+states and a machine of about 95 k edges.  pair_product has a list path
+for small inputs and a whole-array path for large ones, chosen by edge
+count against ``SMALL_EDGES``; both run on the same random CSR machines
+(forced by moving the constant) and must return identical arrays.  walk
+over the dense successor table is checked against a binary search in the
+CSR rows.
 """
 import tracemalloc
 
@@ -53,7 +52,7 @@ def random_machine(rng, n, nl, density=0.6, classes=None, acc_p=0.3,
 
 
 def shapes(seed):
-    """Machines covering the edge cases both paths must agree on."""
+    """Machines covering the edge cases every kernel must handle."""
     rng = np.random.default_rng(seed)
     out = []
     for n, nl, kw in [(1, 1, {}), (7, 2, {}), (40, 3, {"density": 0.0}),
@@ -78,11 +77,9 @@ def shapes(seed):
 
 
 def both_paths(monkeypatch, fn, *args):
-    for name in ("SMALL_EDGES", "CANONICAL_EDGES"):
-        monkeypatch.setattr(K, name, 1 << 62)
+    monkeypatch.setattr(K, "SMALL_EDGES", 1 << 62)
     small = fn(*args)
-    for name in ("SMALL_EDGES", "CANONICAL_EDGES"):
-        monkeypatch.setattr(K, name, 0)
+    monkeypatch.setattr(K, "SMALL_EDGES", 0)
     large = fn(*args)
     return small, large
 
@@ -167,91 +164,6 @@ def test_walk_matches_binary_search(seed):
                 assert got == (n if want < 0 else want), (initial, word)
 
 
-def sized(rng, edges):
-    """A random machine cut down to exactly `edges` edges."""
-    indptr, letters, targets, acc = random_machine(rng, edges // 2 + 1, 4,
-                                                   density=0.8, classes=40)
-    assert letters.size >= edges
-    return np.minimum(indptr, edges), letters[:edges], targets[:edges], acc
-
-
-def canonical_machines(seed):
-    """shapes(seed), a dead initial state and the two sizes either side of
-    CANONICAL_EDGES, each with initial state 0 and n - 1."""
-    rng = np.random.default_rng(seed)
-    machines = shapes(seed)
-    # state 0 has no edges and does not accept
-    indptr, letters, targets, acc = random_machine(rng, 200, 3, acc_p=0.5)
-    acc = acc.copy()
-    acc[0] = 0
-    machines.append((np.maximum(indptr - indptr[1], 0), letters[indptr[1]:],
-                     targets[indptr[1]:], acc))
-    machines += [sized(rng, K.CANONICAL_EDGES - 1), sized(rng, K.CANONICAL_EDGES)]
-    for indptr, letters, targets, acc in machines:
-        for initial in (0, acc.size - 1):
-            yield indptr, letters, targets, acc, initial
-
-
-def canonical_arrays(aut):
-    out = aut._canonical()
-    return (out.indptr, out.letters, out.targets, out.accepting, out.initial,
-            out.outputs)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_canonical_paths_agree(monkeypatch, seed):
-    rng = np.random.default_rng(seed)
-    machines = list(canonical_machines(seed))
-    assert [m[1].size for m in machines[-4:]] == \
-        [K.CANONICAL_EDGES - 1] * 2 + [K.CANONICAL_EDGES] * 2
-    dead = 0
-    for indptr, letters, targets, acc, initial in machines:
-        nl = int(letters.max(initial=0)) + 1
-        relation = Automaton(1, nl - 1, indptr, letters, targets, acc, initial)
-        # word automaton: no trim, labels from negative outputs too
-        word = Automaton(1, nl - 1, indptr, letters, targets, acc, initial,
-                         rng.integers(-3, 2, acc.size))
-        for aut in (relation, word):
-            small, large = both_paths(monkeypatch, canonical_arrays, aut)
-            assert_same(small, large)
-            monkeypatch.undo()  # and the path CANONICAL_EDGES itself picks
-            assert_same(small, canonical_arrays(aut))
-        if not trim_reference(indptr, letters, targets, acc, initial)[5]:
-            dead += 1  # no accepting state in reach: the empty machine
-            assert_same(canonical_arrays(relation),
-                        canonical_arrays(Automaton.empty(1, nl - 1)))
-    assert dead >= 3
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_trim_paths_agree(seed):
-    for indptr, letters, targets, acc in shapes(seed):
-        for initial in (0, acc.size - 1):
-            assert_same(K.trim(indptr, letters, targets, acc, np.int64(initial)),
-                        trim_reference(indptr, letters, targets, acc, initial))
-
-
-def test_trim_keeps_everything_unchanged(monkeypatch):
-    # every state reaches the accepting state 0 and is reached from it
-    n = 5000
-    indptr = np.arange(n + 1, dtype=np.int64)
-    letters = np.zeros(n, np.int32)
-    targets = ((np.arange(n) + 1) % n).astype(np.int32)
-    acc = np.zeros(n, np.uint8)
-    acc[0] = 1
-    for out in both_paths(monkeypatch, K.trim, indptr, letters, targets, acc, 0):
-        assert out[0] is indptr and out[1] is letters and out[2] is targets
-        assert out[3] is acc and out[4:] == (0, True)
-
-
-def test_trim_nothing_useful(monkeypatch):
-    indptr, letters, targets, acc = random_machine(np.random.default_rng(5), 800, 4,
-                                                   acc_p=0.0)
-    small, large = both_paths(monkeypatch, K.trim, indptr, letters, targets, acc, 0)
-    assert_same(small, large)
-    assert small[0].tolist() == [0] and small[5] is False
-
-
 def min_blocks_reference(indptr, letters, targets, labels):
     """Moore rounds over lists, blocks numbered by first occurrence."""
     ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
@@ -272,20 +184,8 @@ def min_blocks_reference(indptr, letters, targets, labels):
         block, nblocks = new, len(ids)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_min_blocks_paths_agree(seed):
-    rng = np.random.default_rng(seed)
-    for indptr, letters, targets, acc in shapes(seed):
-        # negative labels, as word automata give for negative outputs
-        for labels in (acc.astype(np.int64),
-                       rng.integers(-3, 2, acc.size).astype(np.int64)):
-            got = K.min_blocks(indptr, letters, targets, labels)
-            assert_same(got, min_blocks_reference(indptr, letters, targets, labels))
-            assert got.max() + 1 == np.unique(got).size
-
-
 def quotient_reference(indptr, letters, targets, acc, block, nblocks, initial):
-    """The scalar loop the numpy quotient replaced."""
+    """The first state of each block, targets mapped to their blocks."""
     rep = [-1] * nblocks
     for s in range(acc.size):
         if rep[block[s]] < 0:
@@ -299,17 +199,6 @@ def quotient_reference(indptr, letters, targets, acc, block, nblocks, initial):
     return (np.array(new_indptr, np.int64), np.array(new_letters, np.int32),
             np.array(new_targets, np.int32), acc[rep], int(block[initial]),
             np.array(rep, np.int32))
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_quotient_matches_reference(seed):
-    for indptr, letters, targets, acc in shapes(seed):
-        block = K.min_blocks(indptr, letters, targets, acc.astype(np.int64))
-        nblocks = int(block.max()) + 1
-        for initial in (0, acc.size - 1):
-            got = K.quotient(indptr, letters, targets, acc, block, nblocks, initial)
-            assert_same(got, quotient_reference(indptr, letters, targets, acc,
-                                                block, nblocks, initial))
 
 
 def bfs_renumber_reference(indptr, letters, targets, acc, initial):
@@ -331,13 +220,87 @@ def bfs_renumber_reference(indptr, letters, targets, acc, initial):
             np.array(new_targets, np.int32), acc[order], np.array(order, np.int32))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_bfs_renumber_paths_agree(seed):
-    for indptr, letters, targets, acc in shapes(seed):
+def large_machine(rng):
+    """About 95 k edges, 25 000 states in 400 classes."""
+    return random_machine(rng, 25_000, 4, classes=400, density=0.95)
+
+
+def canonical_machines(seed):
+    """shapes(seed) and a dead initial state, each with initial state 0
+    and n - 1; seed 0 gives large_machine alone."""
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        machines = [large_machine(rng)]
+    else:
+        machines = shapes(seed)
+        # state 0 has no edges and does not accept
+        indptr, letters, targets, acc = random_machine(rng, 200, 3, acc_p=0.5)
+        acc = acc.copy()
+        acc[0] = 0
+        machines.append((np.maximum(indptr - indptr[1], 0), letters[indptr[1]:],
+                         targets[indptr[1]:], acc))
+    for indptr, letters, targets, acc in machines:
         for initial in (0, acc.size - 1):
-            got = K.bfs_renumber(indptr, letters, targets, acc, np.int64(initial))
-            assert_same(got, bfs_renumber_reference(indptr, letters, targets, acc,
-                                                    initial))
+            yield indptr, letters, targets, acc, initial
+
+
+def references_in_turn(indptr, letters, targets, acc, initial, labels):
+    """The four references in turn, as ``canonical`` returns them: the
+    last array names a state of each output state's block, a state of the
+    trimmed machine for a relation."""
+    if labels is None:  # a relation: trimmed, refined by acceptance
+        *machine, alive = trim_reference(indptr, letters, targets, acc, initial)
+        if not alive:
+            return (np.zeros(2, np.int64), np.empty(0, np.int32),
+                    np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
+        indptr, letters, targets, acc, initial = machine
+        labels = acc.astype(np.int64)
+    block = min_blocks_reference(indptr, letters, targets, labels)
+    *machine, rep = quotient_reference(indptr, letters, targets, acc, block,
+                                       int(block.max()) + 1, initial)
+    *machine, order = bfs_renumber_reference(*machine)
+    return (*machine, rep[order])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_canonical_matches_the_references(seed):
+    rng = np.random.default_rng(seed)
+    dead = 0
+    for indptr, letters, targets, acc, initial in canonical_machines(seed):
+        # word automaton: no trim, labels from negative outputs too
+        outputs = rng.integers(-3, 2, acc.size)
+        for labels in (None, outputs * 2 + acc):
+            *got, kept = K.canonical(indptr, letters, targets, acc, initial, labels)
+            *want, rep = references_in_turn(indptr, letters, targets, acc,
+                                            initial, labels)
+            assert_same(tuple(got), tuple(want))
+            if labels is not None:  # equivalent states share their label
+                assert np.array_equal(labels[kept], labels[rep])
+        if not trim_reference(indptr, letters, targets, acc, initial)[5]:
+            dead += 1  # no accepting state in reach: the empty machine
+            nl = int(letters.max(initial=0)) + 1
+            out = Automaton(1, nl - 1, indptr, letters, targets, acc, initial)._canonical()
+            empty = Automaton.empty(1, nl - 1)
+            assert_same((out.indptr, out.letters, out.targets, out.accepting),
+                        (empty.indptr, empty.letters, empty.targets, empty.accepting))
+    assert seed == 0 or dead >= 3
+
+
+def test_trim_keeps_everything_unchanged():
+    # every state reaches the accepting state 0 and is reached from it
+    n = 5000
+    targets = list(range(1, n)) + [0]
+    acc = [1] + [0] * (n - 1)
+    states, rows, succ = K.trim(list(range(n + 1)), [0] * n, targets, 0, acc)
+    assert states == list(range(n))
+    assert rows == [[0]] * n and succ == [[t] for t in targets]
+
+
+def test_trim_nothing_useful():
+    indptr, letters, targets, acc = random_machine(np.random.default_rng(5), 800, 4,
+                                                   acc_p=0.0)
+    assert K.trim(indptr.tolist(), letters.tolist(), targets.tolist(), 0,
+                  acc.tolist()) == ([], [], [])
 
 
 def dead_machine():
@@ -373,13 +336,10 @@ def test_pair_product_slices(monkeypatch):
 
 # -- memory -----------------------------------------------------------------
 
-# Peak traced allocation inside an array-path kernel, as a multiple of the
-# bytes of the call's input and output arrays, on a machine of about 95 k
-# edges.  Measured with numpy 2.4: trim 1.30, min_blocks 2.35, quotient
-# 0.41, bfs_renumber 1.10, pair_product 1.71; each bound is that, rounded
-# up to the next half.
-PEAK_MULTIPLE = {"trim": 1.5, "min_blocks": 2.5, "quotient": 0.5,
-                 "bfs_renumber": 1.5, "pair_product": 2.0}
+# Peak traced allocation inside pair_product's array path, as a multiple of
+# the bytes of the call's input and output arrays, on a machine of about
+# 95 k edges.  Measured with numpy 2.4: 1.71, rounded up to the next half.
+PEAK_MULTIPLE = 2.0
 
 
 def nbytes(values):
@@ -405,22 +365,9 @@ def traced_peak(fn, *args):
 def test_array_path_memory(monkeypatch):
     monkeypatch.setattr(K, "SMALL_EDGES", 0)
     rng = np.random.default_rng(3)
-    indptr, letters, targets, acc = random_machine(rng, 25_000, 4, classes=400,
-                                                   density=0.95)
+    indptr, letters, targets, acc = large_machine(rng)
     small = random_machine(rng, 6, 4, density=0.9)
-    block = K.min_blocks(indptr, letters, targets, acc.astype(np.int64))
-    nblocks = int(block.max()) + 1
-    calls = {
-        "trim": (K.trim, (indptr, letters, targets, acc, 0)),
-        "min_blocks": (K.min_blocks, (indptr, letters, targets, acc.astype(np.int64))),
-        "quotient": (K.quotient, (indptr, letters, targets, acc, block, nblocks, 0)),
-        "bfs_renumber": (K.bfs_renumber, (indptr, letters, targets, acc, 0)),
-        "pair_product": (K.pair_product, (indptr, letters, targets, acc, 0,
-                                          *small, 0, 1)),
-    }
+    args = (indptr, letters, targets, acc, 0, *small, 0, 1)
     assert letters.size > 90_000
-    ratios = {}
-    for name, (fn, args) in calls.items():
-        peak, out = traced_peak(fn, *args)
-        ratios[name] = round(peak / nbytes(args + out), 2)
-    assert all(ratios[name] <= PEAK_MULTIPLE[name] for name in calls), ratios
+    peak, out = traced_peak(K.pair_product, *args)
+    assert round(peak / nbytes(args + out), 2) <= PEAK_MULTIPLE

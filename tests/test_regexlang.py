@@ -83,6 +83,12 @@ class TestSemantics:
         b = regex_compile(fib, 2, "([0,0]|[0,1][1,1]*[1,0])*")
         assert a.canonical_bytes() == b.canonical_bytes()
 
+    def test_space_before_any_digit_of_a_letter(self, fib):
+        # a space right after '[' used to fail with "expected a digit"
+        spellings = ("[0,1]*", "[ 0,1]*", "[0 ,1 ]*", "[0, 1]*")
+        machines = {regex_compile(fib, 2, p).canonical_bytes() for p in spellings}
+        assert len(machines) == 1
+
     def test_random_patterns_match_a_set_matcher(self, s13):
         # nested stars, unions and empty groups, drawn as trees and checked
         # by matching the tree itself: u is accepted iff 0^j strip(u)

@@ -301,3 +301,16 @@ def test_verbose_command_prints_one_projection_per_block(command):
     peak = max(int(line.split()[-2]) for line in lines[:-2])
     assert lines[-2] == f"  largest intermediate: {peak} states"
     assert re.fullmatch(r"\w+: \w+( states)?  \(\d+ ms\)", lines[-1])
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 150 + "x=1" + ")" * 150,
+    " & ".join(["x=1"] * 1500),
+    "x=" + "+".join(["y"] * 1500),
+], ids=["150 parentheses", "1500 conjuncts", "1500 terms"])
+def test_too_deep_a_formula_is_a_session_error(formula):
+    # parser and compiler recurse once per level; Python's stack is finite
+    s = Session("unused", out=lambda line: None, persist=False)
+    with pytest.raises(SessionError, match="^def: formula nests too deeply$"):
+        s.execute(f'def x "{formula}"')
+    assert s.execute('def x "x=1"', ";") is not None
