@@ -262,11 +262,29 @@ def references_in_turn(indptr, letters, targets, acc, initial, labels):
     return (*machine, rep[order])
 
 
+def rows_of(indptr, letters, targets):
+    """The letter row and target row of each state, as lists."""
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    return ([lt[ip[s]:ip[s + 1]] for s in range(len(ip) - 1)],
+            [tg[ip[s]:ip[s + 1]] for s in range(len(ip) - 1)])
+
+
+def csr_of(rows, succ):
+    """CSR arrays from per-state letter rows and target rows."""
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return (indptr, np.array([c for r in rows for c in r], np.int32),
+            np.array([t for out in succ for t in out], np.int32))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_canonical_matches_the_references(seed):
+def test_canonical_paths_agree(seed):
+    """Automaton._canonical, K.canonical and the four references in turn
+    give the same machine."""
     rng = np.random.default_rng(seed)
     dead = 0
     for indptr, letters, targets, acc, initial in canonical_machines(seed):
+        nl = int(letters.max(initial=0)) + 1
         # word automaton: no trim, labels from negative outputs too
         outputs = rng.integers(-3, 2, acc.size)
         for labels in (None, outputs * 2 + acc):
@@ -274,16 +292,90 @@ def test_canonical_matches_the_references(seed):
             *want, rep = references_in_turn(indptr, letters, targets, acc,
                                             initial, labels)
             assert_same(tuple(got), tuple(want))
+            aut = Automaton(1, nl - 1, indptr, letters, targets, acc, initial,
+                            None if labels is None else outputs)._canonical()
+            assert_same((aut.indptr, aut.letters, aut.targets, aut.accepting),
+                        tuple(want[:4]))
+            assert aut.initial == 0
             if labels is not None:  # equivalent states share their label
                 assert np.array_equal(labels[kept], labels[rep])
+                assert np.array_equal(aut.outputs, outputs[rep])
         if not trim_reference(indptr, letters, targets, acc, initial)[5]:
             dead += 1  # no accepting state in reach: the empty machine
-            nl = int(letters.max(initial=0)) + 1
             out = Automaton(1, nl - 1, indptr, letters, targets, acc, initial)._canonical()
             empty = Automaton.empty(1, nl - 1)
             assert_same((out.indptr, out.letters, out.targets, out.accepting),
                         (empty.indptr, empty.letters, empty.targets, empty.accepting))
     assert seed == 0 or dead >= 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trim_paths_agree(seed):
+    """The list trim keeps the states trim_reference keeps, in BFS
+    discovery order; renumbered in state order, its machine is the
+    reference's.  Without flags it keeps every reachable state."""
+    for indptr, letters, targets, acc in shapes(seed):
+        ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+        for initial in (0, acc.size - 1):
+            found = bfs_renumber_reference(indptr, letters, targets, acc,
+                                           initial)[4].tolist()
+            assert K.trim(ip, lt, tg, initial) == \
+                K.trim(ip, lt, tg, initial, [1] * acc.size)
+            for flags in (acc, np.ones_like(acc)):
+                states, rows, succ = K.trim(ip, lt, tg, initial, flags.tolist())
+                want = trim_reference(indptr, letters, targets, flags, initial)
+                if not want[5]:
+                    assert (states, rows, succ) == ([], [], [])
+                    continue
+                kept = set(states)
+                assert states == [s for s in found if s in kept]
+                keep = sorted(states)
+                rank = {s: i for i, s in enumerate(keep)}
+                at = {s: i for i, s in enumerate(states)}
+                got = csr_of([rows[at[s]] for s in keep],
+                             [[rank[states[t]] for t in succ[at[s]]] for s in keep])
+                assert_same((*got, flags[keep], rank[initial], True), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_min_blocks_paths_agree(seed):
+    rng = np.random.default_rng(seed)
+    for indptr, letters, targets, acc in shapes(seed):
+        rows, succ = rows_of(indptr, letters, targets)
+        # negative labels, as word automata give for negative outputs
+        for labels in (acc.astype(np.int64),
+                       rng.integers(-3, 2, acc.size).astype(np.int64)):
+            got = K.min_blocks(rows, succ, labels.tolist())
+            assert_same(np.array(got, np.int32),
+                        min_blocks_reference(indptr, letters, targets, labels))
+            assert max(got) + 1 == len(set(got))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_quotient_matches_reference(seed):
+    """Same machine on blocks as quotient_reference; the state kept for a
+    block may differ, but lies in that block and has its acceptance."""
+    for indptr, letters, targets, acc in shapes(seed):
+        rows, succ = rows_of(indptr, letters, targets)
+        block = K.min_blocks(rows, succ, acc.tolist())
+        nblocks = max(block) + 1
+        q_rows, q_succ, rep = K.quotient(rows, succ, block)
+        want = quotient_reference(indptr, letters, targets, acc, block, nblocks, 0)
+        assert_same(csr_of(q_rows, q_succ), want[:3])
+        assert [block[s] for s in rep] == list(range(nblocks))
+        assert_same(acc[rep], want[3])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bfs_renumber_paths_agree(seed):
+    for indptr, letters, targets, acc in shapes(seed):
+        rows, succ = rows_of(indptr, letters, targets)
+        for initial in (0, acc.size - 1):
+            ip, lt, tg, order = K.bfs_renumber(rows, succ, initial)
+            got = (np.array(ip, np.int64), np.array(lt, np.int32),
+                   np.array(tg, np.int32), acc[order], np.array(order, np.int32))
+            assert_same(got, bfs_renumber_reference(indptr, letters, targets, acc,
+                                                    initial))
 
 
 def test_trim_keeps_everything_unchanged():
