@@ -3,8 +3,10 @@
 The pipeline: exact quadratic arithmetic -> Ostrowski numeration ->
 synchronized finite automata -> a Walnut-style first-order DSL compiled
 to automata, plus a CLI and scripted reproductions of the key identities.
+An Ostrowski system is one object, ``NumerationSystem(name, period)``:
+its continued fraction, denominators and digit codec.
 """
-from .quadratic import QuadraticReal, PeriodicCF, ConvergentTable, cf_value, cf_expand, period_rotate
+from .quadratic import QuadraticReal, cf_value, cf_expand, period_rotate
 from .numeration import NumerationSystem
 from .automata import Automaton
 from .regexlang import RegexError, regex_compile
@@ -28,8 +30,8 @@ from .logic import (
 from .beatty import BeattySpec, beatty_sync, floor_gamma_sync
 
 __all__ = [
-    "QuadraticReal", "PeriodicCF", "ConvergentTable", "cf_value", "cf_expand",
-    "period_rotate", "NumerationSystem", "Automaton",
+    "QuadraticReal", "cf_value", "cf_expand", "period_rotate",
+    "NumerationSystem", "Automaton",
     "BeattySpec", "beatty_sync", "canonical_recognizer", "fibonacci_word",
     "floor_gamma_sync", "inequality_relation", "linear_relation",
     "shift_relation", "RegexError", "regex_compile",

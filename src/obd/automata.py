@@ -464,36 +464,22 @@ class Automaton:
 
     # -- enumeration -----------------------------------------------------------
 
-    def _stripped(self) -> "Automaton":
-        """Accepted words that do not start with the all-zero letter."""
-        nl = nletters(self.arity, self.dmax)
-        if nl == 1:
-            # 0 tracks: the stripped language is {empty word} or nothing
-            if self.is_empty():
-                return Automaton.empty(self.arity, self.dmax)
-            return Automaton.from_transitions(0, self.dmax, 1, 0, [0], [])
-        trans = [(0, code, 1) for code in range(1, nl)]
-        trans += [(1, code, 1) for code in range(nl)]
-        guard = Automaton.from_transitions(self.arity, self.dmax, 2, 0, [0, 1], trans)
-        return self.intersect(guard)
-
     def is_value_finite(self) -> bool:
-        """Finitely many accepted value tuples? (Checks the stripped language.)"""
-        s = self._stripped()
-        if s.is_empty():
-            return True
-        # canonical form is trimmed, so any cycle pumps an accepted word
-        n = s.n_states
-        color = np.zeros(n, np.uint8)  # 0 new, 1 on stack, 2 done
-        stack = [(s.initial, 0)]
+        """Finitely many accepted value tuples?  Leading all-zero letters
+        only pad, so the search leaves the initial state on other letters;
+        the machine is trimmed, so any cycle it then reaches pumps values."""
+        color = np.zeros(self.n_states, np.uint8)  # 0 new, 1 on stack, 2 done
+        stack = [(self.initial, 0)]
         while stack:
             state, ei = stack[-1]
             if ei == 0:
                 color[state] = 1
-            row = range(s.indptr[state], s.indptr[state + 1])
-            if ei < len(row):
+            e = self.indptr[state] + ei
+            if e < self.indptr[state + 1]:
                 stack[-1] = (state, ei + 1)
-                t = s.targets[s.indptr[state] + ei]
+                if state == self.initial and self.letters[e] == 0:
+                    continue
+                t = self.targets[e]
                 if color[t] == 1:
                     return False
                 if color[t] == 0:
@@ -509,26 +495,27 @@ class Automaton:
 
         The representation length of a tuple is that of its stripped word
         (the padded canonical word without its all-zero leading letters), so
-        the stripped words are walked one length at a time and each length
-        is sorted; ``enum k`` is then a prefix of ``enum k+1``.  On one
-        track this is numeric order, since a stripped canonical word of
-        length L has a value in [q_{L-1}, q_L).
+        the words whose first letter is not all zeros are walked one length
+        at a time and each length is sorted; ``enum k`` is then a prefix of
+        ``enum k+1``.  On one track this is numeric order, since a stripped
+        canonical word of length L has a value in [q_{L-1}, q_L).
         """
-        s = self._stripped()
         tuples = []
-        if s.accepting[s.initial] and not s.is_empty():
+        if self.accepting[self.initial]:
             tuples.append(tuple([0] * self.arity))
-        frontier = [((), s.initial)]
+        frontier = [((), self.initial)]
         for _ in range(max_len):
             if len(tuples) >= count or not frontier:
                 break
             level = []
             nxt = []
             for word, state in frontier:
-                for e in range(s.indptr[state], s.indptr[state + 1]):
-                    w = word + (int(s.letters[e]),)
-                    t = int(s.targets[e])
-                    if s.accepting[t]:
+                for e in range(self.indptr[state], self.indptr[state + 1]):
+                    if not word and self.letters[e] == 0:
+                        continue
+                    w = word + (int(self.letters[e]),)
+                    t = int(self.targets[e])
+                    if self.accepting[t]:
                         level.append(self._decode_word(w, system))
                     nxt.append((w, t))
             tuples += sorted(level)

@@ -1,7 +1,9 @@
 """Ostrowski numeration systems over purely periodic continued fractions.
 
+A system is the period of [0; a_1, a_2, ...], a purely periodic continued
+fraction with denominators q_{-1} = 0, q_0 = 1, q_i = a_i q_{i-1} + q_{i-2}.
 A natural number n is written msd-first as digits e_t ... e_1 e_0 with
-n = sum e_i * q_i over the convergent denominators q_i. The canonical
+n = sum e_i * q_i. The canonical
 (greedy) representation obeys
   (a) 0 <= e_i <= a_{i+1} for i >= 1,
   (b) e_i = a_{i+1} forces e_{i-1} = 0,
@@ -33,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import index, mul
 
-from .quadratic import ConvergentTable, PeriodicCF, QuadraticReal, cf_value
+from .quadratic import QuadraticReal, cf_value
 
 BLOCK_CAP = 64  # most canonical digit patterns any one block table holds
 
@@ -64,15 +66,20 @@ def _patterns(positions) -> list[tuple[int, ...]]:
 
 
 class NumerationSystem:
-    """One Ostrowski numeration system: a named periodic CF plus its tables."""
+    """One Ostrowski numeration system: a named periodic CF [0; a_1, ...],
+    its denominators q_i and the tables ``encode`` reads."""
 
-    def __init__(self, name: str, period: tuple[int, ...] | PeriodicCF):
+    def __init__(self, name: str, period: tuple[int, ...]):
+        period = tuple(period)
+        if not period:
+            raise ValueError("empty period")
+        if any(int(x) != x or x < 1 for x in period):
+            raise ValueError(f"period entries must be positive integers: {period}")
         self.name = name
-        self.cf = period if isinstance(period, PeriodicCF) else PeriodicCF(tuple(period))
-        self.period = self.cf.period
+        self.period = tuple(int(x) for x in period)
         self.dmax = max(self.period)
-        self.gamma: QuadraticReal = cf_value(self.cf)
-        self.convergents = ConvergentTable(self.cf)
+        self.gamma: QuadraticReal = cf_value(self.period)
+        self._q = [0, 1]  # q_{-1}, q_0, grown on demand: entry i + 1 is q_i
         # engine-side caches (canonical recognizers etc.) hang off here
         self._cache: dict = {}
         # encode's block tables (module docstring): block 0's digit patterns
@@ -96,19 +103,33 @@ class NumerationSystem:
         return len(self.period)
 
     def partial_quotient(self, i: int) -> int:
-        return self.cf.partial_quotient(i)
+        """a_i of the infinite expansion, i >= 1."""
+        if i < 1:
+            raise ValueError("partial quotients start at index 1")
+        return self.period[(i - 1) % len(self.period)]
 
     def q(self, i: int) -> int:
-        return self.convergents.q(i)
+        """q_i, from q_{-1} = 0, q_0 = 1 and q_i = a_i q_{i-1} + q_{i-2}."""
+        if i < -1:
+            raise IndexError("convergent index below -1")
+        q = self._q
+        while len(q) < i + 2:
+            q.append(self.partial_quotient(len(q) - 1) * q[-1] + q[-2])
+        return q[i + 1]
 
-    def p(self, i: int) -> int:
-        return self.convergents.p(i)
+    def q_list(self, n: int) -> list[int]:
+        """The cached denominators [q_{-1}, q_0, q_1, ...], grown until the
+        last one exceeds n; entry i + 1 is q_i.  Callers only read it."""
+        q = self._q
+        while q[-1] <= n:
+            self.q(len(q) - 1)
+        return q
 
     def digit_bound(self, i: int) -> int:
         """Largest canonical digit at position i (position 0 is the lsd)."""
         if i == 0:
-            return self.cf.partial_quotient(1) - 1
-        return self.cf.partial_quotient(i + 1)
+            return self.partial_quotient(1) - 1
+        return self.partial_quotient(i + 1)
 
     # -- encode / decode --------------------------------------------------
 
@@ -126,7 +147,7 @@ class NumerationSystem:
         if n == 0:
             return (0,)
         # qs[top] = q_{top-1} is the largest denominator <= n
-        top = bisect_right(self.convergents.q_list(n), n) - 1
+        top = bisect_right(self.q_list(n), n) - 1
         nblocks = -(-top // self._width)
         blocks = self._blocks
         while len(blocks) < nblocks:
@@ -152,7 +173,7 @@ class NumerationSystem:
         if patterns is None:
             return None, self.q(lo)
         self.q(lo + w - 1)  # grows the cached list through the block's top
-        qrow = self.convergents.q_list(0)[lo + w:lo:-1]  # q_{lo+w-1} .. q_lo
+        qrow = self._q[lo + w:lo:-1]  # q_{lo+w-1} .. q_lo
         return [sum(map(mul, p, qrow)) for p in patterns], patterns
 
     def decode(self, digits) -> int:
@@ -162,8 +183,7 @@ class NumerationSystem:
             bad = next(d for d in ds if d < 0 or d > self.dmax)
             raise ValueError(f"digit {bad} out of range 0..{self.dmax}")
         self.q(len(ds) - 1)  # grows the cached list through the top position
-        qs = self.convergents.q_list(0)
-        return sum(map(mul, ds, qs[len(ds):0:-1]))
+        return sum(map(mul, ds, self._q[len(ds):0:-1]))
 
     def is_canonical(self, digits) -> bool:
         ds = tuple(digits)
@@ -176,7 +196,7 @@ class NumerationSystem:
                 return False
             if prev is not None:
                 # rule (b): a saturated digit forces a zero just below it
-                if prev == self.cf.partial_quotient(i + 2) and d != 0:
+                if prev == self.partial_quotient(i + 2) and d != 0:
                     return False
             prev = d
         return True

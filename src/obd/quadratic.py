@@ -3,6 +3,10 @@
 Values are (a + b*sqrt(d))/c with arbitrary-precision integers, so every
 comparison and floor is exact. No floating point anywhere: floors are
 computed by integer square-root bracketing.
+
+A purely periodic continued fraction [0; p1, ..., pm repeating] is its
+period, a tuple of positive integers; ``numeration.NumerationSystem``
+checks it and owns its partial quotients and convergents.
 """
 from __future__ import annotations
 
@@ -210,36 +214,13 @@ def _coerce(x) -> QuadraticReal:
     raise TypeError(f"cannot coerce {type(x).__name__} to QuadraticReal")
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
-    """A purely periodic continued fraction [0; p1, p2, ..., pm repeating]."""
-
-    period: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.period:
-            raise ValueError("empty period")
-        if any(int(x) != x or x < 1 for x in self.period):
-            raise ValueError(f"period entries must be positive integers: {self.period}")
-        object.__setattr__(self, "period", tuple(int(x) for x in self.period))
-
-    def partial_quotient(self, i: int) -> int:
-        """a_i of the infinite expansion, i >= 1."""
-        if i < 1:
-            raise ValueError("partial quotients start at index 1")
-        return self.period[(i - 1) % len(self.period)]
-
-    def __len__(self) -> int:
-        return len(self.period)
-
-
-def cf_value(cf: PeriodicCF | tuple[int, ...]) -> QuadraticReal:
-    """Exact value of a purely periodic continued fraction, in (0, 1).
+def cf_value(period: tuple[int, ...]) -> QuadraticReal:
+    """Exact value of the purely periodic continued fraction with this
+    period of positive integers, in (0, 1).
 
     Solves the fixed point x = 1/(p1 + 1/(p2 + ... + 1/(pm + x))) and picks
     the root between 0 and 1.
     """
-    period = cf.period if isinstance(cf, PeriodicCF) else PeriodicCF(tuple(cf)).period
     # x = (m00*x + m01)/(m10*x + m11) where each step is y -> 1/(p + y)
     m00, m01, m10, m11 = 1, 0, 0, 1
     for p in period:
@@ -271,56 +252,9 @@ def cf_expand(x: QuadraticReal, count: int) -> list[int]:
     return out
 
 
-def period_rotate(period: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-    """Rotate a period so it starts at the first occurrence of its maximum.
-
-    Returns (rotated, all_ones). An all-ones period cannot be improved by
-    rotation, so it is returned unchanged with the flag set; callers decide
-    whether to warn.
-    """
-    period = PeriodicCF(tuple(period)).period
-    hi = max(period)
-    if hi == 1:
-        return period, True
-    k = period.index(hi)
-    return period[k:] + period[:k], False
-
-
-class ConvergentTable:
-    """Convergents p_i/q_i of [0; p1, p2, ...], grown on demand.
-
-    Indexing follows the usual seed p_{-1} = 1, p_0 = 0, q_{-1} = 0, q_0 = 1
-    with p_i = a_i p_{i-1} + p_{i-2} and likewise for q.
-    """
-
-    def __init__(self, cf: PeriodicCF):
-        self.cf = cf
-        self._p = [1, 0]  # p_{-1}, p_0
-        self._q = [0, 1]  # q_{-1}, q_0
-
-    def _grow(self, i: int) -> None:
-        while len(self._p) - 2 < i:
-            k = len(self._p) - 1  # next index to fill
-            a = self.cf.partial_quotient(k)
-            self._p.append(a * self._p[-1] + self._p[-2])
-            self._q.append(a * self._q[-1] + self._q[-2])
-
-    def p(self, i: int) -> int:
-        if i < -1:
-            raise IndexError("convergent index below -1")
-        self._grow(i)
-        return self._p[i + 1]
-
-    def q(self, i: int) -> int:
-        if i < -1:
-            raise IndexError("convergent index below -1")
-        self._grow(i)
-        return self._q[i + 1]
-
-    def q_list(self, n: int) -> list[int]:
-        """The cached denominators [q_{-1}, q_0, q_1, ...], grown until the
-        last one exceeds n; entry i + 1 is q_i.  Callers only read it."""
-        q = self._q
-        while q[-1] <= n:
-            self._grow(len(q) - 1)
-        return q
+def period_rotate(period: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate a non-empty period to start at the first occurrence of its
+    maximum."""
+    period = tuple(period)
+    k = period.index(max(period))
+    return period[k:] + period[:k]

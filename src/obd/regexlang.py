@@ -175,7 +175,10 @@ def regex_compile(system: NumerationSystem, arity: int, pattern: str) -> Automat
     if cached is not None:
         return cached
     builder = _Builder(pattern, arity, system.dmax)
-    first, last, nullable = builder.parse()
+    try:  # the parser recurses once per parenthesis level
+        first, last, nullable = builder.parse()
+    except RecursionError:
+        raise RegexError("pattern nests too deeply", builder.pos) from None
     edges = [(0, y) for y in first] + list(builder.follow)
     src, dst = np.array(edges, np.int64).reshape(-1, 2).T
     acc = np.zeros(len(builder.codes) + 1, np.uint8)

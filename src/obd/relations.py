@@ -152,7 +152,7 @@ def _fate(system: NumerationSystem, r: int, s: int, t: int, constant: int,
     has irrational slope; so g turns monotone and a certificate comes.
     """
     m = system.period_length
-    qs = system.convergents.q_list(0)  # entry i + 1 is q_i
+    qs = system.q_list(0)  # entry i + 1 is q_i
     can_exceed = can_fit = False
     lo1 = hi1 = None
     i = r

@@ -6,10 +6,11 @@ lines, and quoted strings protect every special character.
 
 A session owns a directory.  Every named artifact (system, predicate,
 regex, combined word automaton) is persisted as ``<name>.aut`` in the text
-format plus a metadata line in ``meta.jsonl``, and every executed command
-is appended to ``journal.txt``.  ``Session.load`` restores the environment
-from the stored automata byte for byte; ``Session.replay`` re-executes the
-journal from scratch instead, which must produce the same machines.
+format plus a metadata line in ``meta.jsonl``, whose ``command`` field
+holds the command that wrote it: those commands are the journal.
+``Session.load`` restores the environment from the stored automata byte
+for byte; ``Session.replay`` re-executes the journal from scratch instead,
+which must produce the same machines.
 
 ``info``, ``enum``, ``export-dot`` and ``basis`` only read: they are not
 journaled and store nothing.  ``enum <name> <count>`` prints the first
@@ -156,6 +157,7 @@ class Session:
     env: Environment = field(default_factory=Environment)
     journal: list[str] = field(default_factory=list)
     persist: bool = True
+    _command: str = field(default="", init=False, repr=False)
 
     def __post_init__(self):
         self.directory = Path(self.directory)
@@ -177,27 +179,16 @@ class Session:
 
     # -- persistence -------------------------------------------------------
 
-    def _journal_path(self) -> Path:
-        return self.directory / "journal.txt"
-
     def _meta_path(self) -> Path:
         return self.directory / "meta.jsonl"
 
     _QUERY_VERBS = frozenset({"info", "enum", "export-dot", "basis"})
 
-    def _record(self, command: str, terminator: str):
-        # one journal line per command; embedded newlines are plain
-        # whitespace to the formula tokenizer, so flattening is lossless
-        entry = " ".join(command.split()) + terminator
-        self.journal.append(entry)
-        if self.persist:
-            with open(self._journal_path(), "a", encoding="utf-8") as fh:
-                fh.write(entry + "\n")
-
     def _store(self, kind: str, name: str, system: str, source: str,
                aut: Automaton | None, extra: dict | None = None):
         meta = {"kind": kind, "name": name, "system": system,
-                "source": source, "time": time.strftime("%Y-%m-%dT%H:%M:%S")}
+                "source": source, "command": self._command,
+                "time": time.strftime("%Y-%m-%dT%H:%M:%S")}
         if aut is not None:
             meta["states"] = aut.live_states
         if extra:
@@ -220,7 +211,8 @@ class Session:
 
         Each ``.aut`` file must hash to the ``sha`` its newest meta line
         records; a name defined twice has one file, which only the last
-        line describes.  Meta lines written without a ``sha`` load as is.
+        line describes.  Meta lines written without a ``sha`` load as is,
+        and those without a ``command`` add nothing to the journal.
         """
         sess = cls(directory, out=out)
         meta_path = sess._meta_path()
@@ -259,18 +251,20 @@ class Session:
                         raise SessionError(f"load {path}: {exc}") from exc
                     sess.env.add_predicate(StoredPredicate(
                         name, system_name, aut, meta["source"], kind=kind))
-        if sess._journal_path().exists():
-            sess.journal = [ln for ln in sess._journal_path().read_text(
-                encoding="utf-8").splitlines() if ln]
+            sess.journal = [meta["command"] for meta in metas
+                            if "command" in meta]
         return sess
 
     @classmethod
     def replay(cls, directory, out=None) -> "Session":
-        """Re-execute the journal from scratch in a throwaway session."""
-        journal = (Path(directory) / "journal.txt").read_text(encoding="utf-8")
+        """Re-execute the journal from scratch in a throwaway session; the
+        stored machines are not read."""
+        lines = (Path(directory) / "meta.jsonl").read_text(encoding="utf-8")
+        journal = [meta["command"] for meta in map(json.loads, lines.splitlines())
+                   if "command" in meta]
         sess = cls(Path(directory) / "_replay", out=out or (lambda s: None),
                    persist=False)
-        sess.run_script(journal)
+        sess.run_script("\n".join(journal))
         return sess
 
     # -- execution ---------------------------------------------------------
@@ -293,6 +287,9 @@ class Session:
         handler = getattr(self, f"_cmd_{verb.replace('-', '_')}", None)
         if handler is None:
             raise SessionError(f"unknown command {verb!r}")
+        # the journal line _store writes; embedded newlines are plain
+        # whitespace to the formula tokenizer, so flattening is lossless
+        self._command = " ".join(command.split()) + terminator
         t0 = time.perf_counter()
         try:
             result = handler(rest, verbose=verbose)
@@ -300,7 +297,7 @@ class Session:
             raise SessionError(f"{verb}: {exc}") from exc
         elapsed = time.perf_counter() - t0
         if verb not in self._QUERY_VERBS:
-            self._record(command, terminator)
+            self.journal.append(self._command)
         if result is not None and not quiet:
             line = result if not verbose else f"{result}  ({elapsed*1000:.0f} ms)"
             self.out(line)
@@ -341,14 +338,14 @@ class Session:
             raise SessionError("only a [0] initial part is supported")
         if not period or any(a < 1 for a in period):
             raise SessionError("period entries must be >= 1")
-        rotated, all_ones = period_rotate(tuple(period))
+        rotated = period_rotate(period)
         self._check_redefinition(f"msd_{name}", rotated)
         system = NumerationSystem(f"msd_{name}", rotated)
         self.env.add_system(system)
         self._store("system", system.name, system.name, "ost", None,
                     {"period": list(rotated)})
-        qs = ", ".join(str(system.convergents.q(i)) for i in range(7))
-        note = " (rotated)" if tuple(rotated) != tuple(period) else ""
+        qs = ", ".join(str(system.q(i)) for i in range(7))
+        note = " (rotated)" if rotated != tuple(period) else ""
         return (f"{system.name}: gamma = {system.gamma}{note}, "
                 f"q = {qs}, ...")
 

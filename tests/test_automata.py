@@ -397,6 +397,68 @@ class TestFiniteness:
         assert zeros.is_value_finite()
 
 
+def stripped_reference(aut):
+    """The accepted words that do not start with the all-zero letter, as a
+    product with a 2-state guard machine: the route ``enumerate_values``
+    and ``is_value_finite`` took before they walked the machine itself."""
+    nl = nletters(aut.arity, aut.dmax)
+    if nl == 1:
+        # 0 tracks: the stripped language is {empty word} or nothing
+        if aut.is_empty():
+            return Automaton.empty(aut.arity, aut.dmax)
+        return Automaton.from_transitions(0, aut.dmax, 1, 0, [0], [])
+    trans = [(0, code, 1) for code in range(1, nl)]
+    trans += [(1, code, 1) for code in range(nl)]
+    guard = Automaton.from_transitions(aut.arity, aut.dmax, 2, 0, [0, 1], trans)
+    return aut.intersect(guard)
+
+
+def has_cycle(aut):
+    """Does the machine have a cycle?  By peeling off, round after round,
+    the states with no successor left."""
+    succ = [set(aut.targets[aut.indptr[s]:aut.indptr[s + 1]].tolist())
+            for s in range(aut.n_states)]
+    alive = set(range(aut.n_states))
+    while True:
+        sinks = {s for s in alive if not succ[s] & alive}
+        if not sinks:
+            return bool(alive)
+        alive -= sinks
+
+
+class TestStrippedWalk:
+    """Enumeration and finiteness skip the all-zero letter as a first
+    letter; the reference intersects with a guard machine instead."""
+
+    @pytest.mark.parametrize("period", [(1,), (2,)])
+    def test_matches_the_guard_product(self, period):
+        system = NumerationSystem("t", period)
+        dmax, max_len = system.dmax, 4
+        rng = random.Random(f"stripped{period}")
+        machines = []
+        for arity in (1, 2):
+            canon = canonical_recognizer(system, arity)
+            for _ in range(15):
+                _, aut = as_pair(random_machine(rng, arity, dmax), arity, dmax)
+                for m in (aut, aut.intersect(canon)):
+                    machines += [m, m.project(list(range(arity)))]
+        assert any(m.arity == 0 and not m.is_empty() for m in machines)
+        for aut in machines:
+            s = stripped_reference(aut)
+            assert aut.is_value_finite() == (s.is_empty() or not has_cycle(s))
+
+            def decode(word):
+                rows = [letter_digits(c, aut.arity, dmax) for c in word]
+                return tuple(system.decode([r[k] for r in rows])
+                             for k in range(aut.arity))
+            words = sorted(csr_words(s, max_len),
+                           key=lambda w: (len(w), decode(w)))
+            expect = [decode(w) for w in words]
+            for count in (3, len(expect) + 1):
+                assert aut.enumerate_values(system, count, max_len) == \
+                    expect[:count], aut
+
+
 class TestCombine:
     def test_outputs_match_brute_force(self):
         rng = random.Random(808)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obd import ConvergentTable, PeriodicCF, QuadraticReal, cf_expand, cf_value, period_rotate
+from obd import NumerationSystem, QuadraticReal, cf_expand, cf_value, period_rotate
 from oracles import floor_surd
 
 getcontext().prec = 80
@@ -151,16 +151,16 @@ class TestOrder:
 
 class TestContinuedFractions:
     def test_period_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicCF(())
-        with pytest.raises(ValueError):
-            PeriodicCF((1, 0))
+        with pytest.raises(ValueError, match="empty period"):
+            NumerationSystem("t", ())
+        with pytest.raises(ValueError, match="positive integers"):
+            NumerationSystem("t", (1, 0))
 
     def test_partial_quotient_wraps(self):
-        cf = PeriodicCF((3, 1))
-        assert [cf.partial_quotient(i) for i in range(1, 6)] == [3, 1, 3, 1, 3]
+        system = NumerationSystem("t", (3, 1))
+        assert [system.partial_quotient(i) for i in range(1, 6)] == [3, 1, 3, 1, 3]
         with pytest.raises(ValueError):
-            cf.partial_quotient(0)
+            system.partial_quotient(0)
 
     def test_catalog_values(self):
         # worked out by hand from the fixed-point quadratics
@@ -188,30 +188,43 @@ class TestContinuedFractions:
             cf_expand(QuadraticReal.sqrt(2), 4)
 
     def test_period_rotate(self):
-        assert period_rotate((1, 3)) == ((3, 1), False)
-        assert period_rotate((3, 1)) == ((3, 1), False)
-        assert period_rotate((2, 3, 1, 3)) == ((3, 1, 3, 2), False)
-        assert period_rotate((2,)) == ((2,), False)
-        assert period_rotate((1, 1)) == ((1, 1), True)
+        assert period_rotate((1, 3)) == (3, 1)
+        assert period_rotate((3, 1)) == (3, 1)
+        assert period_rotate((2, 3, 1, 3)) == (3, 1, 3, 2)
+        assert period_rotate((2,)) == (2,)
+        assert period_rotate((1, 1)) == (1, 1)
+
+
+def numerators(period, n):
+    """[p_{-1}, p_0, ..., p_n] of [0; period repeating], by
+    p_i = a_i p_{i-1} + p_{i-2} from p_{-1} = 1, p_0 = 0: entry i + 1 is p_i."""
+    p = [1, 0]
+    for i in range(1, n + 1):
+        p.append(period[(i - 1) % len(period)] * p[-1] + p[-2])
+    return p
 
 
 class TestConvergents:
+    """The denominators q_i of NumerationSystem against numerators p_i
+    computed here."""
+
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_determinant_identity(self, period):
-        t = ConvergentTable(PeriodicCF(tuple(period)))
+        t = NumerationSystem("t", tuple(period))
+        p = numerators(period, 14)
         for i in range(0, 15):
-            assert t.q(i) * t.p(i - 1) - t.p(i) * t.q(i - 1) == (-1) ** i
+            assert t.q(i) * p[i] - p[i + 1] * t.q(i - 1) == (-1) ** i
 
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_convergents_bracket_gamma(self, period):
-        cf = PeriodicCF(tuple(period))
-        g = cf_value(cf)
-        t = ConvergentTable(cf)
+        t = NumerationSystem("t", tuple(period))
+        g = cf_value(tuple(period))
+        p = numerators(period, 9)
         prev_err = None
         for i in range(0, 10):
-            err = g * t.q(i) - t.p(i)
+            err = g * t.q(i) - p[i + 1]
             assert err.sign() == (-1) ** i  # alternating around gamma
             if prev_err is not None:
                 assert (err if err.sign() > 0 else -err) < (
@@ -219,8 +232,11 @@ class TestConvergents:
             prev_err = err
 
     def test_seed_indexing(self):
-        t = ConvergentTable(PeriodicCF((3, 1)))
-        assert (t.p(-1), t.p(0), t.q(-1), t.q(0)) == (1, 0, 0, 1)
+        t = NumerationSystem("t", (3, 1))
+        assert (t.q(-1), t.q(0)) == (0, 1)
         assert [t.q(i) for i in range(1, 7)] == [3, 4, 15, 19, 72, 91]
         with pytest.raises(IndexError):
             t.q(-2)
+        # one cached list, grown in place past n
+        qs = t.q_list(100)
+        assert qs is t.q_list(0) and qs == [0, 1, 3, 4, 15, 19, 72, 91, 345]

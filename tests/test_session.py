@@ -231,6 +231,49 @@ class TestStorage:
                            match=f"^load .*meta\\.jsonl: line 1: KeyError: '{key}'"):
             Session.load(tmp_path / "sess", out=lambda line: None)
 
+    def test_failed_last_write_leaves_load_and_replay_agreeing(
+            self, tmp_path, monkeypatch):
+        # the last file a def writes fails; whatever reached the disk,
+        # loading the stored machines and replaying the journal agree
+        def def_b(directory, fail_at=None):
+            s = Session(directory, out=lambda line: None)
+            s.execute('def a "?msd_fib x=1"', ";")
+            writes = []
+
+            def failing_open(file, mode="r", *args, **kwargs):
+                if mode != "r":
+                    writes.append(file)
+                    if len(writes) == fail_at:
+                        raise OSError("disk full")
+                return open(file, mode, *args, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr("obd.session.open", failing_open, raising=False)
+                if fail_at is None:
+                    s.execute('def b "?msd_fib x=2"', ";")
+                else:
+                    with pytest.raises(OSError, match="disk full"):
+                        s.execute('def b "?msd_fib x=2"', ";")
+            return len(writes)
+
+        last = def_b(tmp_path / "probe")
+        assert last >= 1
+        def_b(tmp_path / "sess", fail_at=last)
+        loaded = Session.load(tmp_path / "sess", out=lambda line: None)
+        replayed = Session.replay(tmp_path / "sess")
+
+        def digests(sess):
+            return {name: pred.automaton.sha()
+                    for name, pred in sess.env.predicates.items()}
+        assert "a" in digests(loaded)
+        assert digests(loaded) == digests(replayed)
+        assert loaded.journal == replayed.journal
+
+    def test_replay_does_not_read_the_stored_machines(self, stored):
+        (stored / "add.aut").unlink()
+        replayed = Session.replay(stored)
+        assert replayed.journal == ['def add "?msd_fib x+y=z";']
+        assert "add" in replayed.env.predicates
+
     def test_meta_line_without_sha(self, stored):
         meta_path = stored / "meta.jsonl"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -314,3 +357,12 @@ def test_too_deep_a_formula_is_a_session_error(formula):
     with pytest.raises(SessionError, match="^def: formula nests too deeply$"):
         s.execute(f'def x "{formula}"')
     assert s.execute('def x "x=1"', ";") is not None
+
+
+def test_too_deep_a_pattern_is_a_session_error():
+    # the regex parser recurses once per parenthesis level
+    s = Session("unused", out=lambda line: None, persist=False)
+    pattern = "(" * 400 + "0" + ")" * 400
+    with pytest.raises(SessionError, match="^reg: pattern nests too deeply"):
+        s.execute(f'reg r {{0,1}} "{pattern}"')
+    assert s.execute('reg r {0,1} "(0|1)*"', ";") is not None
