@@ -249,14 +249,23 @@ def trim(ip, lt, tg, initial, accepting=None):
     n = len(ip) - 1
     seen = [False] * n
     seen[initial] = True
-    preds = [[] for _ in range(n)]
     states = [initial]
-    for s in states:  # the loop visits states appended while it runs
-        for t in tg[ip[s]:ip[s + 1]]:
-            preds[t].append(s)
-            if not seen[t]:
-                seen[t] = True
-                states.append(t)
+    # the loops visit states appended while they run; only the co-reach
+    # pass reads the predecessor lists, so a word automaton builds none
+    if accepting is None:
+        for s in states:
+            for t in tg[ip[s]:ip[s + 1]]:
+                if not seen[t]:
+                    seen[t] = True
+                    states.append(t)
+    else:
+        preds = [[] for _ in range(n)]
+        for s in states:
+            for t in tg[ip[s]:ip[s + 1]]:
+                preds[t].append(s)
+                if not seen[t]:
+                    seen[t] = True
+                    states.append(t)
     at = [-1] * n  # input state -> position in `states`, -1 when cut
     if accepting is not None:
         stack = [s for s in states if accepting[s]]

@@ -183,22 +183,38 @@ class Automaton:
     a missing edge leads to the sink, state id ``n_states``, whose row
     points back to itself.  It holds (n_states + 1) * (dmax + 1)**arity
     entries, which is small for the machines read here: the packaged
-    scripts and the benchmark read machines of at most 2 tracks.  Reads
-    hand their letter codes to ``_kernels.walk`` as they are: ``walk``
-    converts only an ndarray, and ``accepts_digit_rows`` packs the codes
-    of all positions at once, track by track, as code * (dmax+1) + digit
-    with ``map``, so no read builds a list per letter.
-    ``function_value`` also memoises in ``_suffixes`` the suffix sets B it
-    meets (its docstring), each by an int id b: the steps (B_{i+1}, d_i)
-    -> B_i, keyed b * (dmax+1) + d_i, and the picks (B_{i+1}, row) -> dz,
-    keyed b * len(successors()) + row, -1 where not functional.  The
-    table and the memo are built on the first read, never on compile
-    paths, and kept, which is safe because an automaton's arrays are
-    never written after construction.
+    scripts and the benchmark read machines of at most 2 tracks.
+    ``walk``, ``accepts_word`` and ``accepts_digit_rows`` read explicit
+    letter codes through ``_kernels.walk``.
+
+    Reads of values (``run_values``, hence ``accepts_values`` and
+    ``session.word_value``, and ``function_value``) take each value's
+    blocks from ``NumerationSystem.greedy_blocks`` and never spell out
+    its digits: a block is (table t, pattern index k) in the system's
+    tables (``numeration`` module docstring), and a value shorter than
+    the read has index 0, all zeros, in the blocks above its own.  The
+    top block, of which the read may cover only the low digits, is read
+    letter by letter; every other block steps through a memo keyed by
+    the block: ``_walks[(t, k_1..k_arity)][state]`` is the state after
+    it.  ``function_value`` keeps in ``_suffixes`` the suffix sets B it
+    meets (its docstring), the dict from each set to its int id b, the
+    steps ``[key][b]`` -> b' and the picks ``[key][b * n_states + state]``,
+    where key is one digit d of n or a block (t, k) of n's digits: a pick
+    is the z digit dz (-1 where not functional) for a digit, and
+    (state', z digits) ((-1, ()) where not functional) for a block.  A
+    miss is filled by the per-letter steps, so every read sees the
+    letters it would read digit by digit.  ``_walks`` holds at most one
+    entry per state and block, so at most states x tables x
+    patterns**arity over the tables the machine has been read through;
+    the steps hold one per suffix set and block, the picks one per state,
+    suffix set and block.  The table and the memos are built on the first
+    read, never on compile paths, and kept, which is safe because an
+    automaton's arrays are never written after construction.
     """
 
     __slots__ = ("arity", "dmax", "indptr", "letters", "targets",
-                 "accepting", "initial", "outputs", "_delta", "_suffixes")
+                 "accepting", "initial", "outputs", "_delta", "_walks",
+                 "_suffixes")
 
     def __init__(self, arity, dmax, indptr, letters, targets, accepting,
                  initial=0, outputs=None):
@@ -211,6 +227,7 @@ class Automaton:
         self.initial = int(initial)
         self.outputs = None if outputs is None else np.asarray(outputs, np.int32)
         self._delta = None
+        self._walks = None
         self._suffixes = None
 
     # -- constructors -----------------------------------------------------
@@ -435,32 +452,73 @@ class Automaton:
         for row in rows:
             if width and (min(row) < 0 or max(row) > self.dmax):
                 letter_code(row, self.dmax)  # raises, naming the digit
-        return self._accepts_rows(rows)
-
-    def _accepts_rows(self, rows) -> bool:
-        """accepts_digit_rows on rows of one length whose digits are already
-        known to lie in 0..dmax."""
+        # the codes of all positions at once, track by track
         base = self.dmax + 1
         codes = rows[0]
         for row in rows[1:]:
             codes = list(map(add, map(mul, codes, repeat(base)), row))
-        s = K.walk(self.successors(), nletters(self.arity, self.dmax),
-                   self.initial, codes)
-        return s != self.n_states and bool(self.accepting[s])
+        return self.accepts_word(codes)
 
     def accepts_values(self, values, system) -> bool:
-        """Encode a tuple of naturals in the given numeration system and run.
+        """Encode a tuple of naturals in the given numeration system and run
+        (``run_values``)."""
+        state = self.run_values(values, system)
+        return state >= 0 and bool(self.accepting[state])
 
-        Encoded digits lie in 0..system.dmax, so the rows are checked
-        digit by digit only when that exceeds the machine's dmax."""
+    def run_values(self, values, system) -> int:
+        """Final state after reading `values`, one per track, encoded in
+        `system` and padded with leading zeros to one length; -1 on a dead
+        end.  The blocks below the top one step through ``_walks`` (class
+        docstring)."""
         if len(values) != self.arity:
             raise ValueError("wrong number of values")
         if self.arity == 0:
-            return self.accepts_word([])
-        rows = system.pad_parallel(*(system.encode(v) for v in values))
-        if system.dmax <= self.dmax:
-            return self._accepts_rows(rows)
-        return self.accepts_digit_rows(rows)
+            return self.walk([])
+        blocks, cut = self._value_blocks(values, system)
+        delta, nl, sink = self.successors(), nletters(self.arity, self.dmax), self.n_states
+        state = self.initial
+        if cut:
+            state = K.walk(delta, nl, state, self._block_codes(blocks.pop(0))[cut:])
+        if self._walks is None:
+            self._walks = {}
+        walks = self._walks
+        for block in blocks:
+            if state == sink:
+                break
+            try:
+                state = walks[block][state]
+            except KeyError:
+                state = walks.setdefault(block, {}).setdefault(
+                    state, K.walk(delta, nl, state, self._block_codes(block)))
+        return -1 if state == sink else state
+
+    def _value_blocks(self, values, system, pad=0):
+        """The blocks (table, k_1..k_arity) of `values` encoded in
+        `system`, one track each, top block first, over the longest
+        value's digits and `pad` leading zeros more; and how many of the
+        top block's digits lie above them.  A digit above the machine's
+        dmax raises, naming the first such digit of the first track that
+        holds one."""
+        reads = [system.greedy_blocks(v) for v in values]
+        if system.dmax > self.dmax:
+            for length, ks in reads:
+                digits = system.block_digits(length, ks)
+                if max(digits) > self.dmax:
+                    letter_code(digits, self.dmax)  # raises, naming the digit
+        length = pad + max(length for length, _ in reads)
+        count = -(-length // system._width)
+        blocks = list(zip(system.block_tables(count),
+                          *([0] * (count - len(ks)) + ks for _, ks in reads)))
+        return blocks, count * system._width - length
+
+    def _block_codes(self, block):
+        """Letter codes of the block (t, k_1..k_arity): track j reads
+        pattern k_j of table t."""
+        table, base = block[0], self.dmax + 1
+        codes = table[block[1]]
+        for k in block[2:]:
+            codes = [c * base + d for c, d in zip(codes, table[k])]
+        return codes
 
     # -- enumeration -----------------------------------------------------------
 
@@ -551,45 +609,109 @@ class Automaton:
         position.  The states it visits are reachable on n's prefix, as are
         their successors, so intersecting B with the reachable states would
         change no choice, nor the NoOutput test (initial state not in B_0).
-        Both steps are memoised on the automaton (class docstring).
+        Both steps are memoised on the automaton (class docstring), per
+        block of n's digits below the top block and per digit in it.
         """
         if self.arity != 2:
             raise ValueError("function_value needs a 2-track automaton")
-        enc = system.encode(n)
-        if max(enc) > self.dmax:
-            letter_code(enc, self.dmax)  # raises, naming the digit
-        delta, sink, base = self.successors(), self.n_states, self.dmax + 1
+        blocks, cut = self._value_blocks((n,), system, self.n_states)
+        top = ()  # n's digits in the top block, when it is cut
+        if cut:
+            table, k = blocks.pop(0)
+            top = table[k][cut:]
         if self._suffixes is None:
-            self._suffixes = ([frozenset(np.flatnonzero(self.accepting).tolist())], {}, {})
-        sets, steps, picks = self._suffixes
-        digits = [0] * sink + list(enc)
-        ids = [0]  # of B_L, B_{L-1}, ..., B_0
-        for d in reversed(digits):
-            key = ids[-1] * base + d
-            b = steps.get(key)
-            if b is None:
-                live = sets[ids[-1]]
-                found = frozenset(s for s in range(sink) if not live.isdisjoint(
-                    delta[(s * base + d) * base:(s * base + d + 1) * base]))
-                if found not in sets:
-                    sets.append(found)
-                b = steps[key] = sets.index(found)
-            ids.append(b)
-        if self.initial not in sets[ids[-1]]:
+            accepting = frozenset(np.flatnonzero(self.accepting).tolist())
+            self._suffixes = ([accepting], {accepting: 0}, {}, {})
+        sets, _, steps, picks = self._suffixes
+        # backward: the id of B after each block, then after each top digit
+        b, ends, top_ends = 0, [], []
+        for block in reversed(blocks):
+            ends.append(b)
+            try:
+                b = steps[block][b]
+            except KeyError:
+                b = self._block_step(b, block)
+        for d in reversed(top):
+            top_ends.append(b)
+            b = self._step(b, d)
+        if self.initial not in sets[b]:
             raise NoOutput(f"no output for input {n}")
-        state, zdigits, size = self.initial, [], len(delta)
-        for d, b in zip(digits, reversed(ids[:-1])):
-            row = (state * base + d) * base
-            key = b * size + row
-            dz = picks.get(key)
-            if dz is None:
-                choices = [c for c in range(base) if delta[row + c] in sets[b]]
-                dz = picks[key] = choices[0] if len(choices) == 1 else -1
+        # forward: the one z digit into each B
+        delta, base, nstates = self.successors(), self.dmax + 1, self.n_states
+        state, zdigits = self.initial, []
+        for d, b in zip(top, reversed(top_ends)):
+            dz = self._pick(state, b, d)
             if dz < 0:
                 raise ValueError(f"relation is not functional at {n}")
             zdigits.append(dz)
-            state = delta[row + dz]
+            state = delta[(state * base + d) * base + dz]
+        for block, b in zip(blocks, reversed(ends)):
+            try:
+                state, zs = picks[block][b * nstates + state]
+            except KeyError:
+                state, zs = self._block_pick(state, b, block)
+            if state < 0:
+                raise ValueError(f"relation is not functional at {n}")
+            zdigits += zs
         return system.decode(zdigits)
+
+    def _step(self, b: int, d: int) -> int:
+        """Id of B_i, from the id b of B_{i+1} and n's digit d_i."""
+        sets, ids, steps, _ = self._suffixes
+        row = steps.setdefault(d, {})
+        before = row.get(b)
+        if before is None:
+            delta, base, live = self.successors(), self.dmax + 1, sets[b]
+            found = frozenset(s for s in range(self.n_states) if not live.isdisjoint(
+                delta[(s * base + d) * base:(s * base + d + 1) * base]))
+            before = row[b] = ids.setdefault(found, len(sets))
+            if before == len(sets):
+                sets.append(found)
+        return before
+
+    def _block_step(self, b: int, block) -> int:
+        """Id of B before the block (t, k) of n's digits, from the id b of
+        B after it: the digit steps from the block's lsd up."""
+        before = b
+        for d in reversed(block[0][block[1]]):
+            before = self._step(before, d)
+        self._suffixes[2].setdefault(block, {})[b] = before
+        return before
+
+    def _pick(self, state: int, b: int, d: int) -> int:
+        """The one dz that takes `state` on (d, dz) into the set with id b,
+        -1 if more than one does."""
+        sets, _, _, picks = self._suffixes
+        row = picks.setdefault(d, {})
+        key = b * self.n_states + state
+        dz = row.get(key)
+        if dz is None:
+            delta, base = self.successors(), self.dmax + 1
+            at = (state * base + d) * base
+            choices = [c for c in range(base) if delta[at + c] in sets[b]]
+            dz = row[key] = choices[0] if len(choices) == 1 else -1
+        return dz
+
+    def _block_pick(self, state: int, b: int, block) -> tuple:
+        """(state', z digits) after the block (t, k) of n's digits read from
+        `state` into the set with id b, each z digit the one ``_pick``
+        gives; (-1, ()) where one is not unique."""
+        key = b * self.n_states + state
+        pattern = block[0][block[1]]
+        ends = [b]  # the id of B after each digit, lsd first
+        for d in reversed(pattern[1:]):
+            ends.append(self._step(ends[-1], d))
+        delta, base, zs = self.successors(), self.dmax + 1, []
+        for d, after in zip(pattern, reversed(ends)):
+            dz = self._pick(state, after, d)
+            if dz < 0:
+                state, zs = -1, []
+                break
+            zs.append(dz)
+            state = delta[(state * base + d) * base + dz]
+        got = state, tuple(zs)
+        self._suffixes[3].setdefault(block, {})[key] = got
+        return got
 
     def output_equals(self, value: int) -> "Automaton":
         """Acceptor for the words this word automaton maps to the value."""

@@ -29,6 +29,20 @@ w is the largest width at which no phase has more than BLOCK_CAP
 patterns (8 on msd_fib, 4 on msd_s2), and 1 if even one position has
 more: such a position, whose period entry is BLOCK_CAP or more, gets no
 table, and its digit is read by ``divmod``.
+
+``greedy_blocks`` is that one greedy routine: it gives n's digit count
+and, for each block from the top down, the index k of the block's digits
+in the block's table, where the table of a divmod position is the lone
+digit table ``LONE`` (pattern k is the digit k).  ``encode`` joins those
+patterns and cuts the top block's surplus leading zeros.  A table is
+hashed and compared by identity, so a key that holds (table, k) hashes
+as fast as one of ints.  The readers in ``automata`` key their memos by
+it: a walk by (state, table, k_1..k_arity) -> state, ``function_value``
+by (B, table, k) -> B' and (state, B, table, k) -> (state', z digits).
+A machine's walk memo therefore holds at most states x tables x
+patterns**arity entries, tables and patterns being those of the blocks
+it has read (a system has period length + 1 tables of at most BLOCK_CAP
+patterns each, unless a position is read by divmod).
 """
 from __future__ import annotations
 
@@ -38,6 +52,29 @@ from operator import index, mul
 from .quadratic import QuadraticReal, cf_value
 
 BLOCK_CAP = 64  # most canonical digit patterns any one block table holds
+
+
+class _Table(tuple):
+    """A block table: entry k is pattern k.  Hashed and compared by
+    identity, so a memo key that holds one never hashes its patterns."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
+class _LoneDigits:
+    """The table of a position whose digit is read by ``divmod``: pattern k
+    is the one digit k."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int) -> tuple[int]:
+        return (k,)
+
+
+LONE = _LoneDigits()
 
 
 def _positions(period, lo, width):
@@ -82,10 +119,10 @@ class NumerationSystem:
         self._q = [0, 1]  # q_{-1}, q_0, grown on demand: entry i + 1 is q_i
         # engine-side caches (canonical recognizers etc.) hang off here
         self._cache: dict = {}
-        # encode's block tables (module docstring): block 0's digit patterns
-        # and those of each phase lo mod m, None where a lone position
-        # exceeds the cap; then block j's (values, patterns), grown on
-        # demand, or (None, q_lo) where its digit is read by divmod
+        # encode's block tables (module docstring): the table of each phase
+        # lo mod m, that of block j in _tables (block 0's first, the rest
+        # grown on demand), and block j's (values, q_lo), grown on demand,
+        # values None where its digit is read by divmod
         m, per = len(self.period), self.period
         starts = [0, *range(m, 2 * m)]  # block 0, then one block of each phase
         width = 1
@@ -93,9 +130,10 @@ class NumerationSystem:
                   for lo in starts) <= BLOCK_CAP:
             width += 1
         self._width = width
-        self._block0_patterns, *self._phase_patterns = [
-            _patterns(pos) if _pattern_count(pos) <= BLOCK_CAP else None
+        block0, *self._phase_tables = [
+            _Table(_patterns(pos)) if _pattern_count(pos) <= BLOCK_CAP else LONE
             for pos in (_positions(per, lo, width) for lo in starts)]
+        self._tables = [block0]
         self._blocks: list = []
 
     @property
@@ -137,44 +175,67 @@ class NumerationSystem:
         """Canonical (greedy) digit tuple of n >= 0, msd first, read through
         ``operator.index``: a float is a TypeError, a numpy int an int.
 
-        The digits are taken one block of positions at a time, from the top
-        block down, as the last entry <= the remainder of the block's value
-        table (module docstring); the top block's surplus leading zeros are
-        cut off at the end."""
+        The patterns ``greedy_blocks`` picks, joined, with the top block's
+        surplus leading zeros cut off."""
+        return self.block_digits(*self.greedy_blocks(n))
+
+    def greedy_blocks(self, n: int) -> tuple[int, list[int]]:
+        """(length, ks): the number of digits of ``encode(n)`` and, for the
+        ceil(length / w) blocks from the top one down, the index of the
+        block's greedy digits in its table (``block_tables``).
+
+        Each block's index is that of the last entry <= the remainder in
+        the block's value table (module docstring), or the digit itself
+        where the digit is read by ``divmod``."""
         n = index(n)
         if n < 0:
             raise ValueError("cannot encode a negative value")
         if n == 0:
-            return (0,)
+            return 1, [0]
         # qs[top] = q_{top-1} is the largest denominator <= n
         top = bisect_right(self.q_list(n), n) - 1
         nblocks = -(-top // self._width)
         blocks = self._blocks
         while len(blocks) < nblocks:
             blocks.append(self._block(len(blocks)))
-        digits = []
-        for values, patterns in blocks[nblocks - 1::-1]:
+        ks = []
+        for values, q in blocks[nblocks - 1::-1]:
             if values is None:
-                e, n = divmod(n, patterns)
-                digits.append(e)
+                k, n = divmod(n, q)
             else:
                 k = bisect_right(values, n) - 1
                 n -= values[k]
-                digits += patterns[k]
-        return tuple(digits[nblocks * self._width - top:])
+            ks.append(k)
+        return top, ks
+
+    def block_tables(self, count: int) -> list:
+        """The tables of blocks count-1 .. 0, top block first."""
+        tables, phases = self._tables, self._phase_tables
+        while len(tables) < count:
+            tables.append(phases[len(tables) * self._width % len(phases)])
+        return tables[count - 1::-1]
+
+    def block_digits(self, length: int, ks) -> tuple[int, ...]:
+        """The last `length` digits of the patterns ks of the top len(ks)
+        blocks, joined: ``encode`` on what ``greedy_blocks`` gives."""
+        digits = []
+        for table, k in zip(self.block_tables(len(ks)), ks):
+            digits += table[k]
+        return tuple(digits[len(ks) * self._width - length:])
 
     def _block(self, j: int):
-        """Block j's (values, patterns): its canonical digit blocks, msd
-        first, and their values, both in increasing order; (None, q_lo)
-        for a lone position over the cap."""
+        """Block j's (values, q_lo): the values of its canonical digit
+        blocks, in increasing (= lexicographic) order, None for a lone
+        position over the cap."""
         w = self._width
         lo = j * w
-        patterns = self._phase_patterns[lo % self.period_length] if j else self._block0_patterns
-        if patterns is None:
+        self.block_tables(j + 1)  # grows _tables through block j
+        patterns = self._tables[j]
+        if patterns is LONE:
             return None, self.q(lo)
         self.q(lo + w - 1)  # grows the cached list through the block's top
         qrow = self._q[lo + w:lo:-1]  # q_{lo+w-1} .. q_lo
-        return [sum(map(mul, p, qrow)) for p in patterns], patterns
+        return [sum(map(mul, p, qrow)) for p in patterns], qrow[-1]
 
     def decode(self, digits) -> int:
         """Value of an msd-first sequence of digits. Accepts non-canonical ones."""

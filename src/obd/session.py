@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .automata import Automaton, NoOutput, letter_code
+from .automata import Automaton, NoOutput
 from .logic import (Environment, LogicError, StoredPredicate, compile_formula,
                     def_predicate, eval_sentence)
 from .numeration import NumerationSystem
@@ -193,17 +193,31 @@ class Session:
             meta["states"] = aut.live_states
         if extra:
             meta.update(extra)
-        if self.persist:
-            if aut is not None:
-                # a crash mid-write leaves the old file, never a cut one
-                text = aut.to_text(system)
-                meta["sha"] = _text_sha(text)
-                path = self.directory / f"{name}.aut"
-                tmp = path.with_name(path.name + ".tmp")
-                tmp.write_text(text, encoding="utf-8")
-                os.replace(tmp, path)
-            with open(self._meta_path(), "a", encoding="utf-8") as fh:
+        if not self.persist:
+            return
+        # a new machine goes to a side file, the meta line is appended, and
+        # only then does the side file replace <name>.aut; if the append or
+        # the replace fails, the meta file is cut back to its old length,
+        # so the directory still loads and replays the previous machine
+        meta_path, tmp = self._meta_path(), None
+        if aut is not None:
+            text = aut.to_text(system)
+            meta["sha"] = _text_sha(text)
+            path = self.directory / f"{name}.aut"
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text(text, encoding="utf-8")
+        size = meta_path.stat().st_size if meta_path.exists() else 0
+        try:
+            with open(meta_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(meta) + "\n")
+            if tmp is not None:
+                os.replace(tmp, path)
+        except BaseException:
+            if meta_path.exists():
+                os.truncate(meta_path, size)
+            if tmp is not None:
+                tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, directory, out=print) -> "Session":
@@ -578,10 +592,7 @@ def word_value(aut: Automaton, system: NumerationSystem, n: int) -> int:
     """Output of a word automaton on the representation of n."""
     if aut.outputs is None:
         raise ValueError("not a word automaton")
-    digits = system.encode(n)
-    if max(digits) > aut.dmax:
-        letter_code(digits, aut.dmax)  # raises, naming the digit
-    state = aut.walk(digits)
+    state = aut.run_values((n,), system)
     if state < 0:
         raise ValueError(f"word automaton is not total on input {n}")
     return int(aut.outputs[state])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obd import NumerationSystem
-from obd.numeration import BLOCK_CAP
+from obd.numeration import BLOCK_CAP, LONE
 from oracles import all_canonical, digits_value, floor_surd, greedy_digits, rules_ok
 
 periods = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4).map(tuple)
@@ -75,9 +75,9 @@ class TestEncodeDecode:
 
 def stored_tables(system):
     """Every digit pattern list and value list the system's encoder holds."""
-    pattern_lists = [system._block0_patterns, *system._phase_patterns]
+    pattern_lists = [system._tables[0], *system._phase_tables]
     return [t for t in pattern_lists + [values for values, _ in system._blocks]
-            if t is not None]
+            if t is not None and t is not LONE]
 
 
 class TestBlockEncode:

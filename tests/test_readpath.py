@@ -1,12 +1,13 @@
 """The read path (encode, walks, membership, word_value, function_value)
 against answers computed independently in exact integer arithmetic.
 
-``function_value`` reads n's digits off suffix sets memoised on the
-automaton.  The three set passes it used before (forward reach, backward
-liveness, forward pick) live on here as a reference, and the new reads
-must give the same value, or the same exception and message, whatever
-the memo already holds.  Membership packs its letter codes with ``map``;
-the per-letter route it replaced is kept the same way.
+Value reads take each value's greedy blocks and step through block
+memos on the automaton.  The routes they replaced live on here as
+references: ``function_value``'s three set passes (forward reach,
+backward liveness, forward pick) and the per-letter walks of membership
+and ``word_value`` over the encoded, padded digits.  The block reads must
+give the same value, or the same exception and message, whatever the
+memos already hold.
 """
 
 import random
@@ -18,6 +19,8 @@ from obd import NumerationSystem
 from obd.automata import Automaton, NoOutput, letter_code
 from obd.repro import SCRIPT_DIR
 from obd.session import Session, word_value
+
+from conftest import CATALOG
 
 
 def floor_phi(n: int) -> int:
@@ -119,7 +122,14 @@ def outcome(read, aut, system, n):
 def fresh(aut):
     """The same machine with nothing memoised."""
     return Automaton(aut.arity, aut.dmax, aut.indptr, aut.letters,
-                     aut.targets, aut.accepting, aut.initial)
+                     aut.targets, aut.accepting, aut.initial, aut.outputs)
+
+
+def memo_sizes(aut):
+    """How many entries each of the machine's read memos holds."""
+    sets, ids, steps, picks = aut._suffixes or ([], {}, {}, {})
+    return [len(sets), len(ids), *(sum(map(len, memo.values()))
+                                   for memo in (steps, picks, aut._walks or {}))]
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +165,7 @@ def test_function_value_matches_three_passes(machines, name):
         for n, expected in order:
             assert outcome(Automaton.function_value, reader, system, n) == expected, n
     # the warmed machine read nothing new the second time round
-    assert [len(m) for m in first._suffixes] == [len(m) for m in second._suffixes]
+    assert memo_sizes(first) == memo_sizes(second)
 
 
 def test_function_value_outcomes_of_the_odd_machines(machines):
@@ -271,3 +281,174 @@ def test_membership_errors_match_per_letter_route(machines):
         assert member_outcome(Automaton.accepts_values, aut, values, system) == want
     assert member_outcome(Automaton.accepts_values, aut, (4, 0), s2) == (
         ValueError, "digit 2 out of range 0..1")
+
+
+# -- block reads against the per-letter routes, on every catalog system ------
+
+# the catalog of tests/conftest.py, and a system whose entries 70 and 71
+# exceed BLOCK_CAP, so its blocks are lone positions read by divmod
+READ_SYSTEMS = {**CATALOG, "msd_wide": (70, 71)}
+
+
+def per_letter_word_value(aut, system, n):
+    """``word_value`` before block reads: walk the encoded digits."""
+    if aut.outputs is None:
+        raise ValueError("not a word automaton")
+    digits = system.encode(n)
+    if max(digits) > aut.dmax:
+        letter_code(digits, aut.dmax)
+    state = aut.walk(digits)
+    if state < 0:
+        raise ValueError(f"word automaton is not total on input {n}")
+    return int(aut.outputs[state])
+
+
+def edge_ns(system, positions=120):
+    """0, and q_k - 1, q_k, q_k + 1 for k next to every multiple of the
+    block width up to `positions`: where the top block fills up, runs
+    over into a new block, or ends one digit short."""
+    w = system._width
+    ks = {k for j in range(positions // w + 2) for k in (j * w - 1, j * w, j * w + 1)}
+    return [0] + sorted({n for k in ks if k >= 0
+                         for n in (system.q(k) - 1, system.q(k), system.q(k) + 1)})
+
+
+def random_machine(rng, arity, dmax, n_states=6, outputs=False):
+    """A random machine of mostly total rows.  It is not padding closed,
+    so every letter it reads, leading zeros too, can matter."""
+    nl = (dmax + 1) ** arity
+    edges = [(s, c, rng.randrange(n_states)) for s in range(n_states)
+             for c in range(nl) if rng.random() < 0.95]
+    accepting = [s for s in range(n_states) if rng.random() < 0.5]
+    if outputs:
+        return Automaton.from_transitions(
+            arity, dmax, n_states, 0, accepting, edges,
+            outputs=[rng.randrange(5) for _ in range(n_states)])
+    return Automaton.from_transitions(arity, dmax, n_states, 0, accepting, edges)
+
+
+def random_transducer(rng, dmax, n_states=5):
+    """A 2-track machine that mostly writes one z digit per (state, n
+    digit), now and then two: its reads give values, NoOutput and
+    'not functional' alike."""
+    base = dmax + 1
+    edges = []
+    for s in range(n_states):
+        for d in range(base):
+            zs = rng.sample(range(base), 2 if rng.random() < 0.03 else 1)
+            edges += [(s, d * base + dz, rng.randrange(n_states)) for dz in zs]
+    accepting = [s for s in range(n_states) if rng.random() < 0.8] or [0]
+    return Automaton.from_transitions(2, dmax, n_states, 0, accepting, edges)
+
+
+def assert_same_reads(read, reference, aut, system, inputs, seed):
+    """read(aut, system, x) and reference(...) agree on every input, on a
+    fresh machine in order, on another fresh one in shuffled order, and
+    on the first, now warm, in shuffled order again."""
+    def result(fn, machine, x):
+        try:
+            return fn(machine, system, x)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    want = [result(reference, aut, x) for x in inputs]
+    pairs = list(zip(inputs, want))
+    shuffled = pairs[:]
+    random.Random(seed).shuffle(shuffled)
+    first, second = fresh(aut), fresh(aut)
+    for reader, order in ((first, pairs), (second, shuffled), (first, shuffled)):
+        for x, expected in order:
+            assert result(read, reader, x) == expected, (system.name, x)
+    assert memo_sizes(first) == memo_sizes(second)
+    return want
+
+
+def member(aut, system, values):
+    return aut.accepts_values(values, system)
+
+
+def member_reference(aut, system, values):
+    return per_letter_accepts_values(aut, values, system)
+
+
+@pytest.mark.parametrize("name, arity", [
+    (name, arity) for name in sorted(READ_SYSTEMS) for arity in (1, 2, 3)
+    # 72**3 letters on msd_wide: a dense table of millions of entries
+    if (name, arity) != ("msd_wide", 3)])
+def test_block_membership_matches_per_letter_route(name, arity):
+    system = NumerationSystem(name, READ_SYSTEMS[name])
+    rng = random.Random(f"{name} {arity}")
+    ns = edge_ns(system)
+    tuples = [tuple(rng.choice(ns) for _ in range(arity)) for _ in range(300)]
+    tuples += [(n,) * arity for n in ns]
+    tuples += [(0,) * (arity - 1) + (n,) for n in ns]
+    for extra in (0, 1):  # machines over the system's digits, and over one more
+        # a machine that accepts some of the tuples and rejects others
+        aut = next(aut for aut in (random_machine(rng, arity, system.dmax + extra)
+                                   for _ in range(50))
+                   if len({member_reference(aut, system, t) for t in tuples}) == 2)
+        assert_same_reads(member, member_reference, aut, system, tuples,
+                          seed=arity + extra)
+
+
+@pytest.mark.parametrize("name", sorted(READ_SYSTEMS))
+def test_block_function_value_matches_three_passes(name):
+    system = NumerationSystem(name, READ_SYSTEMS[name])
+    rng = random.Random(name)
+    ns = edge_ns(system) + [rng.randrange(10 ** 40) for _ in range(40)]
+    outcomes = []
+    for _ in range(4):
+        aut = random_transducer(rng, system.dmax)
+        outcomes += assert_same_reads(Automaton.function_value,
+                                      three_pass_function_value, aut, system,
+                                      ns, seed=len(outcomes))
+    kinds = {type(o) if isinstance(o, int) else o[0] for o in outcomes}
+    assert {int, NoOutput, ValueError} <= kinds, kinds
+
+
+@pytest.mark.parametrize("name", sorted(READ_SYSTEMS))
+def test_block_word_value_matches_per_letter_walk(name):
+    system = NumerationSystem(name, READ_SYSTEMS[name])
+    rng = random.Random(name + " word")
+    ns = edge_ns(system) + [rng.randrange(10 ** 40) for _ in range(40)]
+    for _ in range(3):
+        aut = random_machine(rng, 1, system.dmax, outputs=True)
+        assert_same_reads(word_value, per_letter_word_value, aut, system, ns,
+                          seed=1)
+
+
+def test_query_machines_block_reads_match_references(machines):
+    """The benchmark's machines, read in shuffled order on fresh and warm
+    copies, at the block edges and at n of up to 60 digits."""
+    for name in sorted(CLOSED_FORMS):
+        aut, system = machines[name]
+        ns = edge_ns(system, 200) + sample_ns(20, 60, 60)
+        tuples = [(n, CLOSED_FORMS[name](n) + dz) for n in ns for dz in (0, 1)]
+        assert_same_reads(member, member_reference, aut, system, tuples, seed=21)
+        values = assert_same_reads(Automaton.function_value,
+                                   three_pass_function_value, aut, system, ns,
+                                   seed=22)
+        assert values == [CLOSED_FORMS[name](n) for n in ns]
+
+
+def test_block_read_errors_match_references(machines):
+    """Digits above the machine's dmax, NoOutput and a relation that is
+    not functional raise with the references' types and messages."""
+    s2 = NumerationSystem("msd_s2", (2,))
+    leswap, _ = machines["leswap"]
+    for values in ((4, 0), (0, 4), (3, 10 ** 30 + 7)):
+        want = member_outcome(per_letter_accepts_values, leswap, values, s2)
+        assert want[0] is ValueError and "out of range 0..1" in want[1]
+        assert member_outcome(Automaton.accepts_values, fresh(leswap), values, s2) == want
+    word = session().env.predicate("F").automaton
+    for read, reference, aut, n in (
+            (Automaton.function_value, three_pass_function_value, leswap, 10 ** 30 + 7),
+            (word_value, per_letter_word_value, word, 4)):
+        want = outcome(reference, aut, s2, n)
+        assert want[0] is ValueError and "out of range 0..1" in want[1]
+        assert outcome(read, fresh(aut), s2, n) == want
+    for name, n, kind in (("from3", 2, NoOutput), ("le", 10 ** 20, ValueError)):
+        aut, fib = machines[name]
+        want = outcome(three_pass_function_value, aut, fib, n)
+        assert want[0] is kind
+        assert outcome(Automaton.function_value, fresh(aut), fib, n) == want

@@ -178,6 +178,53 @@ class TestStorage:
             sess.execute('def add "?msd_fib x+y+1=z"', ";")
         assert (stored / "add.aut").read_text(encoding="utf-8") == before
 
+    @pytest.mark.parametrize("fail", ["append", "cut append", "replace"])
+    def test_failed_redefinition_loads_and_replays_the_old_machine(
+            self, stored, monkeypatch, fail):
+        # the meta append fails before writing, or after half a line, or
+        # the new file cannot replace the old one
+        sess = Session.load(stored, out=lambda line: None)
+        old = sess.env.predicate("add").automaton.sha()
+        meta = (stored / "meta.jsonl").read_bytes()
+
+        class CutFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if mode == "a" and fail == "append":
+                raise OSError("disk full")
+            fh = open(file, mode, *args, **kwargs)
+            return CutFile(fh) if mode == "a" else fh
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+        with monkeypatch.context() as m:
+            if fail == "replace":
+                m.setattr("obd.session.os.replace", failing_replace)
+            else:
+                m.setattr("obd.session.open", failing_open, raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                sess.execute('def add "?msd_fib x+y+1=z"', ";")
+        assert (stored / "meta.jsonl").read_bytes() == meta
+        assert sorted(p.name for p in stored.iterdir()) == ["add.aut", "meta.jsonl"]
+        loaded = Session.load(stored, out=lambda line: None)
+        replayed = Session.replay(stored)
+        assert loaded.journal == replayed.journal == ['def add "?msd_fib x+y=z";']
+        for s in (loaded, replayed):
+            assert s.env.predicate("add").automaton.sha() == old
+
     def test_edited_file_in_range(self, stored):
         # every id stays in range, so only the recorded hash tells
         path = stored / "add.aut"
