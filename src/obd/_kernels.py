@@ -19,24 +19,22 @@ On much larger machines (s11's 24 407-state subset construction) a
 whole-array chain was about three times faster, but no benchmark
 workload reached it, so it was not worth a second implementation.
 
-``pair_product`` has two paths: below SMALL_EDGES input edges a loop of
-the same kind, from there on whole-array numpy passes over one BFS level
-at a time.  The product's output is several times its input, so the
-loop loses early, and both sides carry benchmark load: on the products
-of at least 4 096 input edges that compile-small's s10 and the head of
-compile-large's s6 make, the array path took 11 ms per pass against the
-loop's 24-27 ms, and 9-10 ms against 13-17 ms.  Both paths return
-identical arrays.  ``determinize`` has only a list path and one caller,
+``pair_product`` has one path too: a loop over pairs in BFS order that
+builds a state's row, letter -> target, the first time a pair reaches
+that state, so a large input costs only its reached rows.  Whole-array
+passes win only on products of at least about 4 000 input edges, a few
+per benchmark pass, by a few milliseconds per pass: not worth a second
+implementation.  ``determinize`` is a list loop too and has one caller,
 ``automata.determinized``, through which every subset construction goes;
 ``walk`` reads one word through a dense successor table (see
 ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
-needs it (edge positions for gathers, pair keys).  The product's
-frontier runs over slices of at most SLICE_EDGES edges, so temporaries
-stay bounded however wide a BFS level is.  Outputs that can outgrow
-their input (product, subset construction) are collected in ``array``
-buffers rather than lists of Python ints.
+needs it.  Outputs that can outgrow their input (product, subset
+construction) are collected in ``array`` buffers rather than lists of
+Python ints.  The product's working set is its pair index and the rows
+of the states its pairs reach, so it grows with the reached part of
+each input, not with the whole input.
 """
 from __future__ import annotations
 
@@ -46,29 +44,6 @@ from operator import itemgetter
 import numpy as np
 
 HAVE_NUMBA = False  # the kernels are numpy and plain Python only
-
-SMALL_EDGES = 4096  # pair_product's list loop below this many input edges
-SLICE_EDGES = 1 << 14
-
-
-def _slices(widths):
-    """(lo, hi) bounds that cut `widths` into runs whose sum is at most
-    SLICE_EDGES; a single wider item is a run of its own."""
-    ends = np.cumsum(widths)
-    lo = 0
-    while lo < widths.size:
-        limit = ends[lo] - widths[lo] + SLICE_EDGES
-        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
-        yield lo, hi
-        lo = hi
-
-
-def _rows(indptr, states):
-    """Edge positions of the given states' rows, concatenated in order."""
-    starts = indptr[states]
-    counts = indptr[states + 1] - starts
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
 def _csr(counts):
@@ -87,151 +62,48 @@ def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
     A side that has fallen into the dead sink is -1 in the pair; modes 0
     and 3 drop pairs whose left side is dead, mode 0 also the right side.
     """
-    acc_a, acc_b = np.append(aa, 0) != 0, np.append(ab, 0) != 0  # -1 reads False
-
-    def accepting(pa, pb):
-        fa, fb = acc_a[pa], acc_b[pb]
-        return (fa & fb, fa | fb, fa != fb, fa & ~fb)[mode].astype(np.uint8)
-
-    product = _product_list if la.size + lb.size < SMALL_EDGES else _product_array
-    return product(ia, la, ta, ib, lb, tb, (int(inita), int(initb)), mode,
-                   accepting)
-
-
-def _product_list(ia, la, ta, ib, lb, tb, start, mode, accepting):
-    def row_maps(indptr, letters, targets):
-        ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
-        # one trailing empty row, so that the dead side -1 indexes it
-        return [dict(zip(lt[ip[s]:ip[s + 1]], tg[ip[s]:ip[s + 1]]))
-                for s in range(len(ip) - 1)] + [{}]
-
-    rows_a, rows_b = row_maps(ia, la, ta), row_maps(ib, lb, tb)
-    width = ib.size + 1  # pair key: (a + 1) * width + (b + 1)
-    index = {(start[0] + 1) * width + start[1] + 1: 0}
+    ip_a, lt_a, tg_a = ia.tolist(), la.tolist(), ta.tolist()
+    ip_b, lt_b, tg_b = ib.tolist(), lb.tolist(), tb.tolist()
+    # rows are built on first use; the trailing empty row is the dead side -1's
+    rows_a, rows_b = [None] * len(ip_a), [None] * len(ip_b)
+    rows_a[-1] = rows_b[-1] = {}
+    width = len(ip_b)  # pair key: (a + 1) * width + (b + 1)
+    pa, pb = array("q", [int(inita)]), array("q", [int(initb)])
+    index = {(pa[0] + 1) * width + pb[0] + 1: 0}
     # the output can be far larger than the input: keep it in machine ints
-    pa, pb = array("q", [start[0]]), array("q", [start[1]])
     out_letters, out_targets, counts = array("i"), array("i"), array("q")
-    k = 0
-    while k < len(pa):
-        ra, rb = rows_a[pa[k]], rows_b[pb[k]]
-        k += 1
-        before = len(out_letters)
-        for letter in (ra if mode in (0, 3) else sorted(ra.keys() | rb.keys())):
-            a, b = ra.get(letter, -1), rb.get(letter, -1)
-            if mode == 0 and b < 0:
-                continue
-            pid = index.setdefault((a + 1) * width + b + 1, len(pa))
+    for a, b in zip(pa, pb):  # the loop visits pairs appended while it runs
+        ra = rows_a[a]
+        if ra is None:
+            lo, hi = ip_a[a], ip_a[a + 1]
+            ra = rows_a[a] = dict(zip(lt_a[lo:hi], tg_a[lo:hi]))
+        rb = rows_b[b]
+        if rb is None:
+            lo, hi = ip_b[b], ip_b[b + 1]
+            rb = rows_b[b] = dict(zip(lt_b[lo:hi], tg_b[lo:hi]))
+        if mode == 0:  # walk the shorter row, in letter order
+            if len(rb) < len(ra):
+                moves = [(c, ra[c], t) for c, t in rb.items() if c in ra]
+            else:
+                moves = [(c, t, rb[c]) for c, t in ra.items() if c in rb]
+        elif mode == 3:
+            moves = [(c, t, rb.get(c, -1)) for c, t in ra.items()]
+        else:
+            moves = [(c, ra.get(c, -1), rb.get(c, -1))
+                     for c in sorted(ra.keys() | rb.keys())]
+        for letter, next_a, next_b in moves:
+            pid = index.setdefault((next_a + 1) * width + next_b + 1, len(pa))
             if pid == len(pa):
-                pa.append(a)
-                pb.append(b)
+                pa.append(next_a)
+                pb.append(next_b)
             out_letters.append(letter)
             out_targets.append(pid)
-        counts.append(len(out_letters) - before)
+        counts.append(len(moves))
+    acc_a, acc_b = np.append(aa, 0) != 0, np.append(ab, 0) != 0  # -1 reads False
+    fa, fb = acc_a[np.frombuffer(pa, np.int64)], acc_b[np.frombuffer(pb, np.int64)]
     return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
             np.frombuffer(out_targets, np.int32),
-            accepting(np.frombuffer(pa, np.int64), np.frombuffer(pb, np.int64)))
-
-
-def _extend(buf, values):
-    """Append a contiguous numpy array to an ``array`` of the same item type."""
-    buf.frombytes(values.view(np.uint8))
-
-
-def _lookup(keys, targets, query):
-    """targets[i] where keys[i] == query, else -1 (keys sorted ascending)."""
-    if keys.size == 0:
-        return np.full(query.size, -1, np.int32)
-    at = np.searchsorted(keys, query)
-    np.minimum(at, keys.size - 1, out=at)
-    found = targets[at]
-    found[keys[at] != query] = -1
-    return found
-
-
-def _product_array(ia, la, ta, ib, lb, tb, start, mode, accepting):
-    nb = ib.size - 1
-    width = nb + 2  # pair key: (a + 1) * width + (b + 1)
-    nl = int(max(la.max(initial=-1), lb.max(initial=-1))) + 1
-    deg_a = np.append(np.diff(ia), 0)  # the dead side -1 has no edges
-    deg_b = np.append(np.diff(ib), 0)
-    # (state, letter) keys of every edge, ascending because rows are sorted
-    key_a = np.repeat(np.arange(ia.size - 1, dtype=np.int64), deg_a[:-1]) * nl + la
-    key_b = np.repeat(np.arange(nb, dtype=np.int64), deg_b[:-1]) * nl + lb
-
-    # interned pairs: sorted runs of (keys, ids), each run more than twice
-    # the size of the next, so a lookup searches O(log pairs) runs and a
-    # pair is merged O(log pairs) times
-    runs = [(np.array([(start[0] + 1) * width + start[1] + 1], np.int64),
-             np.zeros(1, np.int32))]
-    npairs = 1
-    frontier = np.array([start], np.int64)
-    # outputs grow in place, not as slices joined at the end
-    out_letters, out_targets, counts, acc = array("i"), array("i"), array("q"), array("B")
-    while frontier.size:
-        fa, fb = frontier[:, 0], frontier[:, 1]
-        _extend(acc, accepting(fa, fb))
-        found = []
-        for lo, hi in _slices(deg_a[fa] if mode in (0, 3) else deg_a[fa] + deg_b[fb]):
-            a, b = fa[lo:hi], fb[lo:hi]
-            live = np.flatnonzero(a >= 0)
-            cnt = deg_a[a[live]]
-            index = _rows(ia, a[live])
-            pos = np.repeat(live.astype(np.int32), cnt)
-            letter = la[index]
-            succ_a = ta[index]
-            # (state, letter) keys; a dead side -1 makes them negative,
-            # so they find nothing
-            query = np.repeat(b[live], cnt)
-            query *= nl
-            query += letter
-            succ_b = _lookup(key_b, tb, query)
-            if mode == 0:
-                keep = succ_b >= 0
-                pos, letter, succ_a, succ_b = pos[keep], letter[keep], succ_a[keep], succ_b[keep]
-            elif mode in (1, 2):
-                # letters only the right side reads
-                live = np.flatnonzero(b >= 0)
-                cnt = deg_b[b[live]]
-                index = _rows(ib, b[live])
-                letter_b = lb[index]
-                query = np.repeat(a[live], cnt)
-                query *= nl
-                query += letter_b
-                miss = _lookup(key_a, ta, query) < 0
-                pos = np.concatenate((pos, np.repeat(live.astype(np.int32), cnt)[miss]))
-                letter = np.concatenate((letter, letter_b[miss]))
-                succ_a = np.concatenate((succ_a, np.full(int(miss.sum()), -1, np.int32)))
-                succ_b = np.concatenate((succ_b, tb[index][miss]))
-                order = np.argsort(pos.astype(np.int64) * nl + letter)
-                pos, letter, succ_a, succ_b = pos[order], letter[order], succ_a[order], succ_b[order]
-            keys = succ_a.astype(np.int64)
-            keys += 1
-            keys *= width
-            keys += succ_b
-            keys += 1
-            uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            ids = np.full(uniq.size, -1, np.int32)
-            for run_keys, run_ids in runs:  # a key is in one run at most
-                np.maximum(ids, _lookup(run_keys, run_ids, uniq), out=ids)
-            fresh = np.flatnonzero(ids < 0)
-            born = fresh[np.argsort(first[fresh])]  # number in discovery order
-            ids[born] = npairs + np.arange(born.size, dtype=np.int32)
-            npairs += born.size
-            if fresh.size:
-                runs.append((uniq[fresh], ids[fresh]))  # uniq is sorted
-                while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
-                    (keys_hi, ids_hi), (keys_lo, ids_lo) = runs.pop(), runs.pop()
-                    merged = np.concatenate((keys_lo, keys_hi))
-                    order = np.argsort(merged, kind="stable")
-                    runs.append((merged[order], np.concatenate((ids_lo, ids_hi))[order]))
-            new_keys = uniq[born]
-            found.append(np.stack((new_keys // width - 1, new_keys % width - 1), axis=1))
-            _extend(out_letters, letter)
-            _extend(out_targets, ids[inverse.reshape(-1)])
-            _extend(counts, np.bincount(pos, minlength=hi - lo))
-        frontier = np.concatenate(found)
-    return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
-            np.frombuffer(out_targets, np.int32), np.frombuffer(acc, np.uint8))
+            (fa & fb, fa | fb, fa != fb, fa & ~fb)[mode].astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -397,14 +397,6 @@ class Automaton:
             self.n_states, edge_sources(self.indptr), table[self.letters],
             self.targets), self.accepting, self.initial, self.outputs)._canonical()
 
-    def reverse_determinized(self) -> "Automaton":
-        """Minimal DFA of the reversed language."""
-        acc_rev = np.zeros(self.n_states, np.uint8)
-        acc_rev[self.initial] = 1
-        return determinized(self.arity, self.dmax, *csr_from_edges(
-            self.n_states, self.targets, self.letters, edge_sources(self.indptr)),
-            acc_rev, np.flatnonzero(self.accepting))
-
     def pad_normalized(self) -> "Automaton":
         """Smallest padding-closed language with the same stripped words
         (``pad_closed``).  The linear atom builder

@@ -380,9 +380,16 @@ def _const_of(term) -> int | None:
     if isinstance(term, Scaled):
         inner = _const_of(term.term)
         return None if inner is None else term.factor * inner
-    if isinstance(term, Sum):
-        a, b = _const_of(term.left), _const_of(term.right)
-        return None if a is None or b is None else a + term.sign * b
+    if isinstance(term, Sum):  # down the left spine in a loop, as it can be long
+        total = 0
+        while isinstance(term, Sum):
+            b = _const_of(term.right)
+            if b is None:
+                return None
+            total += term.sign * b
+            term = term.left
+        a = _const_of(term)
+        return None if a is None else a + total
     return None
 
 
@@ -402,8 +409,12 @@ def free_variables(node) -> set:
         return set()
     if isinstance(node, Scaled):
         return free_variables(node.term)
-    if isinstance(node, Sum):
-        return free_variables(node.left) | free_variables(node.right)
+    if isinstance(node, Sum):  # down the left spine in a loop, as it can be long
+        out = set()
+        while isinstance(node, Sum):
+            out |= free_variables(node.right)
+            node = node.left
+        return out | free_variables(node)
     if isinstance(node, FloorDiv):
         return free_variables(node.num)
     if isinstance(node, Compare):
@@ -606,11 +617,18 @@ class _Compiler:
             lin, k = self.flatten(term.term, constraints, freshes)
             return {v: term.factor * c for v, c in lin.items()}, term.factor * k
         if isinstance(term, Sum):
-            lin, k = self.flatten(term.left, constraints, freshes)
-            rlin, rk = self.flatten(term.right, constraints, freshes)
-            for v, c in rlin.items():
-                lin[v] = lin.get(v, 0) + term.sign * c
-            return lin, k + term.sign * rk
+            # the left spine of a long sum in a loop, its terms left to right
+            spine = []
+            while isinstance(term, Sum):
+                spine.append(term)
+                term = term.left
+            lin, k = self.flatten(term, constraints, freshes)
+            for node in reversed(spine):
+                rlin, rk = self.flatten(node.right, constraints, freshes)
+                for v, c in rlin.items():
+                    lin[v] = lin.get(v, 0) + node.sign * c
+                k += node.sign * rk
+            return lin, k
         if isinstance(term, FloorDiv):
             lin, k = self.flatten(term.num, constraints, freshes)
             w = self.fresh()

@@ -347,15 +347,6 @@ class TestTrackSurgery:
         assert lifted.accepts_digit_rows([[1], [1], [1]])
         assert not lifted.accepts_digit_rows([[1], [0], [0]])
 
-    def test_reverse(self):
-        rng = random.Random(2718)
-        for trial in range(25):
-            arity, dmax = SHAPES[trial % len(SHAPES)]
-            ref, aut = as_pair(random_machine(rng, arity, dmax), arity, dmax)
-            rev = aut.reverse_determinized()
-            rev.validate()
-            assert csr_words(rev, 4) == {w[::-1] for w in ref.words(4)}
-
     def test_pad_normalized(self):
         rng = random.Random(1618)
         for trial in range(25):

@@ -283,6 +283,17 @@ class TestEnvironmentErrors:
 
 
 class TestCompilationBehavior:
+    @pytest.mark.parametrize("text", [
+        "x=y" + "+0" * 1999,
+        "x=y" + "-0" * 1999,
+        "x" + "+0" * 1999 + "=y",
+        "x=(1" + "+0" * 1999 + ")*y",
+    ], ids=["plus", "minus", "left side", "constant factor"])
+    def test_long_flat_sum(self, env, text):
+        # 2000 terms at one level: no deeper than x=y, however long
+        want = compile_formula(env, "?msd_fib x=y")[0].sha()
+        assert compile_formula(env, "?msd_fib " + text)[0].sha() == want
+
     def test_deterministic_recompilation(self, systems):
         text = '?msd_s13 (n=0 & z=0) | (Eu,v n=u+1 & $shift13(u,v) & v=3*z+4*u)'
         blobs = []

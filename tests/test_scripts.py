@@ -169,13 +169,6 @@ def test_section(section, tmp_path, monkeypatch):
         assert pred.automaton.andnot(canon).is_empty(), pred.name
 
 
-def test_array_path_gives_the_pinned_machines(tmp_path, monkeypatch):
-    # every product on pair_product's array path
-    monkeypatch.setattr(_kernels, "SMALL_EDGES", 0)
-    assert failed_checks("s7", tmp_path) == []
-    assert stored_digests("s7", tmp_path) == PINNED["s7"]
-
-
 @pytest.mark.parametrize("section", ["s9", "s12"])
 def test_replay_matches_load(section, tmp_path):
     # replaying the journal rebuilds every stored machine byte for byte,

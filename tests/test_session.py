@@ -396,8 +396,8 @@ def test_verbose_command_prints_one_projection_per_block(command):
 @pytest.mark.parametrize("formula", [
     "(" * 150 + "x=1" + ")" * 150,
     " & ".join(["x=1"] * 1500),
-    "x=" + "+".join(["y"] * 1500),
-], ids=["150 parentheses", "1500 conjuncts", "1500 terms"])
+    "x=" + "y+(" * 400 + "y" + ")" * 400,
+], ids=["150 parentheses", "1500 conjuncts", "400 nested sums"])
 def test_too_deep_a_formula_is_a_session_error(formula):
     # parser and compiler recurse once per level; Python's stack is finite
     s = Session("unused", out=lambda line: None, persist=False)
