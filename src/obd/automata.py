@@ -718,15 +718,17 @@ class Automaton:
     def to_text(self, system_name: str) -> str:
         lines = [f"system {system_name} arity {self.arity} dmax {self.dmax}",
                  f"states {self.n_states} initial {self.initial}",
-                 "accepting " + " ".join(str(i) for i in np.where(self.accepting)[0])]
+                 "accepting " + " ".join(map(str, np.flatnonzero(self.accepting).tolist()))]
         if self.outputs is not None:
             lines.append("outputs " + " ".join(
-                f"{i}:{int(v)}" for i, v in enumerate(self.outputs)))
+                f"{i}:{v}" for i, v in enumerate(self.outputs.tolist())))
         lines.append(f"transitions {self.transition_count}")
-        for s in range(self.n_states):
-            for e in range(self.indptr[s], self.indptr[s + 1]):
-                digits = letter_digits(int(self.letters[e]), self.arity, self.dmax)
-                lines.append(f"{s} [{','.join(str(d) for d in digits)}] {int(self.targets[e])}")
+        # one label per distinct letter, the edges read as lists
+        letters = self.letters.tolist()
+        labels = {c: "[" + ",".join(map(str, letter_digits(c, self.arity, self.dmax))) + "]"
+                  for c in set(letters)}
+        lines += [f"{s} {labels[c]} {t}" for s, c, t in
+                  zip(edge_sources(self.indptr).tolist(), letters, self.targets.tolist())]
         return "\n".join(lines).rstrip() + "\n"
 
     @staticmethod

@@ -4,6 +4,7 @@ reference engine in oracles.py, mostly on randomly generated machines."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from obd.automata import (Automaton, csr_from_edges, edge_sources, letter_code,
@@ -476,7 +477,43 @@ class TestCombine:
         assert back.to_text("msd_t") == w.to_text("msd_t")
 
 
+def to_text_per_edge(aut, system_name):
+    """The reference for ``Automaton.to_text``: one numpy read per edge."""
+    lines = [f"system {system_name} arity {aut.arity} dmax {aut.dmax}",
+             f"states {aut.n_states} initial {aut.initial}",
+             "accepting " + " ".join(str(i) for i in np.where(aut.accepting)[0])]
+    if aut.outputs is not None:
+        lines.append("outputs " + " ".join(
+            f"{i}:{int(v)}" for i, v in enumerate(aut.outputs)))
+    lines.append(f"transitions {aut.transition_count}")
+    for s in range(aut.n_states):
+        for e in range(aut.indptr[s], aut.indptr[s + 1]):
+            digits = letter_digits(int(aut.letters[e]), aut.arity, aut.dmax)
+            lines.append(f"{s} [{','.join(str(d) for d in digits)}] {int(aut.targets[e])}")
+    return "\n".join(lines).rstrip() + "\n"
+
+
 class TestSerialization:
+    def test_to_text_matches_per_edge_reference(self):
+        rng = random.Random(717)
+        fib = NumerationSystem("msd_fib", (1,))
+        machines = [Automaton.empty(2, 1), Automaton.empty(0, 3),
+                    Automaton.universal(0, 3), fibonacci_word(fib),
+                    canonical_recognizer(NumerationSystem("msd_s13", (1, 3)), 2)]
+        for trial in range(24):
+            arity, dmax = SHAPES[trial % len(SHAPES)]
+            machines.append(as_pair(random_machine(rng, arity, dmax, n_max=9),
+                                    arity, dmax)[1])
+        for dmax in (1, 2):
+            parts = [as_pair(random_machine(rng, 1, dmax), 1, dmax)[1]
+                     for _ in range(2)]
+            parts[1] = parts[1].andnot(parts[0])
+            machines.append(_combine_outputs(parts, [5, -2]))
+        assert any(m.outputs is not None for m in machines)
+        for aut in machines:
+            assert aut.to_text("msd_x") == to_text_per_edge(aut, "msd_x")
+            assert aut.canonical_bytes() == to_text_per_edge(aut, "_").encode()
+
     def test_round_trip_random(self):
         rng = random.Random(616)
         for trial in range(20):

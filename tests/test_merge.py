@@ -5,7 +5,8 @@ the canonical-word recognizer canon(k).  Three checks keep it honest:
 
 - the older route, kept below as ``old_merge`` (both operands widened and
   intersected with canon, then the plain formula per connective), gives the
-  same canonical bytes on random atoms with different variable sets;
+  same canonical bytes on random atoms with different variable sets, with
+  ``&``'s canon step taken always and never;
 - compiled 2- and 3-variable formulas agree with exact Python arithmetic on
   every tuple below 40;
 - every node that ``merge``, ``negate``, ``apply_relation`` and
@@ -22,6 +23,7 @@ import random
 
 import pytest
 
+from obd import logic
 from obd.logic import (Environment, _Compiler, compile_formula, def_predicate,
                        parse_formula)
 from obd.repro import SCRIPT_DIR
@@ -106,21 +108,30 @@ VARIABLE_SETS = [
 ]
 
 
+# ``&``'s canon step by size: 0 takes it in every ``&`` where neither side
+# spans, 10**9 in none (random atoms make far smaller products)
+STEP_THRESHOLDS = (0, 10 ** 9)
+
+
 @pytest.mark.parametrize("sysname", SYSTEMS)
 @pytest.mark.parametrize("left_names,right_names", VARIABLE_SETS)
 def test_merge_matches_old_route(env, sysname, left_names, right_names,
-                                 checked):
+                                 checked, monkeypatch):
     rng = random.Random(f"{sysname} {left_names} {right_names}")
     compiler = _Compiler(env, env.system_for(sysname))
     for _ in range(3):
         a = compiler.compile(parse_formula(random_atom(rng, left_names))[1])
         b = compiler.compile(parse_formula(random_atom(rng, right_names))[1])
         assert (a.names, b.names) == (left_names, right_names)
-        for op in CONNECTIVES:
-            new = compiler.merge(op, a, b).aut
-            assert new.canonical_bytes() == \
-                old_merge(compiler, op, a, b).canonical_bytes(), op
-    assert checked.count("merge") == 3 * len(CONNECTIVES)
+        for threshold in STEP_THRESHOLDS:
+            monkeypatch.setattr(logic, "CANON_STEP_PRODUCT", threshold)
+            for op in CONNECTIVES:
+                new = compiler.merge(op, a, b).aut
+                assert new.canonical_bytes() == \
+                    old_merge(compiler, op, a, b).canonical_bytes(), \
+                    (op, threshold)
+    assert checked.count("merge") == \
+        3 * len(STEP_THRESHOLDS) * len(CONNECTIVES)
 
 
 TWO_VARIABLES = [

@@ -107,26 +107,33 @@ PINNED = {
 
 # Upper bounds on what one run of a section builds with
 # ``_kernels.pair_product``, its checks included: (calls, product states
-# before minimisation).  The five compile-small sections make 391 calls
-# (467 when ~ and A complemented twice where pushing the negation inward
+# before minimisation, states of the largest product).  The five
+# compile-small sections make 300 calls (391 when every ``&`` where
+# neither side spans met canon(k) first, however small its product, 467
+# when ~ and A complemented twice where pushing the negation inward
 # complements once or not at all and canon(k) was rebuilt from k lifted
 # copies of canon(1), 590 when every applied def machine was intersected
 # again with the canonical-word recognizer it already lies inside, 674
 # when the linear atoms intersected the union of their per-residue pieces
 # with it, 841 when every connective also intersected both widened
-# operands with it).  s6 makes 28 calls over 13 769 states (36 over
-# 14 178 with the double complements, 46 over 16 646 when each linear
-# atom over its period-2 system unioned two per-residue pieces).
-# A compiler or atom builder change that adds products back, or drops the
-# canonical step in ``&`` that keeps s6's products small, fails here by
-# name, with no timing involved.
+# operands with it).  Before ``&`` took its canon step by size, s7-s12
+# made (23, 493), (81, 1 916), (82, 4 002), (119, 9 169) and (86, 1 409).
+# s6 makes 25 calls over 13 731 states (28 over 13 769 with the canon
+# step in every such ``&``, 36 over 14 178 with the double complements,
+# 46 over 16 646 when each linear atom over its period-2 system unioned
+# two per-residue pieces).  Its largest product, in ``check2``, is the
+# one the ``&`` canon step holds at 7 274 states (10 060 without it);
+# skipping the step on s9's small products raised its largest from 360
+# to 370.
+# A compiler or atom builder change that adds products back, or drops
+# that step where it pays, fails here by name, with no timing involved.
 PRODUCTS = {
-    "s6": (28, 13769),
-    "s7": (23, 493),
-    "s8": (81, 1916),
-    "s9": (82, 4002),
-    "s10": (119, 9169),
-    "s12": (86, 1409),
+    "s6": (25, 13731, 7274),
+    "s7": (16, 398, 148),
+    "s8": (67, 1697, 145),
+    "s9": (65, 3599, 370),
+    "s10": (92, 7530, 807),
+    "s12": (60, 1033, 92),
 }
 
 
@@ -159,9 +166,10 @@ def test_section(section, tmp_path, monkeypatch):
         return add(env, pred)
     monkeypatch.setattr(Environment, "add_predicate", recorded)
     assert failed_checks(section, tmp_path) == []
-    calls, states = PRODUCTS[section]
+    calls, states, largest = PRODUCTS[section]
     assert len(built) <= calls
     assert sum(built) <= states
+    assert max(built) <= largest
     assert stored_digests(section, tmp_path) == PINNED[section]
     assert inside
     for pred in inside:
