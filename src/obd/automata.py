@@ -25,8 +25,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import deque
-from itertools import repeat
-from operator import add, mul
 
 import numpy as np
 
@@ -184,8 +182,8 @@ class Automaton:
     points back to itself.  It holds (n_states + 1) * (dmax + 1)**arity
     entries, which is small for the machines read here: the packaged
     scripts and the benchmark read machines of at most 2 tracks.
-    ``walk``, ``accepts_word`` and ``accepts_digit_rows`` read explicit
-    letter codes through ``_kernels.walk``.
+    ``walk`` and ``accepts_word`` read explicit letter codes through
+    ``_kernels.walk``.
 
     Reads of values (``run_values``, hence ``accepts_values`` and
     ``session.word_value``, and ``function_value``) take each value's
@@ -193,23 +191,25 @@ class Automaton:
     its digits: a block is (table t, pattern index k) in the system's
     tables (``numeration`` module docstring), and a value shorter than
     the read has index 0, all zeros, in the blocks above its own.  The
-    top block, of which the read may cover only the low digits, is read
-    letter by letter; every other block steps through a memo keyed by
-    the block: ``_walks[(t, k_1..k_arity)][state]`` is the state after
-    it.  ``function_value`` keeps in ``_suffixes`` the suffix sets B it
-    meets (its docstring), the dict from each set to its int id b, the
-    steps ``[key][b]`` -> b' and the picks ``[key][b * n_states + state]``,
-    where key is one digit d of n or a block (t, k) of n's digits: a pick
-    is the z digit dz (-1 where not functional) for a digit, and
-    (state', z digits) ((-1, ()) where not functional) for a block.  A
-    miss is filled by the per-letter steps, so every read sees the
-    letters it would read digit by digit.  ``_walks`` holds at most one
-    entry per state and block, so at most states x tables x
-    patterns**arity over the tables the machine has been read through;
-    the steps hold one per suffix set and block, the picks one per state,
-    suffix set and block.  The table and the memos are built on the first
-    read, never on compile paths, and kept, which is safe because an
-    automaton's arrays are never written after construction.
+    top block, of which the read may cover only the low digits, has a
+    cut table, whose patterns hold just those digits.  Every block steps
+    through a memo keyed by the block: ``_walks[(t, k_1..k_arity)][state]``
+    is the state after it.  ``function_value`` keeps in ``_suffixes`` the
+    suffix sets B it meets (its docstring), the dict from each set to its
+    int id b, the steps ``[key][b]`` -> b' and the picks
+    ``[key][b * n_states + state]``, where key is one digit d of n or a
+    block (t, k) of n's digits: a pick is the z digit dz (-1 where not
+    functional) for a digit, and (state', z digits) ((-1, ()) where not
+    functional) for a block.  A miss is filled by the per-letter steps,
+    so every read sees the letters it would read digit by digit.
+    ``_walks`` holds at most one entry per state and block, so at most
+    states x tables x patterns**arity over the tables the machine has
+    been read through, a system's cut tables among them (at most w - 1
+    per table); the steps hold one per suffix set and block, the picks
+    one per state, suffix set and block.  The memos are built on the
+    first read and the table on the first read or ``combine``
+    (``session._combine_outputs``), and both are kept, which is safe
+    because an automaton's arrays are never written after construction.
     """
 
     __slots__ = ("arity", "dmax", "indptr", "letters", "targets",
@@ -432,25 +432,6 @@ class Automaton:
         s = self.walk(word)
         return s >= 0 and bool(self.accepting[s])
 
-    def accepts_digit_rows(self, rows) -> bool:
-        """rows: one digit tuple or list per track, already equal length."""
-        if len(rows) != self.arity:
-            raise ValueError("wrong number of tracks")
-        if self.arity == 0:
-            return self.accepts_word([])
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("tracks must have equal length")
-        for row in rows:
-            if width and (min(row) < 0 or max(row) > self.dmax):
-                letter_code(row, self.dmax)  # raises, naming the digit
-        # the codes of all positions at once, track by track
-        base = self.dmax + 1
-        codes = rows[0]
-        for row in rows[1:]:
-            codes = list(map(add, map(mul, codes, repeat(base)), row))
-        return self.accepts_word(codes)
-
     def accepts_values(self, values, system) -> bool:
         """Encode a tuple of naturals in the given numeration system and run
         (``run_values``)."""
@@ -460,21 +441,16 @@ class Automaton:
     def run_values(self, values, system) -> int:
         """Final state after reading `values`, one per track, encoded in
         `system` and padded with leading zeros to one length; -1 on a dead
-        end.  The blocks below the top one step through ``_walks`` (class
-        docstring)."""
+        end.  Each block steps through ``_walks`` (class docstring)."""
         if len(values) != self.arity:
             raise ValueError("wrong number of values")
         if self.arity == 0:
             return self.walk([])
-        blocks, cut = self._value_blocks(values, system)
         delta, nl, sink = self.successors(), nletters(self.arity, self.dmax), self.n_states
-        state = self.initial
-        if cut:
-            state = K.walk(delta, nl, state, self._block_codes(blocks.pop(0))[cut:])
         if self._walks is None:
             self._walks = {}
-        walks = self._walks
-        for block in blocks:
+        walks, state = self._walks, self.initial
+        for block in self._value_blocks(values, system):
             if state == sink:
                 break
             try:
@@ -487,21 +463,19 @@ class Automaton:
     def _value_blocks(self, values, system, pad=0):
         """The blocks (table, k_1..k_arity) of `values` encoded in
         `system`, one track each, top block first, over the longest
-        value's digits and `pad` leading zeros more; and how many of the
-        top block's digits lie above them.  A digit above the machine's
-        dmax raises, naming the first such digit of the first track that
-        holds one."""
+        value's digits and `pad` leading zeros more, the top table cut to
+        them (``NumerationSystem.block_tables``).  A digit above the
+        machine's dmax raises, naming the first such digit of the first
+        track that holds one."""
         reads = [system.greedy_blocks(v) for v in values]
         if system.dmax > self.dmax:
             for length, ks in reads:
                 digits = system.block_digits(length, ks)
                 if max(digits) > self.dmax:
                     letter_code(digits, self.dmax)  # raises, naming the digit
-        length = pad + max(length for length, _ in reads)
-        count = -(-length // system._width)
-        blocks = list(zip(system.block_tables(count),
-                          *([0] * (count - len(ks)) + ks for _, ks in reads)))
-        return blocks, count * system._width - length
+        tables = system.block_tables(pad + max(length for length, _ in reads))
+        return list(zip(tables, *([0] * (len(tables) - len(ks)) + ks
+                                  for _, ks in reads)))
 
     def _block_codes(self, block):
         """Letter codes of the block (t, k_1..k_arity): track j reads
@@ -539,7 +513,7 @@ class Automaton:
                 stack.pop()
         return True
 
-    def enumerate_values(self, system, count: int, max_len: int = 64):
+    def enumerate_values(self, system, count: int):
         """First `count` accepted value tuples, by representation length,
         then numerically.
 
@@ -548,15 +522,15 @@ class Automaton:
         the words whose first letter is not all zeros are walked one length
         at a time and each length is sorted; ``enum k`` is then a prefix of
         ``enum k+1``.  On one track this is numeric order, since a stripped
-        canonical word of length L has a value in [q_{L-1}, q_L).
+        canonical word of length L has a value in [q_{L-1}, q_L).  The walk
+        goes on until `count` tuples are found or no word is left to extend,
+        so on an infinite language it always finds `count`.
         """
         tuples = []
         if self.accepting[self.initial]:
             tuples.append(tuple([0] * self.arity))
         frontier = [((), self.initial)]
-        for _ in range(max_len):
-            if len(tuples) >= count or not frontier:
-                break
+        while len(tuples) < count and frontier:
             level = []
             nxt = []
             for word, state in frontier:
@@ -602,41 +576,27 @@ class Automaton:
         their successors, so intersecting B with the reachable states would
         change no choice, nor the NoOutput test (initial state not in B_0).
         Both steps are memoised on the automaton (class docstring), per
-        block of n's digits below the top block and per digit in it.
+        block of n's digits.
         """
         if self.arity != 2:
             raise ValueError("function_value needs a 2-track automaton")
-        blocks, cut = self._value_blocks((n,), system, self.n_states)
-        top = ()  # n's digits in the top block, when it is cut
-        if cut:
-            table, k = blocks.pop(0)
-            top = table[k][cut:]
+        blocks = self._value_blocks((n,), system, self.n_states)
         if self._suffixes is None:
             accepting = frozenset(np.flatnonzero(self.accepting).tolist())
             self._suffixes = ([accepting], {accepting: 0}, {}, {})
         sets, _, steps, picks = self._suffixes
-        # backward: the id of B after each block, then after each top digit
-        b, ends, top_ends = 0, [], []
+        # backward: the id of B after each block
+        b, ends = 0, []
         for block in reversed(blocks):
             ends.append(b)
             try:
                 b = steps[block][b]
             except KeyError:
                 b = self._block_step(b, block)
-        for d in reversed(top):
-            top_ends.append(b)
-            b = self._step(b, d)
         if self.initial not in sets[b]:
             raise NoOutput(f"no output for input {n}")
-        # forward: the one z digit into each B
-        delta, base, nstates = self.successors(), self.dmax + 1, self.n_states
-        state, zdigits = self.initial, []
-        for d, b in zip(top, reversed(top_ends)):
-            dz = self._pick(state, b, d)
-            if dz < 0:
-                raise ValueError(f"relation is not functional at {n}")
-            zdigits.append(dz)
-            state = delta[(state * base + d) * base + dz]
+        # forward: the z digits into each B
+        state, zdigits, nstates = self.initial, [], self.n_states
         for block, b in zip(blocks, reversed(ends)):
             try:
                 state, zs = picks[block][b * nstates + state]

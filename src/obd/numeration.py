@@ -33,8 +33,13 @@ table, and its digit is read by ``divmod``.
 ``greedy_blocks`` is that one greedy routine: it gives n's digit count
 and, for each block from the top down, the index k of the block's digits
 in the block's table, where the table of a divmod position is the lone
-digit table ``LONE`` (pattern k is the digit k).  ``encode`` joins those
-patterns and cuts the top block's surplus leading zeros.  A table is
+digit table ``LONE`` (pattern k is the digit k).  A read of the low L
+digits takes its tables from ``block_tables(L)``, whose top table is
+cut: its pattern k is the full table's pattern k without the top
+ceil(L / w) * w - L digits, which are zeros in every value the read
+covers.  Each system memoises its cut tables per (table, cut), at most
+w - 1 per table and none when w = 1, so a cut table is never LONE.
+``encode`` joins the patterns over the value's own digits.  A table is
 hashed and compared by identity, so a key that holds (table, k) hashes
 as fast as one of ints.  The readers in ``automata`` key their memos by
 it: a walk by (state, table, k_1..k_arity) -> state, ``function_value``
@@ -42,7 +47,8 @@ by (B, table, k) -> B' and (state, B, table, k) -> (state', z digits).
 A machine's walk memo therefore holds at most states x tables x
 patterns**arity entries, tables and patterns being those of the blocks
 it has read (a system has period length + 1 tables of at most BLOCK_CAP
-patterns each, unless a position is read by divmod).
+patterns each, unless a position is read by divmod, and at most w - 1
+cut tables of each).
 """
 from __future__ import annotations
 
@@ -134,6 +140,7 @@ class NumerationSystem:
             _Table(_patterns(pos)) if _pattern_count(pos) <= BLOCK_CAP else LONE
             for pos in (_positions(per, lo, width) for lo in starts)]
         self._tables = [block0]
+        self._cut_tables: dict = {}  # (table, cut) -> cut table
         self._blocks: list = []
 
     @property
@@ -208,20 +215,32 @@ class NumerationSystem:
             ks.append(k)
         return top, ks
 
-    def block_tables(self, count: int) -> list:
-        """The tables of blocks count-1 .. 0, top block first."""
-        tables, phases = self._tables, self._phase_tables
+    def block_tables(self, length: int) -> list:
+        """The tables of the ceil(length / w) blocks over the low `length`
+        digits, top block first, the top one cut: a table whose pattern k
+        is the top table's pattern k without its digits above `length`,
+        memoised per (table, cut) so that it too hashes by identity."""
+        w, tables, phases = self._width, self._tables, self._phase_tables
+        count = -(-length // w)
         while len(tables) < count:
-            tables.append(phases[len(tables) * self._width % len(phases)])
-        return tables[count - 1::-1]
+            tables.append(phases[len(tables) * w % len(phases)])
+        out = tables[count - 1::-1]
+        cut = count * w - length
+        if cut:  # so w > 1, and no table is LONE
+            key = out[0], cut
+            top = self._cut_tables.get(key)
+            if top is None:
+                top = self._cut_tables[key] = _Table(p[cut:] for p in out[0])
+            out[0] = top
+        return out
 
     def block_digits(self, length: int, ks) -> tuple[int, ...]:
-        """The last `length` digits of the patterns ks of the top len(ks)
-        blocks, joined: ``encode`` on what ``greedy_blocks`` gives."""
+        """The patterns ks of the blocks over the low `length` digits,
+        joined: ``encode`` on what ``greedy_blocks`` gives."""
         digits = []
-        for table, k in zip(self.block_tables(len(ks)), ks):
+        for table, k in zip(self.block_tables(length), ks):
             digits += table[k]
-        return tuple(digits[len(ks) * self._width - length:])
+        return tuple(digits)
 
     def _block(self, j: int):
         """Block j's (values, q_lo): the values of its canonical digit
@@ -229,7 +248,7 @@ class NumerationSystem:
         position over the cap."""
         w = self._width
         lo = j * w
-        self.block_tables(j + 1)  # grows _tables through block j
+        self.block_tables(lo + w)  # grows _tables through block j
         patterns = self._tables[j]
         if patterns is LONE:
             return None, self.q(lo)

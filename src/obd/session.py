@@ -263,8 +263,14 @@ class Session:
                                              "recorded in meta.jsonl")
                     except (OSError, ValueError) as exc:
                         raise SessionError(f"load {path}: {exc}") from exc
+                    # a formula def accepts canonical tuples only, as in
+                    # def_predicate; _cmd_def tells it from a regex def
+                    formula = meta.get("command", "").startswith("def ") \
+                        and not meta["source"].startswith("{")
+                    canon_of = sess.env.systems.get(system_name) if formula else None
                     sess.env.add_predicate(StoredPredicate(
-                        name, system_name, aut, meta["source"], kind=kind))
+                        name, system_name, aut, meta["source"], kind=kind,
+                        canon_of=canon_of))
             sess.journal = [meta["command"] for meta in metas
                             if "command" in meta]
         return sess
@@ -542,8 +548,7 @@ class Session:
                 return f"{name}: order {h} (basis)"
             if missed.is_value_finite():
                 # a finite language: enumeration ends when it runs out
-                values = missed.enumerate_values(
-                    system, sys.maxsize, max_len=missed.n_states + 2)
+                values = missed.enumerate_values(system, sys.maxsize)
                 return (f"{name}: order {h} (asymptotic-basis, except "
                         f"{[t[0] for t in values]})")
             formula = f"Eu,v ${sums}(u) & ${name}(v) & x=u+v"

@@ -1,6 +1,7 @@
 import pytest
 
 from obd import NumerationSystem
+from obd.automata import letter_code
 
 
 def pytest_addoption(parser):
@@ -15,6 +16,12 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+def accepts_rows(aut, rows):
+    """Does `aut` accept the tracks `rows`, equal-length digit tuples, read
+    column by column as letter codes?"""
+    return aut.accepts_word([letter_code(col, aut.dmax) for col in zip(*rows)])
 
 
 CATALOG = {

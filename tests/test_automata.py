@@ -12,6 +12,7 @@ from obd.automata import (Automaton, csr_from_edges, edge_sources, letter_code,
 from obd.numeration import NumerationSystem
 from obd.relations import canonical_recognizer, fibonacci_word
 from obd.session import _combine_outputs, word_value
+from conftest import accepts_rows
 from oracles import RefDFA
 
 
@@ -84,10 +85,6 @@ class TestLetterCoding:
     def test_read_path_rejects_digit_above_dmax(self):
         # digit 2 on track 1 of a dmax-1 machine would alias to letter (1, 0)
         aut = Automaton.universal(2, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            aut.accepts_digit_rows([[0], [2]])
-        with pytest.raises(ValueError, match="out of range"):
-            aut.accepts_digit_rows([[-1], [0]])
         s2 = NumerationSystem("msd_s2", (2,))  # digits 0..2
         with pytest.raises(ValueError, match="out of range"):
             aut.accepts_values((4, 0), s2)  # 4 is 20 in msd_s2
@@ -344,9 +341,9 @@ class TestTrackSurgery:
         eq = Automaton.from_transitions(2, 1, 1, 0, [0],
                                         [(0, (d, d), 0) for d in range(2)])
         lifted = eq.lift(3, [0, 2])
-        assert lifted.accepts_digit_rows([[1], [0], [1]])
-        assert lifted.accepts_digit_rows([[1], [1], [1]])
-        assert not lifted.accepts_digit_rows([[1], [0], [0]])
+        assert accepts_rows(lifted, [[1], [0], [1]])
+        assert accepts_rows(lifted, [[1], [1], [1]])
+        assert not accepts_rows(lifted, [[1], [0], [0]])
 
     def test_pad_normalized(self):
         rng = random.Random(1618)
@@ -446,9 +443,12 @@ class TestStrippedWalk:
             words = sorted(csr_words(s, max_len),
                            key=lambda w: (len(w), decode(w)))
             expect = [decode(w) for w in words]
-            for count in (3, len(expect) + 1):
-                assert aut.enumerate_values(system, count, max_len) == \
-                    expect[:count], aut
+            for count in (min(3, len(expect)), len(expect)):
+                assert aut.enumerate_values(system, count) == expect[:count], aut
+            # one more walks past max_len, and finds it if the language is infinite
+            more = aut.enumerate_values(system, len(expect) + 1)
+            assert more[:len(expect)] == expect, aut
+            assert len(more) == len(expect) + 1 or aut.is_value_finite(), aut
 
 
 class TestCombine:

@@ -452,3 +452,35 @@ def test_block_read_errors_match_references(machines):
         want = outcome(three_pass_function_value, aut, fib, n)
         assert want[0] is kind
         assert outcome(Automaton.function_value, fresh(aut), fib, n) == want
+
+
+@pytest.mark.parametrize("name", sorted(READ_SYSTEMS))
+def test_every_cut_of_the_top_block(name):
+    """Values of every length L = 1 .. 3w + 1 (0, and q_{L-1} for L > 1), so
+    the top table is cut by every count from 1 to w - 1: membership on 1
+    to 3 tracks, word_value, and function_value, whose n_states padding
+    moves the cut.  A system holds one cut table per (table, cut), the
+    same one on every read."""
+    system = NumerationSystem(name, READ_SYSTEMS[name])
+    w = system._width
+    ns = [0] + [system.q(length - 1) for length in range(2, 3 * w + 2)]
+    assert [len(system.encode(n)) for n in ns] == list(range(1, 3 * w + 2))
+    rng = random.Random(name + " cuts")
+    reads = []
+    for arity in (1, 2, 3) if name != "msd_wide" else (1, 2):
+        tuples = [(n,) * arity for n in ns] + [(0,) * (arity - 1) + (n,) for n in ns]
+        reads.append((member, member_reference,
+                      random_machine(rng, arity, system.dmax), tuples))
+    reads.append((word_value, per_letter_word_value,
+                  random_machine(rng, 1, system.dmax, outputs=True), ns))
+    reads += [(Automaton.function_value, three_pass_function_value,
+               random_transducer(rng, system.dmax, n_states), ns)
+              for n_states in (3, 4)]
+    for read, reference, aut, inputs in reads:
+        assert_same_reads(read, reference, aut, system, inputs, seed=len(inputs))
+    cut_tables = dict(system._cut_tables)
+    assert len(cut_tables) <= (len(system._phase_tables) + 1) * (w - 1)
+    assert {cut for _, cut in cut_tables} == set(range(1, w))
+    for read, reference, aut, inputs in reads:
+        assert_same_reads(read, reference, aut, system, inputs, seed=len(inputs) + 1)
+    assert system._cut_tables == cut_tables

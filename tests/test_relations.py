@@ -33,6 +33,7 @@ from obd.relations import (
     linear_relation,
     shift_relation,
 )
+from conftest import accepts_rows
 from oracles import all_canonical, digits_value, floor_surd, ref_linear_solutions, rules_ok
 
 
@@ -57,7 +58,7 @@ class TestCanonicalRecognizer:
         canon = canonical_recognizer(system, 1)
         for length in range(0, 5):
             for w in itertools.product(range(system.dmax + 1), repeat=length):
-                assert canon.accepts_digit_rows([w]) == rules_ok(system.period, w)
+                assert accepts_rows(canon, [w]) == rules_ok(system.period, w)
 
     def test_pair_needs_both_tracks_canonical(self, system):
         canon2 = canonical_recognizer(system, 2)
@@ -65,7 +66,7 @@ class TestCanonicalRecognizer:
             for a in itertools.product(range(system.dmax + 1), repeat=length):
                 for b in itertools.product(range(system.dmax + 1), repeat=length):
                     want = rules_ok(system.period, a) and rules_ok(system.period, b)
-                    assert canon2.accepts_digit_rows([a, b]) == want
+                    assert accepts_rows(canon2, [a, b]) == want
 
     def test_arity_zero_is_universal(self, system):
         assert canonical_recognizer(system, 0).accepts_word([])
@@ -403,7 +404,7 @@ class TestMultiPeriodAtoms:
             rows = system.pad_parallel(*(system.encode(x) for x in tup))
             for extra in range(m + 1):
                 padded = [(0,) * extra + row for row in rows]
-                assert rel.accepts_digit_rows(padded) == want, (tup, extra)
+                assert accepts_rows(rel, padded) == want, (tup, extra)
 
     @pytest.mark.parametrize("coefs,constant,op", sorted(ATOM_SHA))
     def test_pinned_digest(self, systems, coefs, constant, op):
@@ -531,10 +532,10 @@ class TestShiftRelation:
         for u in range(0, 40):
             w = system.encode(u)
             rows = [(0,) * m + w, w + (0,) * m]
-            assert sh.accepts_digit_rows(rows)
+            assert accepts_rows(sh, rows)
         # a pair that is not a clean window shift
         bad = [(1,) + (0,) * m, (0,) * m + (1,)]
-        assert not sh.accepts_digit_rows(bad)
+        assert not accepts_rows(sh, bad)
 
     def test_shifted_value_identity(self, system):
         # through the canonical filter, the pair (u, v) satisfies

@@ -11,6 +11,7 @@ from math import isqrt
 
 import pytest
 
+from obd import _kernels
 from obd.session import Session, SessionError
 
 SCRIPT = r"""
@@ -123,6 +124,14 @@ class TestEnum:
         grid = [(0, y, y) for y in range(5, 60)] + [(1, y, 0) for y in range(6)]
         grid.sort(key=lambda tup: (max(len(fib.encode(v)) for v in tup), tup))
         assert rows[-1] == ", ".join(map(str, grid[:9]))
+
+    def test_unary_enum_walks_past_64_digits(self):
+        s = Session("unused", out=lambda line: None, persist=False)
+        s.execute('reg fibs {0,1} "0*10*0"', ";")
+        fibs = [1, 2]
+        while len(fibs) < 80:
+            fibs.append(fibs[-1] + fibs[-2])
+        assert s.execute("enum fibs 80", ";") == ", ".join(map(str, fibs))
 
     def test_relation_that_is_not_functional_names_n(self, sess):
         sess.execute('def twice "?msd_fib z=n | (n=3 & z=0)"', ";")
@@ -320,6 +329,35 @@ class TestStorage:
         replayed = Session.replay(stored)
         assert replayed.journal == ['def add "?msd_fib x+y=z";']
         assert "add" in replayed.env.predicates
+
+    def test_loaded_machines_compile_as_in_the_defining_session(
+            self, tmp_path, monkeypatch):
+        # a formula def is known to accept canonical tuples only, after a
+        # load too, so $p(...) skips its product with canon; shift, reg and
+        # a regex def are not
+        s = Session(tmp_path / "sess", out=lambda line: None)
+        s.run_script('shift sh;\nreg r {0,1} "(0|1)*";\n'
+                     'def d {0,1} "(0|1)*";\ndef p "?msd_fib x=2*y";\n')
+        loaded = Session.load(tmp_path / "sess", out=lambda line: None)
+        fib = loaded.env.systems["msd_fib"]
+        assert [loaded.env.predicate(name).canon_of
+                for name in ("sh", "r", "d", "p")] == [None, None, None, fib]
+        calls = []
+        product = _kernels.pair_product
+
+        def counted(*args):
+            calls.append(1)
+            return product(*args)
+        monkeypatch.setattr(_kernels, "pair_product", counted)
+
+        def compiled(session, text):
+            session.execute(text, ";")  # builds and caches what canon needs
+            calls.clear()
+            session.execute(text, ";")
+            return session.env.predicate("q").automaton.sha(), len(calls)
+        for formula in ("$p(x,y) & $p(y,x)", "$sh(x,y) & $p(y,x)", "$r(x) & $d(y)"):
+            text = f'def q "?msd_fib {formula}"'
+            assert compiled(loaded, text) == compiled(s, text), formula
 
     def test_meta_line_without_sha(self, stored):
         meta_path = stored / "meta.jsonl"
