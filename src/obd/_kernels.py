@@ -8,16 +8,24 @@ go to an implicit dead sink.  Kernels never write into their inputs and
 may return a read-only array, so callers must not write into automaton
 arrays.
 
-Canonical form has one path.  ``canonical`` converts the arrays to lists
-once and calls ``trim``, ``min_blocks``, ``quotient`` and
-``bfs_renumber`` in turn, each a loop over lists with ``dict``
-interning, then builds the output arrays once.  A small machine needs
-many BFS levels and Moore rounds for few edges, and a numpy call costs
-microseconds however little it does, so on the machines the benchmark's
-scripts canonicalise (at most about 8 000 edges) the lists win by far.
-On much larger machines (s11's 24 407-state subset construction) a
-whole-array chain was about three times faster, but no benchmark
-workload reached it, so it was not worth a second implementation.
+Canonical form has one tail, over Python lists: the co-reach cut
+(relations only: the states that reach no accepting state go, with the
+edges into them), ``min_blocks``, ``quotient`` and ``bfs_renumber``,
+each a loop with ``dict`` interning, and the output arrays built once.
+It has two entries.  ``canonical_rows`` takes the rows that
+``pair_product`` and ``determinize`` return and trusts their invariant:
+states numbered in BFS discovery order from state 0, so every state is
+reachable, and each row letter sorted.  So it runs no forward pass and
+remaps and slices nothing unless the co-reach cuts a state.
+``canonical`` takes CSR arrays from any other producer, converts them to
+lists once and runs ``trim``, the forward pass, first.  A small machine
+needs many BFS levels and Moore rounds for few edges, and a numpy call
+costs microseconds however little it does, so on the machines the
+benchmark's scripts canonicalise (at most about 8 000 edges) the lists
+win by far.  On much larger machines (s11's 24 407-state subset
+construction) a whole-array chain was about three times faster, but no
+benchmark workload reached it, so it was not worth a second
+implementation.
 
 ``pair_product`` has one path too: a loop over pairs in BFS order that
 builds a state's row, letter -> target, the first time a pair reaches
@@ -30,11 +38,14 @@ implementation.  ``determinize`` is a list loop too and has one caller,
 ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
-needs it.  Outputs that can outgrow their input (product, subset
-construction) are collected in ``array`` buffers rather than lists of
-Python ints.  The product's working set is its pair index and the rows
-of the states its pairs reach, so it grows with the reached part of
-each input, not with the whole input.
+needs it.  A product or subset construction is handed on as lists, a
+letter row and a target row per state, never as flat arrays, since the
+canonical tail reads lists, and states with equal letter rows share one
+tuple.  The product's working set is its pair index and the rows of the
+states its pairs reach, so it grows with the reached part of each input,
+not with the whole input.  The co-reach cut keeps one set of the states
+known to reach acceptance and predecessor lists for the few states one
+downward sweep leaves open, not a predecessor list per state.
 """
 from __future__ import annotations
 
@@ -46,9 +57,10 @@ import numpy as np
 HAVE_NUMBA = False  # the kernels are numpy and plain Python only
 
 
-def _csr(counts):
-    indptr = np.zeros(counts.size + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
+def _offsets(rows):
+    """Row offsets (int64, n + 1) of per-state rows."""
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=indptr[1:])
     return indptr
 
 
@@ -57,113 +69,130 @@ def _csr(counts):
 # ---------------------------------------------------------------------------
 
 def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
-    """Reachable part of the product, pairs numbered in BFS order.
+    """Reachable part of the product as rows: (indptr, rows, succ, acc).
 
-    A side that has fallen into the dead sink is -1 in the pair; modes 0
-    and 3 drop pairs whose left side is dead, mode 0 also the right side.
+    States are pairs numbered in BFS discovery order from the initial
+    pair, state 0, so every state is reachable; rows[s] lists state s's
+    letters in increasing order and succ[s] their targets, indptr
+    (int64, n + 1) gives the row offsets and acc (uint8, n) the accepting
+    flags.  ``canonical_rows`` trusts this.  A side that has fallen into
+    the dead sink is -1 in the pair; modes 0 and 3 drop pairs whose left
+    side is dead, mode 0 also the right side.
     """
-    ip_a, lt_a, tg_a = ia.tolist(), la.tolist(), ta.tolist()
-    ip_b, lt_b, tg_b = ib.tolist(), lb.tolist(), tb.tolist()
-    # rows are built on first use; the trailing empty row is the dead side -1's
+    width = ib.size  # pair key: (a + 1) * width + b + 1
+    ip_a, lt_a = ia.tolist(), la.tolist()
+    tg_a = ((ta.astype(np.int64) + 1) * width).tolist()
+    ip_b, lt_b, tg_b = ib.tolist(), lb.tolist(), (tb + 1).tolist()
+    # a side's row maps a letter to its target's part of the pair key; rows
+    # are built on first use, and row 0 is the dead side -1's, empty
     rows_a, rows_b = [None] * len(ip_a), [None] * len(ip_b)
-    rows_a[-1] = rows_b[-1] = {}
-    width = len(ip_b)  # pair key: (a + 1) * width + (b + 1)
-    pa, pb = array("q", [int(inita)]), array("q", [int(initb)])
-    index = {(pa[0] + 1) * width + pb[0] + 1: 0}
-    # the output can be far larger than the input: keep it in machine ints
-    out_letters, out_targets, counts = array("i"), array("i"), array("q")
-    for a, b in zip(pa, pb):  # the loop visits pairs appended while it runs
+    rows_a[0] = rows_b[0] = {}
+    start = (int(inita) + 1) * width + int(initb) + 1
+    index, pairs, n = {start: 0}, [start], 1
+    rows, succ, shared = [], [], {}
+    for key in pairs:  # the loop visits pairs appended while it runs
+        a, b = divmod(key, width)
         ra = rows_a[a]
         if ra is None:
-            lo, hi = ip_a[a], ip_a[a + 1]
+            lo, hi = ip_a[a - 1], ip_a[a]
             ra = rows_a[a] = dict(zip(lt_a[lo:hi], tg_a[lo:hi]))
         rb = rows_b[b]
         if rb is None:
-            lo, hi = ip_b[b], ip_b[b + 1]
+            lo, hi = ip_b[b - 1], ip_b[b]
             rb = rows_b[b] = dict(zip(lt_b[lo:hi], tg_b[lo:hi]))
-        if mode == 0:  # walk the shorter row, in letter order
-            if len(rb) < len(ra):
-                moves = [(c, ra[c], t) for c, t in rb.items() if c in ra]
-            else:
-                moves = [(c, t, rb[c]) for c, t in ra.items() if c in rb]
+        if mode == 0:  # a's letters that b's row has, in a's (sorted) order
+            row = tuple([c for c in ra if c in rb])
         elif mode == 3:
-            moves = [(c, t, rb.get(c, -1)) for c, t in ra.items()]
+            row = tuple(ra)
         else:
-            moves = [(c, ra.get(c, -1), rb.get(c, -1))
-                     for c in sorted(ra.keys() | rb.keys())]
-        for letter, next_a, next_b in moves:
-            pid = index.setdefault((next_a + 1) * width + next_b + 1, len(pa))
-            if pid == len(pa):
-                pa.append(next_a)
-                pb.append(next_b)
-            out_letters.append(letter)
-            out_targets.append(pid)
-        counts.append(len(moves))
-    acc_a, acc_b = np.append(aa, 0) != 0, np.append(ab, 0) != 0  # -1 reads False
-    fa, fb = acc_a[np.frombuffer(pa, np.int64)], acc_b[np.frombuffer(pb, np.int64)]
-    return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
-            np.frombuffer(out_targets, np.int32),
+            row = tuple(sorted(ra.keys() | rb.keys()))
+        row = shared.setdefault(row, row)  # states with equal rows share one
+        out = []
+        for c in row:
+            k = ra.get(c, 0) + rb.get(c, 0)
+            t = index.setdefault(k, n)
+            if t == n:
+                pairs.append(k)
+                n += 1
+            out.append(t)
+        rows.append(row)
+        succ.append(out)
+    a, b = np.divmod(np.fromiter(pairs, np.int64, len(pairs)), width)
+    fa, fb = np.append(0, aa)[a] != 0, np.append(0, ab)[b] != 0  # -1 reads False
+    return (_offsets(rows), rows, succ,
             (fa & fb, fa | fb, fa != fb, fa & ~fb)[mode].astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
-# canonical form: trim, Moore minimization, quotient and BFS numbering,
-# over Python lists.  The four steps are module-level functions, called
+# canonical form: trim (array entry only), the co-reach cut, Moore
+# minimization, quotient and BFS numbering, over Python lists.  trim,
+# min_blocks, quotient and bfs_renumber are module-level functions, called
 # through the module's globals, so that each can be timed on its own.
 # ---------------------------------------------------------------------------
 
-def trim(ip, lt, tg, initial, accepting=None):
+def trim(ip, lt, tg, initial):
     """The part of a machine, given as CSR lists, reachable from `initial`:
     its states in discovery order (`initial` first), and the letter row
-    and target row of each, targets as positions in that order.  With
-    `accepting` (a flag per state), only the states that also reach an
-    accepting state are kept, and none when `initial` reaches none."""
-    n = len(ip) - 1
-    seen = [False] * n
-    seen[initial] = True
+    and target row of each, targets as positions in that order."""
+    at = [-1] * (len(ip) - 1)  # input state -> position in `states`
+    at[initial] = 0
     states = [initial]
-    # the loops visit states appended while they run; only the co-reach
-    # pass reads the predecessor lists, so a word automaton builds none
-    if accepting is None:
-        for s in states:
-            for t in tg[ip[s]:ip[s + 1]]:
-                if not seen[t]:
-                    seen[t] = True
-                    states.append(t)
-    else:
-        preds = [[] for _ in range(n)]
-        for s in states:
-            for t in tg[ip[s]:ip[s + 1]]:
-                preds[t].append(s)
-                if not seen[t]:
-                    seen[t] = True
-                    states.append(t)
-    at = [-1] * n  # input state -> position in `states`, -1 when cut
-    if accepting is not None:
-        stack = [s for s in states if accepting[s]]
-        for s in stack:
-            at[s] = 0
-        while stack:
-            for p in preds[stack.pop()]:
-                if at[p] < 0:
-                    at[p] = 0
-                    stack.append(p)
-        if at[initial] < 0:
-            return [], [], []
-        states = [s for s in states if at[s] == 0]
-    for i, s in enumerate(states):
+    for s in states:  # the loop visits states appended while it runs
+        for t in tg[ip[s]:ip[s + 1]]:
+            if at[t] < 0:
+                at[t] = len(states)
+                states.append(t)
+    remap = at.__getitem__
+    return (states, [lt[ip[s]:ip[s + 1]] for s in states],
+            [list(map(remap, tg[ip[s]:ip[s + 1]])) for s in states])
+
+
+def _live_part(rows, succ, accepting, states):
+    """The states of a relation reachable from state 0 that also reach
+    an accepting state, in order, as (rows, succ, accepting, states)
+    with edges into the other states dropped; None when state 0 reaches
+    no accepting state.  `states` names the input state of each position
+    (None: the position itself).  A co-reach pass: no predecessor list is
+    kept per state."""
+    live = {s for s, f in enumerate(accepting) if f}
+    isdisjoint, keep = live.isdisjoint, live.add
+    # one sweep down from the last state: in BFS order most edges point
+    # forward, so it finds most of the states that reach acceptance
+    pending = []
+    if live:
+        for s in range(len(succ) - 1, -1, -1):
+            if s not in live:
+                if isdisjoint(succ[s]):
+                    pending.append(s)
+                else:
+                    keep(s)
+    # the rest by a backward search over the pending states' edges only
+    preds: dict = {}
+    for s in pending:
+        for t in succ[s]:
+            preds.setdefault(t, []).append(s)
+    stack = list(live.intersection(preds))
+    while stack:
+        for p in preds.get(stack.pop(), ()):
+            if p not in live:
+                keep(p)
+                stack.append(p)
+    if 0 not in live:
+        return None
+    if len(live) == len(succ):
+        return rows, succ, accepting, states
+    kept = sorted(live)
+    at = [-1] * len(succ)  # position -> position among the kept states
+    for i, s in enumerate(kept):
         at[s] = i
-    tg = [at[t] for t in tg]  # targets as positions, -1 when cut
-    rows, succ = [], []
-    for s in states:
-        lo, hi = ip[s], ip[s + 1]
-        row, out = lt[lo:hi], tg[lo:hi]
+    remap = at.__getitem__
+    rows, succ = [rows[s] for s in kept], [list(map(remap, succ[s])) for s in kept]
+    for i, out in enumerate(succ):
         if -1 in out:  # edges into cut states go too
-            row = [c for c, t in zip(row, out) if t >= 0]
-            out = [t for t in out if t >= 0]
-        rows.append(row)
-        succ.append(out)
-    return states, rows, succ
+            rows[i] = [c for c, t in zip(rows[i], out) if t >= 0]
+            succ[i] = [t for t in out if t >= 0]
+    return (rows, succ, [accepting[s] for s in kept],
+            kept if states is None else [states[s] for s in kept])
 
 
 def _no_targets(block):
@@ -192,57 +221,75 @@ def min_blocks(rows, succ, labels):
     return block
 
 
-def quotient(rows, succ, block):
-    """The machine on blocks: the rows and target rows of one state per
-    block, targets mapped to their blocks, and that state of each block.
-    Equivalent states have equal rows up to blocks, so any one will do."""
-    rep = [0] * (max(block) + 1)
-    for i, b in enumerate(block):
-        rep[b] = i
-    return [rows[s] for s in rep], [[block[t] for t in succ[s]] for s in rep], rep
+def quotient(block):
+    """One state of each block, by block (blocks are numbered by first
+    occurrence).  Equivalent states have equal rows up to blocks, so any
+    one will do."""
+    return list(dict(zip(block, range(len(block)))).values())
 
 
-def bfs_renumber(rows, succ, initial):
-    """CSR lists of the machine with its states numbered in BFS discovery
-    order from `initial`, and the old state of each new one.  Rows are
-    letter sorted, so the numbering is canonical for isomorphic machines.
-    Unreachable states are dropped."""
-    pos = [-1] * len(rows)
-    pos[initial] = 0
-    order = [initial]
+def bfs_renumber(rows, succ, block, rep):
+    """CSR lists of the machine on blocks, the blocks numbered in BFS
+    discovery order from state 0's, and the state `rep` gives for each
+    output state.  Each block reads the row of its state in `rep`, its
+    targets through `block`.  Rows are letter sorted, so the numbering is
+    canonical for isomorphic machines.  Unreachable blocks are dropped."""
+    pos = [-1] * len(rep)
+    pos[block[0]] = 0
+    order = [block[0]]
     indptr, letters, targets = [0], [], []
-    for s in order:  # the loop visits states appended while it runs
+    for b in order:  # the loop visits blocks appended while it runs
+        s = rep[b]
         for t in succ[s]:
+            t = block[t]
             if pos[t] < 0:
                 pos[t] = len(order)
                 order.append(t)
             targets.append(pos[t])
         letters += rows[s]
         indptr.append(len(targets))
-    return indptr, letters, targets, order
+    return indptr, letters, targets, [rep[b] for b in order]
+
+
+def _tail(rows, succ, labels, relation, acc, states=None):
+    """The co-reach cut (relations only), min_blocks, quotient and
+    bfs_renumber in turn, on a machine reachable from its initial state
+    0, as ``canonical`` returns them.  `states` names the input state of
+    each position (None: the position itself)."""
+    if relation:
+        live = _live_part(rows, succ, labels, states)
+        if live is None:
+            return (np.zeros(2, np.int64), np.empty(0, np.int32),
+                    np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
+        rows, succ, labels, states = live
+    block = min_blocks(rows, succ, labels)
+    indptr, letters, targets, kept = bfs_renumber(rows, succ, block, quotient(block))
+    if states is not None:
+        kept = [states[s] for s in kept]
+    return (np.array(indptr, np.int64), np.array(letters, np.int32),
+            np.array(targets, np.int32), acc[kept], np.array(kept, np.int32))
+
+
+def canonical_rows(rows, succ, acc):
+    """``canonical`` of a relation that ``pair_product`` or
+    ``determinize`` returned as rows: BFS numbered from state 0, every
+    state reachable, each row letter sorted, so no trim is needed."""
+    return _tail(rows, succ, acc.tolist(), True, acc)
 
 
 def canonical(indptr, letters, targets, acc, initial, labels=None):
-    """What trim, min_blocks, quotient and bfs_renumber give in turn, as
-    arrays, and an input state of each output state.  With `labels` None
-    the machine is a relation: it is trimmed (a dead initial state gives
-    the one-state empty machine) and refined by acceptance.  Otherwise it
-    is a word automaton: not trimmed, and refined by `labels`.
-    Unreachable states take no part: trim drops them in either case."""
-    accepting = acc.tolist()
-    relation = labels is None
+    """What trim, the co-reach cut, min_blocks, quotient and bfs_renumber
+    give in turn, as arrays, and an input state of each output state.
+    With `labels` None the machine is a relation: states that reach no
+    accepting state are cut (a dead initial state gives the one-state
+    empty machine) and the rest refined by acceptance.  Otherwise it is a
+    word automaton: nothing is cut but the unreachable states, and states
+    are refined by `labels`."""
     states, rows, succ = trim(indptr.tolist(), letters.tolist(), targets.tolist(),
-                              initial, accepting if relation else None)
-    if not states:
-        return (np.zeros(2, np.int64), np.empty(0, np.int32),
-                np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
-    label = accepting if relation else labels.tolist()
-    block = min_blocks(rows, succ, [label[s] for s in states])
-    rows, succ, rep = quotient(rows, succ, block)
-    indptr, letters, targets, order = bfs_renumber(rows, succ, block[0])
-    kept = [states[rep[b]] for b in order]
-    return (np.array(indptr, np.int64), np.array(letters, np.int32),
-            np.array(targets, np.int32), acc[kept], np.array(kept, np.int32))
+                              initial)
+    relation = labels is None
+    label = (acc if relation else labels).tolist()
+    return _tail(rows, succ, [label[s] for s in states], relation, acc, states)
 
 # ---------------------------------------------------------------------------
 # subset construction (also handles projection via letter_map and the
@@ -250,6 +297,10 @@ def canonical(indptr, letters, targets, acc, initial, labels=None):
 # ---------------------------------------------------------------------------
 
 def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_close):
+    """Subset construction as rows, (indptr, rows, succ, acc), numbered
+    and ordered as ``pair_product`` gives them: subsets in BFS discovery
+    order from the start set, state 0, every state reachable, each row
+    letter sorted."""
     ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
     lmap = letter_map.tolist()
     root = set(init_states.tolist())
@@ -264,24 +315,26 @@ def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_clo
     start = tuple(sorted(root))
     index = {start: 0}
     sets = [start]
-    out_letters, out_targets, counts = array("i"), array("i"), array("q")
+    rows, succ, shared = [], [], {}
     out_acc = array("B", [any(accepting[s] for s in start)])
     for members in sets:
-        succ: dict = {}
+        moves: dict = {}
         for s in members:
             for e in range(ip[s], ip[s + 1]):
-                succ.setdefault(lmap[lt[e]], set()).add(tg[e])
-        for letter in sorted(succ):
-            key = tuple(sorted(succ[letter]))
+                moves.setdefault(lmap[lt[e]], set()).add(tg[e])
+        row = tuple(sorted(moves))
+        row = shared.setdefault(row, row)  # states with equal rows share one
+        out = []
+        for letter in row:
+            key = tuple(sorted(moves[letter]))
             sid = index.setdefault(key, len(sets))
             if sid == len(sets):
                 sets.append(key)
                 out_acc.append(any(accepting[s] for s in key))
-            out_letters.append(letter)
-            out_targets.append(sid)
-        counts.append(len(succ))
-    return (_csr(np.frombuffer(counts, np.int64)), np.frombuffer(out_letters, np.int32),
-            np.frombuffer(out_targets, np.int32), np.frombuffer(out_acc, np.uint8))
+            out.append(sid)
+        rows.append(row)
+        succ.append(out)
+    return _offsets(rows), rows, succ, np.frombuffer(out_acc, np.uint8)
 
 
 def walk(delta, nletters, state, word):

@@ -141,13 +141,13 @@ def determinized(arity, dmax, indptr, letters, targets, acc, inits,
     letter), started in the set `inits`, its letters read through
     `letter_map` (old code -> code over `arity` tracks; None keeps them).
     With `zero_close` the start set is closed under mapped zero letters, so
-    leading zeros can be dropped."""
+    leading zeros can be dropped.  ``K.determinize`` returns the subsets as
+    rows, which ``_canonical`` takes as they are (a ``_Raw`` machine)."""
     if letter_map is None:
         letter_map = np.arange(nletters(arity, dmax), dtype=np.int32)
-    indptr, letters, targets, acc = K.determinize(
+    return _Raw(arity, dmax, *K.determinize(
         indptr, letters, targets, acc, np.asarray(inits, np.int64), letter_map,
-        zero_close)
-    return Automaton(arity, dmax, indptr, letters, targets, acc, 0)._canonical()
+        zero_close))._canonical()
 
 
 def pad_closed(arity, dmax, n_states, src, letters, targets, acc,
@@ -309,14 +309,19 @@ class Automaton:
     # -- canonical form ----------------------------------------------------
 
     def _canonical(self) -> "Automaton":
-        """Trimmed, minimal and BFS numbered, by ``K.canonical``.  A word
-        automaton (one with outputs) is not trimmed; its states are
-        refined by outputs * 2 + acc."""
+        """Trimmed, minimal and BFS numbered: by ``K.canonical_rows`` for
+        a product or subset construction (a ``_Raw`` machine), by
+        ``K.canonical`` otherwise.  A word automaton (one with outputs) is
+        not trimmed; its states are refined by outputs * 2 + acc."""
         word = self.outputs is not None
-        labels = self.outputs.astype(np.int64) * 2 + self.accepting if word else None
-        indptr, letters, targets, acc, states = K.canonical(
-            self.indptr, self.letters, self.targets, self.accepting,
-            self.initial, labels)
+        if isinstance(self, _Raw):
+            indptr, letters, targets, acc, states = K.canonical_rows(
+                self.rows, self.succ, self.accepting)
+        else:
+            labels = self.outputs.astype(np.int64) * 2 + self.accepting if word else None
+            indptr, letters, targets, acc, states = K.canonical(
+                self.indptr, self.letters, self.targets, self.accepting,
+                self.initial, labels)
         return Automaton(self.arity, self.dmax, indptr, letters, targets, acc,
                          0, self.outputs[states] if word else None)
 
@@ -329,12 +334,14 @@ class Automaton:
                 f"{other.arity}/{other.dmax}")
 
     def product(self, other: "Automaton", mode: str) -> "Automaton":
+        """Canonical product in `mode` ("and", "or", "xor", "andnot").
+        ``K.pair_product`` returns the reachable pairs as rows, which
+        ``_canonical`` takes as they are (a ``_Raw`` machine)."""
         self._check_compatible(other)
-        indptr, letters, targets, acc = K.pair_product(
+        return _Raw(self.arity, self.dmax, *K.pair_product(
             self.indptr, self.letters, self.targets, self.accepting, np.int64(self.initial),
             other.indptr, other.letters, other.targets, other.accepting, np.int64(other.initial),
-            _MODES[mode])
-        return Automaton(self.arity, self.dmax, indptr, letters, targets, acc, 0)._canonical()
+            _MODES[mode]))._canonical()
 
     def intersect(self, other):
         return self.product(other, "and")
@@ -747,10 +754,6 @@ class Automaton:
     def sha(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
-    def equivalent(self, other: "Automaton") -> bool:
-        self._check_compatible(other)
-        return self.canonical_bytes() == other.canonical_bytes()
-
     def to_dot(self, name: str = "aut") -> str:
         lines = [f'digraph "{name}" {{', "  rankdir=LR;",
                  '  __start [shape=point, label=""];']
@@ -777,3 +780,17 @@ class Automaton:
         kind = "word automaton" if self.outputs is not None else "automaton"
         return (f"<{kind} arity={self.arity} dmax={self.dmax} "
                 f"states={self.live_states} transitions={self.transition_count}>")
+
+
+class _Raw(Automaton):
+    """A product or subset construction as its kernel returns it, before
+    ``_canonical``: the rows and target rows of its states, under the
+    invariant the ``_kernels`` docstring gives, their offsets ``indptr``
+    and ``accepting``.  It has no letter or target arrays, so nothing but
+    ``_canonical`` reads it."""
+
+    __slots__ = ("rows", "succ")
+
+    def __init__(self, arity, dmax, indptr, rows, succ, accepting):
+        self.arity, self.dmax, self.initial, self.outputs = arity, dmax, 0, None
+        self.indptr, self.rows, self.succ, self.accepting = indptr, rows, succ, accepting

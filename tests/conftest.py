@@ -24,6 +24,13 @@ def accepts_rows(aut, rows):
     return aut.accepts_word([letter_code(col, aut.dmax) for col in zip(*rows)])
 
 
+def equivalent(a, b):
+    """Same language?  Machines over the same tracks and digits are
+    canonical, so equal languages give equal canonical bytes."""
+    assert (a.arity, a.dmax) == (b.arity, b.dmax), "incompatible automata"
+    return a.canonical_bytes() == b.canonical_bytes()
+
+
 CATALOG = {
     "msd_s13": (3, 1),
     "msd_s2": (2,),

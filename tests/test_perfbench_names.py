@@ -5,15 +5,21 @@ LAYER_CALLS table with timing wrappers; a traced run stops with an error
 when one of them has moved or been renamed.  This checks the table
 against the code, reading perfbench/ without changing it.  It also
 counts the states a product or subset construction builds from the
-kernel's return value, so that reading is checked against the kernels.
+kernel's return value, its row offsets, so that reading is checked
+against the kernels' rows, and installs the tracer around one compile
+to check its counters against counts taken here.
 """
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from obd import _kernels as K
+from obd.automata import Automaton
+from obd.repro import SCRIPT_DIR
+from obd.session import Session
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -51,7 +57,63 @@ def test_states_built_counts_output_states():
          np.array([0, 1, 0], np.int32), np.array([1, 0], np.uint8))
     for mode in range(4):
         out = K.pair_product(*a, 0, *b, 0, mode)
-        assert states_built(out) == out[3].size > 2
+        assert states_built(out) == out[3].size == len(out[1]) == len(out[2]) > 2
     # both letters read as 0: the subsets {0} and {0, 1}
     out = K.determinize(*a, np.array([0]), np.array([0, 0]), False)
-    assert states_built(out) == out[3].size == 2
+    assert states_built(out) == out[3].size == len(out[1]) == len(out[2]) == 2
+
+
+def patched_names(layer_calls):
+    """Every name the tracer may replace, by where it is bound."""
+    names = {}
+    for module, cls, attr in layer_calls.values():
+        if cls is None:
+            for name, mod in list(sys.modules.items()):
+                if (name == "obd" or name.startswith("obd.")) and mod is not None \
+                        and attr in mod.__dict__:
+                    names[name, attr] = mod.__dict__[attr]
+        else:
+            owner = getattr(importlib.import_module(module), cls)
+            names[module, cls, attr] = owner.__dict__[attr]
+    names["_canonical"] = Automaton.__dict__["_canonical"]
+    return names
+
+
+def test_tracer_counts_one_compile(monkeypatch):
+    """The tracer's state counters over s7 equal what the kernels return
+    and what ``Automaton._canonical`` is given, counted here by wrapping
+    them before the tracer does; uninstall puts back every name."""
+    tracing = load_tracing()
+    built = {"pair_product": [], "determinize": []}
+    for name, states in built.items():
+        def counted(*args, _kernel=getattr(K, name), _states=states):
+            out = _kernel(*args)
+            _states.append(len(out[1]))  # one letter row per state
+            return out
+        monkeypatch.setattr(K, name, counted)
+    given = []
+    canonical = Automaton._canonical
+
+    def seen(aut):
+        given.append(aut.indptr.size - 1)
+        return canonical(aut)
+    monkeypatch.setattr(Automaton, "_canonical", seen)
+    before = patched_names(tracing.LAYER_CALLS)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sess = Session("unused", out=lambda line: None, persist=False)
+        sess.run_script((SCRIPT_DIR / "s7.obd").read_text(encoding="utf-8"))
+    finally:
+        tracer.uninstall()
+    after = patched_names(tracing.LAYER_CALLS)
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+    counters = tracer.counters
+    assert counters["kernels.pair_product.states_built"] == sum(built["pair_product"]) > 0
+    assert counters["kernels.determinize.states_built"] == sum(built["determinize"]) > 0
+    assert counters["canonical.states_in"] == sum(given)
+    assert counters["automata.max_states"] == max(given)
+    calls = tracing.layer_totals(tracer.spans)
+    assert calls["kernels.pair_product"][0] == len(built["pair_product"])
+    assert calls["kernels.determinize"][0] == len(built["determinize"])
