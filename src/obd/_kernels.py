@@ -15,8 +15,9 @@ each a loop with ``dict`` interning, and the output arrays built once.
 It has two entries.  ``canonical_rows`` takes the rows that
 ``pair_product`` and ``determinize`` return and trusts their invariant:
 states numbered in BFS discovery order from state 0, so every state is
-reachable, and each row letter sorted.  So it runs no forward pass and
-remaps and slices nothing unless the co-reach cuts a state.
+reachable, and each row letter sorted.  So it runs no forward pass,
+remaps no target and slices no row; the co-reach cut leaves every state
+where it is and copies only the rows it changes.
 ``canonical`` takes CSR arrays from any other producer, converts them to
 lists once and runs ``trim``, the forward pass, first.  A small machine
 needs many BFS levels and Moore rounds for few edges, and a numpy call
@@ -44,8 +45,8 @@ canonical tail reads lists, and states with equal letter rows share one
 tuple.  The product's working set is its pair index and the rows of the
 states its pairs reach, so it grows with the reached part of each input,
 not with the whole input.  The co-reach cut keeps one set of the states
-known to reach acceptance and predecessor lists for the few states one
-downward sweep leaves open, not a predecessor list per state.
+known to reach acceptance, and predecessor lists only for the states
+two sweeps leave open, not a predecessor list per state.
 """
 from __future__ import annotations
 
@@ -147,25 +148,23 @@ def trim(ip, lt, tg, initial):
             [list(map(remap, tg[ip[s]:ip[s + 1]])) for s in states])
 
 
-def _live_part(rows, succ, accepting, states):
-    """The states of a relation reachable from state 0 that also reach
-    an accepting state, in order, as (rows, succ, accepting, states)
-    with edges into the other states dropped; None when state 0 reaches
-    no accepting state.  `states` names the input state of each position
-    (None: the position itself).  A co-reach pass: no predecessor list is
-    kept per state."""
+def _cut_dead(rows, succ, accepting):
+    """Rows and target rows of a relation reachable from state 0, with
+    the states that reach no accepting state cut: their rows emptied and
+    the edges into them dropped, so that they form one block of their
+    own that no kept state reaches.  None when state 0 is such a state.
+    The input lists are not written; no predecessor list is kept per
+    state."""
     live = {s for s, f in enumerate(accepting) if f}
     isdisjoint, keep = live.isdisjoint, live.add
-    # one sweep down from the last state: in BFS order most edges point
-    # forward, so it finds most of the states that reach acceptance
-    pending = []
-    if live:
-        for s in range(len(succ) - 1, -1, -1):
-            if s not in live:
-                if isdisjoint(succ[s]):
-                    pending.append(s)
-                else:
-                    keep(s)
+    # a sweep down from the last state, then one up over what is left: in
+    # BFS order most edges point forward, so the sweeps find most of the
+    # states that reach acceptance.  A state leaves `pending` when it has
+    # an edge into a state known to reach it (keep returns None).
+    pending = range(len(succ) - 1, -1, -1) if live else ()
+    for _ in range(2):
+        pending = [s for s in pending
+                   if s not in live and (isdisjoint(succ[s]) or keep(s))][::-1]
     # the rest by a backward search over the pending states' edges only
     preds: dict = {}
     for s in pending:
@@ -179,20 +178,15 @@ def _live_part(rows, succ, accepting, states):
                 stack.append(p)
     if 0 not in live:
         return None
-    if len(live) == len(succ):
-        return rows, succ, accepting, states
-    kept = sorted(live)
-    at = [-1] * len(succ)  # position -> position among the kept states
-    for i, s in enumerate(kept):
-        at[s] = i
-    remap = at.__getitem__
-    rows, succ = [rows[s] for s in kept], [list(map(remap, succ[s])) for s in kept]
-    for i, out in enumerate(succ):
-        if -1 in out:  # edges into cut states go too
-            rows[i] = [c for c, t in zip(rows[i], out) if t >= 0]
-            succ[i] = [t for t in out if t >= 0]
-    return (rows, succ, [accepting[s] for s in kept],
-            kept if states is None else [states[s] for s in kept])
+    if len(live) < len(succ):
+        rows, succ = list(rows), list(succ)
+        for s, out in enumerate(succ):
+            if s not in live:
+                rows[s] = succ[s] = ()
+            elif not live.issuperset(out):
+                rows[s] = [c for c, t in zip(rows[s], out) if t in live]
+                succ[s] = [t for t in out if t in live]
+    return rows, succ
 
 
 def _no_targets(block):
@@ -203,7 +197,9 @@ def min_blocks(rows, succ, labels):
     """Block of each state under the Nerode congruence, by Moore rounds
     from the partition by (label, letter row), numbered by first
     occurrence.  States with different rows are never equivalent, so
-    starting there gives the same fixpoint.  The machine must be trimmed;
+    starting there gives the same fixpoint.  The machine must be trimmed,
+    or cut as ``_cut_dead`` cuts it, so that its states with no row and
+    no acceptance, if any, are the ones that reach no accepting state;
     the implicit sink is its own class."""
     ids: dict = {}
     block = [ids.setdefault((label, *row), len(ids)) for label, row in zip(labels, rows)]
@@ -257,11 +253,11 @@ def _tail(rows, succ, labels, relation, acc, states=None):
     0, as ``canonical`` returns them.  `states` names the input state of
     each position (None: the position itself)."""
     if relation:
-        live = _live_part(rows, succ, labels, states)
-        if live is None:
+        cut = _cut_dead(rows, succ, labels)
+        if cut is None:
             return (np.zeros(2, np.int64), np.empty(0, np.int32),
                     np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
-        rows, succ, labels, states = live
+        rows, succ = cut
     block = min_blocks(rows, succ, labels)
     indptr, letters, targets, kept = bfs_renumber(rows, succ, block, quotient(block))
     if states is not None:
