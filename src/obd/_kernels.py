@@ -101,8 +101,9 @@ def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
         if rb is None:
             lo, hi = ip_b[b - 1], ip_b[b]
             rb = rows_b[b] = dict(zip(lt_b[lo:hi], tg_b[lo:hi]))
-        if mode == 0:  # a's letters that b's row has, in a's (sorted) order
-            row = tuple([c for c in ra if c in rb])
+        if mode == 0:  # the shorter row's letters that the other row has
+            short, other = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
+            row = tuple([c for c in short if c in other])
         elif mode == 3:
             row = tuple(ra)
         else:
