@@ -4,8 +4,9 @@ CSR contract.  An automaton with n states and m transitions is stored as
 indptr (int64, n+1), letters (int32, m) and targets (int32, m), sorted by
 (state, letter) with at most one transition per (state, letter); an
 accepting mask (uint8, n) and a single initial state.  Missing transitions
-go to an implicit dead sink.  Kernels never write into their inputs and
-may return a read-only array, so callers must not write into automaton
+go to an implicit dead sink.  Kernels never write into their inputs,
+except that ``canonical_rows`` takes over the lists it is given, and may
+return a read-only array, so callers must not write into automaton
 arrays.
 
 Canonical form has one tail, over Python lists: the co-reach cut
@@ -15,9 +16,8 @@ each a loop with ``dict`` interning, and the output arrays built once.
 It has two entries.  ``canonical_rows`` takes the rows that
 ``pair_product`` and ``determinize`` return and trusts their invariant:
 states numbered in BFS discovery order from state 0, so every state is
-reachable, and each row letter sorted.  So it runs no forward pass,
-remaps no target and slices no row; the co-reach cut leaves every state
-where it is and copies only the rows it changes.
+reachable, and each row letter sorted.  So it runs no forward pass and
+remaps no target, unless the co-reach cuts a state.
 ``canonical`` takes CSR arrays from any other producer, converts them to
 lists once and runs ``trim``, the forward pass, first.  A small machine
 needs many BFS levels and Moore rounds for few edges, and a numpy call
@@ -46,7 +46,8 @@ tuple.  The product's working set is its pair index and the rows of the
 states its pairs reach, so it grows with the reached part of each input,
 not with the whole input.  The co-reach cut keeps one set of the states
 known to reach acceptance, and predecessor lists only for the states
-two sweeps leave open, not a predecessor list per state.
+two sweeps leave open, not a predecessor list per state; it renumbers
+the kept target rows in place.
 """
 from __future__ import annotations
 
@@ -149,13 +150,13 @@ def trim(ip, lt, tg, initial):
             [list(map(remap, tg[ip[s]:ip[s + 1]])) for s in states])
 
 
-def _cut_dead(rows, succ, accepting):
-    """Rows and target rows of a relation reachable from state 0, with
-    the states that reach no accepting state cut: their rows emptied and
-    the edges into them dropped, so that they form one block of their
-    own that no kept state reaches.  None when state 0 is such a state.
-    The input lists are not written; no predecessor list is kept per
-    state."""
+def _cut_dead(rows, succ, accepting, states):
+    """The states of a relation reachable from state 0 that also reach
+    an accepting state, in order, as (rows, succ, accepting, states)
+    with edges into the other states dropped; None when state 0 reaches
+    no accepting state.  `states` names the input state of each position
+    (None: the position itself).  The kept target rows are renumbered in
+    place."""
     live = {s for s, f in enumerate(accepting) if f}
     isdisjoint, keep = live.isdisjoint, live.add
     # a sweep down from the last state, then one up over what is left: in
@@ -179,15 +180,19 @@ def _cut_dead(rows, succ, accepting):
                 stack.append(p)
     if 0 not in live:
         return None
-    if len(live) < len(succ):
-        rows, succ = list(rows), list(succ)
-        for s, out in enumerate(succ):
-            if s not in live:
-                rows[s] = succ[s] = ()
-            elif not live.issuperset(out):
-                rows[s] = [c for c, t in zip(rows[s], out) if t in live]
-                succ[s] = [t for t in out if t in live]
-    return rows, succ
+    if len(live) == len(succ):
+        return rows, succ, accepting, states
+    kept = sorted(live)
+    at = dict(zip(kept, range(len(kept))))  # position -> position among the kept
+    remap = at.get
+    rows, succ = list(map(rows.__getitem__, kept)), list(map(succ.__getitem__, kept))
+    for i, out in enumerate(succ):
+        out[:] = map(remap, out)  # in place: the lists are handed over
+        if None in out:  # edges into cut states go too
+            rows[i] = [c for c, t in zip(rows[i], out) if t is not None]
+            succ[i] = [t for t in out if t is not None]
+    return (rows, succ, list(map(accepting.__getitem__, kept)),
+            kept if states is None else list(map(states.__getitem__, kept)))
 
 
 def _no_targets(block):
@@ -198,9 +203,7 @@ def min_blocks(rows, succ, labels):
     """Block of each state under the Nerode congruence, by Moore rounds
     from the partition by (label, letter row), numbered by first
     occurrence.  States with different rows are never equivalent, so
-    starting there gives the same fixpoint.  The machine must be trimmed,
-    or cut as ``_cut_dead`` cuts it, so that its states with no row and
-    no acceptance, if any, are the ones that reach no accepting state;
+    starting there gives the same fixpoint.  The machine must be trimmed;
     the implicit sink is its own class."""
     ids: dict = {}
     block = [ids.setdefault((label, *row), len(ids)) for label, row in zip(labels, rows)]
@@ -254,11 +257,11 @@ def _tail(rows, succ, labels, relation, acc, states=None):
     0, as ``canonical`` returns them.  `states` names the input state of
     each position (None: the position itself)."""
     if relation:
-        cut = _cut_dead(rows, succ, labels)
+        cut = _cut_dead(rows, succ, labels, states)
         if cut is None:
             return (np.zeros(2, np.int64), np.empty(0, np.int32),
                     np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
-        rows, succ = cut
+        rows, succ, labels, states = cut
     block = min_blocks(rows, succ, labels)
     indptr, letters, targets, kept = bfs_renumber(rows, succ, block, quotient(block))
     if states is not None:
@@ -270,7 +273,9 @@ def _tail(rows, succ, labels, relation, acc, states=None):
 def canonical_rows(rows, succ, acc):
     """``canonical`` of a relation that ``pair_product`` or
     ``determinize`` returned as rows: BFS numbered from state 0, every
-    state reachable, each row letter sorted, so no trim is needed."""
+    state reachable, each row letter sorted, so no trim is needed.  It
+    takes the lists over: the co-reach cut renumbers target rows in
+    place."""
     return _tail(rows, succ, acc.tolist(), True, acc)
 
 
