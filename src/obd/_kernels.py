@@ -183,14 +183,16 @@ def _cut_dead(rows, succ, accepting, states):
     if len(live) == len(succ):
         return rows, succ, accepting, states
     kept = sorted(live)
-    at = dict(zip(kept, range(len(kept))))  # position -> position among the kept
-    remap = at.get
+    at = [-1] * len(succ)  # position -> position among the kept, -1 when cut
+    for i, s in enumerate(kept):
+        at[s] = i
+    remap = at.__getitem__
     rows, succ = list(map(rows.__getitem__, kept)), list(map(succ.__getitem__, kept))
     for i, out in enumerate(succ):
         out[:] = map(remap, out)  # in place: the lists are handed over
-        if None in out:  # edges into cut states go too
-            rows[i] = [c for c, t in zip(rows[i], out) if t is not None]
-            succ[i] = [t for t in out if t is not None]
+        if -1 in out:  # edges into cut states go too
+            rows[i] = [c for c, t in zip(rows[i], out) if t >= 0]
+            succ[i] = [t for t in out if t >= 0]
     return (rows, succ, list(map(accepting.__getitem__, kept)),
             kept if states is None else list(map(states.__getitem__, kept)))
 
