@@ -82,9 +82,12 @@ def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
     side is dead, mode 0 also the right side.
     """
     width = ib.size  # pair key: (a + 1) * width + b + 1
-    ip_a, lt_a = ia.tolist(), la.tolist()
-    tg_a = ((ta.astype(np.int64) + 1) * width).tolist()
-    ip_b, lt_b, tg_b = ib.tolist(), lb.tolist(), (tb + 1).tolist()
+    # each target as its part of the pair key, one int per state that all
+    # the edges into it share
+    part_a = list(range(width, ia.size * width, width))
+    part_b = list(range(1, width))
+    ip_a, lt_a, tg_a = ia.tolist(), la.tolist(), list(map(part_a.__getitem__, ta.tolist()))
+    ip_b, lt_b, tg_b = ib.tolist(), lb.tolist(), list(map(part_b.__getitem__, tb.tolist()))
     # a side's row maps a letter to its target's part of the pair key; rows
     # are built on first use, and row 0 is the dead side -1's, empty
     rows_a, rows_b = [None] * len(ip_a), [None] * len(ip_b)
@@ -110,14 +113,13 @@ def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
         else:
             row = tuple(sorted(ra.keys() | rb.keys()))
         row = shared.setdefault(row, row)  # states with equal rows share one
-        out = []
-        for c in row:
+        out = [0] * len(row)  # at its final size
+        for i, c in enumerate(row):
             k = ra.get(c, 0) + rb.get(c, 0)
-            t = index.setdefault(k, n)
+            t = out[i] = index.setdefault(k, n)
             if t == n:
                 pairs.append(k)
                 n += 1
-            out.append(t)
         rows.append(row)
         succ.append(out)
     a, b = np.divmod(np.fromiter(pairs, np.int64, len(pairs)), width)
@@ -328,14 +330,13 @@ def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_clo
                 moves.setdefault(lmap[lt[e]], set()).add(tg[e])
         row = tuple(sorted(moves))
         row = shared.setdefault(row, row)  # states with equal rows share one
-        out = []
-        for letter in row:
+        out = [0] * len(row)  # at its final size
+        for i, letter in enumerate(row):
             key = tuple(sorted(moves[letter]))
-            sid = index.setdefault(key, len(sets))
+            sid = out[i] = index.setdefault(key, len(sets))
             if sid == len(sets):
                 sets.append(key)
                 out_acc.append(any(accepting[s] for s in key))
-            out.append(sid)
         rows.append(row)
         succ.append(out)
     return _offsets(rows), rows, succ, np.frombuffer(out_acc, np.uint8)

@@ -569,7 +569,7 @@ def test_canonical_entries_agree(seed):
 # peaks of the path this one replaced, measured with Python 3.11 and
 # numpy 2.4, where pair_product returned arrays that the canonical form
 # converted back to lists and trimmed with a predecessor list per state.
-# The rows hand-off reads 45.6 MB and 36.0 MB: equal letter rows share one
+# The rows hand-off reads 45.5 MB and 33.6 MB: equal letter rows share one
 # tuple, and the co-reach cut keeps no predecessor list per state and
 # renumbers the kept target rows in place.
 PEAK_BYTES = {"or": 63.3e6, "and": 36.9e6}
