@@ -378,7 +378,7 @@ def test_bfs_renumber_paths_agree(seed):
 
 def test_trim_keeps_everything_unchanged():
     # every state reaches the accepting state 0 and is reached from it,
-    # around a cycle that runs against the one downward sweep
+    # around one cycle
     n = 5000
     targets = list(range(1, n)) + [0]
     states, rows, succ = K.trim(list(range(n + 1)), [0] * n, targets, 0)
@@ -387,6 +387,25 @@ def test_trim_keeps_everything_unchanged():
     acc = [1] + [0] * (n - 1)
     cut = K._cut_dead(rows, succ, acc, states)
     assert all(x is y for x, y in zip(cut, (rows, succ, acc, states)))
+
+
+def test_co_reach_cut_past_the_sweeps():
+    """A path to the accepting state 3 that turns at every step, so that
+    the two sweeps leave most of it to the backward search, and a dead
+    state 8 behind state 3, whose edge into it goes."""
+    path = [7, 0, 6, 1, 5, 2, 4, 3]
+    succ = [[] for _ in range(9)]
+    for s, t in zip(path, path[1:]):
+        succ[s] = [t]
+    succ[3], succ[8] = [8], [8]
+    rows = [[0] if out else [] for out in succ]
+    rows[3] = [1]
+    acc = [0] * 9
+    acc[3] = 1
+    cut = K._cut_dead(rows, [list(out) for out in succ], acc, None)
+    kept = list(range(8))
+    assert cut == ([[] if s == 3 else rows[s] for s in kept],
+                   [[] if s == 3 else succ[s] for s in kept], acc[:8], kept)
 
 
 def test_trim_nothing_useful():
