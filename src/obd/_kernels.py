@@ -13,19 +13,21 @@ Canonical form has one tail, over Python lists: the co-reach cut
 (relations only: the states that reach no accepting state go, with the
 edges into them), ``min_blocks``, ``quotient`` and ``bfs_renumber``,
 each a loop with ``dict`` interning, and the output arrays built once.
-It has two entries.  ``canonical_rows`` takes the rows that
-``pair_product`` and ``determinize`` return and trusts their invariant:
-states numbered in BFS discovery order from state 0, so every state is
+It has two entries.  ``canonical_rows`` takes rows from three
+producers, ``pair_product``, ``determinize`` and the linear atoms' walk
+(``relations._linear_piece``), and trusts their invariant: states
+numbered in BFS discovery order from state 0, so every state is
 reachable, and each row letter sorted.  So it runs no forward pass and
 remaps no target, unless the co-reach cuts a state.
-``canonical`` takes CSR arrays from any other producer, converts them to
-lists once and runs ``trim``, the forward pass, first.  A small machine
-needs many BFS levels and Moore rounds for few edges, and a numpy call
-costs microseconds however little it does, so on the machines the
-benchmark's scripts canonicalise (at most about 8 000 edges) the lists
-win by far.  On much larger machines (s11's 24 407-state subset
-construction) a whole-array chain was about three times faster, but no
-benchmark workload reached it, so it was not worth a second
+``canonical`` takes CSR arrays from every other producer
+(``Automaton.from_transitions``, ``permute_tracks`` and word automata),
+converts them to lists once and runs ``trim``, the forward pass, first.
+A small machine needs many BFS levels and Moore rounds for few edges,
+and a numpy call costs microseconds however little it does, so on the
+machines the benchmark's scripts canonicalise (at most about 8 000
+edges) the lists win by far.  On much larger machines (s11's 24 407-state
+subset construction) a whole-array chain was about three times faster,
+but no benchmark workload reached it, so it was not worth a second
 implementation.
 
 ``pair_product`` has one path too: a loop over pairs in BFS order that
@@ -39,15 +41,15 @@ implementation.  ``determinize`` is a list loop too and has one caller,
 ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
-needs it.  A product or subset construction is handed on as lists, a
-letter row and a target row per state, never as flat arrays, since the
-canonical tail reads lists, and states with equal letter rows share one
-tuple.  The product's working set is its pair index and the rows of the
-states its pairs reach, so it grows with the reached part of each input,
-not with the whole input.  The co-reach cut keeps one set of the states
-known to reach acceptance, and predecessor lists only for the states
-two sweeps leave open, not a predecessor list per state; it renumbers
-the kept target rows in place.
+needs it.  A product, a subset construction or a linear atom's raw
+piece is handed on as lists, a letter row and a target row per state,
+never as flat arrays, since the canonical tail reads lists, and states
+with equal letter rows share one tuple.  The product's working set is
+its pair index and the rows of the states its pairs reach, so it grows
+with the reached part of each input, not with the whole input.  The
+co-reach cut keeps one set of the states known to reach acceptance, and
+predecessor lists only for the states two sweeps leave open, not a
+predecessor list per state; it renumbers the kept target rows in place.
 """
 from __future__ import annotations
 
@@ -275,11 +277,11 @@ def _tail(rows, succ, labels, relation, acc, states=None):
 
 
 def canonical_rows(rows, succ, acc):
-    """``canonical`` of a relation that ``pair_product`` or
-    ``determinize`` returned as rows: BFS numbered from state 0, every
-    state reachable, each row letter sorted, so no trim is needed.  It
-    takes the lists over: the co-reach cut renumbers target rows in
-    place."""
+    """``canonical`` of a relation that ``pair_product``, ``determinize``
+    or the linear atoms' walk returned as rows: BFS numbered from state
+    0, every state reachable, each row letter sorted, so no trim is
+    needed.  It takes the lists over: the co-reach cut renumbers target
+    rows in place."""
     return _tail(rows, succ, acc.tolist(), True, acc)
 
 

@@ -60,8 +60,7 @@ def csr_from_edges(n_states: int, src, letters, targets):
     """The edges src -> targets on `letters`, given in any order, as CSR
     (indptr, letters, targets): rows sorted by (state, letter), edges with
     equal (state, letter) in their given order.  Edges that already come
-    in that order (``relations._linear_machine`` emits them so) are
-    neither sorted nor copied."""
+    in that order are neither sorted nor copied."""
     src = np.asarray(src, np.int64)
     letters = np.asarray(letters, np.int32)
     targets = np.asarray(targets, np.int32)
@@ -310,9 +309,10 @@ class Automaton:
 
     def _canonical(self) -> "Automaton":
         """Trimmed, minimal and BFS numbered: by ``K.canonical_rows`` for
-        a product or subset construction (a ``_Raw`` machine), by
-        ``K.canonical`` otherwise.  A word automaton (one with outputs) is
-        not trimmed; its states are refined by outputs * 2 + acc."""
+        a product, subset construction or linear atom's raw piece (a
+        ``_Raw`` machine), by ``K.canonical`` otherwise.  A word automaton
+        (one with outputs) is not trimmed; its states are refined by
+        outputs * 2 + acc."""
         word = self.outputs is not None
         if isinstance(self, _Raw):
             indptr, letters, targets, acc, states = K.canonical_rows(
@@ -783,11 +783,15 @@ class Automaton:
 
 
 class _Raw(Automaton):
-    """A product or subset construction as its kernel returns it, before
-    ``_canonical``: the rows and target rows of its states, under the
-    invariant the ``_kernels`` docstring gives, their offsets ``indptr``
-    and ``accepting``.  It has no letter or target arrays, so nothing but
-    ``_canonical`` reads it."""
+    """A machine as one of the three rows producers returns it, before
+    ``_canonical``: a product (``K.pair_product``), a subset construction
+    (``K.determinize``) or a linear atom's raw piece
+    (``relations._linear_piece``).  It holds the rows and target rows of
+    its states, under the invariant the ``_kernels`` docstring gives,
+    their offsets ``indptr`` and ``accepting``.  It has no letter or
+    target arrays, so nothing but ``_canonical`` reads it.  Every other
+    machine (``from_transitions``, ``permute_tracks``, word automata)
+    takes the array entry, ``K.canonical``."""
 
     __slots__ = ("rows", "succ")
 

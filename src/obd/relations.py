@@ -28,11 +28,10 @@ Anything composed from these atoms, the floor synchronizers of
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
-from .automata import Automaton, csr_from_edges, determinized, letter_digits
+from . import _kernels as K
+from .automata import Automaton, _Raw, csr_from_edges, determinized, letter_digits
 from .numeration import NumerationSystem
 
 __all__ = [
@@ -220,16 +219,38 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     Both bounds leave finitely many integer pairs.
 
     One piece, the words of length == 0 (mod m), is walked in step with
-    the CSR rows of canon(k), the recognizer of canonical k-tuples.  The
-    relation is padding closed, so with m > 1 closing the piece under
-    leading zeros (:meth:`Automaton.pad_normalized`) gives every other
-    length; with m = 1 the piece is the whole relation.  The machine is
-    cached on the system per (coefficients, constant, le).
+    the CSR rows of canon(k), the recognizer of canonical k-tuples, by
+    :func:`_linear_piece`, whose rows ``_canonical`` takes as they are
+    (a ``_Raw`` machine).  The relation is padding closed, so with m > 1
+    closing the canonical piece under leading zeros
+    (:meth:`Automaton.pad_normalized`) gives every other length; with
+    m = 1 the piece is the whole relation.  The machine is cached on the
+    system per (coefficients, constant, le).
     """
     key = ("linear", coefficients, constant, le)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
+    out = _Raw(len(coefficients), system.dmax,
+               *_linear_piece(system, coefficients, constant, le))._canonical()
+    if system.period_length > 1:
+        out = out.pad_normalized()
+    system._cache[key] = out
+    return out
+
+
+def _linear_piece(system: NumerationSystem, coefficients: tuple,
+                  constant: int, le: bool):
+    """The raw phase-0 piece of :func:`_linear_machine` as rows, (indptr,
+    rows, succ, acc), under the invariant ``K.canonical_rows`` trusts.
+
+    The states are numbered in BFS discovery order from the start state,
+    state 0, so every state is reachable.  Each row follows its canon
+    state's letter-sorted CSR row and only skips the letters whose pair
+    is dead, so it is strictly increasing; succ[s] holds the targets of
+    rows[s], states with equal rows share one tuple, indptr (int64,
+    n + 1) gives the row offsets and acc (uint8, n) the accepting flags.
+    """
     arity = len(coefficients)
     dmax = system.dmax
     m = system.period_length
@@ -253,9 +274,10 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
                  for code in range((dmax + 1) ** arity)]
     canon = canonical_recognizer(system, arity)
     c_indptr = canon.indptr.tolist()
-    c_letters = canon.letters.tolist()
-    c_targets = canon.targets.tolist()
-    c_accepting = canon.accepting.tolist()
+    c_letters, c_targets = canon.letters.tolist(), canon.targets.tolist()
+    # canon(k)'s rows, each edge as (letter, its weight, target)
+    c_rows = [list(zip(c_letters[lo:hi], map(weight_of.__getitem__, c_letters[lo:hi]),
+                       c_targets[lo:hi])) for lo, hi in zip(c_indptr, c_indptr[1:])]
     nc = canon.n_states
 
     # pairs[p] is the (phase, s, t) of pair id p, and steps[p] maps a
@@ -282,67 +304,54 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
         nphase = (phase - 1) % m
         if s is DONE:
             return intern((nphase, DONE, DONE))
-        succ = (nphase, s * period[nphase] + t + weighted, s)
-        q = pair_id.get(succ)
+        nxt = (nphase, s * period[nphase] + t + weighted, s)
+        q = pair_id.get(nxt)
         if q is None:
-            fate = _fate(system, *succ, constant, c_min, c_max, le)
+            fate = _fate(system, *nxt, constant, c_min, c_max, le)
             if fate == _LIVE:
-                q = intern(succ)
+                q = intern(nxt)
             elif fate == _DONE:
-                q = pair_id[succ] = intern((nphase, DONE, DONE))
+                q = pair_id[nxt] = intern((nphase, DONE, DONE))
             else:
-                q = pair_id[succ] = -1
+                q = pair_id[nxt] = -1
         return q
 
     # a state is the integer p * nc + c
     start = intern((0, 0, 0)) * nc + canon.initial
     index = {start: 0}
     order = [start]
-    edge_src = array("q")
-    edge_letter = array("i")
-    edge_dst = array("i")
     index_get = index.get
-    at = 0
-    while at < len(order):
-        p, c = divmod(order[at], nc)
+    rows, succ, shared = [], [], {}
+    for state in order:  # the loop visits states appended while it runs
+        p, c = divmod(state, nc)
         memo = steps[p]
         memo_get = memo.get
-        for j in range(c_indptr[c], c_indptr[c + 1]):
-            code = c_letters[j]
-            weighted = weight_of[code]
+        row, out = [], []
+        for code, weighted, ct in c_rows[c]:
             q = memo_get(weighted)
             if q is None:
                 q = memo[weighted] = step(p, weighted)
             if q < 0:
                 continue
-            succ = q * nc + c_targets[j]
-            nxt = index_get(succ)
+            target = q * nc + ct
+            nxt = index_get(target)
             if nxt is None:
-                nxt = len(order)
-                index[succ] = nxt
-                order.append(succ)
-            edge_src.append(at)
-            edge_letter.append(code)
-            edge_dst.append(nxt)
-        at += 1
+                nxt = index[target] = len(order)
+                order.append(target)
+            row.append(code)
+            out.append(nxt)
+        row = tuple(row)
+        rows.append(shared.setdefault(row, row))  # states with equal rows share one
+        succ.append(out)
 
-    n_states = len(order)
-    accepting = np.zeros(n_states, np.uint8)
-    for i, state in enumerate(order):
-        p, c = divmod(state, nc)
-        phase, s, _t = pairs[p]
-        # only comparison pairs are ever DONE, and DONE is true
-        if phase == 0 and c_accepting[c] and (
-                s is DONE or (s <= constant if le else s == constant)):
-            accepting[i] = 1
-    out = Automaton(arity, dmax, *csr_from_edges(
-        n_states, np.frombuffer(edge_src, np.int64),
-        np.frombuffer(edge_letter, np.int32), np.frombuffer(edge_dst, np.int32)),
-        accepting, 0)._canonical()
-    if m > 1:
-        out = out.pad_normalized()
-    system._cache[key] = out
-    return out
+    # a state accepts when its pair lands on the constant at phase 0 and
+    # its canon state accepts; only comparison pairs are ever DONE, and
+    # DONE is true
+    lands = np.array([phase == 0 and (s is DONE or (s <= constant if le else s == constant))
+                      for phase, s, _t in pairs], np.uint8)
+    p, c = np.divmod(np.array(order, np.int64), nc)
+    accepting = lands[p] & canon.accepting[c]
+    return K._offsets(rows), rows, succ, accepting
 
 
 def inequality_relation(system: NumerationSystem, coefficients, constant: int,

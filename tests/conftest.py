@@ -1,3 +1,7 @@
+import tracemalloc
+from itertools import accumulate
+
+import numpy as np
 import pytest
 
 from obd import NumerationSystem
@@ -29,6 +33,39 @@ def equivalent(a, b):
     canonical, so equal languages give equal canonical bytes."""
     assert (a.arity, a.dmax) == (b.arity, b.dmax), "incompatible automata"
     return a.canonical_bytes() == b.canonical_bytes()
+
+
+def assert_rows_invariant(indptr, rows, succ, acc):
+    """What ``canonical_rows`` trusts: state 0 first and the states in BFS
+    discovery order, so every state is reachable; each row strictly
+    letter sorted with one target per letter; `indptr` the row offsets."""
+    n = acc.size
+    assert acc.dtype == np.uint8 and indptr.dtype == np.int64
+    assert len(rows) == len(succ) == n
+    assert indptr.tolist() == [0, *accumulate(map(len, rows))]
+    for row, out in zip(rows, succ):
+        assert len(row) == len(out)
+        assert all(x < y for x, y in zip(row, row[1:]))
+    order, seen = [0], {0}
+    for s in order:  # the loop visits states appended while it runs
+        for t in succ[s]:
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    assert order == list(range(n))
+
+
+def traced_peak(fn, *args):
+    """Peak traced allocation, in bytes, while fn(*args) runs, and its
+    result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
 
 
 CATALOG = {

@@ -15,14 +15,12 @@ of more than 4 096 edges, and determinize a plain subset construction;
 both under the rows invariant.  walk over the dense successor table is
 checked against a binary search in the CSR rows.
 """
-import tracemalloc
-from itertools import accumulate
-
 import numpy as np
 import pytest
 
 from obd import _kernels as K
 from obd.automata import Automaton
+from conftest import assert_rows_invariant, traced_peak
 from oracles import RefDFA
 
 
@@ -436,26 +434,6 @@ def csr_of_ref(dfa):
             acc)
 
 
-def assert_rows_invariant(indptr, rows, succ, acc):
-    """What ``canonical_rows`` trusts: state 0 first and the states in BFS
-    discovery order, so every state is reachable; each row strictly
-    letter sorted with one target per letter; `indptr` the row offsets."""
-    n = acc.size
-    assert acc.dtype == np.uint8 and indptr.dtype == np.int64
-    assert len(rows) == len(succ) == n
-    assert indptr.tolist() == [0, *accumulate(map(len, rows))]
-    for row, out in zip(rows, succ):
-        assert len(row) == len(out)
-        assert all(x < y for x, y in zip(row, row[1:]))
-    order, seen = [0], {0}
-    for s in order:  # the loop visits states appended while it runs
-        for t in succ[s]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    assert order == list(range(n))
-
-
 def csr_of_rows(indptr, rows, succ, acc):
     """The CSR arrays of a rows machine, its offsets checked."""
     csr = csr_of(rows, succ)
@@ -592,17 +570,6 @@ def test_canonical_entries_agree(seed):
 # tuple, and the co-reach cut keeps no predecessor list per state and
 # renumbers the kept target rows in place.
 PEAK_BYTES = {"or": 63.3e6, "and": 36.9e6}
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak, out
 
 
 def test_pair_product_memory():

@@ -6,20 +6,23 @@ when one of them has moved or been renamed.  This checks the table
 against the code, reading perfbench/ without changing it.  It also
 counts the states a product or subset construction builds from the
 kernel's return value, its row offsets, so that reading is checked
-against the kernels' rows, and installs the tracer around one compile
-to check its counters against counts taken here.
+against the kernels' rows, and installs the tracer around two compiles,
+of period length 1 and 2, to check its counters against counts taken
+here.
 """
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from obd import _kernels as K
+from obd import relations
 from obd.automata import Automaton
 from obd.repro import SCRIPT_DIR
-from obd.session import Session
+from obd.session import Session, split_commands
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -79,10 +82,13 @@ def patched_names(layer_calls):
     return names
 
 
-def test_tracer_counts_one_compile(monkeypatch):
-    """The tracer's state counters over s7 equal what the kernels return
-    and what ``Automaton._canonical`` is given, counted here by wrapping
-    them before the tracer does; uninstall puts back every name."""
+def counted_compile(monkeypatch, commands):
+    """Run `commands`, (command, terminator) pairs, in a fresh session
+    under the tracer, with the kernels, the linear atoms' walk and
+    ``Automaton._canonical`` wrapped here first to count what they return
+    and are given.  Checks the tracer's state counters against those
+    counts and that uninstall puts back every name; returns the raw
+    pieces' sizes and the sizes ``_canonical`` was given."""
     tracing = load_tracing()
     built = {"pair_product": [], "determinize": []}
     for name, states in built.items():
@@ -91,6 +97,14 @@ def test_tracer_counts_one_compile(monkeypatch):
             _states.append(len(out[1]))  # one letter row per state
             return out
         monkeypatch.setattr(K, name, counted)
+    pieces = []
+    linear_piece = relations._linear_piece
+
+    def walked(*args):
+        out = linear_piece(*args)
+        pieces.append(len(out[1]))
+        return out
+    monkeypatch.setattr(relations, "_linear_piece", walked)
     given = []
     canonical = Automaton._canonical
 
@@ -103,7 +117,8 @@ def test_tracer_counts_one_compile(monkeypatch):
     tracer.install()
     try:
         sess = Session("unused", out=lambda line: None, persist=False)
-        sess.run_script((SCRIPT_DIR / "s7.obd").read_text(encoding="utf-8"))
+        for command, terminator in commands:
+            sess.execute(command, terminator)
     finally:
         tracer.uninstall()
     after = patched_names(tracing.LAYER_CALLS)
@@ -117,3 +132,30 @@ def test_tracer_counts_one_compile(monkeypatch):
     calls = tracing.layer_totals(tracer.spans)
     assert calls["kernels.pair_product"][0] == len(built["pair_product"])
     assert calls["kernels.determinize"][0] == len(built["determinize"])
+    return pieces, given
+
+
+def script_commands(name, upto=None):
+    """Commands of a packaged script, cut after the one that defines
+    `upto` when given."""
+    commands = split_commands((SCRIPT_DIR / f"{name}.obd").read_text(encoding="utf-8"))
+    if upto is not None:
+        commands = commands[:1 + [c.split()[:2] for c, _ in commands].index(["def", upto])]
+    return commands
+
+
+def test_tracer_counts_one_compile(monkeypatch):
+    """The tracer's state counters over s7 (msd_fib, period length 1)
+    equal what the kernels return and what ``Automaton._canonical`` is
+    given, counted here by wrapping them before the tracer does."""
+    counted_compile(monkeypatch, script_commands("s7"))
+
+
+def test_tracer_counts_period_two_compile(monkeypatch):
+    """The same over s6 up to ``def beattyg`` ([3 1], period length 2),
+    where every linear atom's raw piece goes to ``_canonical`` as rows
+    and is counted there, before its pad closure: the largest machine
+    ``_canonical`` is given is one of them."""
+    pieces, given = counted_compile(monkeypatch, script_commands("s6", "beattyg"))
+    assert pieces and Counter(pieces) <= Counter(given)
+    assert max(given) == max(pieces)
