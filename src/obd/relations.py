@@ -11,14 +11,16 @@ The central construction is :func:`linear_relation`, which recognizes
 of consecutive convergent denominators; :func:`inequality_relation` is its
 ``<=`` twin, and every comparison atom of a formula compiles to one of the
 two.  Both build every atom, whatever its coefficients, by walking the
-imbalance in step with canon(k) over the words whose length is a multiple
-of the period length m, then closing that piece under leading zeros, which
-gives every other length; no product with canon(k) follows.  Whether an
-imbalance can still reach the constant is decided in exact integers: the
-canonical suffixes of length i are worth 0 .. q_i - 1, which bounds what
-the digits still to come can add, and the depths it could end at are
-walked until a witness or a certificate of monotone growth settles it
-(see :func:`_fate`); no float and no cutoff.
+imbalance over the words whose length is a multiple of the period length
+m, then closing that piece under leading zeros, which gives every other
+length.  On those words each digit's position residue is known, so the
+walk checks the digit rules of canonical strings itself, with one bit per
+track for a saturated digit, and no product with canon(k) follows.
+Whether an imbalance can still reach the constant is decided in exact
+integers: the canonical suffixes of length i are worth 0 .. q_i - 1,
+which bounds what the digits still to come can add, and the depths it
+could end at are walked until a witness or a certificate of monotone
+growth settles it (see :func:`_fate`); no float and no cutoff.
 :func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
@@ -28,10 +30,13 @@ Anything composed from these atoms, the floor synchronizers of
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 import numpy as np
 
 from . import _kernels as K
-from .automata import Automaton, _Raw, csr_from_edges, determinized, letter_digits
+from .automata import Automaton, _Raw, csr_from_edges, determinized, letter_code
 from .numeration import NumerationSystem
 
 __all__ = [
@@ -218,10 +223,11 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     (rho = lim q_{i-1}/q_i along the residue) from above and below.
     Both bounds leave finitely many integer pairs.
 
-    One piece, the words of length == 0 (mod m), is walked in step with
-    the CSR rows of canon(k), the recognizer of canonical k-tuples, by
-    :func:`_linear_piece`, whose rows ``_canonical`` takes as they are
-    (a ``_Raw`` machine).  The relation is padding closed, so with m > 1
+    One piece, the words of length == 0 (mod m), is walked by
+    :func:`_linear_piece`, which keeps it inside canon(k), the recognizer
+    of canonical k-tuples, by the digit rules at each position residue
+    (:func:`_canonical_letters`); ``_canonical`` takes its rows as they
+    are (a ``_Raw`` machine).  The relation is padding closed, so with m > 1
     closing the canonical piece under leading zeros
     (:meth:`Automaton.pad_normalized`) gives every other length; with
     m = 1 the piece is the whole relation.  The machine is cached on the
@@ -239,20 +245,45 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     return out
 
 
+def _canonical_letters(system: NumerationSystem, arity: int, residue: int,
+                       mask: int) -> list:
+    """The letters a k-tuple of canonical strings may read at a digit
+    position i >= 1 with i % m == residue, after the tracks in `mask` (bit j
+    for track j) read a saturated digit at position i + 1, as (code,
+    digits, next mask) in code order.
+
+    Rules (a) and (b) are local in msd order once the residue is known: a
+    digit is at most a_{i+1}, the bound ``period[residue]``, a masked track
+    reads 0, and the next mask holds the tracks whose digit meets the bound.
+    Rule (c) at the units digit, which this residue-0 row also serves, is
+    the caller's: a word may end only with an empty mask.  Each row is
+    built on first use and cached on the system, as canon(k) is.
+    """
+    key = ("canonical letters", arity, residue, mask)
+    letters = system._cache.get(key)
+    if letters is None:
+        bound = system.period[residue]
+        tracks = [(0,) if mask >> j & 1 else range(bound + 1) for j in range(arity)]
+        letters = system._cache[key] = [
+            (letter_code(digits, system.dmax), digits,
+             sum(1 << j for j, d in enumerate(digits) if d == bound))
+            for digits in itertools.product(*tracks)]
+    return letters
+
+
 def _linear_piece(system: NumerationSystem, coefficients: tuple,
                   constant: int, le: bool):
     """The raw phase-0 piece of :func:`_linear_machine` as rows, (indptr,
     rows, succ, acc), under the invariant ``K.canonical_rows`` trusts.
 
     The states are numbered in BFS discovery order from the start state,
-    state 0, so every state is reachable.  Each row follows its canon
-    state's letter-sorted CSR row and only skips the letters whose pair
-    is dead, so it is strictly increasing; succ[s] holds the targets of
-    rows[s], states with equal rows share one tuple, indptr (int64,
+    state 0, so every state is reachable.  Each row follows the letter
+    order of :func:`_canonical_letters` and only skips the letters whose
+    pair is dead, so it is strictly increasing; succ[s] holds the targets
+    of rows[s], states with equal rows share one tuple, indptr (int64,
     n + 1) gives the row offsets and acc (uint8, n) the accepting flags.
     """
     arity = len(coefficients)
-    dmax = system.dmax
     m = system.period_length
     period = system.period
     c_max = sum(c for c in coefficients if c > 0)
@@ -264,32 +295,27 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
     # L is padding closed, since an all-zero leading letter keeps every
     # track canonical and every value; so the piece for r is the piece
     # for 0 with m - r leading zeros removed, and L is the phase-0 piece
-    # closed under leading zeros.  It is walked in step with canon(k): a
-    # state is a pair id and a canon state c, only the letters of c's row
-    # are followed, and acceptance also asks that c accepts, so the piece
-    # and its closure lie inside canon(k).
+    # closed under leading zeros.  The phase also fixes the residue of
+    # each digit's position, so canonicity is checked on the way: a state
+    # is a pair id and the mask of tracks whose last digit was saturated,
+    # only the letters :func:`_canonical_letters` allows are followed, and
+    # acceptance also asks for an empty mask, so the piece and its closure
+    # lie inside canon(k).
     DONE = None  # s and t of the decided-true pair
-    weight_of = [sum(c * d for c, d in zip(coefficients,
-                                           letter_digits(code, arity, dmax)))
-                 for code in range((dmax + 1) ** arity)]
-    canon = canonical_recognizer(system, arity)
-    c_indptr = canon.indptr.tolist()
-    c_letters, c_targets = canon.letters.tolist(), canon.targets.tolist()
-    # canon(k)'s rows, each edge as (letter, its weight, target)
-    c_rows = [list(zip(c_letters[lo:hi], map(weight_of.__getitem__, c_letters[lo:hi]),
-                       c_targets[lo:hi])) for lo, hi in zip(c_indptr, c_indptr[1:])]
-    nc = canon.n_states
 
     # pairs[p] is the (phase, s, t) of pair id p, and steps[p] maps a
     # letter weight to the successor pair id (-1: dead); the pair
-    # arithmetic and its viability test do not depend on c, so every
-    # canon state reads the same memo.  pair_id maps a pair to its id,
+    # arithmetic and its viability test do not depend on the mask, so
+    # every mask reads the same memo.  pair_id maps a pair to its id,
     # and also a successor judged DONE to the DONE pair's id and a dead
     # one to -1, since many (pair, weight) steps land on one pair, whose
-    # fate is then walked once.
+    # fate is then walked once.  row_key[p] names the letter row of the
+    # next digit, at position residue phase - 1.
     pair_id: dict[tuple, int] = {}
     pairs: list[tuple] = []
     steps: list[dict] = []
+    row_key: list[int] = []
+    n_masks = 1 << arity
 
     def intern(pair: tuple) -> int:
         p = pair_id.get(pair)
@@ -297,6 +323,7 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
             p = pair_id[pair] = len(pairs)
             pairs.append(pair)
             steps.append({})
+            row_key.append((pair[0] - 1) % m * n_masks)
         return p
 
     def step(p: int, weighted: int) -> int:
@@ -316,24 +343,37 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
                 q = pair_id[nxt] = -1
         return q
 
-    # a state is the integer p * nc + c
-    start = intern((0, 0, 0)) * nc + canon.initial
+    # each (residue, mask) row as (letter, its weight, next mask), built
+    # when a state first reaches it
+    letter_rows: dict[int, list] = {}
+
+    def letter_row(key: int) -> list:
+        residue, mask = divmod(key, n_masks)
+        row = letter_rows[key] = [
+            (code, sum(map(operator.mul, coefficients, digits)), nmask)
+            for code, digits, nmask in _canonical_letters(system, arity, residue, mask)]
+        return row
+
+    # a state is the integer p * n_masks + mask
+    start = intern((0, 0, 0)) * n_masks
     index = {start: 0}
     order = [start]
     index_get = index.get
+    rows_get = letter_rows.get
     rows, succ, shared = [], [], {}
     for state in order:  # the loop visits states appended while it runs
-        p, c = divmod(state, nc)
+        p, mask = divmod(state, n_masks)
         memo = steps[p]
         memo_get = memo.get
+        key = row_key[p] + mask
         row, out = [], []
-        for code, weighted, ct in c_rows[c]:
+        for code, weighted, nmask in rows_get(key) or letter_row(key):
             q = memo_get(weighted)
             if q is None:
                 q = memo[weighted] = step(p, weighted)
             if q < 0:
                 continue
-            target = q * nc + ct
+            target = q * n_masks + nmask
             nxt = index_get(target)
             if nxt is None:
                 nxt = index[target] = len(order)
@@ -345,12 +385,12 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
         succ.append(out)
 
     # a state accepts when its pair lands on the constant at phase 0 and
-    # its canon state accepts; only comparison pairs are ever DONE, and
-    # DONE is true
+    # its mask is empty, so the units digit is below a_1 (rule (c)); only
+    # comparison pairs are ever DONE, and DONE is true
     lands = np.array([phase == 0 and (s is DONE or (s <= constant if le else s == constant))
                       for phase, s, _t in pairs], np.uint8)
-    p, c = np.divmod(np.array(order, np.int64), nc)
-    accepting = lands[p] & canon.accepting[c]
+    p, mask = np.divmod(np.array(order, np.int64), n_masks)
+    accepting = lands[p] & (mask == 0)
     return K._offsets(rows), rows, succ, accepting
 
 

@@ -88,7 +88,8 @@ def counted_compile(monkeypatch, commands):
     ``Automaton._canonical`` wrapped here first to count what they return
     and are given.  Checks the tracer's state counters against those
     counts and that uninstall puts back every name; returns the raw
-    pieces' sizes and the sizes ``_canonical`` was given."""
+    pieces' sizes, the sizes ``_canonical`` was given and the tracer's
+    counters."""
     tracing = load_tracing()
     built = {"pair_product": [], "determinize": []}
     for name, states in built.items():
@@ -132,7 +133,7 @@ def counted_compile(monkeypatch, commands):
     calls = tracing.layer_totals(tracer.spans)
     assert calls["kernels.pair_product"][0] == len(built["pair_product"])
     assert calls["kernels.determinize"][0] == len(built["determinize"])
-    return pieces, given
+    return pieces, given, counters
 
 
 def script_commands(name, upto=None):
@@ -154,8 +155,12 @@ def test_tracer_counts_one_compile(monkeypatch):
 def test_tracer_counts_period_two_compile(monkeypatch):
     """The same over s6 up to ``def beattyg`` ([3 1], period length 2),
     where every linear atom's raw piece goes to ``_canonical`` as rows
-    and is counted there, before its pad closure: the largest machine
-    ``_canonical`` is given is one of them."""
-    pieces, given = counted_compile(monkeypatch, script_commands("s6", "beattyg"))
-    assert pieces and Counter(pieces) <= Counter(given)
-    assert max(given) == max(pieces)
+    and is counted there, before its pad closure.  The pieces' sizes are
+    pinned: checking canonicity by each digit's position residue, the
+    largest walk makes 551 states, where walking in step with canon(3)
+    made 1 064, then the largest machine of the run."""
+    pieces, given, counters = counted_compile(monkeypatch,
+                                              script_commands("s6", "beattyg"))
+    assert pieces == [2, 12, 551]
+    assert Counter(pieces) <= Counter(given)
+    assert max(given) == counters["automata.max_states"]

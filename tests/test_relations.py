@@ -10,9 +10,11 @@ compile-large's linear atoms to the machines built before each atom's pieces
 were walked inside the canonical language, and msd_sqrt7's heavy atoms to
 the machines composed from doublings and additions before every atom went
 through the one linear builder.  The raw-piece bounds hold the linear
-atoms' pair walk to the pruning of the value range of canonical suffixes;
-the walk's rows must meet the invariant the canonical form's rows entry
-trusts and give what the array entry gives on the same piece.
+atoms' pair walk to the pruning of the value range of canonical suffixes
+and to digit rules checked by each digit's position residue; the walk's
+rows must meet the invariant the canonical form's rows entry trusts, give
+what the array entry gives on the same piece and the machine the walk in
+step with canon(k) gives, and keep exactly the canonical strings.
 """
 
 import functools
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from obd import Automaton, NumerationSystem
-from obd.automata import _Raw, csr_from_edges
+from obd.automata import _Raw, csr_from_edges, letter_digits
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
 from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
@@ -433,13 +435,16 @@ class TestMultiPeriodAtoms:
 # value range 0 .. q_i - 1 of canonical strings; bounded by
 # dmax*(q_0+...+q_{i-1}) instead, the walk kept 4 720 / 24 884,
 # 1 855 / 15 478, 1 855 / 16 259, 1 718 / 3 866 and 262 071 / 1 375 817.
+# Walked in step with canon(k), whose states guess each digit's position
+# residue that the pair's phase already fixes, it kept 1 064 / 5 062,
+# 561 / 5 057, 449 / 4 103, 369 / 751 and 32 793 / 140 886.
 # A change that loosens the prune fails here by name, with no timing.
 RAW_PIECES = {
-    ("msd_s13", (-4, 1, -3), 0, "="): (1064, 5062),
-    ("msd_s13", (2, -2, -1), 3, "<="): (561, 5057),
-    ("msd_s13", (-2, 2, 1), -2, "<="): (449, 4103),
-    ("msd_s13", (-1, 6), -3, "="): (369, 751),
-    ("msd_sqrt7", (9, 14, -1), 0, "="): (32793, 140886),
+    ("msd_s13", (-4, 1, -3), 0, "="): (551, 2313),
+    ("msd_s13", (2, -2, -1), 3, "<="): (265, 1991),
+    ("msd_s13", (-2, 2, 1), -2, "<="): (223, 1766),
+    ("msd_s13", (-1, 6), -3, "="): (207, 407),
+    ("msd_sqrt7", (9, 14, -1), 0, "="): (9795, 39201),
 }
 
 
@@ -504,6 +509,94 @@ def test_linear_piece_rows_and_arrays_agree(sysname, coefs, constant, le):
     assert got.canonical_bytes() == want.canonical_bytes()
 
 
+def canon_walk_piece(system, coefficients, constant, le):
+    """The raw phase-0 piece as the linear walk once built it, in step
+    with canon(k): a state is a pair and a canon(k) state, only the letters
+    of the canon state's row are followed, and a state accepts when its
+    pair lands on the constant at phase 0 and its canon state accepts.
+    Rows as ``_linear_piece`` gives them."""
+    arity, m, period = len(coefficients), system.period_length, system.period
+    c_min = sum(c for c in coefficients if c < 0)
+    c_max = sum(c for c in coefficients if c > 0)
+    canon = canonical_recognizer(system, arity)
+    indptr, letters = canon.indptr.tolist(), canon.letters.tolist()
+    targets = canon.targets.tolist()
+
+    @functools.cache
+    def step(pair, code):  # the successor pair; None when it is dead
+        phase, s, t = pair
+        nphase = (phase - 1) % m
+        if s is None:  # the decided-true pair
+            return nphase, None, None
+        digits = letter_digits(code, arity, system.dmax)
+        nxt = (nphase, s * period[nphase] + t
+               + sum(map(operator.mul, coefficients, digits)), s)
+        fate = _fate(system, *nxt, constant, c_min, c_max, le)
+        return {_LIVE: nxt, _DONE: (nphase, None, None)}.get(fate)
+
+    order = [((0, 0, 0), canon.initial)]
+    index = {order[0]: 0}
+    rows, succ = [], []
+    for pair, c in order:  # the loop visits states appended while it runs
+        row, out = [], []
+        for code, ct in zip(letters[indptr[c]:indptr[c + 1]],
+                            targets[indptr[c]:indptr[c + 1]]):
+            nxt = step(pair, code)
+            if nxt is not None:
+                target = index.setdefault((nxt, ct), len(order))
+                if target == len(order):
+                    order.append((nxt, ct))
+                row.append(code)
+                out.append(target)
+        rows.append(tuple(row))
+        succ.append(out)
+    acc = np.array([phase == 0 and (s is None or (s <= constant if le else s == constant))
+                    and canon.accepting[c] for (phase, s, _t), c in order], np.uint8)
+    return np.array([0, *itertools.accumulate(map(len, rows))], np.int64), rows, succ, acc
+
+
+def assert_walks_agree(system, coefs, constant, le):
+    """The residue walk's raw piece and the canon(k) walk's have one
+    canonical form."""
+    want = _Raw(len(coefs), system.dmax,
+                *canon_walk_piece(system, coefs, constant, le))._canonical()
+    got = _Raw(len(coefs), system.dmax,
+               *_linear_piece(system, coefs, constant, le))._canonical()
+    assert got.canonical_bytes() == want.canonical_bytes()
+
+
+@pytest.mark.parametrize("sysname,coefs,constant,le", WALK_CASES)
+def test_linear_piece_matches_canon_walk(sysname, coefs, constant, le):
+    assert_walks_agree(walk_system(sysname), coefs, constant, le)
+
+
+@pytest.mark.parametrize("coefs,constant,op", sorted(SQRT7_ATOM_SHA))
+def test_linear_piece_matches_canon_walk_sqrt7(systems, coefs, constant, op):
+    # period length 4
+    assert_walks_agree(systems["msd_sqrt7"], coefs, constant, op == "<=")
+
+
+# periods of length 1 to 4, each digit bound saturated at some residue;
+# strings of up to 6 digits give every length residue
+RULE_PERIODS = [(1,), (2,), (3, 1), (2, 1, 1), (4, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("arity,length", [(1, 6), (2, 3)])
+@pytest.mark.parametrize("period", RULE_PERIODS, ids=str)
+def test_walk_keeps_exactly_the_canonical_strings(period, arity, length):
+    """With a constant above every sum of values of `length` digits,
+    ``x <= C`` (``x + y <= C``) holds for every tuple of that length, so
+    the atom accepts exactly the tuples of canonical strings: what the
+    walk's own digit rules let through, against ``rules_ok``."""
+    system = NumerationSystem("rules", period)
+    rel = inequality_relation(system, (1,) * arity, arity * (system.q(length) - 1), "<=")
+    for n in range(length + 1):
+        strings = list(itertools.product(range(system.dmax + 1), repeat=n))
+        for tracks in itertools.product(strings, repeat=arity):
+            want = all(rules_ok(period, w) for w in tracks)
+            assert accepts_rows(rel, tracks) == want, tracks
+
+
 # Peak traced allocation, in bytes, while x=40*y builds over msd_fib with
 # canon(2) already built: 3 305 states.  The ceiling is the peak of the
 # path this one replaced, measured with Python 3.11 and numpy 2.4 (3.38 MB
@@ -520,6 +613,24 @@ def test_linear_atom_memory():
     peak, out = traced_peak(linear_relation, system, (1, -40), 0)
     assert out.n_states == 3305
     assert peak <= LINEAR_PEAK_BYTES
+
+
+# Peak traced allocation, in bytes, while compile-large's largest atom,
+# (-4, 1, -3) = 0, builds over a fresh [3 1] system, after a smaller atom
+# over another system has built what any atom builds first in a process.
+# The ceiling is the peak of the walk in step with canon(3), measured
+# with Python 3.11 and numpy 2.4, where canon(3) was built inside the
+# atom; the residue walk, whose letter rows are built as states reach
+# them, reads 0.39 MB (in the suite the two read 0.44 and 0.27 MB).
+PERIOD_TWO_PEAK_BYTES = 4.81e5
+
+
+def test_period_two_atom_memory():
+    linear_relation(NumerationSystem("warm-up", (3, 1)), (1, 1, -1), 0)
+    system = NumerationSystem("msd_s13", (3, 1))
+    peak, out = traced_peak(linear_relation, system, (-4, 1, -3), 0)
+    assert out.n_states == 459
+    assert peak <= PERIOD_TWO_PEAK_BYTES
 
 
 def lt_relation(system):
