@@ -620,7 +620,8 @@ class _Compiler:
     # -- atoms ---------------------------------------------------------------
 
     def flatten(self, term, constraints: list, freshes: list):
-        """Term -> (coefficient dict, constant); divisions spawn constraints."""
+        """Term -> (coefficient dict, constant); divisions spawn constraints,
+        each a window ``(lin, lo, hi)`` for ``lo <= sum(lin) <= hi``."""
         if isinstance(term, Var):
             return {term.name: 1}, 0
         if isinstance(term, Const):
@@ -646,19 +647,21 @@ class _Compiler:
             w = self.fresh()
             freshes.append(w)
             c = term.divisor
-            lo = dict(lin)
-            lo[w] = lo.get(w, 0) - c
-            # c*w <= num  and  num <= c*w + c-1
-            constraints.append((lo, -k, ">="))
-            constraints.append((dict(lo), c - 1 - k, "<="))
+            lin[w] = lin.get(w, 0) - c
+            # w = floor(num / c): c*w <= num <= c*w + c-1, one window atom
+            constraints.append((lin, -k, c - 1 - k))
             return {w: 1}, 0
         raise TypeError(f"not a term node: {term!r}")
 
-    def linear_atom(self, lin: dict, constant: int, op: str) -> _Node:
+    def linear_atom(self, lin: dict, constant: int, op: str,
+                    upper: int | None = None) -> _Node:
+        """``sum(lin) <op> constant``, or with op ``=`` and an upper bound
+        the window ``constant <= sum(lin) <= upper``."""
         names = tuple(sorted(v for v, c in lin.items() if c != 0))
         if not names:
             truth = {
-                "=": 0 == constant, "!=": 0 != constant,
+                "=": constant <= 0 <= (constant if upper is None else upper),
+                "!=": 0 != constant,
                 "<": 0 < constant, "<=": 0 <= constant,
                 ">": 0 > constant, ">=": 0 >= constant,
             }[op]
@@ -667,7 +670,7 @@ class _Compiler:
             return _Node(aut, ())
         coefs = tuple(lin[v] for v in names)
         if op == "=":
-            aut = linear_relation(self.system, coefs, constant)
+            aut = linear_relation(self.system, coefs, constant, upper)
         elif op == "!=":
             eq = linear_relation(self.system, coefs, constant)
             aut = eq.complement_within(self.canon(len(names)))
@@ -676,9 +679,9 @@ class _Compiler:
         return _Node(aut, names)
 
     def constrain(self, out: _Node, constraints, freshes) -> _Node:
-        """`out` & every constraint atom, with the fresh names projected."""
-        for lin, constant, op in constraints:
-            out = self.merge("&", out, self.linear_atom(lin, constant, op))
+        """`out` & every constraint window, with the fresh names projected."""
+        for lin, lo, hi in constraints:
+            out = self.merge("&", out, self.linear_atom(lin, lo, "=", hi))
         return self.project_names(out, freshes)
 
     def compare(self, node: Compare) -> _Node:
@@ -705,7 +708,7 @@ class _Compiler:
             w = self.fresh()
             freshes.append(w)
             lin[w] = lin.get(w, 0) - 1
-            constraints.append((lin, -k, "="))
+            constraints.append((lin, -k, -k))
             names.append(w)
         order = tuple(sorted(names))
         perm = [order.index(v) for v in names]

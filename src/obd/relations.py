@@ -6,17 +6,19 @@ inside the canonical-word recognizer canon(k), so accepted words are
 zero-padded canonical representations and the automaton denotes a relation on
 natural numbers.
 
-The central construction is :func:`linear_relation`, which recognizes
-``sum(c_j * n_j) == c0`` by tracking the running imbalance in a rolling basis
-of consecutive convergent denominators; :func:`inequality_relation` is its
-``<=`` twin, and every comparison atom of a formula compiles to one of the
-two.  Both build every atom, whatever its coefficients, by walking the
-imbalance over the words whose length is a multiple of the period length
-m, then closing that piece under leading zeros, which gives every other
-length.  On those words each digit's position residue is known, so the
-walk checks the digit rules of canonical strings itself, with one bit per
-track for a saturated digit, and no product with canon(k) follows.
-Whether an imbalance can still reach the constant is decided in exact
+The central construction is :func:`linear_relation`, which recognizes the
+window ``lo <= sum(c_j * n_j) <= hi`` (``==`` when lo == hi) by tracking
+the running sum in a rolling basis of consecutive convergent
+denominators; :func:`inequality_relation` is its ``<=`` twin, with no
+lower edge.  Every comparison atom of a formula compiles to one of the
+two, and every floor division ``t/c`` to one window.  Both build every
+atom, whatever its coefficients, by walking the sum over the words whose
+length is a multiple of the period length m, then closing that piece
+under leading zeros, which gives every other length.  On those words
+each digit's position residue is known, so the walk checks the digit
+rules of canonical strings itself, with one bit per track for a
+saturated digit, and no product with canon(k) follows.  Whether a sum
+can still reach the window is decided in exact
 integers: the canonical suffixes of length i are worth 0 .. q_i - 1,
 which bounds what the digits still to come can add, and the depths it
 could end at are walked until a witness or a certificate of monotone
@@ -132,96 +134,108 @@ def _never_falls(g0: int, g1: int, g2: int) -> bool:
     return g0 <= g1 and g1 - g0 <= g2 - g1
 
 
-def _fate(system: NumerationSystem, r: int, s: int, t: int, constant: int,
-          c_min: int, c_max: int, le: bool) -> int:
-    """Exact viability verdict on the pair (s, t) at phase r.
+def _fate(system: NumerationSystem, r: int, s: int, t: int, lo: int | None,
+          hi: int, c_min: int, c_max: int) -> int:
+    """Exact viability verdict on the pair (s, t) at phase r for the
+    window ``lo <= sum <= hi`` (``lo is None``: ``sum <= hi``).
 
     The canonical strings of length i are worth exactly 0 .. q_i - 1
     (Ostrowski), so with c_min and c_max the sums of the negative and of
-    the positive coefficients, the suffixes still to come at depth i add
-    between c_min*(q_i - 1) and c_max*(q_i - 1).  With
-    ``g_c(k) = s*q_i + t*q_{i-1} + c*(q_i - 1) - constant`` at the depth
-    i = r + k*m, the pair is _LIVE for ``==`` iff some k has
-    g_min(k) <= 0 <= g_max(k), and _DEAD otherwise.  For ``<=`` it can
-    exceed iff some g_max(k) > 0 and can fit iff some g_min(k) <= 0; it is
-    _DONE when it cannot exceed, _DEAD when it cannot fit, else _LIVE.
-    The range bounds each track on its own, so the verdict over-approximates
-    what canonical tuples can reach: DEAD and DONE are never wrong, and a
-    LIVE pair that reaches nothing is trimmed with the raw piece.
+    the positive coefficients, the suffixes still to come at depth i put
+    the sum between ``V_min = v + c_min*(q_i - 1)`` and
+    ``V_max = v + c_max*(q_i - 1)``, where ``v = s*q_i + t*q_{i-1}`` and
+    i = r + k*m.  For a window the pair is _LIVE iff some k has
+    V_min <= hi and V_max >= lo, and _DEAD otherwise; ``lo == hi`` is
+    ``==``.  For ``<=`` it can exceed iff some V_max > hi and can fit iff
+    some V_min <= hi; it is _DONE when it cannot exceed, _DEAD when it
+    cannot fit, else _LIVE.  The range bounds each track on its own, so
+    the verdict over-approximates what canonical tuples can reach: DEAD
+    and DONE are never wrong, and a LIVE pair that reaches nothing is
+    trimmed with the raw piece.
     The walk over k stops on such a witness or on a certificate of
-    :func:`_never_falls` that g_min stays above 0 or g_max stays at or
-    below it.  It always stops: the differences of g are
+    :func:`_never_falls` that ``V_min - hi`` stays above 0, or that
+    ``lo - V_max`` (``hi + 1 - V_max`` for ``<=``) does.  It always
+    stops: the differences of either form are
     alpha*lambda^k + beta*lambda'^k with |lambda'| < 1 < lambda, and
     alpha = 0 only when they all vanish, since the expanding eigenvector
-    has irrational slope; so g turns monotone and a certificate comes.
+    has irrational slope; so each form turns monotone and a certificate
+    comes.
     """
     m = system.period_length
     qs = system.q_list(0)  # entry i + 1 is q_i
+    # the sum falls short when it stays below lo, or for <= at or below hi
+    bottom = hi + 1 if lo is None else lo
     can_exceed = can_fit = False
-    lo1 = hi1 = None
+    over1 = under1 = None
     i = r
     k = 0
     while True:
         if i + 1 >= len(qs):
             system.q(2 * i + m)  # grows qs in place
         qi = qs[i + 1]
-        head = s * qi + t * qs[i] - constant
-        lo = head + c_min * (qi - 1)
-        hi = head + c_max * (qi - 1)
-        if le:
-            can_exceed = can_exceed or hi > 0
-            can_fit = can_fit or lo <= 0
+        v = s * qi + t * qs[i]
+        over = v + c_min * (qi - 1) - hi  # > 0: every completion lies above hi
+        under = bottom - v - c_max * (qi - 1)  # > 0: every one falls short
+        if lo is None:
+            can_exceed = can_exceed or under <= 0
+            can_fit = can_fit or over <= 0
             if can_exceed and can_fit:
                 return _LIVE
-        elif lo <= 0 <= hi:
+        elif over <= 0 and under <= 0:
             return _LIVE
         # No depth so far was a witness, or the walk would have ended; in
-        # <= mode lo0 > 0 forces hi0 > 0, so none could fit, and hi0 <= 0
-        # forces lo0 <= 0, so none could exceed.  A certified trend then
-        # carries that to every later depth.
+        # <= mode over0 > 0 forces under0 <= 0, so none could fit, and
+        # under0 > 0 forces over0 <= 0, so none could exceed.  A certified
+        # trend then carries that to every later depth.
         if k >= 2:
-            if lo0 > 0 and _never_falls(lo0, lo1, lo):
+            if over0 > 0 and _never_falls(over0, over1, over):
                 return _DEAD
-            if hi0 <= 0 and _never_falls(-hi0, -hi1, -hi):
-                return _DONE if le else _DEAD
-        lo0, hi0, lo1, hi1 = lo1, hi1, lo, hi
+            if under0 > 0 and _never_falls(under0, under1, under):
+                return _DONE if lo is None else _DEAD
+        over0, under0, over1, under1 = over1, under1, over, under
         i += m
         k += 1
 
 
-def linear_relation(system: NumerationSystem, coefficients, constant: int) -> Automaton:
-    """Automaton for ``sum(c_j * value(track_j)) == constant``.
+def linear_relation(system: NumerationSystem, coefficients, constant: int,
+                    upper: int | None = None) -> Automaton:
+    """Automaton for ``constant <= sum(c_j * value(track_j)) <= upper``,
+    and for ``sum == constant`` when upper is None.
 
-    Reading msd-first, the imbalance accumulated so far is kept as an integer
+    Reading msd-first, the sum accumulated so far is kept as an integer
     pair ``(s, t)`` meaning ``s*q_i + t*q_{i-1}`` if the word ends i letters
     from now.  Walking words whose length is a multiple of the period length
     m, it knows i mod m; each step rebases the pair one position down using
     ``q_i = a_i q_{i-1} + q_{i-2}`` and discards a pair from which no depth
-    of that residue can still reach the constant, decided in integers (see
+    of that residue can still reach the window, decided in integers (see
     :func:`_fate`).  Such a word is accepted exactly when the pair
-    lands on the constant and every track is canonical; leading zeros give
-    the other lengths.
+    lands in the window and every track is canonical; leading zeros give
+    the other lengths.  A window is one walk, where the intersection of
+    its two ``<=`` atoms would be two walks and a product.
     """
     coefficients = tuple(int(c) for c in coefficients)
     if not coefficients:
         raise ValueError("need at least one coefficient")
-    return _linear_machine(system, coefficients, int(constant), le=False)
+    constant = int(constant)
+    upper = constant if upper is None else int(upper)
+    return _linear_machine(system, coefficients, constant, upper)
 
 
 def _linear_machine(system: NumerationSystem, coefficients: tuple,
-                    constant: int, le: bool) -> Automaton:
-    """Shared machine for ``sum == constant`` and (le=True) ``sum <= constant``.
+                    lo: int | None, hi: int) -> Automaton:
+    """Shared machine for ``lo <= sum <= hi`` and (lo None) ``sum <= hi``.
 
-    Each successor pair is kept, dropped, or (le=True) collapsed to one
+    Each successor pair is kept, dropped, or (lo None) collapsed to one
     DONE marker by the exact verdict of :func:`_fate`, walked once per
     pair.  No cutoff is needed to keep the pairs finite.  The stable
     coordinate of (s, t) contracts over each period and is driven only by
     the bounded letter weights, so it stays bounded on every reachable
-    pair.  A kept pair has a depth i with g_min <= 0 and one with
-    g_max >= 0 (the same i for ``==``); divided by q_i, with
-    (q_i - 1)/q_i < 1, they bound the expanding coordinate s + t*rho
-    (rho = lim q_{i-1}/q_i along the residue) from above and below.
-    Both bounds leave finitely many integer pairs.
+    pair.  A kept pair has a depth i with V_min <= hi and one with
+    V_max >= lo (the same i for a window, and hi + 1 for lo in ``<=``
+    mode); divided by q_i, with (q_i - 1)/q_i < 1, they bound the
+    expanding coordinate s + t*rho (rho = lim q_{i-1}/q_i along the
+    residue) from above and below.  Both bounds leave finitely many
+    integer pairs.
 
     One piece, the words of length == 0 (mod m), is walked by
     :func:`_linear_piece`, which keeps it inside canon(k), the recognizer
@@ -231,14 +245,14 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     closing the canonical piece under leading zeros
     (:meth:`Automaton.pad_normalized`) gives every other length; with
     m = 1 the piece is the whole relation.  The machine is cached on the
-    system per (coefficients, constant, le).
+    system per (coefficients, lo, hi).
     """
-    key = ("linear", coefficients, constant, le)
+    key = ("linear", coefficients, lo, hi)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
     out = _Raw(len(coefficients), system.dmax,
-               *_linear_piece(system, coefficients, constant, le))._canonical()
+               *_linear_piece(system, coefficients, lo, hi))._canonical()
     if system.period_length > 1:
         out = out.pad_normalized()
     system._cache[key] = out
@@ -272,7 +286,7 @@ def _canonical_letters(system: NumerationSystem, arity: int, residue: int,
 
 
 def _linear_piece(system: NumerationSystem, coefficients: tuple,
-                  constant: int, le: bool):
+                  lo: int | None, hi: int):
     """The raw phase-0 piece of :func:`_linear_machine` as rows, (indptr,
     rows, succ, acc), under the invariant ``K.canonical_rows`` trusts.
 
@@ -290,7 +304,7 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
     c_min = sum(c for c in coefficients if c < 0)
     # A pair born at phase r drops one phase per letter and is evaluated
     # at phase 0, so the one-pair machine (state = phase plus pair, a
-    # decided-true pair collapsed to DONE in comparison mode) started at
+    # decided-true pair collapsed to DONE in <= mode) started at
     # phase r accepts the words of the relation L of length == r (mod m).
     # L is padding closed, since an all-zero leading letter keeps every
     # track canonical and every value; so the piece for r is the piece
@@ -334,7 +348,7 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
         nxt = (nphase, s * period[nphase] + t + weighted, s)
         q = pair_id.get(nxt)
         if q is None:
-            fate = _fate(system, *nxt, constant, c_min, c_max, le)
+            fate = _fate(system, *nxt, lo, hi, c_min, c_max)
             if fate == _LIVE:
                 q = intern(nxt)
             elif fate == _DONE:
@@ -384,10 +398,10 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
         rows.append(shared.setdefault(row, row))  # states with equal rows share one
         succ.append(out)
 
-    # a state accepts when its pair lands on the constant at phase 0 and
-    # its mask is empty, so the units digit is below a_1 (rule (c)); only
-    # comparison pairs are ever DONE, and DONE is true
-    lands = np.array([phase == 0 and (s is DONE or (s <= constant if le else s == constant))
+    # a state accepts when its pair lands in the window at phase 0 and its
+    # mask is empty, so the units digit is below a_1 (rule (c)); only
+    # <= pairs are ever DONE, and DONE is true
+    lands = np.array([phase == 0 and (s is DONE or (lo is None or lo <= s) and s <= hi)
                       for phase, s, _t in pairs], np.uint8)
     p, mask = np.divmod(np.array(order, np.int64), n_masks)
     accepting = lands[p] & (mask == 0)
@@ -399,9 +413,10 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
     """Automaton for ``sum(c_j * n_j) <op> constant`` with op in <,<=,>,>=.
 
     All four comparisons are rewritten to a single native ``<=`` machine,
-    whose pairs that can no longer exceed the constant collapse to one
-    marker (see :func:`_fate`); :func:`_linear_machine` says why it stays
-    finite without a slack track or a depth cutoff.
+    the window walk of :func:`linear_relation` with no lower edge, whose
+    pairs that can no longer exceed the constant collapse to one marker
+    (see :func:`_fate`); :func:`_linear_machine` says why it stays finite
+    without a slack track or a depth cutoff.
     """
     coefficients = tuple(int(c) for c in coefficients)
     constant = int(constant)
@@ -413,7 +428,7 @@ def inequality_relation(system: NumerationSystem, coefficients, constant: int,
         coefficients, constant = tuple(-c for c in coefficients), -constant
     elif op != "<=":
         raise ValueError(f"unknown inequality {op!r}")
-    return _linear_machine(system, coefficients, constant, le=True)
+    return _linear_machine(system, coefficients, None, constant)
 
 
 # ---------------------------------------------------------------------------

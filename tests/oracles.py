@@ -131,6 +131,14 @@ def digits_value(period, digits):
     return sum(d * qs[i] for i, d in enumerate(reversed(digits)))
 
 
+def parallel_digits(period, values, extra=0):
+    """The greedy digit strings of `values`, zero-padded msd-first to one
+    common length, with `extra` more leading zeros on every track."""
+    strings = [greedy_digits(period, n) for n in values]
+    width = max(map(len, strings)) + extra
+    return [(0,) * (width - len(w)) + w for w in strings]
+
+
 # ---------------------------------------------------------------------------
 # tiny reference automaton engine (dict based, no numpy)
 # ---------------------------------------------------------------------------
@@ -280,9 +288,14 @@ class RefDFA:
 
 def ref_linear_solutions(period, coefs, constant, value_bound):
     """All tuples x with sum(c*x) == constant, entries in [0, value_bound)."""
+    return ref_window_solutions(coefs, constant, constant, value_bound)
+
+
+def ref_window_solutions(coefs, lo, hi, value_bound):
+    """All tuples x with lo <= sum(c*x) <= hi, entries in [0, value_bound)."""
     out = set()
     arity = len(coefs)
     for tup in itertools.product(range(value_bound), repeat=arity):
-        if sum(c * x for c, x in zip(coefs, tup)) == constant:
+        if lo <= sum(c * x for c, x in zip(coefs, tup)) <= hi:
             out.add(tup)
     return out

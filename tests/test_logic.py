@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from obd import NumerationSystem, _kernels
+from obd import NumerationSystem, _kernels, relations
 from obd.logic import (
     Environment,
     LogicError,
@@ -323,6 +323,27 @@ class TestCompilationBehavior:
         assert free == ("a", "b", "c")
         assert aut.arity == 3
         assert system is systems["msd_s2"]
+
+    def test_division_is_one_window_atom(self, monkeypatch):
+        # s6's z=(u+2*n+3)/2 is z=w and the window -3 <= u+2*n-2*w <= -2
+        # for a fresh w, which sorts first: one linear machine for the
+        # division, not its two <= halves
+        system = NumerationSystem("msd_s13", (3, 1))
+        env = Environment()
+        env.add_system(system)
+        built = []
+        machine = relations._linear_machine
+
+        def recorded(system, coefficients, lo, hi):
+            built.append((coefficients, lo, hi))
+            return machine(system, coefficients, lo, hi)
+        monkeypatch.setattr(relations, "_linear_machine", recorded)
+        aut = def_predicate(env, "half", "?msd_s13 z=(u+2*n+3)/2").automaton
+        assert built == [((-1, 1), 0, 0), ((-2, 2, 1), -3, -2)]
+        for n, u in itertools.product(range(12), repeat=2):
+            z = (u + 2 * n + 3) // 2
+            assert aut.accepts_values((n, u, z), system)
+            assert not aut.accepts_values((n, u, z + 1), system)
 
     def test_def_machines_skip_the_canon_product(self, systems, monkeypatch):
         fib = systems["msd_fib"]

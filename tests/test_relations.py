@@ -42,7 +42,15 @@ from obd.relations import (
     shift_relation,
 )
 from conftest import accepts_rows, assert_rows_invariant, equivalent, traced_peak
-from oracles import all_canonical, digits_value, floor_surd, ref_linear_solutions, rules_ok
+from oracles import (
+    all_canonical,
+    digits_value,
+    floor_surd,
+    parallel_digits,
+    ref_linear_solutions,
+    ref_window_solutions,
+    rules_ok,
+)
 
 
 def formula(system, text, **stored):
@@ -259,66 +267,79 @@ class TestExactViability:
             assert fired, (s, t, d, constant, r)  # every walk can stop
         assert certified > 150
 
-    @pytest.mark.parametrize("le", [False, True], ids=["eq", "le"])
-    def test_verdict_matches_60_depths(self, period, le):
+    @pytest.mark.parametrize("mode", ["eq", "le", "window"])
+    def test_verdict_matches_60_depths(self, period, mode):
+        # the least and the greatest sum the suffixes can reach at each
+        # depth: a window fits at a depth where they straddle it, and <=
+        # fits where the least is at most hi and exceeds where the
+        # greatest is above it
         system = NumerationSystem("lemma", period)
-        rng = random.Random(f"{period} {le}")
+        rng = random.Random(f"{period} {mode}")
         seen = set()
         for _ in range(300):
             r = rng.randrange(system.period_length)
             s, t = rng.randint(-80, 80), rng.randint(-80, 80)
             d_min, d_max = rng.randint(-12, 0), rng.randint(0, 12)
-            constant = rng.randint(-40, 400)
-            lo = depth_values(system, r, s, t, d_min, constant, 60)
-            hi = depth_values(system, r, s, t, d_max, constant, 60)
-            if le:
-                exceed = any(x > 0 for x in hi)
-                fit = any(x <= 0 for x in lo)
+            lo = rng.randint(-40, 400)
+            hi = lo + (rng.randint(0, 40) if mode == "window" else 0)
+            v_min = depth_values(system, r, s, t, d_min, 0, 60)
+            v_max = depth_values(system, r, s, t, d_max, 0, 60)
+            if mode == "le":
+                lo = None
+                exceed = any(b > hi for b in v_max)
+                fit = any(a <= hi for a in v_min)
                 want = _LIVE if exceed and fit else _DONE if not exceed else _DEAD
             else:
-                want = _LIVE if any(a <= 0 <= b for a, b in zip(lo, hi)) else _DEAD
-            got = _fate(system, r, s, t, constant, d_min, d_max, le)
-            assert got == want, (s, t, d_min, d_max, constant, r)
+                fits = any(a <= hi and b >= lo for a, b in zip(v_min, v_max))
+                want = _LIVE if fits else _DEAD
+            got = _fate(system, r, s, t, lo, hi, d_min, d_max)
+            assert got == want, (s, t, d_min, d_max, lo, hi, r)
             seen.add(got)
-        assert seen == ({_LIVE, _DEAD, _DONE} if le else {_LIVE, _DEAD})
+        assert seen == ({_LIVE, _DEAD, _DONE} if mode == "le" else {_LIVE, _DEAD})
 
-    @pytest.mark.parametrize("le", [False, True], ids=["eq", "le"])
-    def test_verdict_sound_on_canonical_suffixes(self, period, le):
+    @pytest.mark.parametrize("mode", ["eq", "le", "window"])
+    def test_verdict_sound_on_canonical_suffixes(self, period, mode):
         # DEAD: no tuple of canonical suffixes, at any depth of the residue,
-        # brings the imbalance to the constant (== or <=); DONE: every
-        # tuple at every depth fits.  Depths up to q_i <= 60, 1-2 tracks.
+        # brings the sum into the window (or to at most hi for <=); DONE:
+        # every tuple at every depth fits.  Depths up to q_i <= 60, 1-2
+        # tracks.
         system = NumerationSystem("lemma", period)
         m = system.period_length
         values = []
         while system.q(len(values)) <= 60:
             values.append(sorted(canonical_values(system, len(values))))
-        rng = random.Random(f"suffixes {period} {le}")
+        rng = random.Random(f"suffixes {period} {mode}")
         seen = []
         for _ in range(120):
             coefs = [rng.choice((-3, -2, -1, 1, 2, 3))
                      for _ in range(rng.randint(1, 2))]
             r = rng.randrange(m)
             s, t = rng.randint(-8, 8), rng.randint(-8, 8)
-            constant = rng.randint(-30, 60)
-            got = _fate(system, r, s, t, constant,
+            lo = rng.randint(-30, 60)
+            hi = lo + (rng.randint(0, 6) if mode == "window" else 0)
+            if mode == "le":
+                lo = None
+            got = _fate(system, r, s, t, lo, hi,
                         sum(c for c in coefs if c < 0),
-                        sum(c for c in coefs if c > 0), le)
+                        sum(c for c in coefs if c > 0))
             seen.append(got)
             for i in range(r, len(values), m):
-                head = s * system.q(i) + t * system.q(i - 1) - constant
+                head = s * system.q(i) + t * system.q(i - 1)
                 sums = {head + sum(map(operator.mul, coefs, tup)) for tup in
                         itertools.product(values[i], repeat=len(coefs))}
-                hits = {g for g in sums if (g <= 0 if le else g == 0)}
+                hits = {g for g in sums if (lo is None or lo <= g) and g <= hi}
                 if got == _DEAD:
-                    assert not hits, (coefs, s, t, constant, r, i)
+                    assert not hits, (coefs, s, t, lo, hi, r, i)
                 elif got == _DONE:
-                    assert hits == sums, (coefs, s, t, constant, r, i)
+                    assert hits == sums, (coefs, s, t, lo, hi, r, i)
         assert seen.count(_DEAD) >= 10
-        assert seen.count(_DONE) >= (10 if le else 0)
+        assert seen.count(_DONE) >= (10 if mode == "le" else 0)
 
 
 # compile-large's atoms (s6's beattyg and beatty), a 3-track comparison
-# with a nonzero constant among them, and two more comparison operators
+# with a nonzero constant among them, two more comparison operators, and
+# s6's division z=(u+2*n+3)/2 as the one window atom it now compiles to,
+# op "in" with the window (lo, hi) as its constant
 ATOMS = [
     ((2, -2, -1), 3, "<="),
     ((-2, 2, 1), -2, "<="),
@@ -326,14 +347,19 @@ ATOMS = [
     ((-1, 6), -3, "="),
     ((1, 1, -1), 2, "<"),
     ((1, 1, -1), -1, ">="),
+    ((-2, 2, 1), (-3, -2), "in"),
 ]
 # sha() over msd_s13 of the machines built by intersecting the union of
-# the raw per-residue pieces with canon(k)
+# the raw per-residue pieces with canon(k), and the window's as the
+# intersection of its two <= halves above, the way divisions compiled
+# before they became one atom.  The window is last, so the other ids keep
+# their indices.
 ATOM_SHA = {
-    ((2, -2, -1), 3, "<="): "d451c3053a0123f9d1ffa06b7d27b83a43211789e98d0dbf2b4f2fd94a219bf8",
-    ((-2, 2, 1), -2, "<="): "ac8129678629b90f0a4327dfcc37ca33ed961619ae006bcda61384431923e01e",
     ((-4, 1, -3), 0, "="): "b22522a91c77fea95a310d6b75051723dcb7defe20cdcb364fb3a5c390a4c665",
+    ((-2, 2, 1), -2, "<="): "ac8129678629b90f0a4327dfcc37ca33ed961619ae006bcda61384431923e01e",
     ((-1, 6), -3, "="): "de7515d4244e914eeabf79a9721fe0f657f5fdcc3f9b9ce59c80d36ef27559a2",
+    ((2, -2, -1), 3, "<="): "d451c3053a0123f9d1ffa06b7d27b83a43211789e98d0dbf2b4f2fd94a219bf8",
+    ((-2, 2, 1), (-3, -2), "in"): "1e2b7699ef5d61f13243dcc10edd813107e36472c3d4568604b119f90730d328",
 }
 # sha() over msd_sqrt7 of the atoms of weight * dmax > 24, as built when
 # such atoms were composed from doublings and additions of lighter ones
@@ -343,12 +369,15 @@ SQRT7_ATOM_SHA = {
     ((-4, 1, -3), 0, "="): "6da33982e8cf516dbf3bd2a3a4d8a51ddad96a8a8960ddba205a4696b29b8e52",
 }
 SQRT7_HEAVY_SHA = "bb6a45d67a23b60bd4797dc9b46d1502ae8d53d7fa21859f4430a17ed8d482b6"
-COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
+COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge,
+           "in": lambda v, window: window[0] <= v <= window[1]}
 
 
 def atom(system, coefs, constant, op):
     if op == "=":
         return linear_relation(system, coefs, constant)
+    if op == "in":
+        return linear_relation(system, coefs, *constant)
     return inequality_relation(system, coefs, constant, op)
 
 
@@ -414,7 +443,7 @@ class TestMultiPeriodAtoms:
                 padded = [(0,) * extra + row for row in rows]
                 assert accepts_rows(rel, padded) == want, (tup, extra)
 
-    @pytest.mark.parametrize("coefs,constant,op", sorted(ATOM_SHA))
+    @pytest.mark.parametrize("coefs,constant,op", list(ATOM_SHA))
     def test_pinned_digest(self, systems, coefs, constant, op):
         got = atom(systems["msd_s13"], coefs, constant, op).sha()
         assert got == ATOM_SHA[coefs, constant, op]
@@ -437,7 +466,9 @@ class TestMultiPeriodAtoms:
 # 1 855 / 15 478, 1 855 / 16 259, 1 718 / 3 866 and 262 071 / 1 375 817.
 # Walked in step with canon(k), whose states guess each digit's position
 # residue that the pair's phase already fixes, it kept 1 064 / 5 062,
-# 561 / 5 057, 449 / 4 103, 369 / 751 and 32 793 / 140 886.
+# 561 / 5 057, 449 / 4 103, 369 / 751 and 32 793 / 140 886.  The window
+# of s6's division is one piece where its two <= halves, the two atoms
+# above it, were 265 / 1 991 and 223 / 1 766.
 # A change that loosens the prune fails here by name, with no timing.
 RAW_PIECES = {
     ("msd_s13", (-4, 1, -3), 0, "="): (551, 2313),
@@ -445,6 +476,7 @@ RAW_PIECES = {
     ("msd_s13", (-2, 2, 1), -2, "<="): (223, 1766),
     ("msd_s13", (-1, 6), -3, "="): (207, 407),
     ("msd_sqrt7", (9, 14, -1), 0, "="): (9795, 39201),
+    ("msd_s13", (-2, 2, 1), (-3, -2), "in"): (246, 1023),
 }
 
 
@@ -466,16 +498,25 @@ def test_raw_piece_sizes(systems, monkeypatch, sysname, coefs, constant, op):
 
 
 # the rows the linear walk hands to _canonical, over systems of period
-# length 1, 2 and 3: = and <= atoms of 1 to 3 coefficients, some
-# negative, some zero
+# length 1, 2 and 3: =, <= and window atoms of 1 to 3 coefficients, some
+# negative, some zero, as (coefficients, lo, hi), lo None for <=
 WALK_SYSTEMS = {"msd_fib": (1,), "msd_s2": (2,), "msd_s13": (3, 1),
                 "msd_s211": (2, 1, 1)}
-WALK_ATOMS = [((1,), 5, False), ((2,), 7, True), ((1, -1), 0, False),
-              ((1, 0), 3, True), ((-2, 3), 1, True), ((1, 2, -1), 0, False),
-              ((0, 1, -3), -2, True), ((2, -1, 0), 4, False)]
-WALK_CASES = [pytest.param(sysname, coefs, constant, le,
-                           id=f"{sysname} {coefs}{'<=' if le else '='}{constant}")
-              for sysname in WALK_SYSTEMS for coefs, constant, le in WALK_ATOMS]
+WALK_ATOMS = [((1,), 5, 5), ((2,), None, 7), ((1, -1), 0, 0),
+              ((1, 0), None, 3), ((-2, 3), None, 1), ((1, 2, -1), 0, 0),
+              ((0, 1, -3), None, -2), ((2, -1, 0), 4, 4), ((1, -2), -1, 2),
+              ((-2, 2, 1), -3, -2)]
+
+
+def window_label(coefs, lo, hi):
+    if lo is None:
+        return f"{coefs}<={hi}"
+    return f"{coefs}={hi}" if lo == hi else f"{lo}<={coefs}<={hi}"
+
+
+WALK_CASES = [pytest.param(sysname, coefs, lo, hi,
+                           id=f"{sysname} {window_label(coefs, lo, hi)}")
+              for sysname in WALK_SYSTEMS for coefs, lo, hi in WALK_ATOMS]
 
 
 @functools.cache
@@ -494,27 +535,27 @@ def canonical_by_arrays(arity, dmax, indptr, rows, succ, acc):
                      acc, 0)._canonical()
 
 
-@pytest.mark.parametrize("sysname,coefs,constant,le", WALK_CASES)
-def test_linear_piece_meets_rows_invariant(sysname, coefs, constant, le):
-    assert_rows_invariant(*_linear_piece(walk_system(sysname), coefs, constant, le))
+@pytest.mark.parametrize("sysname,coefs,lo,hi", WALK_CASES)
+def test_linear_piece_meets_rows_invariant(sysname, coefs, lo, hi):
+    assert_rows_invariant(*_linear_piece(walk_system(sysname), coefs, lo, hi))
 
 
-@pytest.mark.parametrize("sysname,coefs,constant,le", WALK_CASES)
-def test_linear_piece_rows_and_arrays_agree(sysname, coefs, constant, le):
+@pytest.mark.parametrize("sysname,coefs,lo,hi", WALK_CASES)
+def test_linear_piece_rows_and_arrays_agree(sysname, coefs, lo, hi):
     system = walk_system(sysname)
-    piece = _linear_piece(system, coefs, constant, le)
+    piece = _linear_piece(system, coefs, lo, hi)
     want = canonical_by_arrays(len(coefs), system.dmax, *piece)
     # the rows entry takes the lists over, so it runs second
     got = _Raw(len(coefs), system.dmax, *piece)._canonical()
     assert got.canonical_bytes() == want.canonical_bytes()
 
 
-def canon_walk_piece(system, coefficients, constant, le):
+def canon_walk_piece(system, coefficients, lo, hi):
     """The raw phase-0 piece as the linear walk once built it, in step
     with canon(k): a state is a pair and a canon(k) state, only the letters
     of the canon state's row are followed, and a state accepts when its
-    pair lands on the constant at phase 0 and its canon state accepts.
-    Rows as ``_linear_piece`` gives them."""
+    pair lands in the window (at most hi when lo is None) at phase 0 and
+    its canon state accepts.  Rows as ``_linear_piece`` gives them."""
     arity, m, period = len(coefficients), system.period_length, system.period
     c_min = sum(c for c in coefficients if c < 0)
     c_max = sum(c for c in coefficients if c > 0)
@@ -531,7 +572,7 @@ def canon_walk_piece(system, coefficients, constant, le):
         digits = letter_digits(code, arity, system.dmax)
         nxt = (nphase, s * period[nphase] + t
                + sum(map(operator.mul, coefficients, digits)), s)
-        fate = _fate(system, *nxt, constant, c_min, c_max, le)
+        fate = _fate(system, *nxt, lo, hi, c_min, c_max)
         return {_LIVE: nxt, _DONE: (nphase, None, None)}.get(fate)
 
     order = [((0, 0, 0), canon.initial)]
@@ -550,30 +591,31 @@ def canon_walk_piece(system, coefficients, constant, le):
                 out.append(target)
         rows.append(tuple(row))
         succ.append(out)
-    acc = np.array([phase == 0 and (s is None or (s <= constant if le else s == constant))
+    acc = np.array([phase == 0 and (s is None or (lo is None or lo <= s) and s <= hi)
                     and canon.accepting[c] for (phase, s, _t), c in order], np.uint8)
     return np.array([0, *itertools.accumulate(map(len, rows))], np.int64), rows, succ, acc
 
 
-def assert_walks_agree(system, coefs, constant, le):
+def assert_walks_agree(system, coefs, lo, hi):
     """The residue walk's raw piece and the canon(k) walk's have one
     canonical form."""
     want = _Raw(len(coefs), system.dmax,
-                *canon_walk_piece(system, coefs, constant, le))._canonical()
+                *canon_walk_piece(system, coefs, lo, hi))._canonical()
     got = _Raw(len(coefs), system.dmax,
-               *_linear_piece(system, coefs, constant, le))._canonical()
+               *_linear_piece(system, coefs, lo, hi))._canonical()
     assert got.canonical_bytes() == want.canonical_bytes()
 
 
-@pytest.mark.parametrize("sysname,coefs,constant,le", WALK_CASES)
-def test_linear_piece_matches_canon_walk(sysname, coefs, constant, le):
-    assert_walks_agree(walk_system(sysname), coefs, constant, le)
+@pytest.mark.parametrize("sysname,coefs,lo,hi", WALK_CASES)
+def test_linear_piece_matches_canon_walk(sysname, coefs, lo, hi):
+    assert_walks_agree(walk_system(sysname), coefs, lo, hi)
 
 
 @pytest.mark.parametrize("coefs,constant,op", sorted(SQRT7_ATOM_SHA))
 def test_linear_piece_matches_canon_walk_sqrt7(systems, coefs, constant, op):
     # period length 4
-    assert_walks_agree(systems["msd_sqrt7"], coefs, constant, op == "<=")
+    assert_walks_agree(systems["msd_sqrt7"], coefs,
+                       None if op == "<=" else constant, constant)
 
 
 # periods of length 1 to 4, each digit bound saturated at some residue;
@@ -595,6 +637,65 @@ def test_walk_keeps_exactly_the_canonical_strings(period, arity, length):
         for tracks in itertools.product(strings, repeat=arity):
             want = all(rules_ok(period, w) for w in tracks)
             assert accepts_rows(rel, tracks) == want, tracks
+
+
+# window atoms lo <= sum <= hi, seeded: each width 0 to 4 with 1, 2 and
+# 3 coefficients, over period lengths 1 to 4
+WINDOW_SYSTEMS = {"msd_fib": (1,), "msd_s2": (2,), "msd_s13": (3, 1),
+                  "msd_s211": (2, 1, 1), "msd_sqrt7": (4, 1, 1, 1)}
+
+
+def window_cases():
+    rng = random.Random("windows")
+    cases = []
+    for sysname in WINDOW_SYSTEMS:
+        for width in range(5):
+            for arity in (1, 2, 3):
+                coefs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(arity))
+                lo = rng.randint(-6, 6)
+                label = window_label(coefs, lo, lo + width)
+                cases.append(pytest.param(sysname, coefs, lo, lo + width,
+                                          id=f"{sysname} {label}"))
+    return cases
+
+
+@functools.cache
+def window_system(sysname):
+    return NumerationSystem(sysname, WINDOW_SYSTEMS[sysname])
+
+
+@pytest.mark.parametrize("sysname,coefs,lo,hi", window_cases())
+class TestWindowAtom:
+    """``linear_relation(system, coefs, lo, hi)``, one walk for the
+    window, against exact arithmetic and the atoms it stands for."""
+
+    def test_matches_arithmetic(self, sysname, coefs, lo, hi):
+        # read on the oracle's greedy encodings at every length residue
+        system = window_system(sysname)
+        period = WINDOW_SYSTEMS[sysname]
+        rel = linear_relation(system, coefs, lo, hi)
+        assert rel.andnot(canonical_recognizer(system, len(coefs))).is_empty()
+        bound = 10 if len(coefs) == 3 else 30
+        want = ref_window_solutions(coefs, lo, hi, bound)
+        for tup in itertools.product(range(bound), repeat=len(coefs)):
+            for extra in range(len(period)):
+                rows = parallel_digits(period, tup, extra)
+                assert accepts_rows(rel, rows) == (tup in want), (tup, extra)
+
+    def test_is_intersection_of_its_halves(self, sysname, coefs, lo, hi):
+        system = window_system(sysname)
+        halves = inequality_relation(system, coefs, hi, "<=").intersect(
+            inequality_relation(system, coefs, lo, ">="))
+        assert linear_relation(system, coefs, lo, hi).canonical_bytes() == \
+            halves.canonical_bytes()
+
+    def test_is_union_of_its_points(self, sysname, coefs, lo, hi):
+        # width 0 is the == atom of linear_relation without an upper bound
+        system = window_system(sysname)
+        points = functools.reduce(Automaton.union, (
+            linear_relation(system, coefs, c) for c in range(lo, hi + 1)))
+        assert linear_relation(system, coefs, lo, hi).canonical_bytes() == \
+            points.canonical_bytes()
 
 
 # Peak traced allocation, in bytes, while x=40*y builds over msd_fib with

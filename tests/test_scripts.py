@@ -108,8 +108,11 @@ PINNED = {
 # Upper bounds on what one run of a section builds with
 # ``_kernels.pair_product``, its checks included: (calls, product states
 # before minimisation, states of the largest product).  The five
-# compile-small sections make 300 calls (391 when every ``&`` where
-# neither side spans met canon(k) first, however small its product, 467
+# compile-small sections make 295 calls (300 when each floor division
+# ``t/c`` was the intersection of two ``<=`` atoms, where s7 made 16 over
+# 398 states, s8 67 over 1 697 and s10 92 over 7 530; 391 when every
+# ``&`` where neither side spans met canon(k) first, however small its
+# product, 467
 # when ~ and A complemented twice where pushing the negation inward
 # complements once or not at all and canon(k) was rebuilt from k lifted
 # copies of canon(1), 590 when every applied def machine was intersected
@@ -118,7 +121,8 @@ PINNED = {
 # with it, 841 when every connective also intersected both widened
 # operands with it).  Before ``&`` took its canon step by size, s7-s12
 # made (23, 493), (81, 1 916), (82, 4 002), (119, 9 169) and (86, 1 409).
-# s6 makes 25 calls over 13 731 states (28 over 13 769 with the canon
+# s6 makes 23 calls over 13 246 states (25 over 13 731 with the two
+# ``<=`` atoms per division, 28 over 13 769 with the canon
 # step in every such ``&``, 36 over 14 178 with the double complements,
 # 46 over 16 646 when each linear atom over its period-2 system unioned
 # two per-residue pieces).  Its largest product, in ``check2``, is the
@@ -128,11 +132,11 @@ PINNED = {
 # A compiler or atom builder change that adds products back, or drops
 # that step where it pays, fails here by name, with no timing involved.
 PRODUCTS = {
-    "s6": (25, 13731, 7274),
-    "s7": (16, 398, 148),
-    "s8": (67, 1697, 145),
+    "s6": (23, 13246, 7274),
+    "s7": (15, 375, 148),
+    "s8": (65, 1616, 145),
     "s9": (65, 3599, 370),
-    "s10": (92, 7530, 807),
+    "s10": (90, 7404, 807),
     "s12": (60, 1033, 92),
 }
 
