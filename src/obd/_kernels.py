@@ -15,10 +15,11 @@ edges into them), ``min_blocks``, ``quotient`` and ``bfs_renumber``,
 each a loop with ``dict`` interning, and the output arrays built once.
 It has two entries.  ``canonical_rows`` takes rows from three
 producers, ``pair_product``, ``determinize`` and the linear atoms' walk
-(``relations._linear_piece``), and trusts their invariant: states
-numbered in BFS discovery order from state 0, so every state is
-reachable, and each row letter sorted.  So it runs no forward pass and
-remaps no target, unless the co-reach cuts a state.
+over period length 1 (``relations._linear_piece``; a longer period's
+piece goes to ``determinize`` for its leading-zero closure), and trusts
+their invariant: states numbered in BFS discovery order from state 0,
+so every state is reachable, and each row letter sorted.  So it runs no
+forward pass and remaps no target, unless the co-reach cuts a state.
 ``canonical`` takes CSR arrays from every other producer
 (``Automaton.from_transitions``, ``permute_tracks`` and word automata),
 converts them to lists once and runs ``trim``, the forward pass, first.
@@ -41,10 +42,10 @@ implementation.  ``determinize`` is a list loop too and has one caller,
 ``Automaton.successors``).
 
 Memory.  Arrays kept per edge are int32; int64 appears only where numpy
-needs it.  A product, a subset construction or a linear atom's raw
-piece is handed on as lists, a letter row and a target row per state,
-never as flat arrays, since the canonical tail reads lists, and states
-with equal letter rows share one tuple.  The product's working set is
+needs it.  A product, a subset construction or a period-1 linear atom's
+raw piece is handed on as lists, a letter row and a target row per
+state, never as flat arrays, since the canonical tail reads lists, and
+states with equal letter rows share one tuple.  The product's working set is
 its pair index and the rows of the states its pairs reach, so it grows
 with the reached part of each input, not with the whole input.  The
 co-reach cut keeps one set of the states known to reach acceptance, and

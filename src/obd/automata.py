@@ -12,13 +12,12 @@ one initial state, an accepting mask and optionally a per-state output
 goes through the one edge constructor ``csr_from_edges``, and every
 letter remap between track layouts (lift, projection, permutation)
 reads the one memoised track table ``_track_table``. Every subset
-construction (projection, reversal, leading-zero closure, the regex
-compiler and the canonical recognizer) goes through the one builder
-``determinized``, leading-zero closure through ``pad_closed`` on top of
-it. All public operations return canonical machines: trimmed, minimized
-and BFS renumbered, so equal languages give byte-identical arrays. The
-empty language is stored as a single dead state and reports
-live_states == 0.
+construction goes through the one builder ``determinized``: projection
+(``Automaton.project``) and leading-zero closure (``pad_closed``, for
+the regex compiler and the linear atoms of period length > 1). All
+public operations return canonical machines: trimmed, minimized and BFS
+renumbered, so equal languages give byte-identical arrays. The empty
+language is stored as a single dead state and reports live_states == 0.
 """
 from __future__ import annotations
 
@@ -155,7 +154,9 @@ def pad_closed(arity, dmax, n_states, src, letters, targets, acc,
     machine of edges src -> targets on `letters` (any order, any number per
     (state, letter)) started in `initial`: {u : strip(u) = strip(w) for
     some accepted w}, built as 0* . L with leading-zero closure folded in,
-    in one subset construction."""
+    in one subset construction.  Its callers are ``regexlang``'s position
+    automaton and ``relations._linear_machine``, which closes a linear
+    atom's raw phase-0 piece with it."""
     src = np.asarray(src, np.int64)
     letters = np.asarray(letters, np.int32)
     targets = np.asarray(targets, np.int32)
@@ -403,16 +404,6 @@ class Automaton:
         return Automaton(self.arity, self.dmax, *csr_from_edges(
             self.n_states, edge_sources(self.indptr), table[self.letters],
             self.targets), self.accepting, self.initial, self.outputs)._canonical()
-
-    def pad_normalized(self) -> "Automaton":
-        """Smallest padding-closed language with the same stripped words
-        (``pad_closed``).  The linear atom builder
-        (``relations._linear_machine``, which builds only the words of one
-        length residue) calls it.
-        """
-        return pad_closed(self.arity, self.dmax, self.n_states,
-                          edge_sources(self.indptr), self.letters, self.targets,
-                          self.accepting, self.initial)
 
     # -- running words -------------------------------------------------------
 

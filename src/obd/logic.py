@@ -579,25 +579,25 @@ class _Compiler:
         names = tuple(sorted(set(a.names) | set(b.names)))
         left, right = self.widen(a, names), self.widen(b, names)
         spans = a.names == names, b.names == names
-        canon = self.canon(len(names))
+        k = len(names)  # canon(k) is built only in the branches that read it
         if op == "&":
             if (not any(spans) and left.n_states * right.n_states
                     >= CANON_STEP_PRODUCT):
                 small, big = sorted((left, right), key=lambda m: m.n_states)
-                left, right = small.intersect(canon), big
+                left, right = small.intersect(self.canon(k)), big
             aut = left.intersect(right)
         elif op in ("|", "^"):
             aut = left.union(right) if op == "|" else left.xor(right)
             if not all(spans):
-                aut = aut.intersect(canon)
+                aut = aut.intersect(self.canon(k))
         elif op == "=>":
-            aut = canon.andnot(left.andnot(right))
+            aut = self.canon(k).andnot(left.andnot(right))
         elif op == "<=>":
-            aut = canon.andnot(left.xor(right))
+            aut = self.canon(k).andnot(left.xor(right))
         elif op == "&~":
             aut = left.andnot(right)
             if not spans[0]:
-                aut = aut.intersect(canon)
+                aut = aut.intersect(self.canon(k))
         else:
             raise LogicError(f"unknown connective {op!r}")
         self.note(op, aut)

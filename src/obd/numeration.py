@@ -9,8 +9,10 @@ n = sum e_i * q_i. The canonical
   (b) e_i = a_{i+1} forces e_{i-1} = 0,
   (c) 0 <= e_0 < a_1.
 Leading zeros are always allowed; they are how parallel tracks get padded.
-A digit string is a plain tuple of ints, msd first; ``decode`` and
-``is_canonical`` take any sequence of ints.
+A digit string is a plain tuple of ints, msd first; ``decode`` takes any
+sequence of ints.  The rules are checked in one place, the linear walk
+of :mod:`obd.relations`, whose zero window is canon(1), the recognizer
+of canonical strings.
 
 ``encode`` takes the greedy digits a block of w positions at a time.
 Canonical strings of one length, leading zeros allowed, are ordered by
@@ -170,12 +172,6 @@ class NumerationSystem:
             self.q(len(q) - 1)
         return q
 
-    def digit_bound(self, i: int) -> int:
-        """Largest canonical digit at position i (position 0 is the lsd)."""
-        if i == 0:
-            return self.partial_quotient(1) - 1
-        return self.partial_quotient(i + 1)
-
     # -- encode / decode --------------------------------------------------
 
     def encode(self, n: int) -> tuple[int, ...]:
@@ -264,22 +260,6 @@ class NumerationSystem:
             raise ValueError(f"digit {bad} out of range 0..{self.dmax}")
         self.q(len(ds) - 1)  # grows the cached list through the top position
         return sum(map(mul, ds, self._q[len(ds):0:-1]))
-
-    def is_canonical(self, digits) -> bool:
-        ds = tuple(digits)
-        if not ds:
-            return True
-        prev = None  # digit at position i+1 while scanning position i
-        for pos, d in enumerate(ds):
-            i = len(ds) - 1 - pos
-            if d < 0 or d > self.digit_bound(i):
-                return False
-            if prev is not None:
-                # rule (b): a saturated digit forces a zero just below it
-                if prev == self.partial_quotient(i + 2) and d != 0:
-                    return False
-            prev = d
-        return True
 
     def pad_parallel(self, *strings: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Left-pad digit tuples with zeros to a common length."""

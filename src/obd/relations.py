@@ -13,16 +13,19 @@ denominators; :func:`inequality_relation` is its ``<=`` twin, with no
 lower edge.  Every comparison atom of a formula compiles to one of the
 two, and every floor division ``t/c`` to one window.  Both build every
 atom, whatever its coefficients, by walking the sum over the words whose
-length is a multiple of the period length m, then closing that piece
-under leading zeros, which gives every other length.  On those words
-each digit's position residue is known, so the walk checks the digit
-rules of canonical strings itself, with one bit per track for a
-saturated digit, and no product with canon(k) follows.  Whether a sum
-can still reach the window is decided in exact
-integers: the canonical suffixes of length i are worth 0 .. q_i - 1,
-which bounds what the digits still to come can add, and the depths it
-could end at are walked until a witness or a certificate of monotone
-growth settles it (see :func:`_fate`); no float and no cutoff.
+length is a multiple of the period length m, then closing that raw
+piece under leading zeros, which gives every other length and the
+canonical form in one subset construction.  On those words each digit's
+position residue is known, so the walk checks the digit rules of
+canonical strings itself, with one bit per track for a saturated digit,
+and no product with canon(k) follows.  The walk is the one copy of those
+rules: canon(1), the recognizer of canonical strings, is its zero window
+(see :func:`canonical_recognizer`).  Whether a sum can still reach the
+window is decided in exact integers: the canonical suffixes of length i
+are worth 0 .. q_i - 1, which bounds what the digits still to come can
+add, and the depths it could end at are walked until a witness or a
+certificate of monotone growth settles it (see :func:`_fate`); no float
+and no cutoff.
 :func:`shift_relation` is the digit-shift relation the paper's
 synchronizers are written over, and :func:`fibonacci_word` a word automaton.
 Anything composed from these atoms, the floor synchronizers of
@@ -38,7 +41,7 @@ import operator
 import numpy as np
 
 from . import _kernels as K
-from .automata import Automaton, _Raw, csr_from_edges, determinized, letter_code
+from .automata import Automaton, _Raw, edge_sources, letter_code, pad_closed
 from .numeration import NumerationSystem
 
 __all__ = [
@@ -54,64 +57,27 @@ __all__ = [
 # canonical recognizer
 
 
-def _canon_1(system: NumerationSystem) -> Automaton:
-    """Single-track recognizer of zero-padded canonical digit strings.
-
-    Built least-significant-digit first, where the validity rules are local
-    (position mod m picks the digit bound, a saturated digit forces the
-    previous one to zero); its edges, reversed into msd reading order, go
-    straight to the subset construction.
-    """
-    key = ("canon", 1)
-    cached = system._cache.get(key)
-    if cached is not None:
-        return cached
-    m = system.period_length
-    dmax = system.dmax
-    period = system.period
-    # state 0: nothing read yet (about to read the units digit)
-    # state 1 + r*(dmax+1) + p: about to read position i with i % m == r,
-    # previous digit was p
-    def pos_state(r: int, p: int) -> int:
-        return 1 + r * (dmax + 1) + p
-
-    edges = [(0, d, pos_state(1 % m, d))  # units digit strictly below a_1
-             for d in range(period[0])]
-    for r in range(m):
-        bound = period[r]  # digit bound at positions i % m == r, i >= 1
-        for p in range(dmax + 1):
-            for d in range(bound + 1):
-                if d == bound and p != 0:
-                    continue  # saturated digit demands a zero below it
-                edges.append((pos_state(r, p), d, pos_state((r + 1) % m, d)))
-    n_states = 1 + m * (dmax + 1)
-    src, digits, dst = np.array(edges, np.int64).T
-    # every lsd state accepts, so the reversed machine starts in all of them
-    acc = np.zeros(n_states, np.uint8)
-    acc[0] = 1
-    canon = determinized(1, dmax, *csr_from_edges(n_states, dst, digits, src),
-                         acc, np.arange(n_states))
-    system._cache[key] = canon
-    return canon
-
-
 def canonical_recognizer(system: NumerationSystem, arity: int = 1) -> Automaton:
     """Recognizer of k-tuples whose tracks are all zero-padded canonical.
 
+    canon(1) is the linear walk's zero window, ``0 <= 0*x <= 0``
+    (:func:`_linear_machine`): every pair is live, so the walk's own digit
+    rows and its empty-mask acceptance keep exactly the canonical strings.
     canon(k) is canon(k-1) on the first k-1 tracks intersected with
-    canon(1) on the last, one product per arity, each cached."""
+    canon(1) on the last, one product per arity, each cached; the walk
+    would spell out every letter of every mask row of k tracks."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
     if arity == 0:
         return Automaton.universal(0, system.dmax)
     if arity == 1:
-        return _canon_1(system)
+        return _linear_machine(system, (0,), 0, 0)
     key = ("canon", arity)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
     head = canonical_recognizer(system, arity - 1).lift(arity, range(arity - 1))
-    out = head.intersect(_canon_1(system).lift(arity, [arity - 1]))
+    out = head.intersect(canonical_recognizer(system, 1).lift(arity, [arity - 1]))
     system._cache[key] = out
     return out
 
@@ -240,21 +206,27 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     One piece, the words of length == 0 (mod m), is walked by
     :func:`_linear_piece`, which keeps it inside canon(k), the recognizer
     of canonical k-tuples, by the digit rules at each position residue
-    (:func:`_canonical_letters`); ``_canonical`` takes its rows as they
-    are (a ``_Raw`` machine).  The relation is padding closed, so with m > 1
-    closing the canonical piece under leading zeros
-    (:meth:`Automaton.pad_normalized`) gives every other length; with
-    m = 1 the piece is the whole relation.  The machine is cached on the
-    system per (coefficients, lo, hi).
+    (:func:`_canonical_letters`).  With m = 1 the piece is the whole
+    relation, and ``_canonical`` takes its rows as they are (a ``_Raw``
+    machine).  With m > 1 the relation is padding closed, so closing the
+    raw piece under leading zeros (:func:`~obd.automata.pad_closed`)
+    gives every other length, in the one subset construction that also
+    gives the canonical form.  The machine is cached on the system per
+    (coefficients, lo, hi); canon(1) is the zero window ``(0,), 0, 0``.
     """
     key = ("linear", coefficients, lo, hi)
     cached = system._cache.get(key)
     if cached is not None:
         return cached
-    out = _Raw(len(coefficients), system.dmax,
-               *_linear_piece(system, coefficients, lo, hi))._canonical()
-    if system.period_length > 1:
-        out = out.pad_normalized()
+    arity, dmax = len(coefficients), system.dmax
+    indptr, rows, succ, acc = _linear_piece(system, coefficients, lo, hi)
+    if system.period_length == 1:
+        out = _Raw(arity, dmax, indptr, rows, succ, acc)._canonical()
+    else:  # rows are letter sorted, so csr_from_edges keeps the edge order
+        letters, targets = (np.fromiter(itertools.chain.from_iterable(lists),
+                                        np.int32, indptr[-1]) for lists in (rows, succ))
+        out = pad_closed(arity, dmax, acc.size, edge_sources(indptr), letters,
+                         targets, acc, 0)
     system._cache[key] = out
     return out
 

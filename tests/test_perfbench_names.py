@@ -88,12 +88,15 @@ def counted_compile(monkeypatch, commands):
     ``Automaton._canonical`` wrapped here first to count what they return
     and are given.  Checks the tracer's state counters against those
     counts and that uninstall puts back every name; returns the raw
-    pieces' sizes, the sizes ``_canonical`` was given and the tracer's
-    counters."""
+    pieces' sizes, the sizes ``_canonical`` and
+    ``K.determinize`` were given and the tracer's counters."""
     tracing = load_tracing()
     built = {"pair_product": [], "determinize": []}
+    subsets = []  # states of each determinize input
     for name, states in built.items():
-        def counted(*args, _kernel=getattr(K, name), _states=states):
+        def counted(*args, _name=name, _kernel=getattr(K, name), _states=states):
+            if _name == "determinize":
+                subsets.append(args[0].size - 1)
             out = _kernel(*args)
             _states.append(len(out[1]))  # one letter row per state
             return out
@@ -133,7 +136,7 @@ def counted_compile(monkeypatch, commands):
     calls = tracing.layer_totals(tracer.spans)
     assert calls["kernels.pair_product"][0] == len(built["pair_product"])
     assert calls["kernels.determinize"][0] == len(built["determinize"])
-    return pieces, given, counters
+    return pieces, given, subsets, counters
 
 
 def script_commands(name, upto=None):
@@ -154,13 +157,15 @@ def test_tracer_counts_one_compile(monkeypatch):
 
 def test_tracer_counts_period_two_compile(monkeypatch):
     """The same over s6 up to ``def beattyg`` ([3 1], period length 2),
-    where every linear atom's raw piece goes to ``_canonical`` as rows
-    and is counted there, before its pad closure.  The pieces' sizes are
-    pinned: checking canonicity by each digit's position residue, the
-    largest walk makes 551 states, where walking in step with canon(3)
-    made 1 064, then the largest machine of the run."""
-    pieces, given, counters = counted_compile(monkeypatch,
-                                              script_commands("s6", "beattyg"))
-    assert pieces == [2, 12, 551]
-    assert Counter(pieces) <= Counter(given)
+    where every linear atom's raw piece goes straight to its pad
+    closure's subset construction, with one fresh state that reads the
+    leading zeros, and is counted there.  The pieces' sizes are pinned,
+    canon(1), the zero window, being the 4: checking canonicity by each
+    digit's position residue, the largest walk makes 551 states, where
+    walking in step with canon(3) made 1 064, then the largest machine of
+    the run."""
+    pieces, given, subsets, counters = counted_compile(
+        monkeypatch, script_commands("s6", "beattyg"))
+    assert pieces == [2, 12, 4, 551]
+    assert Counter(n + 1 for n in pieces) <= Counter(subsets)
     assert max(given) == counters["automata.max_states"]

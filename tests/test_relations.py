@@ -15,6 +15,9 @@ and to digit rules checked by each digit's position residue; the walk's
 rows must meet the invariant the canonical form's rows entry trusts, give
 what the array entry gives on the same piece and the machine the walk in
 step with canon(k) gives, and keep exactly the canonical strings.
+canon(1) is that walk's zero window, so canon(k) is checked against a
+reference built apart from the walk's digit rows (the lsd-first
+construction canon(1) once had), against ``rules_ok`` and by digest.
 """
 
 import functools
@@ -25,8 +28,8 @@ import random
 import numpy as np
 import pytest
 
-from obd import Automaton, NumerationSystem
-from obd.automata import _Raw, csr_from_edges, letter_digits
+from obd import Automaton, NumerationSystem, relations
+from obd.automata import _Raw, csr_from_edges, determinized, edge_sources, letter_digits
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
 from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
@@ -69,12 +72,95 @@ def exact_term(system, a, b, c, d, e, n):
                       (b * n + e) * g.b, c * g.c, g.d)
 
 
+# periods of length 1 to 4, each digit bound saturated at some residue
+RULE_SYSTEMS = {"msd_fib": (1,), "msd_s2": (2,), "msd_s13": (3, 1),
+                "msd_s211": (2, 1, 1), "msd_sqrt7": (4, 1, 1, 1)}
+
+# canon(k).sha()[:16] for k = 1, 2, 3, as built when canon(1) came from
+# the lsd-first construction of reference_canon_1 rather than from the
+# linear walk
+CANON_SHA = {
+    "msd_fib": ("428383ea0a2bd1ab", "3a748ab155ab4247", "f288a8933e6c7d6d"),
+    "msd_s2": ("bc0ad221b5ec0ca7", "6e867175fd5d4e8d", "b8e620a6b213fcda"),
+    "msd_s13": ("402cf3b0137bb6f6", "79bc92626c9436b6", "58ce7c03a5c2dc47"),
+    "msd_s211": ("637d6386790de6e9", "711509f43ae684ac", "11718798367481a8"),
+    "msd_sqrt7": ("45c81d250dd862a2", "9c9e586c0b10678c", "b22d690aac9bd445"),
+}
+
+
+@functools.cache
+def reference_canon_1(period):
+    """canon(1) built apart from the linear walk's digit rows: least
+    significant digit first, where the rules are local (position mod m
+    picks the digit bound, a saturated digit forces the previous one to
+    zero), with its edges reversed into msd reading order and sent to one
+    subset construction."""
+    m, dmax = len(period), max(period)
+
+    # state 0: nothing read yet (about to read the units digit); state
+    # 1 + r*(dmax+1) + p: about to read position i with i % m == r, after
+    # digit p
+    def pos_state(r, p):
+        return 1 + r * (dmax + 1) + p
+
+    edges = [(0, d, pos_state(1 % m, d)) for d in range(period[0])]
+    for r in range(m):
+        for p in range(dmax + 1):
+            for d in range(period[r] + 1):
+                if d < period[r] or p == 0:
+                    edges.append((pos_state(r, p), d, pos_state((r + 1) % m, d)))
+    n_states = 1 + m * (dmax + 1)
+    src, digits, dst = np.array(edges, np.int64).T
+    acc = np.zeros(n_states, np.uint8)
+    acc[0] = 1
+    # every lsd state accepts, so the reversed machine starts in all of them
+    return determinized(1, dmax, *csr_from_edges(n_states, dst, digits, src),
+                        acc, np.arange(n_states))
+
+
+@functools.cache
+def reference_canon(period, arity):
+    """canon(k) as k lifted copies of reference_canon_1, intersected."""
+    one = reference_canon_1(period)
+    out = one.lift(arity, [0])
+    for track in range(1, arity):
+        out = out.intersect(one.lift(arity, [track]))
+    return out
+
+
+def assert_strings_match_rules(aut, period, max_length):
+    """The strings of each length up to `max_length` that the one-track
+    `aut` accepts are exactly those ``rules_ok`` keeps.  One search over
+    prefixes per length: a prefix that breaks the rules when zeros fill
+    the rest of the length breaks them however it is filled, since a zero
+    breaks no rule, so it must leave `aut` where no word of the remaining
+    length is accepted."""
+    # live[j]: the states that accept some word of exactly j letters
+    live = [set(np.flatnonzero(aut.accepting).tolist())]
+    src = edge_sources(aut.indptr).tolist()
+    for _ in range(max_length):
+        live.append({s for s, t in zip(src, aut.targets.tolist()) if t in live[-1]})
+    for length in range(max_length + 1):
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            rest = length - len(prefix)
+            if not rules_ok(period, prefix + (0,) * rest):
+                assert aut.walk(prefix) not in live[rest], (length, prefix)
+            elif rest == 0:
+                assert aut.accepts_word(prefix), prefix
+            else:
+                stack.extend(prefix + (d,) for d in range(aut.dmax + 1))
+
+
 class TestCanonicalRecognizer:
-    def test_single_track_matches_rules(self, system):
-        canon = canonical_recognizer(system, 1)
-        for length in range(0, 5):
-            for w in itertools.product(range(system.dmax + 1), repeat=length):
-                assert accepts_rows(canon, [w]) == rules_ok(system.period, w)
+    @pytest.mark.parametrize("sysname", RULE_SYSTEMS)
+    def test_single_track_matches_rules(self, sysname):
+        # a fresh system, so canon(1) is built here; strings of up to
+        # 2m + 2 digits give every length residue at least twice
+        period = RULE_SYSTEMS[sysname]
+        canon = canonical_recognizer(NumerationSystem(sysname, period), 1)
+        assert_strings_match_rules(canon, period, 2 * len(period) + 2)
 
     def test_pair_needs_both_tracks_canonical(self, system):
         canon2 = canonical_recognizer(system, 2)
@@ -94,13 +180,15 @@ class TestCanonicalRecognizer:
     def test_equals_intersection_of_lifted_tracks(self, systems, sysname):
         # a fresh system, so every arity is built from the one below it
         system = NumerationSystem(sysname, systems[sysname].period)
-        one = canonical_recognizer(system, 1)
         for arity in range(1, 6):
-            reference = one.lift(arity, [0])
-            for track in range(1, arity):
-                reference = reference.intersect(one.lift(arity, [track]))
             assert canonical_recognizer(system, arity).canonical_bytes() == \
-                reference.canonical_bytes(), arity
+                reference_canon(system.period, arity).canonical_bytes(), arity
+
+    @pytest.mark.parametrize("sysname", RULE_SYSTEMS)
+    def test_pinned_digest(self, sysname):
+        system = NumerationSystem(sysname, RULE_SYSTEMS[sysname])
+        got = tuple(canonical_recognizer(system, k).sha()[:16] for k in (1, 2, 3))
+        assert got == CANON_SHA[sysname]
 
 
 LINEAR_SPECS = [
@@ -459,9 +547,9 @@ class TestMultiPeriodAtoms:
         assert got == SQRT7_HEAVY_SHA
 
 
-# (states, edges) of the raw piece each atom's pair walk hands to
-# _canonical, on a fresh system.  Suffixes of length i are bounded by the
-# value range 0 .. q_i - 1 of canonical strings; bounded by
+# (states, edges) of the raw piece each atom's pair walk returns, on a
+# fresh system.  Suffixes of length i are bounded by the value range
+# 0 .. q_i - 1 of canonical strings; bounded by
 # dmax*(q_0+...+q_{i-1}) instead, the walk kept 4 720 / 24 884,
 # 1 855 / 15 478, 1 855 / 16 259, 1 718 / 3 866 and 262 071 / 1 375 817.
 # Walked in step with canon(k), whose states guess each digit's position
@@ -484,14 +572,15 @@ RAW_PIECES = {
                          ids=[f"{s} {c}{op}{k}" for s, c, k, op in RAW_PIECES])
 def test_raw_piece_sizes(systems, monkeypatch, sysname, coefs, constant, op):
     system = NumerationSystem(sysname, systems[sysname].period)
-    canonical_recognizer(system, len(coefs))  # so the raw piece comes first
+    canonical_recognizer(system, len(coefs))  # so the atom's walk comes first
     raw = []
-    canonical = Automaton._canonical
+    linear_piece = relations._linear_piece
 
-    def recorded(aut):
-        raw.append((aut.n_states, int(aut.indptr[-1])))
-        return canonical(aut)
-    monkeypatch.setattr(Automaton, "_canonical", recorded)
+    def recorded(*args):
+        indptr, rows, succ, acc = out = linear_piece(*args)
+        raw.append((acc.size, int(indptr[-1])))
+        return out
+    monkeypatch.setattr(relations, "_linear_piece", recorded)
     atom(system, coefs, constant, op)
     states, edges = RAW_PIECES[sysname, coefs, constant, op]
     assert raw[0][0] <= states and raw[0][1] <= edges, raw[0]
@@ -552,14 +641,15 @@ def test_linear_piece_rows_and_arrays_agree(sysname, coefs, lo, hi):
 
 def canon_walk_piece(system, coefficients, lo, hi):
     """The raw phase-0 piece as the linear walk once built it, in step
-    with canon(k): a state is a pair and a canon(k) state, only the letters
+    with canon(k), here the reference_canon built apart from the walk's
+    digit rows: a state is a pair and a canon(k) state, only the letters
     of the canon state's row are followed, and a state accepts when its
     pair lands in the window (at most hi when lo is None) at phase 0 and
     its canon state accepts.  Rows as ``_linear_piece`` gives them."""
     arity, m, period = len(coefficients), system.period_length, system.period
     c_min = sum(c for c in coefficients if c < 0)
     c_max = sum(c for c in coefficients if c > 0)
-    canon = canonical_recognizer(system, arity)
+    canon = reference_canon(system.period, arity)
     indptr, letters = canon.indptr.tolist(), canon.letters.tolist()
     targets = canon.targets.tolist()
 
@@ -618,9 +708,8 @@ def test_linear_piece_matches_canon_walk_sqrt7(systems, coefs, constant, op):
                        None if op == "<=" else constant, constant)
 
 
-# periods of length 1 to 4, each digit bound saturated at some residue;
 # strings of up to 6 digits give every length residue
-RULE_PERIODS = [(1,), (2,), (3, 1), (2, 1, 1), (4, 1, 1, 1)]
+RULE_PERIODS = list(RULE_SYSTEMS.values())
 
 
 @pytest.mark.parametrize("arity,length", [(1, 6), (2, 3)])

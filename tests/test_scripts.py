@@ -108,7 +108,10 @@ PINNED = {
 # Upper bounds on what one run of a section builds with
 # ``_kernels.pair_product``, its checks included: (calls, product states
 # before minimisation, states of the largest product).  The five
-# compile-small sections make 295 calls (300 when each floor division
+# compile-small sections make 288 calls over 13 699 states (295 over
+# 14 027 when every connective built canon(k), its branch reading it or
+# not, where s7 made 15 over 375, s8 65 over 1 616, s9 65 over 3 599,
+# s10 90 over 7 404 and s12 60 over 1 033; 300 when each floor division
 # ``t/c`` was the intersection of two ``<=`` atoms, where s7 made 16 over
 # 398 states, s8 67 over 1 697 and s10 92 over 7 530; 391 when every
 # ``&`` where neither side spans met canon(k) first, however small its
@@ -133,11 +136,11 @@ PINNED = {
 # that step where it pays, fails here by name, with no timing involved.
 PRODUCTS = {
     "s6": (23, 13246, 7274),
-    "s7": (15, 375, 148),
-    "s8": (65, 1616, 145),
-    "s9": (65, 3599, 370),
-    "s10": (90, 7404, 807),
-    "s12": (60, 1033, 92),
+    "s7": (14, 367, 148),
+    "s8": (63, 1592, 145),
+    "s9": (64, 3583, 370),
+    "s10": (89, 7148, 807),
+    "s12": (58, 1009, 92),
 }
 
 

@@ -11,7 +11,7 @@ from math import isqrt
 
 import pytest
 
-from obd import _kernels
+from obd import Automaton, _kernels
 from obd.session import Session, SessionError
 
 SCRIPT = r"""
@@ -451,3 +451,18 @@ def test_too_deep_a_pattern_is_a_session_error():
     with pytest.raises(SessionError, match="^reg: pattern nests too deeply"):
         s.execute(f'reg r {{0,1}} "{pattern}"')
     assert s.execute('reg r {0,1} "(0|1)*"', ";") is not None
+
+
+def test_setup_canonicalises_only_the_word_automaton(tmp_path, monkeypatch):
+    # a session with the built-ins loaded, the set-up the benchmark times:
+    # one machine, the word F, and no canon(k) or linear machine on msd_fib
+    given = []
+    canonical = Automaton._canonical
+
+    def seen(aut):
+        given.append(aut)
+        return canonical(aut)
+    monkeypatch.setattr(Automaton, "_canonical", seen)
+    sess = Session(tmp_path, out=lambda line: None, persist=False)
+    assert len(given) == 1 and given[0].outputs is not None
+    assert list(sess.env.systems["msd_fib"]._cache) == [("fibword",)]
