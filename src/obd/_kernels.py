@@ -1,60 +1,51 @@
 """Kernels for the automaton algebra.
 
-CSR contract.  An automaton with n states and m transitions is stored as
-indptr (int64, n+1), letters (int32, m) and targets (int32, m), sorted by
-(state, letter) with at most one transition per (state, letter); an
-accepting mask (uint8, n) and a single initial state.  Missing transitions
-go to an implicit dead sink.  Kernels never write into their inputs,
-except that ``canonical_rows`` takes over the lists it is given, and may
-return a read-only array, so callers must not write into automaton
-arrays.
+Rows contract.  A machine with n states is a list of n letter rows and n
+target rows: rows[s] is the tuple of state s's letters in strictly
+increasing order, succ[s] the list of their targets, and the accepting
+flags are a list of n ints 0 or 1.  Missing transitions go to an implicit
+dead sink.  States with equal rows share one tuple, so a row costs its
+letters once however many states read it.  Kernels never write into
+their inputs, except that ``canonical`` takes over the lists it is
+given.
 
-Canonical form has one tail, over Python lists: the co-reach cut
-(relations only: the states that reach no accepting state go, with the
-edges into them), ``min_blocks``, ``quotient`` and ``bfs_renumber``,
-each a loop with ``dict`` interning, and the output arrays built once.
-It has two entries.  ``canonical_rows`` takes rows from three
-producers, ``pair_product``, ``determinize`` and the linear atoms' walk
-over period length 1 (``relations._linear_piece``; a longer period's
-piece goes to ``determinize`` for its leading-zero closure), and trusts
-their invariant: states numbered in BFS discovery order from state 0,
-so every state is reachable, and each row letter sorted.  So it runs no
-forward pass and remaps no target, unless the co-reach cuts a state.
-``canonical`` takes CSR arrays from every other producer
-(``Automaton.from_transitions``, ``permute_tracks`` and word automata),
-converts them to lists once and runs ``trim``, the forward pass, first.
-A small machine needs many BFS levels and Moore rounds for few edges,
-and a numpy call costs microseconds however little it does, so on the
-machines the benchmark's scripts canonicalise (at most about 8 000
-edges) the lists win by far.  On much larger machines (s11's 24 407-state
-subset construction) a whole-array chain was about three times faster,
-but no benchmark workload reached it, so it was not worth a second
-implementation.
+``pair_product`` and ``determinize`` return their states numbered in
+BFS discovery order from state 0, so every state is reachable, as the
+linear atoms' walk (``relations._linear_piece``) does too.  Each returns
+(indptr, rows, succ, acc), with indptr (int64, n + 1) the row offsets,
+which a tracer reads as the count of states built; numpy is used for
+nothing else.
 
-``pair_product`` has one path too: a loop over pairs in BFS order that
-builds a state's row, letter -> target, the first time a pair reaches
-that state, so a large input costs only its reached rows.  Whole-array
-passes win only on products of at least about 4 000 input edges, a few
-per benchmark pass, by a few milliseconds per pass: not worth a second
-implementation.  ``determinize`` is a list loop too and has one caller,
-``automata.determinized``, through which every subset construction goes;
-``walk`` reads one word through a dense successor table (see
-``Automaton.successors``).
+Canonical form is one tail, ``canonical``: the co-reach cut (relations
+only: the states that reach no accepting state go, with the edges into
+them), ``min_blocks``, ``quotient`` and ``bfs_renumber``, each a loop
+with ``dict`` interning.  It takes a machine whose every state is
+reachable from state 0 and runs no forward pass; a machine numbered any
+other way (``Automaton.from_transitions``, ``permute_tracks``) goes
+through ``trim`` first.  A small machine needs many BFS levels and Moore
+rounds for few edges, and a numpy call costs microseconds however little
+it does, so on the machines the benchmark's scripts canonicalise (at
+most about 8 000 edges) the lists win by far.  On much larger machines
+(s11's 24 407-state subset construction) a whole-array chain was about
+three times faster, but no benchmark workload reached it, so it was not
+worth a second implementation.
 
-Memory.  Arrays kept per edge are int32; int64 appears only where numpy
-needs it.  A product, a subset construction or a period-1 linear atom's
-raw piece is handed on as lists, a letter row and a target row per
-state, never as flat arrays, since the canonical tail reads lists, and
-states with equal letter rows share one tuple.  The product's working set is
-its pair index and the rows of the states its pairs reach, so it grows
-with the reached part of each input, not with the whole input.  The
-co-reach cut keeps one set of the states known to reach acceptance, and
-predecessor lists only for the states two sweeps leave open, not a
-predecessor list per state; it renumbers the kept target rows in place.
+``pair_product`` is a loop over pairs in BFS order that builds a side's
+row, letter -> target, the first time a pair reaches that state, so a
+large input costs only its reached rows.  ``determinize`` is a list loop
+too and has one caller, ``automata.determinized``, through which every
+subset construction goes; ``walk`` reads one word through a dense
+successor table (see ``Automaton.successors``).
+
+Memory.  The product's working set is its pair index and the rows of
+the states its pairs reach, so it grows with the reached part of each
+input, not with the whole input.  The co-reach cut keeps one set of the
+states known to reach acceptance, and predecessor lists only for the
+states two sweeps leave open, not a predecessor list per state; it
+renumbers the kept target rows in place.
 """
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
 
 import numpy as np
@@ -73,48 +64,48 @@ def _offsets(rows):
 # pairwise product  (mode: 0 and, 1 or, 2 xor, 3 andnot)
 # ---------------------------------------------------------------------------
 
-def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
+def pair_product(rows_a, succ_a, acc_a, init_a, rows_b, succ_b, acc_b, init_b,
+                 mode):
     """Reachable part of the product as rows: (indptr, rows, succ, acc).
 
     States are pairs numbered in BFS discovery order from the initial
-    pair, state 0, so every state is reachable; rows[s] lists state s's
-    letters in increasing order and succ[s] their targets, indptr
-    (int64, n + 1) gives the row offsets and acc (uint8, n) the accepting
-    flags.  ``canonical_rows`` trusts this.  A side that has fallen into
-    the dead sink is -1 in the pair; modes 0 and 3 drop pairs whose left
-    side is dead, mode 0 also the right side.
+    pair, state 0, under the rows contract (module docstring); indptr
+    (int64, n + 1) gives the row offsets, which the benchmark's tracer
+    reads.  A side that has fallen into the dead sink is -1 in the pair;
+    modes 0 and 3 drop pairs whose left side is dead, mode 0 also the
+    right side.
     """
-    width = ib.size  # pair key: (a + 1) * width + b + 1
-    # each target as its part of the pair key, one int per state that all
-    # the edges into it share
-    part_a = list(range(width, ia.size * width, width))
-    part_b = list(range(1, width))
-    ip_a, lt_a, tg_a = ia.tolist(), la.tolist(), list(map(part_a.__getitem__, ta.tolist()))
-    ip_b, lt_b, tg_b = ib.tolist(), lb.tolist(), list(map(part_b.__getitem__, tb.tolist()))
+    width = len(succ_b) + 1  # pair key: (a + 1) * width + b + 1
+    # each target as its part of the pair key
+    part_a = range(width, (len(succ_a) + 1) * width, width)
+    part_b = range(1, width)
     # a side's row maps a letter to its target's part of the pair key; rows
     # are built on first use, and row 0 is the dead side -1's, empty
-    rows_a, rows_b = [None] * len(ip_a), [None] * len(ip_b)
-    rows_a[0] = rows_b[0] = {}
-    start = (int(inita) + 1) * width + int(initb) + 1
+    dict_a, dict_b = [None] * (len(succ_a) + 1), [None] * width
+    dict_a[0] = dict_b[0] = {}
+    start = (init_a + 1) * width + init_b + 1
     index, pairs, n = {start: 0}, [start], 1
-    rows, succ, shared = [], [], {}
+    rows, succ, acc, shared = [], [], [], {}
     for key in pairs:  # the loop visits pairs appended while it runs
         a, b = divmod(key, width)
-        ra = rows_a[a]
+        ra = dict_a[a]
         if ra is None:
-            lo, hi = ip_a[a - 1], ip_a[a]
-            ra = rows_a[a] = dict(zip(lt_a[lo:hi], tg_a[lo:hi]))
-        rb = rows_b[b]
+            ra = dict_a[a] = dict(zip(rows_a[a - 1], map(part_a.__getitem__, succ_a[a - 1])))
+        rb = dict_b[b]
         if rb is None:
-            lo, hi = ip_b[b - 1], ip_b[b]
-            rb = rows_b[b] = dict(zip(lt_b[lo:hi], tg_b[lo:hi]))
+            rb = dict_b[b] = dict(zip(rows_b[b - 1], map(part_b.__getitem__, succ_b[b - 1])))
+        fa = acc_a[a - 1] if a else 0
+        fb = acc_b[b - 1] if b else 0
         if mode == 0:  # the shorter row's letters that the other row has
             short, other = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
             row = tuple([c for c in short if c in other])
+            acc.append(fa & fb)
         elif mode == 3:
             row = tuple(ra)
+            acc.append(fa & ~fb)
         else:
             row = tuple(sorted(ra.keys() | rb.keys()))
+            acc.append(fa | fb if mode == 1 else fa ^ fb)
         row = shared.setdefault(row, row)  # states with equal rows share one
         out = [0] * len(row)  # at its final size
         for i, c in enumerate(row):
@@ -125,43 +116,40 @@ def pair_product(ia, la, ta, aa, inita, ib, lb, tb, ab, initb, mode):
                 n += 1
         rows.append(row)
         succ.append(out)
-    a, b = np.divmod(np.fromiter(pairs, np.int64, len(pairs)), width)
-    fa, fb = np.append(0, aa)[a] != 0, np.append(0, ab)[b] != 0  # -1 reads False
-    return (_offsets(rows), rows, succ,
-            (fa & fb, fa | fb, fa != fb, fa & ~fb)[mode].astype(np.uint8))
+    return _offsets(rows), rows, succ, acc
 
 
 # ---------------------------------------------------------------------------
-# canonical form: trim (array entry only), the co-reach cut, Moore
-# minimization, quotient and BFS numbering, over Python lists.  trim,
-# min_blocks, quotient and bfs_renumber are module-level functions, called
-# through the module's globals, so that each can be timed on its own.
+# canonical form: trim (for machines not numbered from a reachable state
+# 0), the co-reach cut, Moore minimization, quotient and BFS numbering,
+# over Python lists.  trim, min_blocks, quotient and bfs_renumber are
+# module-level functions, called through the module's globals, so that
+# each can be timed on its own.
 # ---------------------------------------------------------------------------
 
-def trim(ip, lt, tg, initial):
-    """The part of a machine, given as CSR lists, reachable from `initial`:
-    its states in discovery order (`initial` first), and the letter row
-    and target row of each, targets as positions in that order."""
-    at = [-1] * (len(ip) - 1)  # input state -> position in `states`
+def trim(rows, succ, initial):
+    """The part of a machine reachable from `initial`: its states in
+    discovery order (`initial` first), and the row and target row of
+    each, targets as positions in that order."""
+    at = [-1] * len(succ)  # input state -> position in `states`
     at[initial] = 0
     states = [initial]
     for s in states:  # the loop visits states appended while it runs
-        for t in tg[ip[s]:ip[s + 1]]:
+        for t in succ[s]:
             if at[t] < 0:
                 at[t] = len(states)
                 states.append(t)
     remap = at.__getitem__
-    return (states, [lt[ip[s]:ip[s + 1]] for s in states],
-            [list(map(remap, tg[ip[s]:ip[s + 1]])) for s in states])
+    return (states, [rows[s] for s in states],
+            [list(map(remap, succ[s])) for s in states])
 
 
-def _cut_dead(rows, succ, accepting, states):
+def _cut_dead(rows, succ, accepting):
     """The states of a relation reachable from state 0 that also reach
-    an accepting state, in order, as (rows, succ, accepting, states)
-    with edges into the other states dropped; None when state 0 reaches
-    no accepting state.  `states` names the input state of each position
-    (None: the position itself).  The kept target rows are renumbered in
-    place."""
+    an accepting state, in order, as (rows, succ, accepting, kept) with
+    edges into the other states dropped and `kept` the input state of
+    each (None when every state is kept); None when state 0 reaches no
+    accepting state.  The kept target rows are renumbered in place."""
     live = {s for s, f in enumerate(accepting) if f}
     isdisjoint, keep = live.isdisjoint, live.add
     # a sweep down from the last state, then one up over what is left: in
@@ -186,7 +174,7 @@ def _cut_dead(rows, succ, accepting, states):
     if 0 not in live:
         return None
     if len(live) == len(succ):
-        return rows, succ, accepting, states
+        return rows, succ, accepting, None
     kept = sorted(live)
     at = [-1] * len(succ)  # position -> position among the kept, -1 when cut
     for i, s in enumerate(kept):
@@ -196,10 +184,9 @@ def _cut_dead(rows, succ, accepting, states):
     for i, out in enumerate(succ):
         out[:] = map(remap, out)  # in place: the lists are handed over
         if -1 in out:  # edges into cut states go too
-            rows[i] = [c for c, t in zip(rows[i], out) if t >= 0]
+            rows[i] = tuple([c for c, t in zip(rows[i], out) if t >= 0])
             succ[i] = [t for t in out if t >= 0]
-    return (rows, succ, list(map(accepting.__getitem__, kept)),
-            kept if states is None else list(map(states.__getitem__, kept)))
+    return rows, succ, list(map(accepting.__getitem__, kept)), kept
 
 
 def _no_targets(block):
@@ -236,101 +223,82 @@ def quotient(block):
 
 
 def bfs_renumber(rows, succ, block, rep):
-    """CSR lists of the machine on blocks, the blocks numbered in BFS
-    discovery order from state 0's, and the state `rep` gives for each
-    output state.  Each block reads the row of its state in `rep`, its
-    targets through `block`.  Rows are letter sorted, so the numbering is
-    canonical for isomorphic machines.  Unreachable blocks are dropped."""
+    """Rows and target rows of the machine on blocks, the blocks numbered
+    in BFS discovery order from state 0's, and the state `rep` gives for
+    each output state.  Each block reads the row of its state in `rep`,
+    its targets through `block`.  Rows are letter sorted, so the
+    numbering is canonical for isomorphic machines.  Unreachable blocks
+    are dropped."""
     pos = [-1] * len(rep)
     pos[block[0]] = 0
     order = [block[0]]
-    indptr, letters, targets = [0], [], []
+    out_rows, out_succ = [], []
     for b in order:  # the loop visits blocks appended while it runs
         s = rep[b]
+        out = []
         for t in succ[s]:
             t = block[t]
             if pos[t] < 0:
                 pos[t] = len(order)
                 order.append(t)
-            targets.append(pos[t])
-        letters += rows[s]
-        indptr.append(len(targets))
-    return indptr, letters, targets, [rep[b] for b in order]
+            out.append(pos[t])
+        out_rows.append(rows[s])
+        out_succ.append(out)
+    return out_rows, out_succ, [rep[b] for b in order]
 
 
-def _tail(rows, succ, labels, relation, acc, states=None):
-    """The co-reach cut (relations only), min_blocks, quotient and
-    bfs_renumber in turn, on a machine reachable from its initial state
-    0, as ``canonical`` returns them.  `states` names the input state of
-    each position (None: the position itself)."""
-    if relation:
-        cut = _cut_dead(rows, succ, labels, states)
-        if cut is None:
-            return (np.zeros(2, np.int64), np.empty(0, np.int32),
-                    np.empty(0, np.int32), np.zeros(1, np.uint8), np.zeros(1, np.int32))
-        rows, succ, labels, states = cut
+def canonical(rows, succ, acc, labels=None):
+    """What the co-reach cut, min_blocks, quotient and bfs_renumber give
+    in turn, as (rows, succ, acc, states), `states` an input state of each
+    output state, on a machine whose every state is reachable from state
+    0, each row letter sorted.  With `labels` None the machine is a
+    relation: states that reach no accepting state are cut (a dead
+    initial state gives the one-state empty machine) and the rest refined
+    by acceptance.  Otherwise it is a word automaton: nothing is cut, and
+    states are refined by `labels`.  It takes the lists over: the
+    co-reach cut renumbers target rows in place."""
+    cut = None
+    if labels is None:
+        found = _cut_dead(rows, succ, acc)
+        if found is None:
+            return [()], [[]], [0], [0]
+        rows, succ, acc, cut = found
+        labels = acc
     block = min_blocks(rows, succ, labels)
-    indptr, letters, targets, kept = bfs_renumber(rows, succ, block, quotient(block))
-    if states is not None:
-        kept = [states[s] for s in kept]
-    return (np.array(indptr, np.int64), np.array(letters, np.int32),
-            np.array(targets, np.int32), acc[kept], np.array(kept, np.int32))
-
-
-def canonical_rows(rows, succ, acc):
-    """``canonical`` of a relation that ``pair_product``, ``determinize``
-    or the linear atoms' walk returned as rows: BFS numbered from state
-    0, every state reachable, each row letter sorted, so no trim is
-    needed.  It takes the lists over: the co-reach cut renumbers target
-    rows in place."""
-    return _tail(rows, succ, acc.tolist(), True, acc)
-
-
-def canonical(indptr, letters, targets, acc, initial, labels=None):
-    """What trim, the co-reach cut, min_blocks, quotient and bfs_renumber
-    give in turn, as arrays, and an input state of each output state.
-    With `labels` None the machine is a relation: states that reach no
-    accepting state are cut (a dead initial state gives the one-state
-    empty machine) and the rest refined by acceptance.  Otherwise it is a
-    word automaton: nothing is cut but the unreachable states, and states
-    are refined by `labels`."""
-    states, rows, succ = trim(indptr.tolist(), letters.tolist(), targets.tolist(),
-                              initial)
-    relation = labels is None
-    label = (acc if relation else labels).tolist()
-    return _tail(rows, succ, [label[s] for s in states], relation, acc, states)
+    rows, succ, kept = bfs_renumber(rows, succ, block, quotient(block))
+    acc = list(map(acc.__getitem__, kept))
+    return rows, succ, acc, kept if cut is None else list(map(cut.__getitem__, kept))
 
 # ---------------------------------------------------------------------------
 # subset construction (also handles projection via letter_map and the
 # leading-zero closure that keeps projected languages padding closed)
 # ---------------------------------------------------------------------------
 
-def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_close):
+def determinize(rows, succ, acc, init_states, letter_map):
     """Subset construction as rows, (indptr, rows, succ, acc), numbered
-    and ordered as ``pair_product`` gives them: subsets in BFS discovery
-    order from the start set, state 0, every state reachable, each row
-    letter sorted."""
-    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
-    lmap = letter_map.tolist()
-    root = set(init_states.tolist())
-    stack = list(root) if zero_close else []
+    and ordered as ``pair_product`` gives them.  The input may have any
+    number of edges per (state, letter), in any order; its letters are
+    read through `letter_map`, and the start set, `init_states`, is
+    closed under the edges whose mapped letter is 0, so leading zeros can
+    be dropped."""
+    root = set(init_states)
+    stack = list(root)
     while stack:
         s = stack.pop()
-        for e in range(ip[s], ip[s + 1]):
-            if lmap[lt[e]] == 0 and tg[e] not in root:
-                root.add(tg[e])
-                stack.append(tg[e])
-    accepting = acc.tolist()
+        for c, t in zip(rows[s], succ[s]):
+            if letter_map[c] == 0 and t not in root:
+                root.add(t)
+                stack.append(t)
     start = tuple(sorted(root))
     index = {start: 0}
     sets = [start]
-    rows, succ, shared = [], [], {}
-    out_acc = array("B", [any(accepting[s] for s in start)])
+    out_rows, out_succ, shared = [], [], {}
+    out_acc = [int(any(acc[s] for s in start))]
     for members in sets:
         moves: dict = {}
         for s in members:
-            for e in range(ip[s], ip[s + 1]):
-                moves.setdefault(lmap[lt[e]], set()).add(tg[e])
+            for c, t in zip(rows[s], succ[s]):
+                moves.setdefault(letter_map[c], set()).add(t)
         row = tuple(sorted(moves))
         row = shared.setdefault(row, row)  # states with equal rows share one
         out = [0] * len(row)  # at its final size
@@ -339,10 +307,10 @@ def determinize(indptr, letters, targets, acc, init_states, letter_map, zero_clo
             sid = out[i] = index.setdefault(key, len(sets))
             if sid == len(sets):
                 sets.append(key)
-                out_acc.append(any(accepting[s] for s in key))
-        rows.append(row)
-        succ.append(out)
-    return _offsets(rows), rows, succ, np.frombuffer(out_acc, np.uint8)
+                out_acc.append(int(any(acc[s] for s in key)))
+        out_rows.append(row)
+        out_succ.append(out)
+    return _offsets(out_rows), out_rows, out_succ, out_acc
 
 
 def walk(delta, nletters, state, word):

@@ -6,26 +6,24 @@ code = sum d_j * (dmax+1)**(k-1-j). Tracks are padded with leading zeros
 to a common length, and every language handled here is padding closed
 (w is accepted iff 0w is), so the padding length never matters.
 
-Storage is CSR: indptr / letters / targets sorted by (state, letter),
-one initial state, an accepting mask and optionally a per-state output
-(for word automata built with combine). Every machine built from edges
-goes through the one edge constructor ``csr_from_edges``, and every
-letter remap between track layouts (lift, projection, permutation)
-reads the one memoised track table ``_track_table``. Every subset
-construction goes through the one builder ``determinized``: projection
+Storage is per-state rows, the format every kernel reads and writes
+(``_kernels`` module docstring): a letter tuple and a target list per
+state, one initial state, accepting flags and optionally a per-state
+output (for word automata built with combine). Every letter remap
+between track layouts (lift, projection, permutation) reads the one
+memoised track table ``_track_table``. Every subset construction goes
+through the one builder ``determinized``: projection
 (``Automaton.project``) and leading-zero closure (``pad_closed``, for
 the regex compiler and the linear atoms of period length > 1). All
 public operations return canonical machines: trimmed, minimized and BFS
-renumbered, so equal languages give byte-identical arrays. The empty
+renumbered, so equal languages give byte-identical text. The empty
 language is stored as a single dead state and reports live_states == 0.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
-from collections import deque
-
-import numpy as np
+import itertools
 
 from . import _kernels as K
 
@@ -55,77 +53,81 @@ def letter_digits(code: int, arity: int, dmax: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def csr_from_edges(n_states: int, src, letters, targets):
-    """The edges src -> targets on `letters`, given in any order, as CSR
-    (indptr, letters, targets): rows sorted by (state, letter), edges with
-    equal (state, letter) in their given order.  Edges that already come
-    in that order are neither sorted nor copied."""
-    src = np.asarray(src, np.int64)
-    letters = np.asarray(letters, np.int32)
-    targets = np.asarray(targets, np.int32)
-    in_order = src[1:] == src[:-1]  # built in place: 1 byte per edge
-    in_order &= letters[1:] >= letters[:-1]
-    in_order |= src[1:] > src[:-1]
-    if not in_order.all():
-        order = np.lexsort((letters, src))
-        src, letters, targets = src[order], letters[order], targets[order]
-    indptr = np.zeros(n_states + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
-    return indptr, letters, targets
+def _rows_of(n_states: int, triples):
+    """Rows and target rows of `n_states` states from (src, code, dst)
+    triples, each row sorted by letter; equal rows share one tuple."""
+    rows, succ = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
+    for s, c, t in sorted(triples):
+        rows[s].append(c)
+        succ[s].append(t)
+    shared: dict = {}
+    return [shared.setdefault(row, row) for row in map(tuple, rows)], succ
 
 
-def edge_sources(indptr) -> np.ndarray:
-    """Source state of each edge of a CSR machine."""
-    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+def _spread(rows, succ, table):
+    """Rows and target rows with each letter l replaced by the letters
+    table[l], which are disjoint for distinct l, each row sorted.  Each
+    distinct row is spread once: a dict from new letter to old position
+    gives its new row and the order its targets are read in."""
+    spread: dict = {}
+    new_rows, new_succ = [], []
+    for row, out in zip(rows, succ):
+        got = spread.get(row)
+        if got is None:
+            owner = {c: i for i, letter in enumerate(row) for c in table[letter]}
+            new = tuple(sorted(owner))
+            got = spread[row] = new, list(map(owner.__getitem__, new))
+        new_rows.append(got[0])
+        new_succ.append(list(map(out.__getitem__, got[1])))
+    return new_rows, new_succ
 
 
 @functools.cache
 def _track_table(arity: int, dmax: int, positions: tuple,
-                 arity_new: int) -> np.ndarray:
+                 arity_new: int) -> tuple:
     """Row `code` lists, in increasing order, every code over `arity_new`
     tracks whose track positions[i] holds digit i of `code`; the other
-    tracks range over all digits.  Memoised, so read-only."""
+    tracks range over all digits.  Memoised, so built of tuples."""
     if len(positions) != arity or len(set(positions)) != arity \
             or not all(0 <= p < arity_new for p in positions):
         raise ValueError(f"bad track embedding {list(positions)} into "
                          f"{arity_new} tracks")
     base = dmax + 1
-    wide = np.arange(nletters(arity_new, dmax))
-    code = np.zeros_like(wide)
-    for p in positions:
-        code = code * base + wide // base ** (arity_new - 1 - p) % base
-    table = np.argsort(code, kind="stable").astype(np.int32)
-    table = table.reshape(nletters(arity, dmax), -1)
-    table.flags.writeable = False
-    return table
+    table = [[] for _ in range(nletters(arity, dmax))]
+    # the digit tuples over arity_new tracks, in code order
+    for wide, digits in enumerate(itertools.product(range(base), repeat=arity_new)):
+        code = 0
+        for p in positions:
+            code = code * base + digits[p]
+        table[code].append(wide)
+    return tuple(map(tuple, table))
 
 
-def project_letter_map(arity: int, dmax: int, drop) -> np.ndarray:
-    """Old letter code -> code with the tracks in `drop` removed.
-
-    Memoised by its arguments; the table is shared, so it is read-only."""
+def project_letter_map(arity: int, dmax: int, drop) -> tuple:
+    """Old letter code -> code with the tracks in `drop` removed, as a
+    tuple indexed by the old code.  Memoised by its arguments."""
     return _project_table(arity, dmax, frozenset(drop))
 
 
 @functools.cache
-def _project_table(arity: int, dmax: int, drop: frozenset) -> np.ndarray:
+def _project_table(arity: int, dmax: int, drop: frozenset) -> tuple:
     if not all(0 <= t < arity for t in drop):
         raise ValueError("track index out of range")
     keep = tuple(t for t in range(arity) if t not in drop)
-    table = _track_table(len(keep), dmax, keep, arity)
-    out = np.empty(nletters(arity, dmax), np.int32)
-    out[table] = np.arange(table.shape[0], dtype=np.int32)[:, None]
-    out.flags.writeable = False
-    return out
+    out = [0] * nletters(arity, dmax)
+    for code, wide in enumerate(_track_table(len(keep), dmax, keep, arity)):
+        for c in wide:
+            out[c] = code
+    return tuple(out)
 
 
-def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> np.ndarray:
-    """Matrix of letter expansions for embedding tracks into a wider tuple.
+def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> tuple:
+    """Letter expansions for embedding tracks into a wider tuple, as a
+    tuple of tuples.
 
     positions[i] is the new index of old track i (strictly increasing).
     Row `code` lists every new-alphabet code whose mapped tracks spell out
-    `code`; free tracks range over all digits.  Memoised by its arguments;
-    the table is shared, so it is read-only.
+    `code`; free tracks range over all digits.  Memoised by its arguments.
     """
     positions = tuple(positions)
     if sorted(set(positions)) != list(positions):
@@ -133,47 +135,40 @@ def lift_codes(arity_old: int, dmax: int, positions, arity_new: int) -> np.ndarr
     return _track_table(arity_old, dmax, positions, arity_new)
 
 
-def determinized(arity, dmax, indptr, letters, targets, acc, inits,
-                 letter_map=None, zero_close=False) -> "Automaton":
-    """Canonical DFA of a CSR machine with any number of edges per (state,
-    letter), started in the set `inits`, its letters read through
-    `letter_map` (old code -> code over `arity` tracks; None keeps them).
-    With `zero_close` the start set is closed under mapped zero letters, so
-    leading zeros can be dropped.  ``K.determinize`` returns the subsets as
-    rows, which ``_canonical`` takes as they are (a ``_Raw`` machine)."""
-    if letter_map is None:
-        letter_map = np.arange(nletters(arity, dmax), dtype=np.int32)
-    return _Raw(arity, dmax, *K.determinize(
-        indptr, letters, targets, acc, np.asarray(inits, np.int64), letter_map,
-        zero_close))._canonical()
+def determinized(arity, dmax, rows, succ, acc, inits, letter_map) -> "Automaton":
+    """Canonical DFA of a machine given as rows with any number of edges
+    per (state, letter), started in the set `inits` closed under mapped
+    zero letters, so leading zeros can be dropped; its letters are read
+    through `letter_map` (old code -> code over `arity` tracks)."""
+    return Automaton(arity, dmax, *K.determinize(
+        rows, succ, acc, inits, letter_map)[1:])._canonical()
 
 
-def pad_closed(arity, dmax, n_states, src, letters, targets, acc,
-               initial) -> "Automaton":
+def pad_closed(arity, dmax, rows, succ, acc, initial) -> "Automaton":
     """Smallest padding-closed language with the same stripped words as the
-    machine of edges src -> targets on `letters` (any order, any number per
-    (state, letter)) started in `initial`: {u : strip(u) = strip(w) for
-    some accepted w}, built as 0* . L with leading-zero closure folded in,
-    in one subset construction.  Its callers are ``regexlang``'s position
-    automaton and ``relations._linear_machine``, which closes a linear
-    atom's raw phase-0 piece with it."""
-    src = np.asarray(src, np.int64)
-    letters = np.asarray(letters, np.int32)
-    targets = np.asarray(targets, np.int32)
+    machine of rows and target rows `rows` and `succ` (any order, any
+    number of edges per (state, letter)) started in `initial`:
+    {u : strip(u) = strip(w) for some accepted w}, built as 0* . L with
+    leading-zero closure folded in, in one subset construction.  Its
+    callers are ``regexlang``'s position automaton and
+    ``relations._linear_machine``, which closes a linear atom's raw
+    phase-0 piece with it."""
     # a fresh state n reads a zero letter to itself, then the initial row
-    n, first = n_states, src == initial
-    return determinized(arity, dmax, *csr_from_edges(
-        n + 1, np.concatenate([src, np.full(1 + first.sum(), n)]),
-        np.concatenate([letters, [0], letters[first]]),
-        np.concatenate([targets, [n], targets[first]])),
-        np.append(acc, acc[initial]), [n], zero_close=True)
+    n = len(succ)
+    return determinized(arity, dmax, [*rows, (0, *rows[initial])],
+                        [*succ, [n, *succ[initial]]], [*acc, acc[initial]], [n],
+                        range(nletters(arity, dmax)))
 
 
 _MODES = {"and": 0, "or": 1, "xor": 2, "andnot": 3}
 
 
 class Automaton:
-    """A deterministic automaton in the CSR form the module docstring gives.
+    """A deterministic automaton as per-state rows (module docstring):
+    ``rows[s]`` is the strictly increasing tuple of state s's letters,
+    shared by the states with equal rows, ``succ[s]`` the list of their
+    targets, ``accepting[s]`` 1 or 0, and ``outputs[s]`` (word automata
+    only) an int.  The lists are never written after construction.
 
     Every read (walks, membership, ``function_value``, word automata)
     goes through one dense successor table, ``successors()``: entry
@@ -209,23 +204,21 @@ class Automaton:
     one per state, suffix set and block.  The memos are built on the
     first read and the table on the first read or ``combine``
     (``session._combine_outputs``), and both are kept, which is safe
-    because an automaton's arrays are never written after construction.
+    because an automaton's lists are never written after construction.
     """
 
-    __slots__ = ("arity", "dmax", "indptr", "letters", "targets",
-                 "accepting", "initial", "outputs", "_delta", "_walks",
-                 "_suffixes")
+    __slots__ = ("arity", "dmax", "rows", "succ", "accepting", "initial",
+                 "outputs", "_delta", "_walks", "_suffixes")
 
-    def __init__(self, arity, dmax, indptr, letters, targets, accepting,
-                 initial=0, outputs=None):
+    def __init__(self, arity, dmax, rows, succ, accepting, initial=0,
+                 outputs=None):
         self.arity = int(arity)
         self.dmax = int(dmax)
-        self.indptr = np.asarray(indptr, np.int64)
-        self.letters = np.asarray(letters, np.int32)
-        self.targets = np.asarray(targets, np.int32)
-        self.accepting = np.asarray(accepting, np.uint8)
+        self.rows = rows
+        self.succ = succ
+        self.accepting = accepting
         self.initial = int(initial)
-        self.outputs = None if outputs is None else np.asarray(outputs, np.int32)
+        self.outputs = outputs
         self._delta = None
         self._walks = None
         self._suffixes = None
@@ -234,14 +227,13 @@ class Automaton:
 
     @staticmethod
     def empty(arity: int, dmax: int) -> "Automaton":
-        return Automaton(arity, dmax, np.zeros(2, np.int64), [], [], [0])
+        return Automaton(arity, dmax, [()], [[]], [0])
 
     @staticmethod
     def universal(arity: int, dmax: int) -> "Automaton":
         """Accepts every word, including the empty one."""
         nl = nletters(arity, dmax)
-        return Automaton(arity, dmax, *csr_from_edges(
-            1, np.zeros(nl, np.int64), np.arange(nl), np.zeros(nl, np.int32)), [1])
+        return Automaton(arity, dmax, [tuple(range(nl))], [[0] * nl], [1])
 
     @staticmethod
     def from_transitions(arity, dmax, n_states, initial, accepting, transitions,
@@ -262,31 +254,33 @@ class Automaton:
         for i in range(1, len(triples)):
             if triples[i][:2] == triples[i - 1][:2]:
                 raise ValueError(f"duplicate transition {triples[i][:2]}")
-        acc = np.zeros(n_states, np.uint8)
-        acc[list(accepting)] = 1
-        return Automaton(arity, dmax, *csr_from_edges(
-            n_states, *np.array(triples, np.int64).reshape(-1, 3).T),
-            acc, initial, outputs)._canonical()
+        acc = [0] * n_states
+        for s in accepting:
+            acc[s] = 1
+        states, rows, succ = K.trim(*_rows_of(n_states, triples), initial)
+        return Automaton(arity, dmax, rows, succ, [acc[s] for s in states], 0,
+                         None if outputs is None else [int(outputs[s]) for s in states]
+                         )._canonical()
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def n_states(self) -> int:
-        return self.accepting.size
+        return len(self.accepting)
 
     @property
     def live_states(self) -> int:
-        if self.n_states == 1 and not self.accepting[0] and self.letters.size == 0 \
+        if self.n_states == 1 and not self.accepting[0] and not self.rows[0] \
                 and self.outputs is None:
             return 0
         return self.n_states
 
     @property
     def transition_count(self) -> int:
-        return self.letters.size
+        return sum(map(len, self.rows))
 
     def is_empty(self) -> bool:
-        return not bool(self.accepting.any())
+        return not any(self.accepting)
 
     def decide(self) -> bool:
         """Language nonempty? (Sentences compile to 0-track automata.)"""
@@ -295,36 +289,30 @@ class Automaton:
     def validate(self) -> None:
         nl = nletters(self.arity, self.dmax)
         n = self.n_states
-        assert self.indptr.size == n + 1 and self.indptr[0] == 0
-        assert self.indptr[-1] == self.letters.size == self.targets.size
+        assert len(self.rows) == len(self.succ) == n
         assert 0 <= self.initial < n
-        for s in range(n):
-            row = self.letters[self.indptr[s]:self.indptr[s + 1]]
-            assert np.all(row[1:] > row[:-1]), f"row {s} not strictly letter-sorted"
-            assert row.size == 0 or (row[0] >= 0 and row[-1] < nl)
-        assert np.all(self.targets >= 0) and np.all(self.targets < n)
+        for s, (row, out) in enumerate(zip(self.rows, self.succ)):
+            assert isinstance(row, tuple) and len(row) == len(out)
+            assert all(x < y for x, y in zip(row, row[1:])), \
+                f"row {s} not strictly letter-sorted"
+            assert not row or (row[0] >= 0 and row[-1] < nl)
+            assert all(0 <= t < n for t in out)
         if self.outputs is not None:
-            assert self.outputs.size == n
+            assert len(self.outputs) == n
 
     # -- canonical form ----------------------------------------------------
 
     def _canonical(self) -> "Automaton":
-        """Trimmed, minimal and BFS numbered: by ``K.canonical_rows`` for
-        a product, subset construction or linear atom's raw piece (a
-        ``_Raw`` machine), by ``K.canonical`` otherwise.  A word automaton
-        (one with outputs) is not trimmed; its states are refined by
-        outputs * 2 + acc."""
+        """Trimmed, minimal and BFS numbered, by ``K.canonical``, which
+        takes this machine's lists over: every state must be reachable
+        from its initial state 0, each row letter sorted.  A word
+        automaton (one with outputs) is not trimmed; its states are
+        refined by outputs * 2 + acc."""
         word = self.outputs is not None
-        if isinstance(self, _Raw):
-            indptr, letters, targets, acc, states = K.canonical_rows(
-                self.rows, self.succ, self.accepting)
-        else:
-            labels = self.outputs.astype(np.int64) * 2 + self.accepting if word else None
-            indptr, letters, targets, acc, states = K.canonical(
-                self.indptr, self.letters, self.targets, self.accepting,
-                self.initial, labels)
-        return Automaton(self.arity, self.dmax, indptr, letters, targets, acc,
-                         0, self.outputs[states] if word else None)
+        labels = [v * 2 + f for v, f in zip(self.outputs, self.accepting)] if word else None
+        rows, succ, acc, states = K.canonical(self.rows, self.succ, self.accepting, labels)
+        return Automaton(self.arity, self.dmax, rows, succ, acc, 0,
+                         list(map(self.outputs.__getitem__, states)) if word else None)
 
     # -- boolean algebra ----------------------------------------------------
 
@@ -336,13 +324,13 @@ class Automaton:
 
     def product(self, other: "Automaton", mode: str) -> "Automaton":
         """Canonical product in `mode` ("and", "or", "xor", "andnot").
-        ``K.pair_product`` returns the reachable pairs as rows, which
-        ``_canonical`` takes as they are (a ``_Raw`` machine)."""
+        ``K.pair_product`` returns the reachable pairs as rows numbered
+        from state 0, which ``_canonical`` takes as they are."""
         self._check_compatible(other)
-        return _Raw(self.arity, self.dmax, *K.pair_product(
-            self.indptr, self.letters, self.targets, self.accepting, np.int64(self.initial),
-            other.indptr, other.letters, other.targets, other.accepting, np.int64(other.initial),
-            _MODES[mode]))._canonical()
+        return Automaton(self.arity, self.dmax, *K.pair_product(
+            self.rows, self.succ, self.accepting, self.initial,
+            other.rows, other.succ, other.accepting, other.initial,
+            _MODES[mode])[1:])._canonical()
 
     def intersect(self, other):
         return self.product(other, "and")
@@ -372,9 +360,9 @@ class Automaton:
         """
         tracks = set(tracks)
         return determinized(
-            self.arity - len(tracks), self.dmax, self.indptr, self.letters,
-            self.targets, self.accepting, [self.initial],
-            project_letter_map(self.arity, self.dmax, tracks), zero_close=True)
+            self.arity - len(tracks), self.dmax, self.rows, self.succ,
+            self.accepting, [self.initial],
+            project_letter_map(self.arity, self.dmax, tracks))
 
     def lift(self, arity_new: int, positions) -> "Automaton":
         """Spread tracks out into a wider tuple; new tracks are unconstrained.
@@ -387,23 +375,23 @@ class Automaton:
         the states in the same order as before.
         """
         table = lift_codes(self.arity, self.dmax, positions, arity_new)
-        n_free = table.shape[1]
-        return Automaton(arity_new, self.dmax, *csr_from_edges(
-            self.n_states, np.repeat(edge_sources(self.indptr), n_free),
-            table[self.letters].reshape(-1), np.repeat(self.targets, n_free)),
-            self.accepting, self.initial, self.outputs)
+        return Automaton(arity_new, self.dmax, *_spread(self.rows, self.succ, table),
+                         self.accepting, self.initial, self.outputs)
 
     def permute_tracks(self, perm) -> "Automaton":
         """Reorder tracks: old track i becomes track perm[i].
 
-        The letters are relabelled and the machine canonicalised again."""
+        The letters are relabelled, which reorders the rows, so the
+        machine is trimmed and canonicalised again."""
         perm = list(perm)
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of the tracks")
-        table = _track_table(self.arity, self.dmax, tuple(perm), self.arity)[:, 0]
-        return Automaton(self.arity, self.dmax, *csr_from_edges(
-            self.n_states, edge_sources(self.indptr), table[self.letters],
-            self.targets), self.accepting, self.initial, self.outputs)._canonical()
+        table = _track_table(self.arity, self.dmax, tuple(perm), self.arity)
+        states, rows, succ = K.trim(*_spread(self.rows, self.succ, table), self.initial)
+        return Automaton(self.arity, self.dmax, rows, succ,
+                         list(map(self.accepting.__getitem__, states)), 0,
+                         None if self.outputs is None
+                         else list(map(self.outputs.__getitem__, states)))._canonical()
 
     # -- running words -------------------------------------------------------
 
@@ -412,16 +400,17 @@ class Automaton:
         if self._delta is None:
             nl = nletters(self.arity, self.dmax)
             n = self.n_states
-            table = np.full((n + 1) * nl, n, np.int64)
-            table[edge_sources(self.indptr) * nl + self.letters] = self.targets
-            self._delta = table.tolist()
+            table = [n] * ((n + 1) * nl)
+            for s, (row, out) in enumerate(zip(self.rows, self.succ)):
+                at = s * nl
+                for c, t in zip(row, out):
+                    table[at + c] = t
+            self._delta = table
         return self._delta
 
     def walk(self, word) -> int:
-        """Final state after reading letter codes (a tuple, list or array),
-        or -1 on a dead end."""
-        if isinstance(word, np.ndarray):
-            word = word.tolist()
+        """Final state after reading letter codes (a tuple or list), or -1
+        on a dead end."""
         s = K.walk(self.successors(), nletters(self.arity, self.dmax),
                    self.initial, word)
         return -1 if s == self.n_states else s
@@ -490,22 +479,21 @@ class Automaton:
         """Finitely many accepted value tuples?  Leading all-zero letters
         only pad, so the search leaves the initial state on other letters;
         the machine is trimmed, so any cycle it then reaches pumps values."""
-        color = np.zeros(self.n_states, np.uint8)  # 0 new, 1 on stack, 2 done
+        color = [0] * self.n_states  # 0 new, 1 on stack, 2 done
         stack = [(self.initial, 0)]
         while stack:
             state, ei = stack[-1]
             if ei == 0:
                 color[state] = 1
-            e = self.indptr[state] + ei
-            if e < self.indptr[state + 1]:
+            if ei < len(self.rows[state]):
                 stack[-1] = (state, ei + 1)
-                if state == self.initial and self.letters[e] == 0:
+                if state == self.initial and self.rows[state][ei] == 0:
                     continue
-                t = self.targets[e]
+                t = self.succ[state][ei]
                 if color[t] == 1:
                     return False
                 if color[t] == 0:
-                    stack.append((int(t), 0))
+                    stack.append((t, 0))
             else:
                 color[state] = 2
                 stack.pop()
@@ -532,11 +520,10 @@ class Automaton:
             level = []
             nxt = []
             for word, state in frontier:
-                for e in range(self.indptr[state], self.indptr[state + 1]):
-                    if not word and self.letters[e] == 0:
+                for c, t in zip(self.rows[state], self.succ[state]):
+                    if not word and c == 0:
                         continue
-                    w = word + (int(self.letters[e]),)
-                    t = int(self.targets[e])
+                    w = word + (c,)
                     if self.accepting[t]:
                         level.append(self._decode_word(w, system))
                     nxt.append((w, t))
@@ -580,7 +567,7 @@ class Automaton:
             raise ValueError("function_value needs a 2-track automaton")
         blocks = self._value_blocks((n,), system, self.n_states)
         if self._suffixes is None:
-            accepting = frozenset(np.flatnonzero(self.accepting).tolist())
+            accepting = frozenset(s for s, f in enumerate(self.accepting) if f)
             self._suffixes = ([accepting], {accepting: 0}, {}, {})
         sets, _, steps, picks = self._suffixes
         # backward: the id of B after each block
@@ -664,29 +651,29 @@ class Automaton:
         return got
 
     def output_equals(self, value: int) -> "Automaton":
-        """Acceptor for the words this word automaton maps to the value."""
+        """Acceptor for the words this word automaton maps to the value.
+        A word automaton is canonical, numbered from state 0; ``_canonical``
+        renumbers target rows in place, so it gets copies of them."""
         if self.outputs is None:
             raise ValueError("not a word automaton (no outputs)")
-        acc = (self.outputs == value).astype(np.uint8)
-        return Automaton(self.arity, self.dmax, self.indptr, self.letters,
-                         self.targets, acc, self.initial)._canonical()
+        return Automaton(self.arity, self.dmax, self.rows, list(map(list, self.succ)),
+                         [int(v == value) for v in self.outputs])._canonical()
 
     # -- serialization -----------------------------------------------------------
 
     def to_text(self, system_name: str) -> str:
         lines = [f"system {system_name} arity {self.arity} dmax {self.dmax}",
                  f"states {self.n_states} initial {self.initial}",
-                 "accepting " + " ".join(map(str, np.flatnonzero(self.accepting).tolist()))]
+                 "accepting " + " ".join(str(s) for s, f in enumerate(self.accepting) if f)]
         if self.outputs is not None:
             lines.append("outputs " + " ".join(
-                f"{i}:{v}" for i, v in enumerate(self.outputs.tolist())))
+                f"{i}:{v}" for i, v in enumerate(self.outputs)))
         lines.append(f"transitions {self.transition_count}")
-        # one label per distinct letter, the edges read as lists
-        letters = self.letters.tolist()
+        # one label per distinct letter
         labels = {c: "[" + ",".join(map(str, letter_digits(c, self.arity, self.dmax))) + "]"
-                  for c in set(letters)}
-        lines += [f"{s} {labels[c]} {t}" for s, c, t in
-                  zip(edge_sources(self.indptr).tolist(), letters, self.targets.tolist())]
+                  for c in set().union(*set(self.rows))}
+        for s, (row, out) in enumerate(zip(self.rows, self.succ)):
+            lines += [f"{s} {labels[c]} {t}" for c, t in zip(row, out)]
         return "\n".join(lines).rstrip() + "\n"
 
     @staticmethod
@@ -708,7 +695,7 @@ class Automaton:
         idx = 3
         outputs = None
         if lines[idx].startswith("outputs"):
-            outputs = np.zeros(n, np.int32)
+            outputs = [0] * n
             for item in lines[idx].split()[1:]:
                 i, v = item.split(":")
                 if not 0 <= int(i) < n:
@@ -733,11 +720,11 @@ class Automaton:
         if n < 1 or not all(0 <= s < n for s in ids):
             raise ValueError(f"state id out of range for {n} states")
         # a stored machine is canonical: it is loaded verbatim
-        acc = np.zeros(n, np.uint8)
-        acc[accepting] = 1
-        return system_name, Automaton(arity, dmax, *csr_from_edges(
-            n, *np.array(triples, np.int64).reshape(-1, 3).T),
-            acc, initial, outputs)
+        acc = [0] * n
+        for s in accepting:
+            acc[s] = 1
+        return system_name, Automaton(arity, dmax, *_rows_of(n, triples), acc,
+                                      initial, outputs)
 
     def canonical_bytes(self) -> bytes:
         return self.to_text("_").encode()
@@ -752,15 +739,15 @@ class Automaton:
             shape = "doublecircle" if self.accepting[s] else "circle"
             label = str(s)
             if self.outputs is not None:
-                label = f"{s}/{int(self.outputs[s])}"
+                label = f"{s}/{self.outputs[s]}"
             lines.append(f'  {s} [shape={shape}, label="{label}"];')
         lines.append(f"  __start -> {self.initial};")
         # group parallel edges into one arrow per state pair
         grouped: dict[tuple[int, int], list[str]] = {}
-        for s in range(self.n_states):
-            for e in range(self.indptr[s], self.indptr[s + 1]):
-                digits = letter_digits(int(self.letters[e]), self.arity, self.dmax)
-                grouped.setdefault((s, int(self.targets[e])), []).append(
+        for s, (row, out) in enumerate(zip(self.rows, self.succ)):
+            for c, t in zip(row, out):
+                digits = letter_digits(c, self.arity, self.dmax)
+                grouped.setdefault((s, t), []).append(
                     ",".join(str(d) for d in digits) if digits else "e")
         for (s, t), labels in sorted(grouped.items()):
             lines.append(f'  {s} -> {t} [label="{" | ".join(labels)}"];')
@@ -772,20 +759,3 @@ class Automaton:
         return (f"<{kind} arity={self.arity} dmax={self.dmax} "
                 f"states={self.live_states} transitions={self.transition_count}>")
 
-
-class _Raw(Automaton):
-    """A machine as one of the three rows producers returns it, before
-    ``_canonical``: a product (``K.pair_product``), a subset construction
-    (``K.determinize``) or a linear atom's raw piece
-    (``relations._linear_piece``).  It holds the rows and target rows of
-    its states, under the invariant the ``_kernels`` docstring gives,
-    their offsets ``indptr`` and ``accepting``.  It has no letter or
-    target arrays, so nothing but ``_canonical`` reads it.  Every other
-    machine (``from_transitions``, ``permute_tracks``, word automata)
-    takes the array entry, ``K.canonical``."""
-
-    __slots__ = ("rows", "succ")
-
-    def __init__(self, arity, dmax, indptr, rows, succ, accepting):
-        self.arity, self.dmax, self.initial, self.outputs = arity, dmax, 0, None
-        self.indptr, self.rows, self.succ, self.accepting = indptr, rows, succ, accepting

@@ -15,8 +15,6 @@ minimizes.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .automata import Automaton, letter_code, pad_closed
 from .numeration import NumerationSystem
 
@@ -179,12 +177,13 @@ def regex_compile(system: NumerationSystem, arity: int, pattern: str) -> Automat
         first, last, nullable = builder.parse()
     except RecursionError:
         raise RegexError("pattern nests too deeply", builder.pos) from None
-    edges = [(0, y) for y in first] + list(builder.follow)
-    src, dst = np.array(edges, np.int64).reshape(-1, 2).T
-    acc = np.zeros(len(builder.codes) + 1, np.uint8)
-    acc[list(last)] = 1
-    acc[0] = nullable
-    out = pad_closed(arity, system.dmax, acc.size, src,
-                     np.array(builder.codes, np.int32)[dst - 1], dst, acc, 0)
+    succ = [sorted(first)] + [[] for _ in builder.codes]
+    for x, y in builder.follow:
+        succ[x].append(y)
+    # every edge into position y reads its letter
+    rows = [tuple(builder.codes[y - 1] for y in out) for out in succ]
+    acc = [int(p in last) for p in range(len(succ))]
+    acc[0] = int(nullable)
+    out = pad_closed(arity, system.dmax, rows, succ, acc, 0)
     system._cache[key] = out
     return out

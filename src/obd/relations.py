@@ -38,10 +38,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-import numpy as np
-
-from . import _kernels as K
-from .automata import Automaton, _Raw, edge_sources, letter_code, pad_closed
+from .automata import Automaton, letter_code, pad_closed
 from .numeration import NumerationSystem
 
 __all__ = [
@@ -207,9 +204,9 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     :func:`_linear_piece`, which keeps it inside canon(k), the recognizer
     of canonical k-tuples, by the digit rules at each position residue
     (:func:`_canonical_letters`).  With m = 1 the piece is the whole
-    relation, and ``_canonical`` takes its rows as they are (a ``_Raw``
-    machine).  With m > 1 the relation is padding closed, so closing the
-    raw piece under leading zeros (:func:`~obd.automata.pad_closed`)
+    relation, and ``_canonical`` takes its rows as they are.  With m > 1
+    the relation is padding closed, so closing the raw piece under
+    leading zeros (:func:`~obd.automata.pad_closed`)
     gives every other length, in the one subset construction that also
     gives the canonical form.  The machine is cached on the system per
     (coefficients, lo, hi); canon(1) is the zero window ``(0,), 0, 0``.
@@ -219,14 +216,11 @@ def _linear_machine(system: NumerationSystem, coefficients: tuple,
     if cached is not None:
         return cached
     arity, dmax = len(coefficients), system.dmax
-    indptr, rows, succ, acc = _linear_piece(system, coefficients, lo, hi)
+    piece = _linear_piece(system, coefficients, lo, hi)
     if system.period_length == 1:
-        out = _Raw(arity, dmax, indptr, rows, succ, acc)._canonical()
-    else:  # rows are letter sorted, so csr_from_edges keeps the edge order
-        letters, targets = (np.fromiter(itertools.chain.from_iterable(lists),
-                                        np.int32, indptr[-1]) for lists in (rows, succ))
-        out = pad_closed(arity, dmax, acc.size, edge_sources(indptr), letters,
-                         targets, acc, 0)
+        out = Automaton(arity, dmax, *piece)._canonical()
+    else:
+        out = pad_closed(arity, dmax, *piece, 0)
     system._cache[key] = out
     return out
 
@@ -259,15 +253,13 @@ def _canonical_letters(system: NumerationSystem, arity: int, residue: int,
 
 def _linear_piece(system: NumerationSystem, coefficients: tuple,
                   lo: int | None, hi: int):
-    """The raw phase-0 piece of :func:`_linear_machine` as rows, (indptr,
-    rows, succ, acc), under the invariant ``K.canonical_rows`` trusts.
+    """The raw phase-0 piece of :func:`_linear_machine` as (rows, succ,
+    acc), under the rows contract of the ``_kernels`` module docstring.
 
     The states are numbered in BFS discovery order from the start state,
     state 0, so every state is reachable.  Each row follows the letter
     order of :func:`_canonical_letters` and only skips the letters whose
-    pair is dead, so it is strictly increasing; succ[s] holds the targets
-    of rows[s], states with equal rows share one tuple, indptr (int64,
-    n + 1) gives the row offsets and acc (uint8, n) the accepting flags.
+    pair is dead, so it is strictly increasing.
     """
     arity = len(coefficients)
     m = system.period_length
@@ -373,11 +365,10 @@ def _linear_piece(system: NumerationSystem, coefficients: tuple,
     # a state accepts when its pair lands in the window at phase 0 and its
     # mask is empty, so the units digit is below a_1 (rule (c)); only
     # <= pairs are ever DONE, and DONE is true
-    lands = np.array([phase == 0 and (s is DONE or (lo is None or lo <= s) and s <= hi)
-                      for phase, s, _t in pairs], np.uint8)
-    p, mask = np.divmod(np.array(order, np.int64), n_masks)
-    accepting = lands[p] & (mask == 0)
-    return K._offsets(rows), rows, succ, accepting
+    lands = [phase == 0 and (s is DONE or (lo is None or lo <= s) and s <= hi)
+             for phase, s, _t in pairs]
+    return rows, succ, [int(state % n_masks == 0 and lands[state // n_masks])
+                        for state in order]
 
 
 def inequality_relation(system: NumerationSystem, coefficients, constant: int,

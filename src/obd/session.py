@@ -565,7 +565,7 @@ def _combine_outputs(automata: list[Automaton], values: list[int]) -> Automaton:
     nletters = dmax + 1
     tables = [a.successors() for a in automata]
     # one extra entry for the sink, state id n_states, which accepts nothing
-    finals = [a.accepting.tolist() + [0] for a in automata]
+    finals = [a.accepting + [0] for a in automata]
     start = tuple(a.initial for a in automata)
     index = {start: 0}
     worklist = [start]

@@ -35,15 +35,27 @@ def equivalent(a, b):
     return a.canonical_bytes() == b.canonical_bytes()
 
 
-def assert_rows_invariant(indptr, rows, succ, acc):
-    """What ``canonical_rows`` trusts: state 0 first and the states in BFS
-    discovery order, so every state is reachable; each row strictly
-    letter sorted with one target per letter; `indptr` the row offsets."""
-    n = acc.size
-    assert acc.dtype == np.uint8 and indptr.dtype == np.int64
+def csr_rows(indptr, letters, targets):
+    """The rows and target rows of a machine given as CSR arrays, sorted
+    by (state, letter): a letter tuple per state, equal rows sharing one,
+    and a target list per state."""
+    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
+    shared: dict = {}
+    return ([shared.setdefault(row, row)
+             for row in (tuple(lt[ip[s]:ip[s + 1]]) for s in range(len(ip) - 1))],
+            [tg[ip[s]:ip[s + 1]] for s in range(len(ip) - 1)])
+
+
+def assert_rows_invariant(rows, succ, acc):
+    """The rows contract of the ``_kernels`` module docstring, with the
+    states numbered in BFS discovery order from state 0, so every state
+    is reachable: each row a strictly increasing letter tuple with one
+    target per letter, the flags plain ints 0 or 1."""
+    n = len(acc)
     assert len(rows) == len(succ) == n
-    assert indptr.tolist() == [0, *accumulate(map(len, rows))]
+    assert all(type(f) is int and f in (0, 1) for f in acc)
     for row, out in zip(rows, succ):
+        assert type(row) is tuple and type(out) is list
         assert len(row) == len(out)
         assert all(x < y for x, y in zip(row, row[1:]))
     order, seen = [0], {0}
@@ -53,6 +65,12 @@ def assert_rows_invariant(indptr, rows, succ, acc):
                 seen.add(t)
                 order.append(t)
     assert order == list(range(n))
+
+
+def assert_offsets(indptr, rows):
+    """`indptr` is the int64 array of the row offsets of `rows`."""
+    assert indptr.dtype == np.int64
+    assert indptr.tolist() == [0, *accumulate(map(len, rows))]
 
 
 def traced_peak(fn, *args):

@@ -1,26 +1,28 @@
 """Kernel tests against plain scalar references, and memory bounds.
 
-Canonical form is one tail with two entries.  ``canonical`` takes CSR
-arrays and runs trim first; ``canonical_rows`` takes the rows that
-pair_product and determinize return, which are BFS numbered from state
-0 and reachable, so it needs no trim.  The tail cuts the states that
-reach no accepting state (relations only), then runs min_blocks,
-quotient and bfs_renumber.  Each step has a plain loop here as its
-reference, and ``canonical`` must return what the references give in
-turn, on relations, word automata, dead initial states and a machine of
-about 95 k edges; both entries must agree wherever the rows entry
-applies.  pair_product must return, row for row, ``oracles.RefDFA.product``
-in all four modes, on random CSR machines, a dead machine and one input
-of more than 4 096 edges, and determinize a plain subset construction;
-both under the rows invariant.  walk over the dense successor table is
-checked against a binary search in the CSR rows.
+The random machines are drawn as CSR arrays, which the references read,
+and handed to the kernels as rows (``conftest.csr_rows``); a kernel's
+rows are read back as CSR arrays (``csr_of``) to be compared.
+Canonical form is one tail, ``canonical``, on rows reachable from state
+0, with ``trim`` in front where a machine starts elsewhere
+(``Automaton.from_transitions``).  The tail cuts the states that reach
+no accepting state (relations only), then runs min_blocks, quotient and
+bfs_renumber.  Each step has a plain loop here as its reference, and
+``canonical`` must return what the references give in turn, on
+relations, word automata, dead initial states and a machine of about
+95 k edges.  pair_product must return, row for row,
+``oracles.RefDFA.product`` in all four modes, on random machines, a dead
+machine and one input of more than 4 096 edges, and determinize a plain
+subset construction; both under the rows invariant.  walk over the
+dense successor table is checked against a binary search in the CSR
+rows.
 """
 import numpy as np
 import pytest
 
 from obd import _kernels as K
 from obd.automata import Automaton
-from conftest import assert_rows_invariant, traced_peak
+from conftest import assert_offsets, assert_rows_invariant, csr_rows, traced_peak
 from oracles import RefDFA
 
 
@@ -147,7 +149,8 @@ def test_walk_matches_binary_search(seed):
     rng = np.random.default_rng(seed)
     for indptr, letters, targets, acc in shapes(seed):
         n, nl = acc.size, int(letters.max(initial=0)) + 1
-        delta = Automaton(1, nl - 1, indptr, letters, targets, acc).successors()
+        delta = Automaton(1, nl - 1, *csr_rows(indptr, letters, targets),
+                          acc.tolist()).successors()
         assert len(delta) == (n + 1) * nl
         words = [[]] + [rng.integers(0, nl, size=rng.integers(1, 40)).tolist()
                         for _ in range(60)]
@@ -258,13 +261,6 @@ def references_in_turn(indptr, letters, targets, acc, initial, labels):
     return (*machine, rep[order])
 
 
-def rows_of(indptr, letters, targets):
-    """The letter row and target row of each state, as lists."""
-    ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
-    return ([lt[ip[s]:ip[s + 1]] for s in range(len(ip) - 1)],
-            [tg[ip[s]:ip[s + 1]] for s in range(len(ip) - 1)])
-
-
 def csr_of(rows, succ):
     """CSR arrays from per-state letter rows and target rows."""
     indptr = np.zeros(len(rows) + 1, np.int64)
@@ -273,35 +269,51 @@ def csr_of(rows, succ):
             np.array([t for out in succ for t in out], np.int32))
 
 
+def csr_machine(rows, succ, acc):
+    """CSR arrays and the accepting mask of a rows machine."""
+    return (*csr_of(rows, succ), np.array(acc, np.uint8))
+
+
+def transitions(indptr, letters, targets):
+    """The (src, letter, dst) triples of a CSR machine."""
+    src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return list(zip(src.tolist(), letters.tolist(), targets.tolist()))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_canonical_paths_agree(seed):
-    """Automaton._canonical, K.canonical and the four references in turn
-    give the same machine."""
+    """Automaton.from_transitions, K.trim then K.canonical, and the four
+    references in turn give the same machine."""
     rng = np.random.default_rng(seed)
     dead = 0
     for indptr, letters, targets, acc, initial in canonical_machines(seed):
         nl = int(letters.max(initial=0)) + 1
-        # word automaton: no trim, labels from negative outputs too
+        triples = transitions(indptr, letters, targets)
+        # word automaton: no co-reach cut, labels from negative outputs too
         outputs = rng.integers(-3, 2, acc.size)
         for labels in (None, outputs * 2 + acc):
-            *got, kept = K.canonical(indptr, letters, targets, acc, initial, labels)
+            states, rows, succ = K.trim(*csr_rows(indptr, letters, targets), initial)
+            *got, kept = K.canonical(rows, succ, acc[states].tolist(),
+                                     None if labels is None else labels[states].tolist())
             *want, rep = references_in_turn(indptr, letters, targets, acc,
                                             initial, labels)
-            assert_same(tuple(got), tuple(want))
-            aut = Automaton(1, nl - 1, indptr, letters, targets, acc, initial,
-                            None if labels is None else outputs)._canonical()
-            assert_same((aut.indptr, aut.letters, aut.targets, aut.accepting),
-                        tuple(want[:4]))
+            assert_same(csr_machine(*got), tuple(want))
+            aut = Automaton.from_transitions(
+                1, nl - 1, acc.size, initial, np.flatnonzero(acc).tolist(), triples,
+                None if labels is None else outputs.tolist())
+            assert_same(csr_machine(aut.rows, aut.succ, aut.accepting), tuple(want[:4]))
             assert aut.initial == 0
             if labels is not None:  # equivalent states share their label
+                kept = [states[k] for k in kept]
                 assert np.array_equal(labels[kept], labels[rep])
-                assert np.array_equal(aut.outputs, outputs[rep])
+                assert aut.outputs == outputs[rep].tolist()
         if not trim_reference(indptr, letters, targets, acc, initial)[5]:
             dead += 1  # no accepting state in reach: the empty machine
-            out = Automaton(1, nl - 1, indptr, letters, targets, acc, initial)._canonical()
+            out = Automaton.from_transitions(1, nl - 1, acc.size, initial,
+                                             np.flatnonzero(acc).tolist(), triples)
             empty = Automaton.empty(1, nl - 1)
-            assert_same((out.indptr, out.letters, out.targets, out.accepting),
-                        (empty.indptr, empty.letters, empty.targets, empty.accepting))
+            assert (out.rows, out.succ, out.accepting) == \
+                (empty.rows, empty.succ, empty.accepting)
     assert seed == 0 or dead >= 3
 
 
@@ -311,11 +323,10 @@ def test_trim_paths_agree(seed):
     discovery order, with the rows and target rows of the reference's
     BFS renumbering."""
     for indptr, letters, targets, acc in shapes(seed):
-        ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
         for initial in (0, acc.size - 1):
             *machine, order = bfs_renumber_reference(indptr, letters, targets,
                                                      acc, initial)
-            states, rows, succ = K.trim(ip, lt, tg, initial)
+            states, rows, succ = K.trim(*csr_rows(indptr, letters, targets), initial)
             assert states == order.tolist()
             assert_same(csr_of(rows, succ), tuple(machine[:3]))
 
@@ -324,7 +335,7 @@ def test_trim_paths_agree(seed):
 def test_min_blocks_paths_agree(seed):
     rng = np.random.default_rng(seed)
     for indptr, letters, targets, acc in shapes(seed):
-        rows, succ = rows_of(indptr, letters, targets)
+        rows, succ = csr_rows(indptr, letters, targets)
         # negative labels, as word automata give for negative outputs
         for labels in (acc.astype(np.int64),
                        rng.integers(-3, 2, acc.size).astype(np.int64)):
@@ -340,7 +351,7 @@ def test_quotient_matches_reference(seed):
     its rows with targets read through `block` are quotient_reference's
     machine.  The state kept for a block may differ from the reference's."""
     for indptr, letters, targets, acc in shapes(seed):
-        rows, succ = rows_of(indptr, letters, targets)
+        rows, succ = csr_rows(indptr, letters, targets)
         block = K.min_blocks(rows, succ, acc.tolist())
         nblocks = max(block) + 1
         rep = K.quotient(block)
@@ -357,9 +368,8 @@ def test_bfs_renumber_paths_agree(seed):
     of the machine trim gives from either end: the reference's BFS
     renumbering of the quotient, from state 0's block."""
     for indptr, letters, targets, acc in shapes(seed):
-        ip, lt, tg = indptr.tolist(), letters.tolist(), targets.tolist()
         for initial in (0, acc.size - 1):
-            states, rows, succ = K.trim(ip, lt, tg, initial)
+            states, rows, succ = K.trim(*csr_rows(indptr, letters, targets), initial)
             t_acc = acc[states]
             singletons = list(range(len(states)))
             for block in (singletons, K.min_blocks(rows, succ, t_acc.tolist())):
@@ -368,9 +378,8 @@ def test_bfs_renumber_paths_agree(seed):
                                           [[block[t] for t in succ[s]] for s in rep])
                 *want, order = bfs_renumber_reference(q_ip, q_lt, q_tg, t_acc[rep],
                                                       block[0])
-                ip_, lt_, tg_, kept = K.bfs_renumber(rows, succ, block, rep)
-                assert_same((np.array(ip_, np.int64), np.array(lt_, np.int32),
-                             np.array(tg_, np.int32), t_acc[kept]), tuple(want))
+                rows_, succ_, kept = K.bfs_renumber(rows, succ, block, rep)
+                assert_same((*csr_of(rows_, succ_), t_acc[kept]), tuple(want))
                 assert kept == [rep[b] for b in order.tolist()]
 
 
@@ -379,12 +388,12 @@ def test_trim_keeps_everything_unchanged():
     # around one cycle
     n = 5000
     targets = list(range(1, n)) + [0]
-    states, rows, succ = K.trim(list(range(n + 1)), [0] * n, targets, 0)
+    states, rows, succ = K.trim([(0,)] * n, [[t] for t in targets], 0)
     assert states == list(range(n))
-    assert rows == [[0]] * n and succ == [[t] for t in targets]
+    assert rows == [(0,)] * n and succ == [[t] for t in targets]
     acc = [1] + [0] * (n - 1)
-    cut = K._cut_dead(rows, succ, acc, states)
-    assert all(x is y for x, y in zip(cut, (rows, succ, acc, states)))
+    *cut, kept = K._cut_dead(rows, succ, acc)
+    assert all(x is y for x, y in zip(cut, (rows, succ, acc))) and kept is None
 
 
 def test_co_reach_cut_past_the_sweeps():
@@ -396,21 +405,21 @@ def test_co_reach_cut_past_the_sweeps():
     for s, t in zip(path, path[1:]):
         succ[s] = [t]
     succ[3], succ[8] = [8], [8]
-    rows = [[0] if out else [] for out in succ]
-    rows[3] = [1]
+    rows = [(0,) if out else () for out in succ]
+    rows[3] = (1,)
     acc = [0] * 9
     acc[3] = 1
-    cut = K._cut_dead(rows, [list(out) for out in succ], acc, None)
+    cut = K._cut_dead(rows, [list(out) for out in succ], acc)
     kept = list(range(8))
-    assert cut == ([[] if s == 3 else rows[s] for s in kept],
+    assert cut == ([() if s == 3 else rows[s] for s in kept],
                    [[] if s == 3 else succ[s] for s in kept], acc[:8], kept)
 
 
 def test_trim_nothing_useful():
     indptr, letters, targets, acc = random_machine(np.random.default_rng(5), 800, 4,
                                                    acc_p=0.0)
-    states, rows, succ = K.trim(indptr.tolist(), letters.tolist(), targets.tolist(), 0)
-    assert K._cut_dead(rows, succ, acc[states].tolist(), states) is None
+    states, rows, succ = K.trim(*csr_rows(indptr, letters, targets), 0)
+    assert K._cut_dead(rows, succ, acc[states].tolist()) is None
 
 
 def dead_machine():
@@ -434,11 +443,16 @@ def csr_of_ref(dfa):
             acc)
 
 
-def csr_of_rows(indptr, rows, succ, acc):
-    """The CSR arrays of a rows machine, its offsets checked."""
-    csr = csr_of(rows, succ)
-    assert_same(csr[0], indptr)
-    return (*csr, acc)
+def rows_machine(indptr, letters, targets, acc):
+    """A CSR machine as rows, target rows and accepting flags."""
+    return (*csr_rows(indptr, letters, targets), acc.tolist())
+
+
+def assert_rows_result(indptr, rows, succ, acc):
+    """What pair_product and determinize return: the rows invariant and
+    the row offsets."""
+    assert_rows_invariant(rows, succ, acc)
+    assert_offsets(indptr, rows)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2, 3])
@@ -462,23 +476,22 @@ def test_pair_product_matches_reference(mode):
     op = ("and", "or", "xor", "andnot")[mode]
     for a, b in pairs:
         nl = int(max(a[1].max(initial=0), b[1].max(initial=0))) + 1
-        got = K.pair_product(*a, np.int64(0), *b, np.int64(0), mode)
-        assert_rows_invariant(*got)
+        got = K.pair_product(*rows_machine(*a), 0, *rows_machine(*b), 0, mode)
+        assert_rows_result(*got)
         want = csr_of_ref(RefDFA.product(ref_dfa(*a, nl), ref_dfa(*b, nl), op))
-        assert_same(csr_of_rows(*got), want)
+        assert_same(csr_machine(*got[1:]), want)
 
 
-def determinize_reference(indptr, letters, targets, acc, inits, letter_map,
-                          zero_close):
+def determinize_reference(indptr, letters, targets, acc, inits, letter_map):
     """Subset construction by plain search over frozensets, letters in
-    increasing order, as a RefDFA: the start set (closed under mapped
-    zero letters with `zero_close`) is state 0."""
+    increasing order, as a RefDFA: the start set, closed under mapped
+    zero letters, is state 0."""
     moves = {}
     for s in range(acc.size):
         for e in range(indptr[s], indptr[s + 1]):
             moves.setdefault(s, []).append((int(letter_map[letters[e]]), int(targets[e])))
     start = set(inits)
-    while zero_close:
+    while True:
         grown = {t for s in start for c, t in moves.get(s, ()) if c == 0} - start
         if not grown:
             break
@@ -497,31 +510,27 @@ def determinize_reference(indptr, letters, targets, acc, inits, letter_map,
                 sets.append(key)
             trans[i, c] = index[key]
     accepting = [i for i, m in enumerate(sets) if any(acc[s] for s in m)]
-    return RefDFA(len(sets), 0, accepting, trans, sorted(set(letter_map.tolist())))
+    return RefDFA(len(sets), 0, accepting, trans, sorted(set(letter_map)))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_determinize_matches_reference(seed):
     """determinize returns, as rows, the CSR of determinize_reference and
     meets the rows invariant: letters merged by a map (so the input is
-    nondeterministic), one or several start states, with and without the
-    zero closure, and a dead machine."""
+    nondeterministic), one or several start states, and a dead machine."""
     rng = np.random.default_rng(seed)
     machines = [random_machine(rng, n, 4, **kw) for n, kw in
                 [(1, {}), (6, {}), (12, {"density": 0.4}), (14, {"acc_p": 0.0}),
                  (60, {"classes": 6})]]
     for indptr, letters, targets, acc in machines + [dead_machine()]:
         nl = int(letters.max(initial=0)) + 1
-        for letter_map in (np.arange(nl, dtype=np.int32),
-                           (np.arange(nl) // 2).astype(np.int32)):
+        for letter_map in (tuple(range(nl)), tuple(c // 2 for c in range(nl))):
             for inits in ([0], sorted({0, acc.size - 1, int(rng.integers(acc.size))})):
-                for zero_close in (False, True):
-                    args = (indptr, letters, targets, acc, np.array(inits, np.int64),
-                            letter_map, zero_close)
-                    got = K.determinize(*args)
-                    assert_rows_invariant(*got)
-                    assert_same(csr_of_rows(*got),
-                                csr_of_ref(determinize_reference(*args)))
+                got = K.determinize(*rows_machine(indptr, letters, targets, acc),
+                                    inits, letter_map)
+                assert_rows_result(*got)
+                assert_same(csr_machine(*got[1:]), csr_of_ref(determinize_reference(
+                    indptr, letters, targets, acc, inits, letter_map)))
 
 
 def one_state_machines():
@@ -536,8 +545,9 @@ def one_state_machines():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_canonical_entries_agree(seed):
-    """The rows entry and the array entry give the same arrays and kept
-    states on machines BFS numbered from a reachable state 0: ones with
+    """The one entry, K.canonical, gives what the references give in turn
+    on machines BFS numbered from a reachable state 0, as pair_product,
+    determinize and the linear atoms' walk hand them over: ones with
     states that reach no accepting state, a dead initial state (the
     one-state empty machine) and one-state machines."""
     cut = dead = 0
@@ -546,13 +556,15 @@ def test_canonical_entries_agree(seed):
     for indptr, letters, targets, acc, initial in machines:
         # the part reachable from `initial`, numbered in BFS order
         *bfs, acc, _ = bfs_renumber_reference(indptr, letters, targets, acc, initial)
-        rows, succ = rows_of(*bfs)
-        got = K.canonical_rows(rows, succ, acc)
-        assert_same(got, K.canonical(*bfs, acc, 0))
+        rows, succ, flags = rows_machine(*bfs, acc)
+        assert_rows_invariant(rows, succ, flags)
+        *got, kept = K.canonical(rows, succ, flags)
+        *want, rep = references_in_turn(*bfs, acc, 0, None)
+        assert_same(csr_machine(*got), tuple(want))
         live = trim_reference(*bfs, acc, 0)
         if not live[5]:
             dead += 1
-            assert_same(got, (*dead_machine(), np.zeros(1, np.int32)))
+            assert (got, kept) == ([[()], [[]], [0]], [0])
         elif live[3].size < acc.size:
             cut += 1
     assert seed == 0 or (cut >= 3 and dead >= 3)
@@ -577,7 +589,8 @@ def test_pair_product_memory():
     indptr, letters, targets, acc = large_machine(rng)
     small = random_machine(rng, 6, 4, density=0.9)
     assert letters.size > 90_000
-    big, small = Automaton(1, 3, indptr, letters, targets, acc), Automaton(1, 3, *small)
+    big = Automaton(1, 3, *rows_machine(indptr, letters, targets, acc))
+    small = Automaton(1, 3, *rows_machine(*small))
     for mode, states in (("or", 390), ("and", 0)):
         peak, out = traced_peak(big.product, small, mode)
         assert out.live_states == states

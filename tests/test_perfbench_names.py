@@ -16,8 +16,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from obd import _kernels as K
 from obd import relations
 from obd.automata import Automaton
@@ -54,16 +52,15 @@ def test_layer_calls_resolve():
 def test_states_built_counts_output_states():
     states_built = load_tracing()._states_built
     # two machines of two states over the letters 0 and 1
-    a = (np.array([0, 2, 3], np.int64), np.array([0, 1, 1], np.int32),
-         np.array([1, 0, 1], np.int32), np.array([0, 1], np.uint8))
-    b = (np.array([0, 2, 3], np.int64), np.array([0, 1, 0], np.int32),
-         np.array([0, 1, 0], np.int32), np.array([1, 0], np.uint8))
+    a = ([(0, 1), (1,)], [[1, 0], [1]], [0, 1])
+    b = ([(0, 1), (0,)], [[0, 1], [0]], [1, 0])
     for mode in range(4):
         out = K.pair_product(*a, 0, *b, 0, mode)
-        assert states_built(out) == out[3].size == len(out[1]) == len(out[2]) > 2
-    # both letters read as 0: the subsets {0} and {0, 1}
-    out = K.determinize(*a, np.array([0]), np.array([0, 0]), False)
-    assert states_built(out) == out[3].size == len(out[1]) == len(out[2]) == 2
+        assert states_built(out) == len(out[3]) == len(out[1]) == len(out[2]) > 2
+    # both letters read as 1, so the start set {0} has no zero letter to
+    # close over: the subsets {0} and {0, 1}
+    out = K.determinize(*a, [0], (1, 1))
+    assert states_built(out) == len(out[3]) == len(out[1]) == len(out[2]) == 2
 
 
 def patched_names(layer_calls):
@@ -96,7 +93,7 @@ def counted_compile(monkeypatch, commands):
     for name, states in built.items():
         def counted(*args, _name=name, _kernel=getattr(K, name), _states=states):
             if _name == "determinize":
-                subsets.append(args[0].size - 1)
+                subsets.append(len(args[0]))
             out = _kernel(*args)
             _states.append(len(out[1]))  # one letter row per state
             return out
@@ -113,7 +110,7 @@ def counted_compile(monkeypatch, commands):
     canonical = Automaton._canonical
 
     def seen(aut):
-        given.append(aut.indptr.size - 1)
+        given.append(aut.n_states)
         return canonical(aut)
     monkeypatch.setattr(Automaton, "_canonical", seen)
     before = patched_names(tracing.LAYER_CALLS)

@@ -121,8 +121,8 @@ def outcome(read, aut, system, n):
 
 def fresh(aut):
     """The same machine with nothing memoised."""
-    return Automaton(aut.arity, aut.dmax, aut.indptr, aut.letters,
-                     aut.targets, aut.accepting, aut.initial, aut.outputs)
+    return Automaton(aut.arity, aut.dmax, aut.rows, aut.succ, aut.accepting,
+                     aut.initial, aut.outputs)
 
 
 def memo_sizes(aut):

@@ -25,11 +25,10 @@ import itertools
 import operator
 import random
 
-import numpy as np
 import pytest
 
 from obd import Automaton, NumerationSystem, relations
-from obd.automata import _Raw, csr_from_edges, determinized, edge_sources, letter_digits
+from obd.automata import determinized, letter_digits
 from obd.beatty import BeattySpec, beatty_sync, floor_gamma_sync
 from obd.logic import Environment, StoredPredicate, compile_formula
 from obd.relations import (
@@ -110,12 +109,15 @@ def reference_canon_1(period):
                 if d < period[r] or p == 0:
                     edges.append((pos_state(r, p), d, pos_state((r + 1) % m, d)))
     n_states = 1 + m * (dmax + 1)
-    src, digits, dst = np.array(edges, np.int64).T
-    acc = np.zeros(n_states, np.uint8)
-    acc[0] = 1
-    # every lsd state accepts, so the reversed machine starts in all of them
-    return determinized(1, dmax, *csr_from_edges(n_states, dst, digits, src),
-                        acc, np.arange(n_states))
+    rows, succ = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
+    for src, digit, dst in edges:  # reversed
+        rows[dst].append(digit)
+        succ[dst].append(src)
+    acc = [1] + [0] * (n_states - 1)
+    # every lsd state accepts, so the reversed machine starts in all of
+    # them, a set the zero closure cannot grow
+    return determinized(1, dmax, list(map(tuple, rows)), succ, acc,
+                        range(n_states), range(dmax + 1))
 
 
 @functools.cache
@@ -136,10 +138,9 @@ def assert_strings_match_rules(aut, period, max_length):
     breaks no rule, so it must leave `aut` where no word of the remaining
     length is accepted."""
     # live[j]: the states that accept some word of exactly j letters
-    live = [set(np.flatnonzero(aut.accepting).tolist())]
-    src = edge_sources(aut.indptr).tolist()
+    live = [{s for s, f in enumerate(aut.accepting) if f}]
     for _ in range(max_length):
-        live.append({s for s, t in zip(src, aut.targets.tolist()) if t in live[-1]})
+        live.append({s for s, out in enumerate(aut.succ) if not live[-1].isdisjoint(out)})
     for length in range(max_length + 1):
         stack = [()]
         while stack:
@@ -577,8 +578,8 @@ def test_raw_piece_sizes(systems, monkeypatch, sysname, coefs, constant, op):
     linear_piece = relations._linear_piece
 
     def recorded(*args):
-        indptr, rows, succ, acc = out = linear_piece(*args)
-        raw.append((acc.size, int(indptr[-1])))
+        rows, succ, acc = out = linear_piece(*args)
+        raw.append((len(acc), sum(map(len, rows))))
         return out
     monkeypatch.setattr(relations, "_linear_piece", recorded)
     atom(system, coefs, constant, op)
@@ -613,15 +614,14 @@ def walk_system(sysname):
     return NumerationSystem(sysname, WALK_SYSTEMS[sysname])
 
 
-def canonical_by_arrays(arity, dmax, indptr, rows, succ, acc):
-    """The route the raw piece once took: its edges as flat arrays,
-    through csr_from_edges and Automaton, then ``K.canonical``, which
-    trims first."""
-    src = np.repeat(np.arange(acc.size, dtype=np.int64), np.diff(indptr))
-    letters = np.fromiter(itertools.chain.from_iterable(rows), np.int32, indptr[-1])
-    targets = np.fromiter(itertools.chain.from_iterable(succ), np.int32, indptr[-1])
-    return Automaton(arity, dmax, *csr_from_edges(acc.size, src, letters, targets),
-                     acc, 0)._canonical()
+def canonical_by_edges(arity, dmax, rows, succ, acc):
+    """The route of a machine given as an edge list:
+    ``Automaton.from_transitions``, which sorts the edges and trims them
+    before the canonical tail."""
+    edges = [(s, c, t) for s, (row, out) in enumerate(zip(rows, succ))
+             for c, t in zip(row, out)]
+    return Automaton.from_transitions(arity, dmax, len(acc), 0,
+                                      [s for s, f in enumerate(acc) if f], edges)
 
 
 @pytest.mark.parametrize("sysname,coefs,lo,hi", WALK_CASES)
@@ -631,11 +631,13 @@ def test_linear_piece_meets_rows_invariant(sysname, coefs, lo, hi):
 
 @pytest.mark.parametrize("sysname,coefs,lo,hi", WALK_CASES)
 def test_linear_piece_rows_and_arrays_agree(sysname, coefs, lo, hi):
+    """The piece's rows, canonicalised as they are, and its edges as a
+    list, sorted and trimmed first, give one machine."""
     system = walk_system(sysname)
     piece = _linear_piece(system, coefs, lo, hi)
-    want = canonical_by_arrays(len(coefs), system.dmax, *piece)
-    # the rows entry takes the lists over, so it runs second
-    got = _Raw(len(coefs), system.dmax, *piece)._canonical()
+    want = canonical_by_edges(len(coefs), system.dmax, *piece)
+    # _canonical takes the lists over, so it runs second
+    got = Automaton(len(coefs), system.dmax, *piece)._canonical()
     assert got.canonical_bytes() == want.canonical_bytes()
 
 
@@ -650,8 +652,6 @@ def canon_walk_piece(system, coefficients, lo, hi):
     c_min = sum(c for c in coefficients if c < 0)
     c_max = sum(c for c in coefficients if c > 0)
     canon = reference_canon(system.period, arity)
-    indptr, letters = canon.indptr.tolist(), canon.letters.tolist()
-    targets = canon.targets.tolist()
 
     @functools.cache
     def step(pair, code):  # the successor pair; None when it is dead
@@ -670,8 +670,7 @@ def canon_walk_piece(system, coefficients, lo, hi):
     rows, succ = [], []
     for pair, c in order:  # the loop visits states appended while it runs
         row, out = [], []
-        for code, ct in zip(letters[indptr[c]:indptr[c + 1]],
-                            targets[indptr[c]:indptr[c + 1]]):
+        for code, ct in zip(canon.rows[c], canon.succ[c]):
             nxt = step(pair, code)
             if nxt is not None:
                 target = index.setdefault((nxt, ct), len(order))
@@ -681,18 +680,18 @@ def canon_walk_piece(system, coefficients, lo, hi):
                 out.append(target)
         rows.append(tuple(row))
         succ.append(out)
-    acc = np.array([phase == 0 and (s is None or (lo is None or lo <= s) and s <= hi)
-                    and canon.accepting[c] for (phase, s, _t), c in order], np.uint8)
-    return np.array([0, *itertools.accumulate(map(len, rows))], np.int64), rows, succ, acc
+    acc = [int(phase == 0 and (s is None or (lo is None or lo <= s) and s <= hi)
+               and canon.accepting[c] == 1) for (phase, s, _t), c in order]
+    return rows, succ, acc
 
 
 def assert_walks_agree(system, coefs, lo, hi):
     """The residue walk's raw piece and the canon(k) walk's have one
     canonical form."""
-    want = _Raw(len(coefs), system.dmax,
-                *canon_walk_piece(system, coefs, lo, hi))._canonical()
-    got = _Raw(len(coefs), system.dmax,
-               *_linear_piece(system, coefs, lo, hi))._canonical()
+    want = Automaton(len(coefs), system.dmax,
+                     *canon_walk_piece(system, coefs, lo, hi))._canonical()
+    got = Automaton(len(coefs), system.dmax,
+                    *_linear_piece(system, coefs, lo, hi))._canonical()
     assert got.canonical_bytes() == want.canonical_bytes()
 
 

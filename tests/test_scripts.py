@@ -9,13 +9,16 @@ count the products each section builds.
 """
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from obd import _kernels
+from obd.automata import Automaton, nletters
 from obd.logic import Environment
 from obd.relations import canonical_recognizer
-from obd.repro import FAST_SECTIONS, SCRIPT_DIR, SLOW_SECTIONS, run_section
-from obd.session import Session
+from obd.repro import FAST_SECTIONS, SCRIPT_DIR, SLOW_SECTIONS, _run_check, run_section
+from obd.session import Session, split_commands
+from conftest import assert_rows_invariant
 
 PINNED = {
     "s6": {
@@ -161,7 +164,7 @@ def test_section(section, tmp_path, monkeypatch):
 
     def counted(*args):
         out = product(*args)
-        built.append(out[3].size)  # one accepting flag per product state
+        built.append(len(out[1]))  # one row per product state
         return out
     monkeypatch.setattr(_kernels, "pair_product", counted)
     inside = []  # def machines, which calls apply without the canon product
@@ -182,6 +185,60 @@ def test_section(section, tmp_path, monkeypatch):
     for pred in inside:
         canon = canonical_recognizer(pred.canon_of, pred.automaton.arity)
         assert pred.automaton.andnot(canon).is_empty(), pred.name
+
+
+def assert_no_arrays(aut):
+    """Every field of `aut` is a plain Python value, no numpy array."""
+    assert not any(isinstance(getattr(aut, name), np.ndarray)
+                   for name in Automaton.__slots__)
+
+
+@pytest.mark.parametrize("section,upto", [("s6", "beatty"), ("s7", None), ("s8", None),
+                                          ("s9", None), ("s10", None), ("s12", None)])
+def test_canonical_hand_over(section, upto, monkeypatch):
+    """Over the packaged fast scripts (s6 up to ``def beatty``), every
+    machine ``Automaton._canonical`` receives starts in state 0 and has
+    tuple rows in strictly increasing letter order with targets in range,
+    and every machine it returns meets the rows invariant; no field of
+    either is a numpy array."""
+    canonical = Automaton._canonical
+    given = []
+
+    def checked(aut):
+        nl, n = nletters(aut.arity, aut.dmax), aut.n_states
+        assert aut.initial == 0 and len(aut.rows) == len(aut.succ) == n
+        for row, out in zip(aut.rows, aut.succ):
+            assert type(row) is tuple and len(row) == len(out)
+            assert list(row) == sorted(set(row)) and all(0 <= c < nl for c in row)
+            assert all(0 <= t < n for t in out)
+        assert_no_arrays(aut)
+        got = canonical(aut)
+        assert_rows_invariant(got.rows, got.succ, got.accepting)
+        assert_no_arrays(got)
+        given.append(n)
+        return got
+    monkeypatch.setattr(Automaton, "_canonical", checked)
+    commands = split_commands((SCRIPT_DIR / f"{section}.obd").read_text(encoding="utf-8"))
+    if upto is not None:
+        commands = commands[:1 + [c.split()[:2] for c, _ in commands].index(["def", upto])]
+    sess = Session("unused", out=lambda line: None, persist=False)
+    for command, terminator in commands:
+        sess.execute(command, terminator)
+    assert given
+
+
+def test_output_checks_leave_the_word_automaton():
+    """``output_equals``, and through it repro's outputs_within check,
+    hand ``_canonical`` copies of the target rows, which it renumbers in
+    place: s9's combined word automaton keeps its rows and target rows."""
+    sess = Session("unused", out=lambda line: None, persist=False)
+    sess.run_script((SCRIPT_DIR / "s9.obd").read_text(encoding="utf-8"))
+    aut = sess.env.predicate("diff").automaton
+    rows, succ = list(aut.rows), [list(out) for out in aut.succ]
+    assert _run_check(sess, {}, ("outputs_within", "diff", {0, 1, 2}))[0]
+    for value in sorted(set(aut.outputs)):
+        aut.output_equals(value)
+    assert aut.rows == rows and aut.succ == succ
 
 
 @pytest.mark.parametrize("section", ["s9", "s12"])
