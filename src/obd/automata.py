@@ -26,6 +26,7 @@ import hashlib
 import itertools
 
 from . import _kernels as K
+from .numeration import block_sums
 
 
 class NoOutput(ValueError):
@@ -194,9 +195,11 @@ class Automaton:
     int id b, the steps ``[key][b]`` -> b' and the picks
     ``[key][b * n_states + state]``, where key is one digit d of n or a
     block (t, k) of n's digits: a pick is the z digit dz (-1 where not
-    functional) for a digit, and (state', z digits) ((-1, ()) where not
-    functional) for a block.  A miss is filled by the per-letter steps,
-    so every read sees the letters it would read digit by digit.
+    functional) for a digit, and for a block (state', C, D), where C and
+    D are the sums of the block's z digits over t's coefficient row
+    (``numeration.block_sums``), or (-1, 0, 0) where not functional.  A
+    miss is filled by the per-letter steps, so every read sees the
+    letters it would read digit by digit.
     ``_walks`` holds at most one entry per state and block, so at most
     states x tables x patterns**arity over the tables the machine has
     been read through, a system's cut tables among them (at most w - 1
@@ -451,9 +454,9 @@ class Automaton:
         """The blocks (table, k_1..k_arity) of `values` encoded in
         `system`, one track each, top block first, over the longest
         value's digits and `pad` leading zeros more, the top table cut to
-        them (``NumerationSystem.block_tables``).  A digit above the
-        machine's dmax raises, naming the first such digit of the first
-        track that holds one."""
+        them (``NumerationSystem.block_tables``), as an iterator.  A digit
+        above the machine's dmax raises, naming the first such digit of
+        the first track that holds one."""
         reads = [system.greedy_blocks(v) for v in values]
         if system.dmax > self.dmax:
             for length, ks in reads:
@@ -461,8 +464,8 @@ class Automaton:
                 if max(digits) > self.dmax:
                     letter_code(digits, self.dmax)  # raises, naming the digit
         tables = system.block_tables(pad + max(length for length, _ in reads))
-        return list(zip(tables, *([0] * (len(tables) - len(ks)) + ks
-                                  for _, ks in reads)))
+        return zip(tables, *([0] * (len(tables) - len(ks)) + ks
+                             for _, ks in reads))
 
     def _block_codes(self, block):
         """Letter codes of the block (t, k_1..k_arity): track j reads
@@ -561,11 +564,15 @@ class Automaton:
         their successors, so intersecting B with the reachable states would
         change no choice, nor the NoOutput test (initial state not in B_0).
         Both steps are memoised on the automaton (class docstring), per
-        block of n's digits.
+        block of n's digits.  A block's pick holds its z digits only as
+        their sums (C, D) over the block table's coefficient row
+        (``numeration`` module docstring), exact for any digits, canonical
+        or not.  z is ``system.block_value`` of the picks, sum C_j q_{jw} +
+        D_j q_{jw-1}: its digits are never spelled out or decoded.
         """
         if self.arity != 2:
             raise ValueError("function_value needs a 2-track automaton")
-        blocks = self._value_blocks((n,), system, self.n_states)
+        blocks = list(self._value_blocks((n,), system, self.n_states))
         if self._suffixes is None:
             accepting = frozenset(s for s, f in enumerate(self.accepting) if f)
             self._suffixes = ([accepting], {accepting: 0}, {}, {})
@@ -580,17 +587,18 @@ class Automaton:
                 b = self._block_step(b, block)
         if self.initial not in sets[b]:
             raise NoOutput(f"no output for input {n}")
-        # forward: the z digits into each B
-        state, zdigits, nstates = self.initial, [], self.n_states
+        # forward: the z digits into each B, as coefficient sums
+        state, cs, ds, nstates = self.initial, [], [], self.n_states
         for block, b in zip(blocks, reversed(ends)):
             try:
-                state, zs = picks[block][b * nstates + state]
+                state, c, d = picks[block][b * nstates + state]
             except KeyError:
-                state, zs = self._block_pick(state, b, block)
+                state, c, d = self._block_pick(state, b, block)
             if state < 0:
                 raise ValueError(f"relation is not functional at {n}")
-            zdigits += zs
-        return system.decode(zdigits)
+            cs.append(c)
+            ds.append(d)
+        return system.block_value(cs, ds)
 
     def _step(self, b: int, d: int) -> int:
         """Id of B_i, from the id b of B_{i+1} and n's digit d_i."""
@@ -630,9 +638,10 @@ class Automaton:
         return dz
 
     def _block_pick(self, state: int, b: int, block) -> tuple:
-        """(state', z digits) after the block (t, k) of n's digits read from
+        """(state', C, D) after the block (t, k) of n's digits read from
         `state` into the set with id b, each z digit the one ``_pick``
-        gives; (-1, ()) where one is not unique."""
+        gives and (C, D) their coefficient sums in t's row; (-1, 0, 0)
+        where one is not unique."""
         key = b * self.n_states + state
         pattern = block[0][block[1]]
         ends = [b]  # the id of B after each digit, lsd first
@@ -646,7 +655,7 @@ class Automaton:
                 break
             zs.append(dz)
             state = delta[(state * base + d) * base + dz]
-        got = state, tuple(zs)
+        got = (state, *block_sums(block[0], zs))
         self._suffixes[3].setdefault(block, {})[key] = got
         return got
 

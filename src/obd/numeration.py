@@ -30,27 +30,38 @@ except for block 0 with its rule (c), so blocks of one phase share them.
 w is the largest width at which no phase has more than BLOCK_CAP
 patterns (8 on msd_fib, 4 on msd_s2), and 1 if even one position has
 more: such a position, whose period entry is BLOCK_CAP or more, gets no
-table, and its digit is read by ``divmod``.
+pattern table, and its value table is ``range(0, (bound + 1) * q_lo,
+q_lo)``, so it too costs one bisect and holds three ints.
+
+A table also holds a coefficient row.  For a block whose lowest
+position is lo, q_{lo+i} = A_i q_lo + B_i q_{lo-1}, with (A_0, B_0) =
+(1, 0), (A_{-1}, B_{-1}) = (0, 1) and (A_i, B_i) = a_{lo+i} (A_{i-1},
+B_{i-1}) + (A_{i-2}, B_{i-2}); the row depends only on lo mod the period
+length, so on the table.  Any digits z over the block, canonical or not,
+are worth C q_lo + D q_{lo-1}, where C = sum z_i A_i and D = sum z_i B_i
+(``block_sums``).  The value tables are built this way, and
+``automata`` reads a function's output as one (C, D) per block, joined
+by ``block_value``, without spelling out its digits.
 
 ``greedy_blocks`` is that one greedy routine: it gives n's digit count
 and, for each block from the top down, the index k of the block's digits
-in the block's table, where the table of a divmod position is the lone
-digit table ``LONE`` (pattern k is the digit k).  A read of the low L
+in the block's table, where the table of a lone position is ``LONE``
+(pattern k is the digit k; its row is (1, 0)).  A read of the low L
 digits takes its tables from ``block_tables(L)``, whose top table is
 cut: its pattern k is the full table's pattern k without the top
 ceil(L / w) * w - L digits, which are zeros in every value the read
-covers.  Each system memoises its cut tables per (table, cut), at most
-w - 1 per table and none when w = 1, so a cut table is never LONE.
-``encode`` joins the patterns over the value's own digits.  A table is
-hashed and compared by identity, so a key that holds (table, k) hashes
-as fast as one of ints.  The readers in ``automata`` key their memos by
-it: a walk by (state, table, k_1..k_arity) -> state, ``function_value``
-by (B, table, k) -> B' and (state, B, table, k) -> (state', z digits).
-A machine's walk memo therefore holds at most states x tables x
-patterns**arity entries, tables and patterns being those of the blocks
-it has read (a system has period length + 1 tables of at most BLOCK_CAP
-patterns each, unless a position is read by divmod, and at most w - 1
-cut tables of each).
+covers, and its row the full row without those entries.  Each system
+memoises its cut tables per (table, cut), at most w - 1 per table and
+none when w = 1, so a cut table is never LONE.  ``encode`` joins the
+patterns over the value's own digits.  A table is hashed and compared by
+identity, so a key that holds (table, k) hashes as fast as one of ints.
+The readers in ``automata`` key their memos by it: a walk by (state,
+table, k_1..k_arity) -> state, ``function_value`` by (B, table, k) -> B'
+and (state, B, table, k) -> (state', C, D).  A machine's walk memo
+therefore holds at most states x tables x patterns**arity entries,
+tables and patterns being those of the blocks it has read (a system has
+period length + 1 tables of at most BLOCK_CAP patterns each, unless a
+position is lone, and at most w - 1 cut tables of each).
 """
 from __future__ import annotations
 
@@ -63,20 +74,27 @@ BLOCK_CAP = 64  # most canonical digit patterns any one block table holds
 
 
 class _Table(tuple):
-    """A block table: entry k is pattern k.  Hashed and compared by
-    identity, so a memo key that holds one never hashes its patterns."""
+    """A block table: entry k is pattern k, and ``coefficients`` the rows
+    (A_{w-1} .. A_0) and (B_{w-1} .. B_0), msd first like the patterns
+    (module docstring).  Hashed and compared by identity, so a memo key
+    that holds one never hashes its patterns."""
 
-    __slots__ = ()
     __hash__ = object.__hash__
     __eq__ = object.__eq__
     __ne__ = object.__ne__
 
+    def __new__(cls, patterns, coefficients):
+        table = super().__new__(cls, patterns)
+        table.coefficients = coefficients
+        return table
+
 
 class _LoneDigits:
-    """The table of a position whose digit is read by ``divmod``: pattern k
-    is the one digit k."""
+    """The table of a lone position: pattern k is the one digit k, and
+    the coefficient row is (1, 0)."""
 
     __slots__ = ()
+    coefficients = ((1,), (0,))
 
     def __getitem__(self, k: int) -> tuple[int]:
         return (k,)
@@ -85,11 +103,30 @@ class _LoneDigits:
 LONE = _LoneDigits()
 
 
+def block_sums(table, digits) -> tuple[int, int]:
+    """(C, D) = (sum z_i A_i, sum z_i B_i) of any digits z over a block of
+    `table`, msd first: they are worth C q_lo + D q_{lo-1}."""
+    a, b = table.coefficients
+    return sum(map(mul, digits, a)), sum(map(mul, digits, b))
+
+
 def _positions(period, lo, width):
     """(a_{i+1}, digit bound) for the positions i = lo+width-1 .. lo."""
     m = len(period)
     return [(period[i % m], period[i % m] - (i == 0))
             for i in range(lo + width - 1, lo - 1, -1)]
+
+
+def _coefficients(period, lo, width):
+    """The coefficient rows (A_{width-1} .. A_0), (B_{width-1} .. B_0) of
+    a block whose lowest position is lo."""
+    m = len(period)
+    a, b = [0, 1], [1, 0]  # (A_{-1}, A_0), (B_{-1}, B_0)
+    for i in range(lo + 1, lo + width):
+        x = period[(i - 1) % m]  # a_i
+        a.append(x * a[-1] + a[-2])
+        b.append(x * b[-1] + b[-2])
+    return tuple(a[:0:-1]), tuple(b[:0:-1])
 
 
 def _pattern_count(positions) -> int:
@@ -129,8 +166,7 @@ class NumerationSystem:
         self._cache: dict = {}
         # encode's block tables (module docstring): the table of each phase
         # lo mod m, that of block j in _tables (block 0's first, the rest
-        # grown on demand), and block j's (values, q_lo), grown on demand,
-        # values None where its digit is read by divmod
+        # grown on demand), and block j's values, grown on demand
         m, per = len(self.period), self.period
         starts = [0, *range(m, 2 * m)]  # block 0, then one block of each phase
         width = 1
@@ -139,8 +175,9 @@ class NumerationSystem:
             width += 1
         self._width = width
         block0, *self._phase_tables = [
-            _Table(_patterns(pos)) if _pattern_count(pos) <= BLOCK_CAP else LONE
-            for pos in (_positions(per, lo, width) for lo in starts)]
+            _Table(_patterns(pos), _coefficients(per, lo, width))
+            if _pattern_count(pos) <= BLOCK_CAP else LONE
+            for lo in starts for pos in [_positions(per, lo, width)]]
         self._tables = [block0]
         self._cut_tables: dict = {}  # (table, cut) -> cut table
         self._blocks: list = []
@@ -188,8 +225,7 @@ class NumerationSystem:
         block's greedy digits in its table (``block_tables``).
 
         Each block's index is that of the last entry <= the remainder in
-        the block's value table (module docstring), or the digit itself
-        where the digit is read by ``divmod``."""
+        the block's value table (module docstring)."""
         n = index(n)
         if n < 0:
             raise ValueError("cannot encode a negative value")
@@ -202,12 +238,9 @@ class NumerationSystem:
         while len(blocks) < nblocks:
             blocks.append(self._block(len(blocks)))
         ks = []
-        for values, q in blocks[nblocks - 1::-1]:
-            if values is None:
-                k, n = divmod(n, q)
-            else:
-                k = bisect_right(values, n) - 1
-                n -= values[k]
+        for values in blocks[nblocks - 1::-1]:
+            k = bisect_right(values, n) - 1
+            n -= values[k]
             ks.append(k)
         return top, ks
 
@@ -215,7 +248,8 @@ class NumerationSystem:
         """The tables of the ceil(length / w) blocks over the low `length`
         digits, top block first, the top one cut: a table whose pattern k
         is the top table's pattern k without its digits above `length`,
-        memoised per (table, cut) so that it too hashes by identity."""
+        memoised per (table, cut) so that it too hashes by identity; its
+        coefficient row is the top table's without the top `cut` entries."""
         w, tables, phases = self._width, self._tables, self._phase_tables
         count = -(-length // w)
         while len(tables) < count:
@@ -226,7 +260,10 @@ class NumerationSystem:
             key = out[0], cut
             top = self._cut_tables.get(key)
             if top is None:
-                top = self._cut_tables[key] = _Table(p[cut:] for p in out[0])
+                full = out[0]
+                a, b = full.coefficients
+                top = self._cut_tables[key] = _Table(
+                    (p[cut:] for p in full), (a[cut:], b[cut:]))
             out[0] = top
         return out
 
@@ -238,19 +275,29 @@ class NumerationSystem:
             digits += table[k]
         return tuple(digits)
 
-    def _block(self, j: int):
-        """Block j's (values, q_lo): the values of its canonical digit
-        blocks, in increasing (= lexicographic) order, None for a lone
-        position over the cap."""
+    def block_value(self, cs, ds) -> int:
+        """sum C_j q_{jw} + D_j q_{jw-1} over the blocks j, top block first:
+        the value of digits whose block j has the sums (C_j, D_j) of
+        ``block_sums``."""
         w = self._width
-        lo = j * w
-        self.block_tables(lo + w)  # grows _tables through block j
-        patterns = self._tables[j]
-        if patterns is LONE:
-            return None, self.q(lo)
-        self.q(lo + w - 1)  # grows the cached list through the block's top
-        qrow = self._q[lo + w:lo:-1]  # q_{lo+w-1} .. q_lo
-        return [sum(map(mul, p, qrow)) for p in patterns], qrow[-1]
+        top = (len(cs) - 1) * w
+        self.q(top)  # grows the cached list through the top block's q_lo
+        q = self._q  # entry i + 1 is q_i
+        return sum(map(mul, cs, q[top + 1::-w])) + sum(map(mul, ds, q[top::-w]))
+
+    def _block(self, j: int):
+        """Block j's values: those of its canonical digit blocks, in
+        increasing (= lexicographic) order, C q_lo + D q_{lo-1} each; for a
+        lone position, the range of the digit multiples of q_lo."""
+        lo = j * self._width
+        self.block_tables(lo + self._width)  # grows _tables through block j
+        table = self._tables[j]
+        q, q_below = self.q(lo), self._q[lo]
+        if table is LONE:
+            (_, bound), = _positions(self.period, lo, 1)
+            return range(0, (bound + 1) * q, q)
+        return [c * q + d * q_below
+                for c, d in (block_sums(table, p) for p in table)]
 
     def decode(self, digits) -> int:
         """Value of an msd-first sequence of digits. Accepts non-canonical ones."""
@@ -265,10 +312,6 @@ class NumerationSystem:
         """Left-pad digit tuples with zeros to a common length."""
         width = max(len(s) for s in strings)
         return [(0,) * (width - len(s)) + s for s in strings]
-
-    def floor_gamma(self, n: int) -> int:
-        """floor(n * gamma), exactly."""
-        return (self.gamma * n).floor()
 
     def __repr__(self) -> str:
         return f"NumerationSystem({self.name!r}, period={list(self.period)})"

@@ -74,10 +74,13 @@ class TestEncodeDecode:
 
 
 def stored_tables(system):
-    """Every digit pattern list and value list the system's encoder holds."""
+    """Every digit pattern list and value list the system's encoder holds
+    as a list: a lone position's pattern table is LONE and its value
+    table a range, neither of which holds its entries."""
     pattern_lists = [system._tables[0], *system._phase_tables]
-    return [t for t in pattern_lists + [values for values, _ in system._blocks]
-            if t is not None and t is not LONE]
+    assert all(type(values) in (list, range) for values in system._blocks)
+    return [t for t in pattern_lists + system._blocks
+            if t is not LONE and type(t) is not range]
 
 
 class TestBlockEncode:
@@ -104,7 +107,8 @@ class TestBlockEncode:
         tables = stored_tables(fresh)
         assert tables and all(len(t) <= BLOCK_CAP for t in tables)
         # value tables rise strictly: lexicographic order is numeric order
-        for values, _ in fresh._blocks:
+        assert fresh._blocks
+        for values in fresh._blocks:
             assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_block_widths(self, systems):
@@ -120,12 +124,15 @@ class TestBlockEncode:
         assert all(len(t) <= BLOCK_CAP for t in stored_tables(sys))
 
     def test_huge_partial_quotient(self):
-        # one position alone allows 10**6 + 1 digits: no table is built for
-        # it, and its digit is read by divmod
+        # one position alone allows 10**6 + 1 digits: no pattern table is
+        # built for it, and its value table is a range of the digit multiples
         big = NumerationSystem("big", (10 ** 6,))
         assert big.encode(10 ** 30) == greedy_digits((10 ** 6,), 10 ** 30)
         assert big.decode(big.encode(10 ** 30)) == 10 ** 30
         assert stored_tables(big) == []
+        assert big._blocks and all(
+            values == range(0, (10 ** 6 + (j > 0)) * big.q(j), big.q(j))
+            for j, values in enumerate(big._blocks))
 
 
 class TestCanonicity:
@@ -188,7 +195,7 @@ class TestArithmeticHooks:
     def test_floor_gamma_matches_surd_oracle(self, system):
         g = system.gamma
         for n in range(0, 4000):
-            assert system.floor_gamma(n) == floor_surd(g.a * n, g.b * n, g.c, g.d)
+            assert (g * n).floor() == floor_surd(g.a * n, g.b * n, g.c, g.d)
 
     def test_appending_zeros_is_the_shift_map(self, system):
         # value of (n-1 digits followed by m zeros) against the closed form
@@ -196,7 +203,7 @@ class TestArithmeticHooks:
         qm, qm1 = system.q(m), system.q(m - 1)
         for n in range(1, 2000):
             shifted = system.encode(n - 1) + (0,) * m
-            assert system.decode(shifted) == qm * (n - 1) + qm1 * system.floor_gamma(n)
+            assert system.decode(shifted) == qm * (n - 1) + qm1 * (system.gamma * n).floor()
 
     def test_pad_parallel(self, system):
         a, b = system.encode(1), system.encode(200)

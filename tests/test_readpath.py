@@ -17,6 +17,7 @@ import pytest
 
 from obd import NumerationSystem
 from obd.automata import Automaton, NoOutput, letter_code
+from obd.numeration import LONE, block_sums
 from obd.repro import SCRIPT_DIR
 from obd.session import Session, word_value
 
@@ -286,7 +287,7 @@ def test_membership_errors_match_per_letter_route(machines):
 # -- block reads against the per-letter routes, on every catalog system ------
 
 # the catalog of tests/conftest.py, and a system whose entries 70 and 71
-# exceed BLOCK_CAP, so its blocks are lone positions read by divmod
+# exceed BLOCK_CAP, so its blocks are lone positions with range value tables
 READ_SYSTEMS = {**CATALOG, "msd_wide": (70, 71)}
 
 
@@ -484,3 +485,86 @@ def test_every_cut_of_the_top_block(name):
     for read, reference, aut, inputs in reads:
         assert_same_reads(read, reference, aut, system, inputs, seed=len(inputs) + 1)
     assert system._cut_tables == cut_tables
+
+
+# -- coefficient rows ----------------------------------------------------------
+
+def handed_out_tables(system, blocks):
+    """(j, table) for every table the system hands out for blocks 0 ..
+    blocks - 1: block j's own table and each of its cut tables."""
+    w = system._width
+    return [(j, system.block_tables((j + 1) * w - cut)[0])
+            for j in range(blocks) for cut in range(w)]
+
+
+@pytest.mark.parametrize("name", sorted(READ_SYSTEMS) + ["big"])
+def test_coefficient_rows_give_block_values(name):
+    """Any digits over block j of a table, canonical or not, are worth
+    C q_{jw} + D q_{jw-1}, their sums in the table's coefficient row:
+    block 0's table, each phase table, each cut table and LONE, at
+    several j."""
+    period = READ_SYSTEMS.get(name, (10 ** 6,))
+    system = NumerationSystem(name, period)
+    w, m = system._width, system.period_length
+    rng = random.Random(name + " coefficients")
+    seen = set()
+    for j, table in handed_out_tables(system, 3 * m + 3):
+        seen.add(id(table))
+        width = len(table[0])
+        # LONE's pattern k is the digit k: the low hundred and the largest
+        patterns = ([(d,) for d in {*range(min(system.dmax, 99) + 1), system.dmax}]
+                    if table is LONE else list(table))
+        patterns += [tuple(rng.randint(0, system.dmax) for _ in range(width))
+                     for _ in range(20)]
+        for pattern in patterns:
+            c, d = block_sums(table, pattern)
+            want = system.decode(pattern + (0,) * (j * w))
+            assert c * system.q(j * w) + d * system.q(j * w - 1) == want, (j, pattern)
+    # block j's phase is j * w mod m, so blocks 1 .. m meet every phase a
+    # block can have, and the cut tables of each
+    phases = system._phase_tables
+    tables = [system._tables[0], *(phases[j * w % m] for j in range(1, m + 1)),
+              *system._cut_tables.values()]
+    assert {id(t) for t in tables} == seen
+    assert (w == 1) == all(t is LONE for t in tables)
+    # whole strings of blocks, through block_value
+    for _ in range(50):
+        blocks = rng.randint(1, 3 * m + 3)
+        length = rng.randint((blocks - 1) * w + 1, blocks * w)
+        digits = tuple(rng.randint(0, system.dmax) for _ in range(length))
+        at, cs, ds = 0, [], []
+        for table in system.block_tables(length):
+            width = len(table[0])
+            c, d = block_sums(table, digits[at:at + width])
+            cs.append(c)
+            ds.append(d)
+            at += width
+        assert system.block_value(cs, ds) == system.decode(digits), digits
+
+
+def test_value_reads_never_spell_out_digits(machines, monkeypatch):
+    """With ``decode`` and ``block_digits`` patched to raise, function
+    values, membership and ``word_value`` on the query machines and F
+    still give the exact answers, on fresh machines and fresh systems."""
+    word = session().env.predicate("F")
+    fib = session().env.systems[word.system_name]
+    reads = [(fresh(aut), NumerationSystem(system.name, system.period), name)
+             for name, (aut, system) in sorted(machines.items())
+             if name in CLOSED_FORMS]
+    word_aut = fresh(word.automaton)
+    word_system = NumerationSystem(fib.name, fib.period)
+
+    def refuse(*args):
+        raise AssertionError("digits spelled out")
+    monkeypatch.setattr(NumerationSystem, "decode", refuse)
+    monkeypatch.setattr(NumerationSystem, "block_digits", refuse)
+    ns = list(range(300)) + sample_ns(23, 60, 100)
+    for aut, system, name in reads:
+        for n in ns:
+            z = CLOSED_FORMS[name](n)
+            assert aut.function_value(system, n) == z, (name, n)
+            assert aut.accepts_values((n, z), system), (name, n)
+            assert not aut.accepts_values((n, z + 1), system), (name, n)
+    for n in ns:
+        want = 2 - (floor_phi(n + 2) - floor_phi(n + 1))
+        assert word_value(word_aut, word_system, n) == want, n

@@ -912,7 +912,7 @@ class TestShiftRelation:
         qm, qm1 = system.q(m), system.q(m - 1)
         rel = shift_relation(system).intersect(canonical_recognizer(system, 2))
         for u in range(0, 60):
-            v = qm * u + qm1 * system.floor_gamma(u + 1)
+            v = qm * u + qm1 * (system.gamma * (u + 1)).floor()
             assert rel.accepts_values((u, v), system)
             assert not rel.accepts_values((u, v + 1), system)
 
